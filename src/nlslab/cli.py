@@ -57,10 +57,9 @@ def _file_inventory(paths):
 class StageRunner:
     """Shared state between stages plus pass/fail bookkeeping."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir: str, strict: bool = False):
+    def __init__(self, cfg: ExperimentConfig, out_dir: str):
         self.cfg = cfg
         self.out = out_dir
-        self.strict = strict
         self.stages: dict = {}
         self.files: list = []
         self._cache: dict = {}
@@ -253,8 +252,9 @@ class StageRunner:
         reports = {}
         rows = []
         for est in pblock["estimates"]:
-            # each estimate on its own default fit window (DECAY_WINDOWS)
-            rep = verify_decay(plan, [pd.apply_complement_H(p) for p in probes], est)
+            # each estimate on its own default fit window (DECAY_WINDOWS);
+            # verify_decay projects the probes itself
+            rep = verify_decay(plan, probes, est)
             reports[est] = rep
             fit = rep.fitted_curve()
             for t, nrm, fc in zip(rep.times, rep.norms, fit):
@@ -374,10 +374,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; stages run serially")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat relaxed fits as failures")
     args = parser.parse_args(argv)
 
     try:
@@ -392,7 +388,7 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.block("output")["directory"]
     started = time.time()
     try:
-        runner = StageRunner(cfg, out_dir, strict=args.strict)
+        runner = StageRunner(cfg, out_dir)
         names = STAGE_ORDER if args.command == "all" else [args.command]
         ok = runner.run(names)
         runner.write_manifest(ok, started)

@@ -28,7 +28,6 @@ def default_config_dict() -> dict:
             "potential_params": {"amp": 0.5, "offset": 1.0},
             "h": 0.5,
             "lambda": 2.0,
-            "lambda_range": None,
             "expected_resonant": False,
         },
         "grid": {"L": 60.0, "N": 3072, "coarse_points": 768},
@@ -54,7 +53,7 @@ def default_config_dict() -> dict:
             "gamma0": 0.3,
             "bump_width": 2.0,
         },
-        "output": {"directory": "out", "formats": ["csv", "json"]},
+        "output": {"directory": "out"},
         "seed": 20260801,
     }
 
@@ -128,10 +127,6 @@ def _validate(raw: dict):
     if not (float(g["L"]) > 0):
         raise ValueError("grid.L: must be positive")
     m = raw["model"]
-    if m["lambda_range"] is not None:
-        lo, hi = m["lambda_range"]
-        if not (lo < hi):
-            raise ValueError("model.lambda_range: endpoints reversed")
     if float(m["h"]) < 0:
         raise ValueError("model.h: must be nonnegative")
     d = raw["dynamics"]

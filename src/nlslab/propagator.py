@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 
+K_FINE_TARGET = 0.25  # max phase increment 2 k t dk per fine-k quadrature step
+
+
 def _sigma1_conj(u: np.ndarray) -> np.ndarray:
     return np.stack([np.conj(u[1]), np.conj(u[0])])
 
@@ -113,7 +116,6 @@ class PropagatorPlan:
     system: LinearizedSystem
     table: GeneralizedEigenTable
     projector: Optional[SpectralProjector]
-    k_fine_target: float = 0.25  # max tolerated phase increment per fine-k step
     _spline_basis: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -165,7 +167,7 @@ class PropagatorPlan:
         e_flip = self._e_flip[::stride]
 
         dk_max = float(np.max(np.diff(k)))
-        dk_needed = self.k_fine_target / max(2.0 * k[-1] * abs(t), 1.0)
+        dk_needed = K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0)
         phase = np.exp(-1j * t * (self.system.beta + k**2))
 
         if dk_needed >= dk_max:
@@ -186,7 +188,7 @@ class PropagatorPlan:
         big = np.where(amp > tail)[0]
         k_eff = min(k[-1], k[big[-1]] + 0.5) if big.size else k[-1]
         nfine = int(np.ceil(k_eff / min(dk_needed, dk_max)))
-        nfine = min(max(nfine, 400), 120000)
+        nfine = max(nfine, 400)
         if nfine % 2 == 1:
             nfine += 1
         kf = np.linspace(0.0, k_eff, nfine + 1)

@@ -25,18 +25,24 @@ left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
 
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
 from the point where the potentials fall below 1e-17 (outside, the free
-forms are exact to machine precision).  The closed channel grows like
-e^(mu |x|) under leftward marching, so psi-type solutions are "purged"
-every unit of x: a multiple of phi1 is subtracted to zero the closed
-channel.  Since psi1 is only defined modulo phi1 and every deliverable
-(D entries computed from one representative, s, r, e) is invariant under
-that shift, purging is exact bookkeeping, and a final ledger pass maps
-all stored values to a single representative.
+forms are exact to machine precision).  psi1, eta and phi1 are columns
+of one leftward march, which stops at x = -8 for every k: all Wronskian
+samples lie in |x| <= 5.5, so the reflected values they read sit at
+x >= -5.5, and the continuum modes are assembled from values at x >= 0
+alone.  Left of -8 the marched solutions are zero and flagged invalid.
+xi1 is marched rightward from the same point.  The closed channel grows
+like e^(mu |x|) under leftward marching, so psi-type solutions (eta is
+psi1's twin at k = 0, same rate) are "purged" every unit of x: a multiple
+of phi1 is subtracted to zero the closed channel.  Since psi1 is only
+defined modulo phi1 and every deliverable (D entries computed from one
+representative, s, r, e) is invariant under that shift, purging is exact
+bookkeeping, and a final ledger pass maps all stored values to a single
+representative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,6 +68,8 @@ __all__ = [
 
 W_FLOOR = 1e-17          # potential tail threshold: free forms beyond
 PURGE_SPACING = 1.0      # x-distance between closed-channel purges
+MARCH_STOP = -8.0        # every leftward march ends here (see above)
+MARCH_ERR = 1e-8         # RK4 global phase error target of every march
 FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
 
 
@@ -94,7 +102,7 @@ class JostSolution:
     """One distinguished solution sampled on the grid.
 
     values/derivs have shape [2, N]; entries outside the validity window
-    (overflow-capped leftward extension) are zero and flagged invalid.
+    (left of the march window, xi1's transient skin) are flagged invalid.
     """
 
     kind: str
@@ -121,317 +129,180 @@ class JostSolution:
 # ---------------------------------------------------------------------------
 
 
-def _substeps(dx: float, rate: float, span: float, target: float) -> int:
-    """RK4 substep count for global phase error below target."""
+def _substeps(dx: float, rate: float, span: float) -> int:
+    """RK4 substep count for global phase error below MARCH_ERR."""
     rate = max(rate, 1.0)
-    h = (target * 120.0 / (max(span, 1.0) * rate**5)) ** 0.25
+    h = (MARCH_ERR * 120.0 / (max(span, 1.0) * rate**5)) ** 0.25
     return max(1, int(np.ceil(dx / h)))
 
 
-def _march_pair(sys: LinearizedSystem, ks: np.ndarray, x_lo: float,
-                err_target: float = 1e-8):
-    """March psi1 and phi1 jointly (leftward) for a block of k values.
+def _stepper(sys: LinearizedSystem, ks: np.ndarray, gg: np.ndarray,
+             j0: int, n_main: int, sign: int):
+    """RK4 grid step for rescaled states z [nk, ncol, 4] marched from node j0.
 
-    Returns grid indices of the marched window plus Y arrays of shape
-    [nk, 4, nw] for psi1 and phi1 (components: xi1, xi1', xi2, xi2'),
-    already reconciled to a single psi1 representative, and an overflow
-    validity mask [nk, nw].
+    Column c of row q obeys the (H - beta - k_q^2) system in the frame
+    z = e^(-gg[q, c] x) y; the march runs over n_main grid steps in the
+    direction sign (+1 rightward, -1 leftward).  Returns step(z, i), which
+    advances z from node j0 + sign i to j0 + sign (i + 1).
     """
     g = sys.grid
-    beta = sys.beta
-    ks = np.asarray(ks, dtype=float)
-    mus = np.sqrt(ks**2 + 2.0 * beta)
-    nk = ks.size
-
-    x_start = _w_edge(sys)
-    nodes = g.nodes
-    j_hi = int(np.searchsorted(nodes, min(x_start, nodes[-1]), side="left"))
-    j_hi = min(j_hi, g.N - 1)
-    j_lo = int(np.searchsorted(nodes, x_lo, side="left"))
-    if j_lo >= j_hi:
-        j_lo = max(0, j_hi - 1)
-    x_top = nodes[j_hi]
-
-    span = x_top - nodes[j_lo]
-    rate = float(np.max(mus + ks))
-    m = _substeps(g.dx, rate, span, err_target)
-    h = g.dx / m
-
-    # W samples at all substep points of the march (descending from
-    # x_top); the substep grid is an integer refinement of the main grid,
-    # so the samples come from exact Fourier refinement
-    n_main = j_hi - j_lo
+    mus = np.sqrt(ks**2 + 2.0 * sys.beta)
+    span = abs(g.nodes[j0 + sign * n_main] - g.nodes[j0])
+    m = _substeps(g.dx, float(np.max(mus + ks)), span)
+    h = sign * g.dx / m
+    # W at every substep and half-substep point: the substep grid is an
+    # integer refinement of the main grid, so the samples come from exact
+    # Fourier refinement
     R = 2 * m
     v3f, v4f = sys.v34_refined(R)
-    sl = slice(j_hi * R, j_hi * R - (2 * n_main * m + 1), -1) if j_hi * R - (2 * n_main * m + 1) >= 0 else slice(j_hi * R, None, -1)
-    v3s = v3f[sl]
-    v4s = v4f[sl]
-    w11 = 0.5 * v3s
-    w12 = -0.5j * v4s
-
-    g_psi = 1j * ks
-    g_phi = -mus
-    a_k2 = ks**2
-    a_mu2 = mus**2
-
-    # state: z[:, 0] = psi block, z[:, 1] = phi block, each [nk, 4]
-    z = np.zeros((nk, 2, 4), dtype=complex)
-    z[:, 0, 0] = 1.0
-    z[:, 0, 1] = 1j * ks
-    z[:, 1, 2] = 1.0
-    z[:, 1, 3] = -mus
-
-    gg = np.stack([g_psi, g_phi], axis=1)[:, :, None]  # [nk, 2, 1]
+    at = j0 * R + sign * np.arange(2 * n_main * m + 1)
+    w11 = 0.5 * v3f[at]
+    w12 = -0.5j * v4f[at]
+    a_k2 = (ks**2)[:, None]
+    a_mu2 = (mus**2)[:, None]
+    rate = gg[..., None]
 
     def rhs(z, w11_x, w12_x):
         d = np.empty_like(z)
         d[..., 0] = z[..., 1]
-        d[..., 1] = (w11_x - a_k2[:, None]) * z[..., 0] + w12_x * z[..., 2]
+        d[..., 1] = (w11_x - a_k2) * z[..., 0] + w12_x * z[..., 2]
         d[..., 2] = z[..., 3]
-        d[..., 3] = -w12_x * z[..., 0] + (a_mu2[:, None] + w11_x) * z[..., 2]
-        return d - gg[..., 0][..., None] * z
+        d[..., 3] = -w12_x * z[..., 0] + (a_mu2 + w11_x) * z[..., 2]
+        return d - rate * z
 
-    out_psi = np.zeros((nk, 4, n_main + 1), dtype=complex)
-    out_phi = np.zeros((nk, 4, n_main + 1), dtype=complex)
-    out_psi[:, :, n_main] = z[:, 0]
-    out_phi[:, :, n_main] = z[:, 1]
-
-    purge_every = max(1, int(round(PURGE_SPACING / g.dx)))
-    ledger: list = []  # (node_slot, coeff array [nk])
-    alive = np.ones(nk, dtype=bool)
-    valid = np.ones((nk, n_main + 1), dtype=bool)
-
-    for step in range(n_main):
+    def step(z, i):
         for sub in range(m):
-            i0 = 2 * (step * m + sub)
-            w11_a, w12_a = w11[i0], w12[i0]
-            w11_b, w12_b = w11[i0 + 1], w12[i0 + 1]
-            w11_c, w12_c = w11[i0 + 2], w12[i0 + 2]
-            k1 = rhs(z, w11_a, w12_a)
-            k2 = rhs(z - 0.5 * h * k1, w11_b, w12_b)
-            k3 = rhs(z - 0.5 * h * k2, w11_b, w12_b)
-            k4 = rhs(z - h * k3, w11_c, w12_c)
-            z = z - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        slot = n_main - 1 - step
-        big = np.max(np.abs(z), axis=(1, 2)) > 1e120
-        alive &= ~big
-        valid[:, : slot + 1] &= alive[:, None]
-        z[~alive] = 0.0
-        if (step + 1) % purge_every == 0 or step == n_main - 1:
-            denom = z[:, 1, 2]
-            ok = np.abs(denom) > 1e-250
-            c = np.where(ok, z[:, 0, 2] / np.where(ok, denom, 1.0), 0.0)
-            z[:, 0] = z[:, 0] - c[:, None] * z[:, 1]
-            ledger.append((slot, c))
-        out_psi[:, :, slot] = z[:, 0]
-        out_phi[:, :, slot] = z[:, 1]
+            i0 = 2 * (i * m + sub)
+            k1 = rhs(z, w11[i0], w12[i0])
+            k2 = rhs(z + 0.5 * h * k1, w11[i0 + 1], w12[i0 + 1])
+            k3 = rhs(z + 0.5 * h * k2, w11[i0 + 1], w12[i0 + 1])
+            k4 = rhs(z + h * k3, w11[i0 + 2], w12[i0 + 2])
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return z
 
-    # ledger pass: express every stored psi1 value in the final
-    # representative.  Stored values at/above a purge point already
-    # include it, so the running sum S collects events after applying
-    # the correction at their own slot, and decays going up in x.
-    decay = np.exp((g_psi - g_phi) * (-g.dx))  # E(-dx), |.| < 1
-    S = np.zeros(nk, dtype=complex)
-    events = {slot: c for slot, c in ledger}
-    for slot in range(n_main + 1):
-        out_psi[:, :, slot] = out_psi[:, :, slot] - S[:, None] * out_phi[:, :, slot]
-        if slot in events:
-            S = S + events[slot]
-        S = S * decay
-
-    # map back to unscaled values and append the exact free tail; the
-    # fill is corrected in the rescaled frame, where the free closed
-    # channel is the constant (0, 0, 1, -mu)
-    idx = np.arange(j_lo, j_hi + 1)
-    xw = nodes[idx]
-    e_psi = np.exp(g_psi[:, None] * xw[None, :])
-    e_phi = np.exp(g_phi[:, None] * xw[None, :])
-    y_psi = out_psi * e_psi[:, None, :]
-    y_phi = out_phi * e_phi[:, None, :]
-
-    idx_free = np.arange(j_hi + 1, g.N)
-    xf = nodes[idx_free]
-    zf_psi = np.zeros((nk, 4, xf.size), dtype=complex)
-    zf_psi[:, 0] = 1.0
-    zf_psi[:, 1] = 1j * ks[:, None]
-    zphi_const = np.zeros((nk, 4), dtype=complex)
-    zphi_const[:, 2] = 1.0
-    zphi_const[:, 3] = -mus
-    for jj in range(xf.size):
-        zf_psi[:, :, jj] -= S[:, None] * zphi_const
-        S = S * decay
-    osc = np.exp(1j * ks[:, None] * xf[None, :])
-    yf_psi = zf_psi * osc[:, None, :]
-    yf_phi = np.zeros((nk, 4, xf.size), dtype=complex)
-    dec = np.exp(-mus[:, None] * xf[None, :])
-    yf_phi[:, 2] = dec
-    yf_phi[:, 3] = -mus[:, None] * dec
-
-    full_idx = np.concatenate([idx, idx_free])
-    ypsi = np.concatenate([y_psi, yf_psi], axis=2)
-    yphi = np.concatenate([y_phi, yf_phi], axis=2)
-    vfull = np.concatenate([valid, np.ones((nk, xf.size), dtype=bool)], axis=1)
-    return full_idx, ypsi, yphi, vfull
+    return step
 
 
-def _march_eta(sys: LinearizedSystem, x_lo: float):
-    """Threshold linear solution eta ~ (x, 0), marched like psi at k=0."""
+def _free_forms(kinds, ks: np.ndarray, mus: np.ndarray):
+    """Free forms of the named solutions in their rescaled frames.
+
+    Column c is y = e^(gg[:, c] x) (A[:, c] + x B[:, c]) wherever W
+    vanishes: psi1 (1, ik, 0, 0) at rate ik, eta (x, 1, 0, 0) at rate 0
+    (k = 0 only) and phi1 (0, 0, 1, -mu) at rate -mu.
+    """
+    shape = (ks.size, len(kinds))
+    A = np.zeros(shape + (4,), dtype=complex)
+    B = np.zeros(shape + (4,), dtype=complex)
+    gg = np.zeros(shape, dtype=complex)
+    for c, kind in enumerate(kinds):
+        if kind == "psi1":
+            A[:, c, 0] = 1.0
+            A[:, c, 1] = 1j * ks
+            gg[:, c] = 1j * ks
+        elif kind == "eta":
+            A[:, c, 1] = 1.0
+            B[:, c, 0] = 1.0
+        else:
+            A[:, c, 2] = 1.0
+            A[:, c, 3] = -mus
+            gg[:, c] = -mus
+    return A, B, gg
+
+
+def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds):
+    """March Jost solutions leftward from the potential edge to MARCH_STOP.
+
+    kinds names the columns, "psi1" and/or "eta" (k = 0 only) followed by
+    "phi1", against which the others are purged.  Returns full-grid rows
+    [nk, ncol, 4, N] (components xi1, xi1', xi2, xi2'), reconciled to a
+    single representative per purged column and zero left of the window,
+    plus the window mask [N].
+    """
     g = sys.grid
-    beta = sys.beta
-    mu = np.sqrt(2.0 * beta)
-    x_start = _w_edge(sys)
     nodes = g.nodes
-    j_hi = min(int(np.searchsorted(nodes, min(x_start, nodes[-1]))), g.N - 1)
-    j_lo = int(np.searchsorted(nodes, x_lo))
-    x_top = nodes[j_hi]
-    span = x_top - nodes[j_lo]
-    m = _substeps(g.dx, mu, span, 1e-9)
-    h = g.dx / m
+    ks = np.asarray(ks, dtype=float)
+    mus = np.sqrt(ks**2 + 2.0 * sys.beta)
+    nk, ncol = ks.size, len(kinds)
+
+    j_hi = min(int(np.searchsorted(nodes, min(_w_edge(sys), nodes[-1]))), g.N - 1)
+    j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
     n_main = j_hi - j_lo
-    R = 2 * m
-    v3f, v4f = sys.v34_refined(R)
-    lo_idx = j_hi * R - 2 * n_main * m
-    v3s = v3f[j_hi * R :: -1][: 2 * n_main * m + 1] if lo_idx < 0 else v3f[lo_idx : j_hi * R + 1][::-1]
-    v4s = v4f[j_hi * R :: -1][: 2 * n_main * m + 1] if lo_idx < 0 else v4f[lo_idx : j_hi * R + 1][::-1]
-    w11 = 0.5 * v3s
-    w12 = -0.5j * v4s
+    A, B, gg = _free_forms(kinds, ks, mus)
+    step = _stepper(sys, ks, gg, j_hi, n_main, -1)
 
-    def rhs(z, i0):
-        w11_x, w12_x = w11[i0], w12[i0]
-        d = np.empty_like(z)
-        d[:, 0] = z[:, 1]
-        d[:, 1] = w11_x * z[:, 0] + w12_x * z[:, 2]
-        d[:, 2] = z[:, 3]
-        d[:, 3] = -w12_x * z[:, 0] + (mu * mu + w11_x) * z[:, 2]
-        return d - gg[:, None] * z
-
-    # eta (g = 0) and phi1 at k = 0 rescaled by e^(mu x), marched jointly
-    z = np.zeros((2, 4), dtype=complex)
-    z[0, 0] = x_top
-    z[0, 1] = 1.0
-    z[1, 2] = 1.0
-    z[1, 3] = -mu
-    gg = np.array([0.0, -mu])
-
-    out = np.zeros((2, 4, n_main + 1), dtype=complex)
-    out[:, :, n_main] = z
+    z = A + nodes[j_hi] * B
+    out = np.zeros((nk, ncol, 4, n_main + 1), dtype=complex)
+    out[..., n_main] = z
     purge_every = max(1, int(round(PURGE_SPACING / g.dx)))
-    ledger = []
-    for step in range(n_main):
-        for sub in range(m):
-            i0 = 2 * (step * m + sub)
-            k1 = rhs(z, i0)
-            k2 = rhs(z - 0.5 * h * k1, i0 + 1)
-            k3 = rhs(z - 0.5 * h * k2, i0 + 1)
-            k4 = rhs(z - h * k3, i0 + 2)
-            z = z - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        slot = n_main - 1 - step
-        if (step + 1) % purge_every == 0 or step == n_main - 1:
-            c = z[0, 2] / z[1, 2]
-            z[0] = z[0] - c * z[1]
-            ledger.append((slot, c))
-        out[:, :, slot] = z
+    ledger = {}  # slot -> purge coefficients [nk, ncol - 1]
+    for i in range(n_main):
+        z = step(z, i)
+        slot = n_main - 1 - i
+        if (i + 1) % purge_every == 0 or i == n_main - 1:
+            c = z[:, :-1, 2] / z[:, -1:, 2]
+            z[:, :-1] = z[:, :-1] - c[..., None] * z[:, -1:]
+            ledger[slot] = c
+        out[..., slot] = z
+    if not np.all(np.isfinite(out)):
+        raise ValueError("Jost march overflow")
 
-    decay = np.exp(-mu * g.dx)  # |E(-dx)| for g_eta - g_phi = mu
-    S = 0.0 + 0.0j
-    events = dict(ledger)
+    # ledger pass: express every stored value in the final representative.
+    # Stored values at/above a purge point already include it, so the
+    # running sum S collects events after applying the correction at their
+    # own slot, and decays going up in x; past the edge it corrects the
+    # free forms, where the rescaled phi1 is the constant A[:, -1]
+    decay = np.exp((gg[:, :-1] - gg[:, -1:]) * (-g.dx))  # E(-dx), |.| < 1
+    S = np.zeros((nk, ncol - 1), dtype=complex)
     for slot in range(n_main + 1):
-        out[0, :, slot] = out[0, :, slot] - S * out[1, :, slot]
-        if slot in events:
-            S = S + events[slot]
+        out[:, :-1, :, slot] = out[:, :-1, :, slot] - S[..., None] * out[:, -1:, :, slot]
+        if slot in ledger:
+            S = S + ledger[slot]
         S = S * decay
+    xf = nodes[j_hi + 1:]
+    tail = A[..., None] + B[..., None] * xf
+    s_tail = S[..., None] * decay[..., None] ** np.arange(xf.size)  # [nk, ncol - 1, nf]
+    tail[:, :-1] -= s_tail[:, :, None] * A[:, -1:, :, None]
 
-    idx = np.arange(j_lo, j_hi + 1)
-    xw = nodes[idx]
-    y_eta = out[0]
-    y_phi = out[1] * np.exp(-mu * xw)[None, :]
-    idx_free = np.arange(j_hi + 1, g.N)
-    xf = nodes[idx_free]
-    yf_eta = np.zeros((4, xf.size), dtype=complex)
-    yf_eta[0] = xf
-    yf_eta[1] = 1.0
-    yf_phi = np.zeros((4, xf.size), dtype=complex)
-    yf_phi[2] = np.exp(-mu * xf)
-    yf_phi[3] = -mu * np.exp(-mu * xf)
-    zphi_const = np.array([0.0, 0.0, 1.0, -mu], dtype=complex)
-    for jj in range(xf.size):
-        yf_eta[:, jj] -= S * zphi_const
-        S = S * decay
-    full_idx = np.concatenate([idx, idx_free])
-    return full_idx, np.concatenate([y_eta, yf_eta], axis=1), np.concatenate(
-        [y_phi, yf_phi], axis=1
-    )
+    y = np.zeros((nk, ncol, 4, g.N), dtype=complex)
+    y[..., j_lo : j_hi + 1] = out
+    y[..., j_hi + 1:] = tail
+    y[..., j_lo:] *= np.exp(gg[..., None, None] * nodes[j_lo:])
+    return y, np.arange(g.N) >= j_lo
 
 
-def _march_xi(sys: LinearizedSystem, lam: float, x_lo: float = -8.0):
+def _march_xi(sys: LinearizedSystem, lam: float):
     """Growing closed-channel solution by stable rightward marching.
 
     Any seed converges in direction to xi1 since e^(mu x) dominates to
     the right; the result is normalized against the free form on the
-    potential-free tail.  Valid from a transient skin above the seed.
+    potential-free tail.  Valid from a transient skin above the seed at
+    MARCH_STOP.  Returns the full-grid row [4, N] and its validity mask.
     """
     g = sys.grid
     k, mu = _km(sys, lam)
     nodes = g.nodes
-    j_lo = int(np.searchsorted(nodes, x_lo))
-    x0 = nodes[j_lo]
-    span = nodes[-1] - x0
-    m = _substeps(g.dx, mu + k, span, 1e-8)
-    h = g.dx / m
+    j_lo = int(np.searchsorted(nodes, MARCH_STOP))
     n_main = g.N - 1 - j_lo
-    R = 2 * m
-    v3f, v4f = sys.v34_refined(R)
-    v3s = v3f[j_lo * R : j_lo * R + 2 * n_main * m + 1]
-    v4s = v4f[j_lo * R : j_lo * R + 2 * n_main * m + 1]
-    w11 = 0.5 * v3s
-    w12 = -0.5j * v4s
-
-    def rhs(z, i0):
-        w11_x, w12_x = w11[i0], w12[i0]
-        d = np.empty_like(z)
-        d[0] = z[1]
-        d[1] = (w11_x - k * k) * z[0] + w12_x * z[2]
-        d[2] = z[3]
-        d[3] = -w12_x * z[0] + (mu * mu + w11_x) * z[2]
-        return d - mu * z
-
-    z = np.array([0.0, 0.0, 1.0, mu], dtype=complex)
+    step = _stepper(sys, np.array([k]), np.array([[mu]], dtype=complex), j_lo, n_main, 1)
+    # in the frame z = e^(-mu x) y every solution stays bounded rightward
+    z = np.array([[[0.0, 0.0, 1.0, mu]]], dtype=complex)
     out = np.zeros((4, n_main + 1), dtype=complex)
-    out[:, 0] = z
-    for step in range(n_main):
-        for sub in range(m):
-            i0 = 2 * (step * m + sub)
-            k1 = rhs(z, i0)
-            k2 = rhs(z + 0.5 * h * k1, i0 + 1)
-            k3 = rhs(z + 0.5 * h * k2, i0 + 1)
-            k4 = rhs(z + h * k3, i0 + 2)
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            nz = np.max(np.abs(z))
-            if nz > 1e120:
-                z /= nz
-                out[:, : step + 1] /= nz
-        out[:, step + 1] = z
+    out[:, 0] = z[0, 0]
+    for i in range(n_main):
+        z = step(z, i)
+        out[:, i + 1] = z[0, 0]
     # normalize on the free tail: rescaled xi1 tends to (0, 0, C, mu C)
-    C = out[2, -1]
-    out = out / C
-    idx = np.arange(j_lo, g.N)
-    y = out * np.exp(mu * nodes[idx])[None, :]
-    transient = nodes[idx] < x0 + 16.0 / mu
-    valid = ~transient
-    return idx, y, valid
+    y = np.zeros((4, g.N), dtype=complex)
+    y[:, j_lo:] = out / out[2, -1] * np.exp(mu * nodes[j_lo:])
+    return y, nodes >= nodes[j_lo] + 16.0 / mu
 
 
-def _fill_solution(sys, kind, lam, idx, y, valid_mask=None) -> JostSolution:
+def _fill_solution(sys, kind, lam, y, valid) -> JostSolution:
+    """Solution from a full-grid row y [4, N] and its validity mask."""
     g = sys.grid
     k, mu = _km(sys, lam)
-    values = np.zeros((2, g.N), dtype=complex)
-    derivs = np.zeros((2, g.N), dtype=complex)
-    valid = np.zeros(g.N, dtype=bool)
-    values[0, idx] = y[0]
-    derivs[0, idx] = y[1]
-    values[1, idx] = y[2]
-    derivs[1, idx] = y[3]
-    valid[idx] = True if valid_mask is None else valid_mask
+    values = y[(0, 2), :]
+    derivs = y[(1, 3), :]
     resid = _ode_residual(sys, lam, values, valid)
     rate = _tail_rate(sys, kind, lam, values)
     return JostSolution(
@@ -566,8 +437,7 @@ def _free_solution(sys, kind, lam) -> JostSolution:
     )
 
 
-def jost_solve(sys: LinearizedSystem, lam: float, kind: str,
-               x_lo: float = -8.0) -> JostSolution:
+def jost_solve(sys: LinearizedSystem, lam: float, kind: str) -> JostSolution:
     """Construct one distinguished solution of (H - lam) xi = 0."""
     if kind not in ("phi1", "phi2", "psi1", "psi2", "xi1", "xi2", "eta"):
         raise ValueError(f"unknown kind '{kind}'")
@@ -577,18 +447,16 @@ def jost_solve(sys: LinearizedSystem, lam: float, kind: str,
     if kind == "eta":
         if abs(lam - sys.beta) > 1e-12:
             raise ValueError("eta is defined at the threshold only")
-        idx, y_eta, _yphi = _march_eta(sys, x_lo=-sys.grid.L + sys.grid.dx)
-        return _fill_solution(sys, "eta", lam, idx, y_eta)
+        y, valid = _march_left(sys, np.zeros(1), ("eta", "phi1"))
+        return _fill_solution(sys, "eta", lam, y[0, 0], valid)
     if kind in ("xi1", "xi2"):
-        idx, y, valid = _march_xi(sys, lam, x_lo=x_lo)
-        sol = _fill_solution(sys, "xi1", lam, idx, y, valid_mask=valid)
+        sol = _fill_solution(sys, "xi1", lam, *_march_xi(sys, lam))
         return sol if kind == "xi1" else _reflect_solution(sol, "xi2")
-    lo = x_lo if k > 0 else -sys.grid.L + sys.grid.dx
-    idx, ypsi, yphi, valid = _march_pair(sys, np.array([k]), x_lo=lo)
+    y, valid = _march_left(sys, np.array([k]), ("psi1", "phi1"))
     if kind in ("phi1", "phi2"):
-        sol = _fill_solution(sys, "phi1", lam, idx, yphi[0])
+        sol = _fill_solution(sys, "phi1", lam, y[0, 1], valid)
         return sol if kind == "phi1" else _reflect_solution(sol, "phi2")
-    sol = _fill_solution(sys, "psi1", lam, idx, ypsi[0], valid_mask=valid[0])
+    sol = _fill_solution(sys, "psi1", lam, y[0, 0], valid)
     if kind == "psi1":
         return sol
     return _sigma3_conj(sol, "psi2")
@@ -678,8 +546,10 @@ class WronskianMatrix:
 
 
 def _dmatrix_from_pair(g: Grid, ypsi, yphi, idx_samples):
-    # idx_samples must come from _sample_indices with the block's largest mu
-    """D entries from marched psi1/phi1 blocks; arrays [nk, 4, N]."""
+    """D entries from marched psi1/phi1 blocks; arrays [nk, 4, N].
+
+    idx_samples must come from _sample_indices with the block's largest mu.
+    """
     ridx = (g.N - idx_samples) % g.N
     vpsi = ypsi[:, (0, 2)][:, :, idx_samples]
     dpsi = ypsi[:, (1, 3)][:, :, idx_samples]
@@ -714,19 +584,24 @@ def _dmatrix_from_pair(g: Grid, ypsi, yphi, idx_samples):
     return d11, d12, d21, d22, spread
 
 
+def _pair_rows(sys: LinearizedSystem, ks: np.ndarray):
+    """psi1 and phi1 rows [nk, 4, N] of a k block, with their D entries.
+
+    Returns (psi1 rows, phi1 rows, Wronskian sample indices for the
+    block's largest mu, (d11, d12, d21, d22, spread)).
+    """
+    y, _valid = _march_left(sys, ks, ("psi1", "phi1"))
+    mu_max = float(np.sqrt(np.max(ks) ** 2 + 2.0 * sys.beta))
+    samples = _sample_indices(sys.grid, mu_max)
+    ypsi, yphi = y[:, 0], y[:, 1]
+    return ypsi, yphi, samples, _dmatrix_from_pair(sys.grid, ypsi, yphi, samples)
+
+
 def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
     k, mu = _km(sys, lam)
     if _is_free(sys):
         return WronskianMatrix(k=k, d11=2j * k, d12=0.0, d21=0.0, d22=2.0 * mu, spread=0.0)
-    lo = -8.0 if k > 0 else -sys.grid.L + sys.grid.dx
-    idx, ypsi, yphi, _valid = _march_pair(sys, np.array([k]), x_lo=lo)
-    g = sys.grid
-    full_psi = np.zeros((1, 4, g.N), dtype=complex)
-    full_phi = np.zeros((1, 4, g.N), dtype=complex)
-    full_psi[:, :, idx] = ypsi
-    full_phi[:, :, idx] = yphi
-    samples = _sample_indices(g, mu)
-    d11, d12, d21, d22, spread = _dmatrix_from_pair(g, full_psi, full_phi, samples)
+    _psi, _phi, _samples, (d11, d12, d21, d22, spread) = _pair_rows(sys, np.array([k]))
     return WronskianMatrix(
         k=k, d11=complex(d11[0]), d12=complex(d12[0]), d21=complex(d21[0]),
         d22=complex(d22[0]), spread=float(spread[0]),
@@ -771,8 +646,6 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     dets, wlems, margins = [], [], []
     for s in svals:
         if abs(s) < 1e-14:
-            g = sys0.grid
-            k, mu = 0.0, np.sqrt(2 * sys0.beta)
             dets.append(0.0 + 0.0j)
             wlems.append(0.0 + 0.0j)
             margins.append(0.0)
@@ -803,7 +676,7 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sr_coeffs(g: Grid, ypsi, yphi, d11, d12, d21, d22, ks, mu_max: float = 1.0):
+def _sr_coeffs(g: Grid, ypsi, yphi, d11, d12, d21, d22, ks, samples):
     """Transmission s, reflection r and closed-channel weight b per k.
 
     s and the phi1 admixture follow from the D entries; (b, r) solve the
@@ -812,8 +685,6 @@ def _sr_coeffs(g: Grid, ypsi, yphi, d11, d12, d21, d22, ks, mu_max: float = 1.0)
     det = d11 * d22 - d12 * d21
     s = 2j * ks * d22 / det
     a = -2j * ks * d12 / det
-
-    samples = _sample_indices(g, mu_max)
     ridx = (g.N - samples) % g.N
 
     def view(y, refl=False, conj=False):
@@ -1004,15 +875,8 @@ def eigentable_build(
     zero_idx = np.where(ks == 0)[0]
     for start in range(0, pos.size, block):
         sel = pos[start : start + block]
-        mu_max = float(np.sqrt(np.max(ks[sel]) ** 2 + 2 * sys.beta))
-        samples = _sample_indices(g, mu_max)
-        idx, ypsi, yphi, _valid = _march_pair(sys, ks[sel], x_lo=-8.0)
-        fp = np.zeros((sel.size, 4, g.N), dtype=complex)
-        fh = np.zeros((sel.size, 4, g.N), dtype=complex)
-        fp[:, :, idx] = ypsi
-        fh[:, :, idx] = yphi
-        a11, a12, a21, a22, sp = _dmatrix_from_pair(g, fp, fh, samples)
-        sv, av, bv, rv = _sr_coeffs(g, fp, fh, a11, a12, a21, a22, ks[sel], mu_max)
+        fp, fh, samples, (a11, a12, a21, a22, sp) = _pair_rows(sys, ks[sel])
+        sv, av, bv, rv = _sr_coeffs(g, fp, fh, a11, a12, a21, a22, ks[sel], samples)
         det = a11 * a22 - a12 * a21
         if np.any(np.abs(det) < 1e-8 * np.maximum(np.abs(a22) ** 2, 1e-300)):
             raise ValueError("near-singular D inside the k grid")
@@ -1041,15 +905,7 @@ def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
         if k > 0:
             out[0] = np.exp(1j * k * g.nodes) / k
         return out
-    lo = -8.0 if k > 0 else -g.L + g.dx
-    idx, ypsi, yphi, _valid = _march_pair(sys, np.array([max(k, 0.0)]), x_lo=lo)
-    fp = np.zeros((1, 4, g.N), dtype=complex)
-    fh = np.zeros((1, 4, g.N), dtype=complex)
-    fp[:, :, idx] = ypsi
-    fh[:, :, idx] = yphi
-    mu = float(np.sqrt(max(k, 0.0) ** 2 + 2 * sys.beta))
-    samples = _sample_indices(g, mu)
-    a11, a12, a21, a22, _sp = _dmatrix_from_pair(g, fp, fh, samples)
+    fp, fh, samples, (a11, a12, a21, a22, _sp) = _pair_rows(sys, np.array([max(k, 0.0)]))
     det = (a11 * a22 - a12 * a21)[0]
     s_over_k = 2j * a22[0] / det
     a_over_k = -2j * a12[0] / det
@@ -1068,7 +924,7 @@ def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
         return out
     sv = np.array([k * s_over_k])
     av = np.array([k * a_over_k])
-    _s, _a, bv, rv = _sr_coeffs(g, fp, fh, a11, a12, a21, a22, np.array([k]), mu)
+    _s, _a, bv, rv = _sr_coeffs(g, fp, fh, a11, a12, a21, a22, np.array([k]), samples)
     ev = _assemble_e(g, fp, fh, sv, av, bv, rv, np.array([k]), sys.beta)[0]
     return ev / k
 
@@ -1081,7 +937,7 @@ def ek_growth_report(
     sys: LinearizedSystem,
     k_report=None,
     delta: float = 2e-3,
-    x_lo: float = 2.0,
+    x_min: float = 2.0,
     x_hi_frac: float = 0.45,
     n_x: int = 14,
 ):
@@ -1117,7 +973,7 @@ def ek_growth_report(
         sup[1] = np.maximum(sup[1], np.max(np.abs(d1), axis=0))
         sup[2] = np.maximum(sup[2], np.max(np.abs(d2), axis=0))
 
-    xs = np.geomspace(x_lo, x_hi_frac * g.L, n_x)
+    xs = np.geomspace(x_min, x_hi_frac * g.L, n_x)
     exponents = {}
     curves = {}
     for n in (0, 1, 2):

@@ -74,6 +74,16 @@ def test_dt_guard(dyn_family, dyn_grid):
                    dyn_family.nonlinearity, dyn_grid, T=0.1, dt=0.05)
 
 
+def test_fixed_point_failure_raises():
+    # dt f(|psi|^2) = 0.5 at the peak: the implicit-step iteration does not
+    # settle within FP_MAX iterations, which must raise, not return
+    grid = make_grid(20.0, 256)
+    f = PolynomialNonlinearity((50.0,))
+    psi0 = np.exp(-grid.nodes**2).astype(complex)
+    with pytest.raises(ValueError, match="fixed-point"):
+        evolve_nls(psi0, PotentialSpec("zero", 0.0), f, grid, T=0.01, dt=0.01)
+
+
 def test_odd_input_rejected(dyn_family, dyn_grid):
     prof = dyn_family.profile(2.0)
     odd = prof.phi + 0.01 * dyn_grid.nodes * np.exp(-dyn_grid.nodes**2)

@@ -55,6 +55,25 @@ def test_free_field_closed_form_evolution(free_plan, free_system):
     assert np.max(np.abs(out2[1] - closed2)) < 1e-5
 
 
+def test_free_field_late_time_gaussian(free_plan, free_system):
+    """A narrow Gaussian at late times against the full-line closed form.
+
+    The fine k grid keeps its phase step 2 k t dk at the target at every
+    t; at t = 2000 that takes 1.6e6 nodes on the k <= 10 table.  Simpson's
+    rule at a phase step of 0.25 leaves ~0.25^4/180 = 2e-5 relative.
+    """
+    g = free_system.grid
+    x = g.nodes
+    s0 = 0.06
+    h = np.zeros((2, g.N), dtype=complex)
+    h[0] = np.exp(-x**2 / (4 * s0))
+    for t in (600.0, 2000.0):
+        out = free_plan.evolve(h, t)
+        exact = (np.sqrt(s0 / (s0 + 1j * t))
+                 * np.exp(-x**2 / (4 * (s0 + 1j * t)) - 1j * free_system.beta * t))
+        assert np.max(np.abs(out[0] - exact)) < 1e-4 * np.max(np.abs(exact)), t
+
+
 def test_direct_oracle_richardson_order(default_system, default_projector, probe_maker):
     h = default_projector.apply_complement_H(probe_maker(3.0, seed_offset=21))
     g = default_system.grid

@@ -82,6 +82,17 @@ def test_jost_k_smoothness(default_system):
     assert abs(five - three) < 1e-5 * max(abs(five), 1.0)
 
 
+def test_threshold_eta_psi1_wronskian(default_system):
+    """eta and psi1 share one march at k = 0; their Wronskian is the free
+    value eta' psi1 - psi1' eta = 1 on the potential-free tail."""
+    beta = default_system.beta
+    eta = jost_solve(default_system, beta, "eta")
+    psi1 = jost_solve(default_system, beta, "psi1")
+    w, spread = wronskian(eta, psi1)
+    assert abs(w - 1.0) < 1e-10
+    assert spread < 1e-7
+
+
 def test_sigma3_conjugation_symmetry(default_system):
     lam = default_system.beta + 1.0
     p1 = jost_solve(default_system, lam, "phi1")
@@ -247,18 +258,15 @@ def test_table_invariants(default_table):
 def test_reflection_consistency(default_system, default_table):
     """Left-side values rebuilt from the reflection expansion match the
     right representation continued across the origin."""
-    from nlslab.scattering import _march_pair
+    from nlslab.scattering import _pair_rows
 
     g = default_system.grid
     tab = default_table
     for kq in (0.5, 1.0, 2.0):
         i = int(np.argmin(np.abs(tab.k - kq)))
         k = tab.k[i]
-        idx, ypsi, yphi, _valid = _march_pair(default_system, np.array([k]), x_lo=-8.0)
-        fp = np.zeros((4, g.N), dtype=complex)
-        fh = np.zeros((4, g.N), dtype=complex)
-        fp[:, idx] = ypsi[0]
-        fh[:, idx] = yphi[0]
+        ypsi, yphi, _samples, _d = _pair_rows(default_system, np.array([k]))
+        fp, fh = ypsi[0], yphi[0]
         det = tab.detD[i]
         s = 2j * k * tab.d22[i] / det
         a = -2j * k * tab.d12[i] / det
