@@ -79,13 +79,20 @@ def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
 
 
 def _nl_quotient(f: PolynomialNonlinearity, s_new: np.ndarray, s_old: np.ndarray):
-    """Difference quotient of the primitive: [F2(s+) - F2(s)] / (s+ - s)."""
-    ds = s_new - s_old
-    mid = 0.5 * (s_new + s_old)
-    small = np.abs(ds) < 1e-12 * (1.0 + np.abs(mid))
-    safe = np.where(small, 1.0, ds)
-    quot = (f.antiderivative(s_new) - f.antiderivative(s_old)) / safe
-    return np.where(small, f.f(mid), quot)
+    """Difference quotient of the primitive: [F2(s+) - F2(s)] / (s+ - s).
+
+    With F2(s) = sum_m c_m s^(m+1)/(m+1) it is the division-free closed
+    form sum_m c_m/(m+1) h_m, h_m = sum_{j=0..m} s+^j s^(m-j), built by
+    h_m = s+ h_(m-1) + s^m.  It does not cancel and equals f(s) at s+ = s.
+    """
+    h = np.ones_like(s_new)
+    s_pow = np.ones_like(s_old)
+    quot = np.zeros_like(s_new)
+    for m, c in enumerate(f.coefficients, start=1):
+        s_pow = s_pow * s_old
+        h = s_new * h + s_pow
+        quot = quot + c / (m + 1) * h
+    return quot
 
 
 def evolve_nls(

@@ -14,7 +14,7 @@ pure, so they can be used concurrently without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -22,7 +22,6 @@ from scipy import sparse
 __all__ = [
     "Grid",
     "ComplexField",
-    "VectorField",
     "PolynomialNonlinearity",
     "PotentialSpec",
     "AssumptionReport",
@@ -187,29 +186,6 @@ class ComplexField:
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Two-component field (the vectorized real/imaginary split)."""
-
-    first: ComplexField
-    second: ComplexField
-
-    def __post_init__(self):
-        if self.first.grid is not self.second.grid and self.first.grid != self.second.grid:
-            raise ValueError("components must share a grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.first.grid
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.first.values, self.second.values])
-
-
-def vector_field(grid: Grid, comp1: np.ndarray, comp2: np.ndarray) -> VectorField:
-    return VectorField(ComplexField(grid, comp1), ComplexField(grid, comp2))
-
-
-@dataclass(frozen=True)
 class PolynomialNonlinearity:
     """f(s) = sum_m c_m s^m, m = 1..p (no constant term, so f(0) = 0)."""
 
@@ -306,9 +282,6 @@ class PotentialSpec:
         u = np.array([-2 * d, -d, 0.0, d, 2 * d])
         v = self.base(u)
         return float((-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * d * d))
-
-    def inf_on(self, grid: Grid) -> float:
-        return float(np.min(self(grid.nodes)))
 
 
 def fit_exponential_decay(x: np.ndarray, values: np.ndarray, floor: float = 1e-13):

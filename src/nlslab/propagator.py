@@ -8,7 +8,10 @@ the continuum modes:
 
 with e% = sigma3 e, plus the mirrored negative branch, which is obtained
 from the positive one by the antilinear symmetry f -> sigma1 conj(f)
-(sigma1 H sigma1 = -conj(H)).  At t = 0 the two branches sum to
+(sigma1 H sigma1 = -conj(H)).  Only the rows e(., k) are stored: the
+mirror rows e(-., k) are their grid reflections except at node 0, a
+rank-one patch, so one evolve makes one pass over the table for all
+coefficients and one for the sums.  At t = 0 the two branches sum to
 1 - P_d, which is the sharpest global consistency check of the whole
 construction.  A Crank-Nicolson integrator for i u_t = H u provides the
 independent time-stepping oracle, and the weighted decay estimates
@@ -46,10 +49,6 @@ __all__ = [
 K_FINE_TARGET = 0.25  # max phase increment 2 k t dk per fine-k quadrature step
 
 
-def _sigma1_conj(u: np.ndarray) -> np.ndarray:
-    return np.stack([np.conj(u[1]), np.conj(u[0])])
-
-
 def _block_simpson_weights(k: np.ndarray) -> np.ndarray:
     """Composite Simpson weights on a piecewise-uniform grid.
 
@@ -85,11 +84,6 @@ def _block_simpson_weights(k: np.ndarray) -> np.ndarray:
     return w
 
 
-def _mode_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_q weights_q rows[q] over the leading (k) axis, as one GEMV."""
-    return (weights @ rows.reshape(rows.shape[0], -1)).reshape(rows.shape[1:])
-
-
 def _pair_inner(grid, a, b) -> complex:
     return grid.inner(a[0], b[0]) + grid.inner(a[1], b[1])
 
@@ -117,73 +111,93 @@ class PropagatorPlan:
     table: GeneralizedEigenTable
     projector: Optional[SpectralProjector]
     _spline_basis: dict = field(default_factory=dict, init=False, repr=False)
+    _native_weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         tab = self.table
         k = tab.k
         g = self.system.grid
-        # mode rows e(., k) and their mirrors e(-., k), C-ordered  [nk, 2, N]
+        # mode rows e(., k), C-ordered  [nk, 2, N]
         self._e = np.ascontiguousarray(tab.e)
-        ridx = (g.N - np.arange(g.N)) % g.N
-        self._e_flip = np.ascontiguousarray(self._e[:, :, ridx])
-        # the j = 0 node maps to +L, which the periodic flip wraps back to
-        # -L; e(x, k) is not periodic, so patch that column with the exact
-        # free-region values s e^{ikL} (1,0) + a (0, e^{-mu L})
+        # the mirror row e(-., k) is e(., k)[..., ridx] except at node 0:
+        # x = -L maps to +L, which the periodic flip wraps back to -L.
+        # e(x, k) is not periodic; the mirror there is the exact free-region
+        # value s e^{ikL} (1,0) + a (0, e^{-mu L}), and _d0 [nk, 2] is that
+        # value minus e(-L, k), a rank-one patch at node 0
+        self._ridx = (g.N - np.arange(g.N)) % g.N
         mu = np.sqrt(k**2 + 2.0 * self.system.beta)
         det = np.where(np.abs(tab.detD) > 0, tab.detD, 1.0)
         a = np.where(np.abs(tab.detD) > 0, -2j * k * tab.d12 / det, 0.0)
-        s = tab.s
-        self._e_flip[:, 0, 0] = s * np.exp(1j * k * g.L)
-        self._e_flip[:, 1, 0] = a * np.exp(-mu * g.L)
+        mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), a * np.exp(-mu * g.L)], axis=1)
+        self._d0 = mirror0 - self._e[:, :, 0]
 
-    # -- spectral coefficients -------------------------------------------
+    def evolve(self, f: np.ndarray, t: float, branch: str = "both", stride: int = 1) -> np.ndarray:
+        """e^(-itH) Pess f from one coefficient and one synthesis pass over e.
 
-    def coefficients(self, f: np.ndarray):
-        """(f#+, f#-)(k) = (<e%(., k), f>, <e%(-., k), f>), e% = sigma3 e.
+        branch "plus" or "minus" keeps one branch; stride > 1 uses every
+        stride-th table row.  The mirror rows are R e (R: x -> -x) plus the
+        node-0 patch _d0, so for u = f and, for the negative branch,
+        u = sigma1 conj f, with g = conj(sigma3 u),
 
-        <sigma3 e, f> = conj(sum e conj(sigma3 f)), so both come from the
-        stored mode rows without a conjugated copy of the table.
+            <e%(., k), u> = dx conj(e . g),   <e%(-., k), u> = dx conj(e . R g)
+
+        plus the patch on the second.  One GEMM of e against the columns
+        [g, R g] of every u gives all coefficients; each column gets its
+        phase and quadrature weights, and one GEMM of the weight rows
+        against e gives the sums A, B (and C, D):
+
+            e^(-itH) Pess f = [(A + R B) + sigma1 conj(C + R D)] / 2 pi,
+
+        with the patch added at node 0 of R B and R D.  The weights are
+        Richardson-Simpson on the table grid while 2 k t is resolved there;
+        otherwise the integrand is spline-resampled onto a fine k grid and
+        the weights are pulled back onto the table nodes.
         """
+        f = np.asarray(f, dtype=complex)
         g = self.system.grid
-        nk = self._e.shape[0]
-        s3f = np.conj(np.stack([f[0], -f[1]])).reshape(-1)
-        fp = g.dx * np.conj(self._e.reshape(nk, -1) @ s3f)
-        fm = g.dx * np.conj(self._e_flip.reshape(nk, -1) @ s3f)
-        return fp, fm
+        e = self._e[::stride].reshape(-1, 2 * g.N)
+        d0 = self._d0[::stride]
+        ridx = self._ridx
+        flips = {"plus": (False,), "minus": (True,)}.get(branch, (False, True))
+        cols = []
+        for flip in flips:
+            # g = conj(sigma3 u); for u = sigma1 conj f that is (f1, -f0)
+            gu = np.stack([f[1], -f[0]]) if flip else np.conj(np.stack([f[0], -f[1]]))
+            cols += [gu.reshape(-1), gu[:, ridx].reshape(-1)]
+        x = np.stack(cols, axis=1)                              # [2N, ncol]
+        y = e @ x
+        y[:, 1::2] += d0 @ x[[0, g.N], 1::2]
+        coef = g.dx * np.conj(y)                                # [nk, ncol]
 
-    def evolve_positive(self, f: np.ndarray, t: float, stride: int = 1) -> np.ndarray:
-        """Positive-branch propagation by k-quadrature of the mode table.
+        w = self._weights(coef, t, stride)                      # [ncol, nk]
+        sums = (w @ e).reshape(-1, 2, g.N)
+        patch = w[1::2] @ d0
+        out = np.zeros((2, g.N), dtype=complex)
+        for p, flip in enumerate(flips):
+            v = sums[2 * p] + sums[2 * p + 1][:, ridx]
+            v[:, 0] += patch[p]
+            out += np.conj(v[::-1]) if flip else v
+        return out / (2.0 * np.pi)
 
-        For small phase gradients the quadrature runs on the native table
-        grid (no interpolation error); once 2 k t exceeds the table
-        resolution the integrand is resampled in k by cubic splines onto
-        an oscillation-resolving grid.
-        """
-        tab = self.table
-        k = tab.k[::stride]
-        fp, fm = self.coefficients(f)
-        fp, fm = fp[::stride], fm[::stride]
-        e_tab = self._e[::stride]
-        e_flip = self._e_flip[::stride]
-
+    def _weights(self, coef: np.ndarray, t: float, stride: int) -> np.ndarray:
+        """Quadrature weight rows [ncol, nk] for the coefficient columns at t."""
+        k = self.table.k[::stride]
+        beta = self.system.beta
         dk_max = float(np.max(np.diff(k)))
         dk_needed = K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0)
-        phase = np.exp(-1j * t * (self.system.beta + k**2))
-
         if dk_needed >= dk_max:
-            # Richardson-extrapolated Simpson: (16 S_h - S_2h)/15 removes
-            # the h^4 term that the long-range e^{ikx} oscillation excites
-            w = _block_simpson_weights(k)
-            w2 = np.zeros_like(w)
-            w2[::2] = _block_simpson_weights(k[::2])
-            w_rich = (16.0 * w - w2) / 15.0
-            cp = fp * phase * w_rich
-            cm = fm * phase * w_rich
-            out = _mode_sum(cp, e_tab) + _mode_sum(cm, e_flip)
-            return out / (2.0 * np.pi)
+            w = self._native_weights.get(stride)
+            if w is None:
+                # Richardson-extrapolated Simpson: (16 S_h - S_2h)/15 removes
+                # the h^4 term that the long-range e^{ikx} oscillation excites
+                w2 = np.zeros(k.size)
+                w2[::2] = _block_simpson_weights(k[::2])
+                w = (16.0 * _block_simpson_weights(k) - w2) / 15.0
+                self._native_weights[stride] = w
+            return (coef * (np.exp(-1j * t * (beta + k**2)) * w)[:, None]).T
 
         # resampled path: restrict to where the coefficients matter
-        amp = np.abs(fp) + np.abs(fm)
+        amp = np.sum(np.abs(coef), axis=1)
         tail = max(np.max(amp) * 1e-12, 1e-300)
         big = np.where(amp > tail)[0]
         k_eff = min(k[-1], k[big[-1]] + 0.5) if big.size else k[-1]
@@ -192,54 +206,39 @@ class PropagatorPlan:
         if nfine % 2 == 1:
             nfine += 1
         kf = np.linspace(0.0, k_eff, nfine + 1)
-        w = np.ones(nfine + 1)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        w *= (kf[1] - kf[0]) / 3.0
-
-        phase_f = np.exp(-1j * t * (self.system.beta + kf**2))
-        cp = CubicSpline(k, fp)(kf) * phase_f * w
-        cm = CubicSpline(k, fm)(kf) * phase_f * w
-
+        wf = np.ones(nfine + 1)
+        wf[1:-1:2], wf[2:-1:2] = 4.0, 2.0
+        wf *= (kf[1] - kf[0]) / 3.0
+        cf = CubicSpline(k, coef)(kf) * (np.exp(-1j * t * (beta + kf**2)) * wf)[:, None]
         # the spline is linear in the tabulated rows: with S the map from
-        # values at k to values at kf, sum_q cp_q (S e)_q = sum_j (S^T cp)_j
+        # values at k to values at kf, sum_q c_q (S e)_q = sum_j (S^T c)_j
         # e_j, so the weights move onto the table nodes and the mode rows
         # are never resampled
-        ap = self._spline_transpose(k, stride, kf, cp)
-        am = self._spline_transpose(k, stride, kf, cm)
-        out = _mode_sum(ap, e_tab) + _mode_sum(am, e_flip)
-        return out / (2.0 * np.pi)
+        return self._spline_transpose(k, stride, kf, cf)
 
     def _spline_transpose(self, k: np.ndarray, stride: int, kf: np.ndarray,
                           v: np.ndarray) -> np.ndarray:
-        """S^T v for the cubic-spline evaluation map S from k to kf.
+        """(S^T v)^T [ncol, nk] for the cubic-spline evaluation map S from k to kf.
 
-        The piecewise-cubic coefficients of the splines through the unit
-        vectors, c[m, i, j] for (x - k_i)^(3-m) on interval i, are cached per
-        table stride; S^T v then gathers v against those monomials per
-        interval and contracts with c.
+        v holds one column per coefficient [nf, ncol].  The piecewise-cubic
+        coefficients of the splines through the unit vectors, c[m, i, j] for
+        (x - k_i)^(3-m) on interval i, are cached per table stride; S^T v
+        then gathers v against those monomials per interval (one index and
+        monomial table for all columns) and contracts with c.
         """
         n_int = k.size - 1
         basis = self._spline_basis.get(stride)
         if basis is None:
             basis = CubicSpline(k, np.eye(k.size)).c.reshape(4 * n_int, k.size)
             self._spline_basis[stride] = basis
+        ncol = v.shape[1]
         idx = np.clip(np.searchsorted(k, kf, side="right") - 1, 0, n_int - 1)
-        vm = v * (kf - k[idx]) ** np.arange(3, -1, -1)[:, None]   # [4, nf]
-        slot = (n_int * np.arange(4)[:, None] + idx).ravel()
-        gathered = np.stack([np.bincount(slot, vm.real.ravel(), 4 * n_int),
-                             np.bincount(slot, vm.imag.ravel(), 4 * n_int)])
-        re, im = gathered @ basis
+        vm = v.T[:, None, :] * (kf - k[idx]) ** np.arange(3, -1, -1)[:, None]  # [ncol, 4, nf]
+        slot = ((n_int * np.arange(4 * ncol))[:, None] + idx).ravel()
+        gathered = np.concatenate([np.bincount(slot, vm.real.ravel(), 4 * n_int * ncol),
+                                   np.bincount(slot, vm.imag.ravel(), 4 * n_int * ncol)])
+        re, im = np.split(gathered.reshape(2 * ncol, 4 * n_int) @ basis, 2)
         return re + 1j * im
-
-    def evolve(self, f: np.ndarray, t: float, branch: str = "both", stride: int = 1) -> np.ndarray:
-        f = np.asarray(f, dtype=complex)
-        if branch == "plus":
-            return self.evolve_positive(f, t, stride)
-        if branch == "minus":
-            return _sigma1_conj(self.evolve_positive(_sigma1_conj(f), t, stride))
-        return self.evolve_positive(f, t, stride) + _sigma1_conj(
-            self.evolve_positive(_sigma1_conj(f), t, stride)
-        )
 
     def p_ess_spectral(self, f: np.ndarray) -> np.ndarray:
         """P+ + P- from the mode table (t = 0 quadrature)."""

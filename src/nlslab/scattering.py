@@ -483,11 +483,18 @@ def _sample_indices(grid: Grid, mu: float = 1.0, count: int = 16):
 def _wr(v1, d1, v2, d2):
     """Conserved bilinear form d1^T sigma3 v2 - d2^T sigma3 v1.
 
-    The sigma3 weight in the closed channel is what the block structure
-    of H conserves; the plain transpose form drifts across the support
-    of the off-diagonal coupling.
+    Values and derivatives carry the component axis second to last,
+    [..., c, samples].  The sigma3 weight in the closed channel is what
+    the block structure of H conserves; the plain transpose form drifts
+    across the support of the off-diagonal coupling.
     """
-    return d1[0] * v2[0] - d1[1] * v2[1] - (d2[0] * v1[0] - d2[1] * v1[1])
+    return (d1[..., 0, :] * v2[..., 0, :] - d1[..., 1, :] * v2[..., 1, :]
+            - d2[..., 0, :] * v1[..., 0, :] + d2[..., 1, :] * v1[..., 1, :])
+
+
+def _cmedian(w):
+    """Median over the last (sample) axis, taken apart in re and im."""
+    return np.median(w.real, axis=-1) + 1j * np.median(w.imag, axis=-1)
 
 
 def wronskian(X1: JostSolution, X2: JostSolution, reflect_second: bool = False):
@@ -508,7 +515,7 @@ def wronskian(X1: JostSolution, X2: JostSolution, reflect_second: bool = False):
     else:
         v2, d2 = X2.at(idx)
     w = _wr(v1, d1, v2, d2)
-    med = complex(np.median(w.real) + 1j * np.median(w.imag))
+    med = complex(_cmedian(w))
     # a vanishing Wronskian is perfectly constant: floor the relative
     # scale at a small fraction of the largest cross product
     prod = float(np.max(np.abs(d1[0]) * np.abs(v2[0]) + np.abs(d1[1]) * np.abs(v2[1])
@@ -560,17 +567,13 @@ def _dmatrix_from_pair(g: Grid, ypsi, yphi, idx_samples):
     vphir = yphi[:, (0, 2)][:, :, ridx]
     dphir = -yphi[:, (1, 3)][:, :, ridx]
 
-    def wr(v1, d1, v2, d2):
-        return d1[:, 0] * v2[:, 0] - d1[:, 1] * v2[:, 1] - d2[:, 0] * v1[:, 0] + d2[:, 1] * v1[:, 1]
-
-    w11 = wr(vpsi, dpsi, vpsir, dpsir)
-    w12 = wr(vpsi, dpsi, vphir, dphir)
-    w21 = wr(vphi, dphi, vpsir, dpsir)
-    w22 = wr(vphi, dphi, vphir, dphir)
+    w11 = _wr(vpsi, dpsi, vpsir, dpsir)
+    w12 = _wr(vpsi, dpsi, vphir, dphir)
+    w21 = _wr(vphi, dphi, vpsir, dpsir)
+    w22 = _wr(vphi, dphi, vphir, dphir)
 
     def reduce(w):
-        med = np.median(w.real, axis=1) + 1j * np.median(w.imag, axis=1)
-        return med, np.std(w, axis=1)
+        return _cmedian(w), np.std(w, axis=1)
 
     d11, s11 = reduce(w11)
     d12, s12 = reduce(w12)
@@ -698,10 +701,7 @@ def _sr_coeffs(g: Grid, ypsi, yphi, d11, d12, d21, d22, ks, samples):
         return v[:, :, samples], d[:, :, samples]
 
     def wr(a_, b_):
-        v1, d1 = a_
-        v2, d2 = b_
-        w = d1[:, 0] * v2[:, 0] - d1[:, 1] * v2[:, 1] - d2[:, 0] * v1[:, 0] + d2[:, 1] * v1[:, 1]
-        return np.median(w.real, axis=1) + 1j * np.median(w.imag, axis=1)
+        return _cmedian(_wr(*a_, *b_))
 
     psi = view(ypsi)
     phi = view(yphi)
@@ -750,10 +750,6 @@ class GeneralizedEigenTable:
     resonance_margin: float
     free_reference: bool = False
 
-    def e_pct(self, i: int) -> np.ndarray:
-        """sigma3 e(., k_i)."""
-        return np.stack([self.e[i, 0], -self.e[i, 1]])
-
     def unitarity_defect(self) -> np.ndarray:
         return np.abs(np.abs(self.s) ** 2 + np.abs(self.r) ** 2 - 1.0)
 
@@ -792,6 +788,22 @@ def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
     return e
 
 
+def _mode_block(sys: LinearizedSystem, ks: np.ndarray):
+    """Continuum modes of a block of k > 0 from one Jost march.
+
+    Returns (e [nk, 2, N], s, r, b, (d11, d12, d21, d22, spread)); raises
+    when D is near-singular at some k of the block.
+    """
+    g = sys.grid
+    ypsi, yphi, samples, dmat = _pair_rows(sys, ks)
+    d11, d12, d21, d22, _spread = dmat
+    s, a, b, r = _sr_coeffs(g, ypsi, yphi, d11, d12, d21, d22, ks, samples)
+    det = d11 * d22 - d12 * d21
+    if np.any(np.abs(det) < 1e-8 * np.maximum(np.abs(d22) ** 2, 1e-300)):
+        raise ValueError("near-singular D inside the k grid")
+    return _assemble_e(g, ypsi, yphi, s, a, b, r, ks, sys.beta), s, r, b, dmat
+
+
 def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
     """Continuum mode and coefficients at one spectral point.
 
@@ -805,8 +817,11 @@ def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
         e = np.zeros((2, g.N), dtype=complex)
         e[0] = np.exp(1j * k * g.nodes)
         return e, 1.0 + 0.0j, 0.0 + 0.0j
-    tab = eigentable_build(sys, np.array([k]), checks=False)
-    return tab.e[0], complex(tab.s[0]), complex(tab.r[0])
+    if k == 0.0:
+        # e(., 0) = 0 for a non-resonant system (analytic 2ik factor)
+        return np.zeros((2, sys.grid.N), dtype=complex), 0.0 + 0.0j, -1.0 + 0.0j
+    e, s, r, _b, _dmat = _mode_block(sys, np.array([k]))
+    return e[0], complex(s[0]), complex(r[0])
 
 
 def default_k_grid(k_max: float = 13.1) -> np.ndarray:
@@ -837,7 +852,6 @@ def eigentable_build(
     sys: LinearizedSystem,
     k_grid: Optional[np.ndarray] = None,
     block: int = 256,
-    checks: bool = True,
 ) -> GeneralizedEigenTable:
     """Build e(x, k), s(k), r(k) over the k grid in vectorized blocks."""
     g = sys.grid
@@ -857,7 +871,7 @@ def eigentable_build(
         )
 
     res = resonance_test(sys)
-    if checks and res["resonant"]:
+    if res["resonant"]:
         raise ValueError("near-singular D: system is threshold-resonant")
 
     nk = ks.size
@@ -875,15 +889,8 @@ def eigentable_build(
     zero_idx = np.where(ks == 0)[0]
     for start in range(0, pos.size, block):
         sel = pos[start : start + block]
-        fp, fh, samples, (a11, a12, a21, a22, sp) = _pair_rows(sys, ks[sel])
-        sv, av, bv, rv = _sr_coeffs(g, fp, fh, a11, a12, a21, a22, ks[sel], samples)
-        det = a11 * a22 - a12 * a21
-        if np.any(np.abs(det) < 1e-8 * np.maximum(np.abs(a22) ** 2, 1e-300)):
-            raise ValueError("near-singular D inside the k grid")
-        e[sel] = _assemble_e(g, fp, fh, sv, av, bv, rv, ks[sel], sys.beta)
-        s[sel], r[sel], b[sel] = sv, rv, bv
-        d11[sel], d12[sel], d21[sel], d22[sel] = a11, a12, a21, a22
-        spread[sel] = sp
+        e[sel], s[sel], r[sel], b[sel], dmat = _mode_block(sys, ks[sel])
+        d11[sel], d12[sel], d21[sel], d22[sel], spread[sel] = dmat
     for i in zero_idx:
         d = res["matrix"]
         d11[i], d12[i], d21[i], d22[i] = d.d11, d.d12, d.d21, d.d22
@@ -898,35 +905,29 @@ def eigentable_build(
 
 
 def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
-    """(e/k)(x) through the analytic factor, regular at k = 0."""
+    """(e/k)(x) through the analytic factor, regular at k = 0 (k >= 0)."""
     g = sys.grid
     if _is_free(sys):
         out = np.zeros((2, g.N), dtype=complex)
         if k > 0:
             out[0] = np.exp(1j * k * g.nodes) / k
         return out
-    fp, fh, samples, (a11, a12, a21, a22, _sp) = _pair_rows(sys, np.array([max(k, 0.0)]))
+    if k > 0:
+        return _mode_block(sys, np.array([k]))[0][0] / k
+    # right half from the analytic factor; the left half as the k -> 0
+    # limit of the reflection expansion (the raw right representation
+    # cancels exponentially large terms for x < 0)
+    fp, fh, _samples, (a11, a12, a21, a22, _sp) = _pair_rows(sys, np.zeros(1))
     det = (a11 * a22 - a12 * a21)[0]
     s_over_k = 2j * a22[0] / det
     a_over_k = -2j * a12[0] / det
-    if k == 0.0:
-        # right half from the analytic factor; the left half as the
-        # k -> 0 limit of the reflection expansion (the raw right
-        # representation cancels exponentially large terms for x < 0)
-        vpsi = fp[0, (0, 2)]
-        vphi = fh[0, (0, 2)]
-        out = s_over_k * vpsi + a_over_k * vphi
-        delta = 2e-3
-        lo = e_over_k(sys, delta)
-        hi = e_over_k(sys, 2 * delta)
-        left = g.nodes < 0
-        out[:, left] = 2.0 * lo[:, left] - hi[:, left]
-        return out
-    sv = np.array([k * s_over_k])
-    av = np.array([k * a_over_k])
-    _s, _a, bv, rv = _sr_coeffs(g, fp, fh, a11, a12, a21, a22, np.array([k]), samples)
-    ev = _assemble_e(g, fp, fh, sv, av, bv, rv, np.array([k]), sys.beta)[0]
-    return ev / k
+    out = s_over_k * fp[0, (0, 2)] + a_over_k * fh[0, (0, 2)]
+    delta = 2e-3
+    lo = e_over_k(sys, delta)
+    hi = e_over_k(sys, 2 * delta)
+    left = g.nodes < 0
+    out[:, left] = 2.0 * lo[:, left] - hi[:, left]
+    return out
 
 
 _FD5_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -958,8 +959,7 @@ def ek_growth_report(
     ks = np.unique(np.concatenate([(k + stencil) for k in k_report]))
     if np.any(ks <= 0):
         raise ValueError("report k values must exceed 2*delta")
-    tab = eigentable_build(sys, ks, checks=False)
-    rows = tab.e / ks[:, None, None]
+    rows = _mode_block(sys, ks)[0] / ks[:, None, None]
     row0 = e_over_k(sys, 0.0)
 
     sup = {0: np.zeros(g.N), 1: np.zeros(g.N), 2: np.zeros(g.N)}

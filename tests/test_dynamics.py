@@ -84,6 +84,29 @@ def test_fixed_point_failure_raises():
         evolve_nls(psi0, PotentialSpec("zero", 0.0), f, grid, T=0.01, dt=0.01)
 
 
+def test_nl_quotient_exact_near_diagonal():
+    # [F2(a) - F2(b)]/(a - b) must equal f(a) at a = b and must not cancel
+    # just off the diagonal; a subtracted primitive loses ~1e-5 relative at
+    # a = b (1 + 1e-11).  The reference is exact rational arithmetic on the
+    # same floating-point a and b.
+    from fractions import Fraction
+
+    from nlslab.dynamics import _nl_quotient
+
+    b = np.array([0.05, 0.3, 1.0, 1.7, 2.5])
+    a = b * (1.0 + 1e-11)
+    for coeffs in ((1.0,), (1.0, 0.0, 0.0, -0.001), (0.7, -0.2, 0.05)):
+        f = PolynomialNonlinearity(coeffs)
+        diag = _nl_quotient(f, b, b)
+        assert np.max(np.abs(diag - f.f(b)) / np.abs(f.f(b))) < 1e-14
+        quot = _nl_quotient(f, a, b)
+        for ai, bi, qi in zip(a, b, quot):
+            fa, fb = Fraction(float(ai)), Fraction(float(bi))
+            exact = sum(Fraction(c) / (m + 1) * (fa ** (m + 1) - fb ** (m + 1))
+                        for m, c in enumerate(f.coefficients, start=1)) / (fa - fb)
+            assert abs(Fraction(float(qi)) - exact) < 1e-14 * abs(exact), (coeffs, bi)
+
+
 def test_odd_input_rejected(dyn_family, dyn_grid):
     prof = dyn_family.profile(2.0)
     odd = prof.phi + 0.01 * dyn_grid.nodes * np.exp(-dyn_grid.nodes**2)

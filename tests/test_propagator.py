@@ -37,6 +37,60 @@ def test_branch_decomposition(default_plan, default_projector, probe_maker):
         assert pair_norm(g, plus + minus - direct) < 1e-6 * pair_norm(g, h)
 
 
+def test_one_pass_matches_mirror_rows(default_plan):
+    """The one-pass evolve against explicit mirror rows e(-x, k).
+
+    The mirror rows are e[..., ridx], except at node 0 (x = -L), whose
+    mirror +L is off the grid and takes the exact free-region value
+    s e^{ikL} (1, 0) + a (0, e^{-mu L}).  The reference makes separate
+    coefficient and synthesis passes over e and the mirror rows, per
+    branch, with the negative branch as sigma1 conj of the positive branch
+    of sigma1 conj f; both use the plan's quadrature weights.
+    """
+    plan = default_plan
+    tab = plan.table
+    g = plan.system.grid
+    k = tab.k
+    mu = np.sqrt(k**2 + 2.0 * plan.system.beta)
+    a = -2j * k * tab.d12 / np.where(k > 0, tab.detD, 1.0)
+    mirror = tab.e[:, :, (g.N - np.arange(g.N)) % g.N]
+    mirror[:, :, 0] = np.stack([tab.s * np.exp(1j * k * g.L), a * np.exp(-mu * g.L)], axis=1)
+
+    def s1c(u):
+        return np.conj(u[::-1])
+
+    def reference(f, t, branch, stride):
+        e = tab.e[::stride].reshape(-1, 2 * g.N)
+        m = mirror[::stride].reshape(-1, 2 * g.N)
+        inputs = {"plus": [f], "minus": [s1c(f)], "both": [f, s1c(f)]}[branch]
+        # <sigma3 rows, u> = conj(rows . conj(sigma3 u))
+        coef = np.stack([g.dx * np.conj(rows @ np.conj(u * [[1], [-1]]).ravel())
+                         for u in inputs for rows in (e, m)], axis=1)
+        w = plan._weights(coef, t, stride)
+        outs = [(w[2 * p] @ e + w[2 * p + 1] @ m).reshape(2, g.N) for p in range(len(inputs))]
+        out = outs[0] if branch != "minus" else s1c(outs[0])
+        if branch == "both":
+            out = out + s1c(outs[1])
+        return out / (2.0 * np.pi)
+
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
+    assert np.min(np.abs(f[:, 0])) > 0
+    for t in (0.0, 0.3, 30.0, 120.0):
+        for stride in (1, 2):
+            for branch in ("both", "plus", "minus"):
+                ref = reference(f, t, branch, stride)
+                out = plan.evolve(f, t, branch=branch, stride=stride)
+                assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride, branch)
+    # the four-column pull-back equals four one-column ones
+    kf = np.linspace(0.0, k[-1], 5001)
+    v = rng.standard_normal((kf.size, 4)) + 1j * rng.standard_normal((kf.size, 4))
+    joint = plan._spline_transpose(k, 1, kf, v)
+    for j in range(4):
+        single = plan._spline_transpose(k, 1, kf, v[:, [j]])[0]
+        assert np.max(np.abs(joint[j] - single)) <= 1e-14 * np.max(np.abs(single))
+
+
 def test_free_field_closed_form_evolution(free_plan, free_system):
     g = free_system.grid
     h = np.zeros((2, g.N), dtype=complex)
