@@ -126,11 +126,15 @@ class LinearizedSystem:
 
     # -- sparse matrices ----------------------------------------------------
 
+    def blocks(self, order: int = 4):
+        """The banded finite-difference (Lminus, Lplus)."""
+        d2 = self.grid.fd_d2_matrix(order=order)
+        return (-d2 + sparse.diags(self.beta + self.V1),
+                -d2 + sparse.diags(self.beta + self.V2))
+
     def L_matrix(self, order: int = 4) -> sparse.csc_matrix:
-        g, lam = self.grid, self.beta
-        d2 = g.fd_d2_matrix(order=order)
-        lminus = -d2 + sparse.diags(lam + self.V1)
-        lplus = -d2 + sparse.diags(lam + self.V2)
+        g = self.grid
+        lminus, lplus = self.blocks(order)
         zero = sparse.csr_matrix((g.N, g.N))
         return sparse.bmat([[zero, lminus], [-lplus, zero]]).tocsc()
 
@@ -309,21 +313,57 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     return cand, complex(mu), float(resid), float(drop)
 
 
+def _reduced_eig(coarse: LinearizedSystem):
+    """All 2n eigenvalues of the coarse FD4 L from one n-order eigensolve.
+
+    Returns vals = [mu, -mu] and a function mapping indices into vals to
+    unit eigenvectors [2n, m]; the reduction is described in
+    discrete_spectrum.
+    """
+    lminus, lplus = coarse.blocks(order=4)
+    nu, x = np.linalg.eig((lminus @ lplus).toarray())
+    mu = np.sqrt(-nu.astype(complex))
+    n = mu.size
+
+    def vectors(idx):
+        idx = np.asarray(idx, dtype=int)
+        cols, sign = idx % n, np.where(idx < n, 1.0, -1.0)
+        v = np.concatenate([x[:, cols] * mu[cols], -sign * (lplus @ x[:, cols])])
+        return v / np.linalg.norm(v, axis=0)
+
+    return np.concatenate([mu, -mu]), vectors
+
+
+def _mask_density(w: np.ndarray, mask: np.ndarray):
+    """Pair density |w1|^2 + |w2|^2 of each column: (sum on mask, total)."""
+    n = mask.size
+    dens = np.abs(w[:n]) ** 2 + np.abs(w[n:]) ** 2
+    return np.sum(dens[mask], axis=0), np.sum(dens, axis=0)
+
+
 def discrete_spectrum(
     sys: LinearizedSystem,
     coarse_points: int = 768,
     localization: float = 0.95,
 ) -> DiscreteSpectrum:
-    """Dense eigensolve on a coarsened grid plus fine-grid refinement.
+    """Reduced dense eigensolve on a coarsened grid plus fine-grid refinement.
 
     Only O(1) discrete modes matter, so the dense solve runs at
-    coarse_points nodes; the gauge modes are taken from the profile
-    (they are exact), and the odd trapping pair is tagged as the coarse
-    pair closest to the reduced-matrix prediction, then refined on the
-    fine grid by shifted inverse iteration.  Gap eigenvalues are
-    recognized by eigenvector localization rather than by a distance
-    margin, so weakly bound states just inside the thresholds are still
-    reported (they break the four-mode structure and matter downstream).
+    coarse_points nodes, on the Hamiltonian reduction: L squares to
+    -diag(Lminus Lplus, Lplus Lminus), so one eigensolve of the n-order
+    Lminus Lplus, eigenpairs (nu, x), gives all 2n eigenvalues of the
+    coarse L as +-mu, mu = sqrt(-nu) on the principal branch.  Lminus Lplus
+    is not symmetric and the FD4 Lminus need not be positive, so there is
+    no symmetric route.  The eigenvector of +-mu is (x, -+Lplus x / mu);
+    it is formed as (mu x, -+Lplus x), which stays finite at mu = 0, and
+    only for the columns that the gap and embedded filters read (see
+    _reduced_eig).  The gauge modes are taken from the profile (they
+    are exact), and the odd trapping pair is tagged as the coarse pair
+    closest to the reduced-matrix prediction, then refined on the fine
+    grid by shifted inverse iteration.  Gap eigenvalues are recognized by
+    eigenvector localization rather than by a distance margin, so weakly
+    bound states just inside the thresholds are still reported (they
+    break the four-mode structure and matter downstream).
     """
     prof = sys.profile
     if prof is None or prof.phi_lam is None:
@@ -333,22 +373,18 @@ def discrete_spectrum(
     while g.N % n_c != 0:
         n_c -= 1
     coarse = sys.coarsen(n_c)
-    dense = coarse.L_matrix(order=4).toarray()
-    vals, vecs = np.linalg.eig(dense)
+    vals, vectors = _reduced_eig(coarse)
 
     beta = sys.beta
     cg0 = coarse.grid
     interior0 = np.abs(cg0.nodes) < 0.4 * cg0.L
-    in_gap = (np.abs(vals.real) < 1e-4 * beta) & (np.abs(vals.imag) < beta * (1 - 1e-4))
-    gap_list = []
-    for j in np.where(in_gap)[0]:
-        w = vecs[:, j]
-        dens_j = np.abs(w[: cg0.N]) ** 2 + np.abs(w[cg0.N:]) ** 2
-        if np.sum(dens_j[interior0]) > localization * np.sum(dens_j):
-            gap_list.append(j)
-    gap_idx = np.array(gap_list, dtype=int)
-    gap_vals = vals[gap_idx]
-    gap_vecs = vecs[:, gap_idx]
+    in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
+                      & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
+    vecs = vectors(in_gap)
+    inside, total = _mask_density(vecs, interior0)
+    local = inside > localization * total
+    gap_vals = vals[in_gap[local]]
+    gap_vecs = vecs[:, local]
 
     if gap_vals.size < 4:
         raise ValueError("tag failure")
@@ -412,15 +448,10 @@ def discrete_spectrum(
     # embedded-eigenvalue scan (assumption check, not enforcement): a
     # discretized continuum mode fills the box, a genuine embedded mode is
     # localized, so filter by interior mass fraction
-    embedded = []
     interior = np.abs(cg.nodes) < 0.5 * cg.L
     cand = np.where((np.abs(vals.imag) > beta * (1 + 1e-6)) & (np.abs(vals.real) < 1e-6))[0]
-    for j in cand:
-        w = vecs[:, j]
-        dens = np.abs(w[: cg.N]) ** 2 + np.abs(w[cg.N:]) ** 2
-        if np.sum(dens[interior]) > 0.995 * np.sum(dens):
-            embedded.append(vals[j])
-    embedded = np.array(embedded)
+    inside, total = _mask_density(vectors(cand), interior)
+    embedded = vals[cand[inside > 0.995 * total]]
 
     return DiscreteSpectrum(
         system=sys,

@@ -435,12 +435,14 @@ def verify_decay(
     )
 
 
-def positivity_check(plan: PropagatorPlan, gfield: np.ndarray, lam: float) -> float:
+def positivity_check(plan: PropagatorPlan, gfields, lam: float):
     """Spectral-jump quadratic form at one interior point of the branch.
 
     In the continuum-mode representation the form is a sum of squared
     projections divided by 4 pi k, so nonnegativity checks the internal
-    consistency of the construction.
+    consistency of the construction.  Accepts one stacked pair or a list
+    of them and returns a float or a list; the continuum mode at lam is
+    marched once per call (not at all when every field vanishes).
     """
     sys = plan.system
     beta = sys.beta
@@ -448,15 +450,19 @@ def positivity_check(plan: PropagatorPlan, gfield: np.ndarray, lam: float) -> fl
         raise ValueError("lam must be interior to the branch")
     k = float(np.sqrt(lam - beta))
     g = sys.grid
-    gf = np.asarray(gfield, dtype=complex)
-    if float(np.max(np.abs(gf))) == 0.0:
-        return 0.0
-    from .scattering import generalized_eigenfunction
+    single = not isinstance(gfields, (list, tuple))
+    flist = [np.asarray(f, dtype=complex) for f in ([gfields] if single else gfields)]
+    out = [0.0] * len(flist)
+    live = [i for i, gf in enumerate(flist) if float(np.max(np.abs(gf))) != 0.0]
+    if live:
+        from .scattering import generalized_eigenfunction
 
-    e, s, r = generalized_eigenfunction(sys, lam)
-    epct = np.stack([e[0], -e[1]])
-    eflip = np.stack([g.reflect(e[0]), g.reflect(e[1])])
-    epct_flip = np.stack([eflip[0], -eflip[1]])
-    fp = g.dx * np.sum(np.conj(epct) * gf)
-    fm = g.dx * np.sum(np.conj(epct_flip) * gf)
-    return float((abs(fp) ** 2 + abs(fm) ** 2) / (4.0 * np.pi * k))
+        e, s, r = generalized_eigenfunction(sys, lam)
+        epct = np.stack([e[0], -e[1]])
+        eflip = np.stack([g.reflect(e[0]), g.reflect(e[1])])
+        epct_flip = np.stack([eflip[0], -eflip[1]])
+        for i in live:
+            fp = g.dx * np.sum(np.conj(epct) * flist[i])
+            fm = g.dx * np.sum(np.conj(epct_flip) * flist[i])
+            out[i] = float((abs(fp) ** 2 + abs(fm) ** 2) / (4.0 * np.pi * k))
+    return out[0] if single else out

@@ -30,6 +30,8 @@ of one leftward march, which stops at x = -8 for every k: all Wronskian
 samples lie in |x| <= 5.5, so the reflected values they read sit at
 x >= -5.5, and the continuum modes are assembled from values at x >= 0
 alone.  Left of -8 the marched solutions are zero and flagged invalid.
+The rows of a leftward march may carry a per-row coupling scale
+(W -> s W), so a coupling scan at k = 0 is one march.
 xi1 is marched rightward from the same point.  The closed channel grows
 like e^(mu |x|) under leftward marching, so psi-type solutions (eta is
 psi1's twin at k = 0, same rate) are "purged" every unit of x: a multiple
@@ -82,11 +84,11 @@ def _km(sys: LinearizedSystem, lam: float):
     return k, mu
 
 
-def _w_edge(sys: LinearizedSystem) -> float:
-    """Smallest x0 with |W| < W_FLOOR for all |x| >= x0."""
+def _w_edge(sys: LinearizedSystem, gain: float = 1.0) -> float:
+    """Smallest x0 with gain |W| < W_FLOOR for all |x| >= x0."""
     probe = np.linspace(0.0, 3.0 * sys.grid.L, 4096)
     v3, v4 = sys.v34_at(probe)
-    amp = 0.5 * (np.abs(v3) + np.abs(v4))
+    amp = 0.5 * gain * (np.abs(v3) + np.abs(v4))
     beyond = np.where(amp > W_FLOOR)[0]
     if beyond.size == 0:
         return 0.0
@@ -137,11 +139,12 @@ def _substeps(dx: float, rate: float, span: float) -> int:
 
 
 def _stepper(sys: LinearizedSystem, ks: np.ndarray, gg: np.ndarray,
-             j0: int, n_main: int, sign: int):
+             j0: int, n_main: int, sign: int, scale=None):
     """RK4 grid step for rescaled states z [nk, ncol, 4] marched from node j0.
 
     Column c of row q obeys the (H - beta - k_q^2) system in the frame
-    z = e^(-gg[q, c] x) y; the march runs over n_main grid steps in the
+    z = e^(-gg[q, c] x) y, with W scaled by scale[q] when a per-row
+    coupling scale is given; the march runs over n_main grid steps in the
     direction sign (+1 rightward, -1 leftward).  Returns step(z, i), which
     advances z from node j0 + sign i to j0 + sign (i + 1).
     """
@@ -158,6 +161,10 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, gg: np.ndarray,
     at = j0 * R + sign * np.arange(2 * n_main * m + 1)
     w11 = 0.5 * v3f[at]
     w12 = -0.5j * v4f[at]
+    if scale is not None:
+        # per-row samples [points, nk, 1], broadcast against z[..., c]
+        row = np.asarray(scale, dtype=float)[None, :, None]
+        w11, w12 = w11[:, None, None] * row, w12[:, None, None] * row
     a_k2 = (ks**2)[:, None]
     a_mu2 = (mus**2)[:, None]
     rate = gg[..., None]
@@ -209,14 +216,17 @@ def _free_forms(kinds, ks: np.ndarray, mus: np.ndarray):
     return A, B, gg
 
 
-def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds):
+def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     """March Jost solutions leftward from the potential edge to MARCH_STOP.
 
     kinds names the columns, "psi1" and/or "eta" (k = 0 only) followed by
-    "phi1", against which the others are purged.  Returns full-grid rows
-    [nk, ncol, 4, N] (components xi1, xi1', xi2, xi2'), reconciled to a
-    single representative per purged column and zero left of the window,
-    plus the window mask [N].
+    "phi1", against which the others are purged.  An optional per-row
+    coupling scale [nk] marches row q for the system with W -> scale[q] W
+    in the same kernel; the march then starts at the edge of the largest
+    |scale| W, which is exact for every row (past it |scale| W < W_FLOOR).
+    Returns full-grid rows [nk, ncol, 4, N] (components xi1, xi1', xi2,
+    xi2'), reconciled to a single representative per purged column and
+    zero left of the window, plus the window mask [N].
     """
     g = sys.grid
     nodes = g.nodes
@@ -224,11 +234,12 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds):
     mus = np.sqrt(ks**2 + 2.0 * sys.beta)
     nk, ncol = ks.size, len(kinds)
 
-    j_hi = min(int(np.searchsorted(nodes, min(_w_edge(sys), nodes[-1]))), g.N - 1)
+    edge = _w_edge(sys, 1.0 if scale is None else float(np.max(np.abs(scale))))
+    j_hi = min(int(np.searchsorted(nodes, min(edge, nodes[-1]))), g.N - 1)
     j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
     n_main = j_hi - j_lo
     A, B, gg = _free_forms(kinds, ks, mus)
-    step = _stepper(sys, ks, gg, j_hi, n_main, -1)
+    step = _stepper(sys, ks, gg, j_hi, n_main, -1, scale)
 
     z = A + nodes[j_hi] * B
     out = np.zeros((nk, ncol, 4, n_main + 1), dtype=complex)
@@ -587,13 +598,14 @@ def _dmatrix_from_pair(g: Grid, ypsi, yphi, idx_samples):
     return d11, d12, d21, d22, spread
 
 
-def _pair_rows(sys: LinearizedSystem, ks: np.ndarray):
+def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     """psi1 and phi1 rows [nk, 4, N] of a k block, with their D entries.
 
-    Returns (psi1 rows, phi1 rows, Wronskian sample indices for the
-    block's largest mu, (d11, d12, d21, d22, spread)).
+    scale is _march_left's optional per-row coupling scale.  Returns
+    (psi1 rows, phi1 rows, Wronskian sample indices for the block's
+    largest mu, (d11, d12, d21, d22, spread)).
     """
-    y, _valid = _march_left(sys, ks, ("psi1", "phi1"))
+    y, _valid = _march_left(sys, ks, ("psi1", "phi1"), scale)
     mu_max = float(np.sqrt(np.max(ks) ** 2 + 2.0 * sys.beta))
     samples = _sample_indices(sys.grid, mu_max)
     ypsi, yphi = y[:, 0], y[:, 1]
@@ -641,33 +653,36 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     Returns per-s det D(0, s W0) and the Lemma-style Wronskian
     D11(0, s W0) = W(psi1, psi1(-.)) at the threshold, whose slope in s
     at 0 equals minus the integral of the (1,1) entry of W, i.e.
-    -(1/2) int (V3).  The raw integral of V3 is also reported.
+    -(1/2) int (V3).  The raw integral of V3 is also reported.  The
+    nonzero couplings are the rows of one k = 0 march with a per-row
+    coupling scale; couplings that leave the field potential-free get
+    the free data det D(0) = D11(0) = 0.
     """
     svals = np.asarray(sorted(float(s) for s in s_values))
     if np.max(np.abs(svals)) > 0.5 + 1e-12:
         raise ValueError("scan couplings must satisfy |s| <= 0.5")
-    dets, wlems, margins = [], [], []
-    for s in svals:
-        if abs(s) < 1e-14:
-            dets.append(0.0 + 0.0j)
-            wlems.append(0.0 + 0.0j)
-            margins.append(0.0)
-            continue
-        d = wronskian_matrix(_scaled_system(sys0, s), sys0.beta)
-        dets.append(d.det)
-        wlems.append(d.d11)
-        margins.append(abs(d.det) / max(abs(d.d22) ** 2, 1e-300))
+    sup = float(np.max(np.abs(sys0.V3)) + np.max(np.abs(sys0.V4)))
+    live = (np.abs(svals) >= 1e-14) & (np.abs(svals) * sup >= FREE_FIELD_SUP)
+    dets = np.zeros(svals.size, dtype=complex)
+    wlems = np.zeros(svals.size, dtype=complex)
+    margins = np.zeros(svals.size)
+    if np.any(live):
+        _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(
+            sys0, np.zeros(np.count_nonzero(live)), svals[live])
+        dets[live] = d11 * d22 - d12 * d21
+        wlems[live] = d11
+        margins[live] = np.abs(dets[live]) / np.maximum(np.abs(d22) ** 2, 1e-300)
     g0 = sys0.grid
     int_v3 = float(np.real(g0.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan
     if np.count_nonzero(small) >= 2:
-        slope = np.polyfit(svals[small], np.real(np.array(wlems))[small], 1)[0]
+        slope = np.polyfit(svals[small], np.real(wlems)[small], 1)[0]
     return {
         "s": svals,
-        "detD0": np.array(dets),
-        "wronskian_lemma": np.array(wlems),
-        "margins": np.array(margins),
+        "detD0": dets,
+        "wronskian_lemma": wlems,
+        "margins": margins,
         "slope": float(np.real(slope)),
         "int_v3": int_v3,
         "half_int_v3": 0.5 * int_v3,

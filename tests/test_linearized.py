@@ -68,6 +68,29 @@ def test_spectra_match_after_rotation(default_system):
     assert np.max(np.abs(a - b)) < 1e-8 * max(1.0, np.max(np.abs(b)))
 
 
+def test_reduced_eigensolve_matches_dense(default_system):
+    """Eigenvalues +-sqrt(-nu) of Lminus Lplus are those of the dense L."""
+    from nlslab.linearized import _reduced_eig
+
+    coarse = default_system.coarsen(256)
+    lmat = coarse.L_matrix(order=4).toarray()
+    vals, vectors = _reduced_eig(coarse)
+    dense = np.linalg.eigvals(lmat)
+    # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
+    a = 1j * np.sort_complex(-1j * vals)
+    b = 1j * np.sort_complex(-1j * dense)
+    assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
+    beta = coarse.beta
+    gap = np.where((np.abs(vals.real) < 1e-4 * beta)
+                   & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
+    # the gap holds the zero cluster (the Jordan block, split by the FD4
+    # grid), whose vectors come from the small-mu end of (mu x, -+Lplus x)
+    vecs = vectors(gap)
+    assert np.all(np.isfinite(vecs))
+    for mu, v in zip(vals[gap], vecs.T):
+        assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
+
+
 def test_free_H_fourier_mode(grid, cfg):
     sys = LinearizedSystem(grid=grid, beta=cfg.lam, V1=np.zeros(grid.N), V2=np.zeros(grid.N))
     k = 2.0 * np.pi * 8 / (2 * grid.L)  # an exact Fourier mode of the box

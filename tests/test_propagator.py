@@ -240,10 +240,12 @@ def test_positivity(default_plan, probe_maker):
     g = default_plan.system.grid
     even = np.exp(-g.nodes**2 / 4.0)
     probe = np.stack([even, 0.5 * even]).astype(complex)
-    assert positivity_check(default_plan, probe, beta + 1.0) >= -1e-8
-    assert positivity_check(default_plan, 0.0 * probe, beta + 1.0) == 0.0
+    form, zero = positivity_check(default_plan, [probe, 0.0 * probe], beta + 1.0)
+    assert form >= -1e-8
+    assert zero == 0.0
     rng = np.random.default_rng(1)
     for lam in (beta + 0.5, beta + 2.0):
-        for _ in range(5):
-            p = probe_maker(2.0 + rng.uniform(0, 1), seed_offset=int(rng.integers(100)))
-            assert positivity_check(default_plan, p, lam) >= -1e-7
+        probes = [probe_maker(2.0 + rng.uniform(0, 1), seed_offset=int(rng.integers(100)))
+                  for _ in range(5)]
+        for form in positivity_check(default_plan, probes, lam):
+            assert form >= -1e-7

@@ -146,6 +146,19 @@ def test_resonance_scan_slope(default_system):
     assert np.all(np.diff(vals) > 0) or np.all(np.diff(vals) < 0)
 
 
+def test_resonance_scan_matches_single_marches(default_system):
+    """The batched scan march equals one scaled-system march per coupling."""
+    from nlslab.scattering import _scaled_system
+
+    scan = resonance_scan(default_system, [-0.1, 0.0, 0.05, 0.5])
+    assert scan["detD0"][1] == 0.0 and scan["wronskian_lemma"][1] == 0.0
+    for j in (0, 2, 3):
+        d = wronskian_matrix(_scaled_system(default_system, scan["s"][j]),
+                             default_system.beta)
+        assert abs(scan["detD0"][j] - d.det) < 1e-10 * abs(d.det)
+        assert abs(scan["wronskian_lemma"][j] - d.d11) < 1e-10 * abs(d.d11)
+
+
 def test_resonance_flip_by_bisection(default_system):
     """The verdict flips exactly where a bounded threshold solution appears.
 
@@ -155,30 +168,35 @@ def test_resonance_flip_by_bisection(default_system):
     threshold combination psi1 - (D12/D22) phi1 stays bounded on the
     left (its linear-growth coefficient collapses).
     """
-    from nlslab.scattering import _scaled_system, jost_solve
+    from nlslab.scattering import _pair_rows, _scaled_system, jost_solve
 
     def dmat(s):
         return wronskian_matrix(_scaled_system(default_system, s),
                                 default_system.beta)
 
-    def det0(s):
-        return float(np.real(dmat(s).det))
+    def det0(svals):
+        # one k = 0 march whose rows carry the couplings svals
+        _psi, _phi, _samples, (d11, d12, d21, d22, _sp) = _pair_rows(
+            default_system, np.zeros(svals.size), svals)
+        return np.real(d11 * d22 - d12 * d21)
 
     s_vals = np.linspace(0.05, 1.5, 8)
-    dets = [det0(s) for s in s_vals]
+    dets = det0(s_vals)
     flips = [j for j in range(len(dets) - 1) if np.sign(dets[j]) != np.sign(dets[j + 1])]
     assert flips, "no threshold crossing found on the coupling family"
     lo, hi = s_vals[flips[0]], s_vals[flips[0] + 1]
     dlo = dets[flips[0]]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        dm = det0(mid)
-        if np.sign(dm) == np.sign(dlo):
-            lo, dlo = mid, dm
-        else:
-            hi = mid
+    # 8-section: 8 interior couplings per march, the bracket shrinks 9x
+    for _ in range(20):
         if hi - lo < 1e-10:
             break
+        pts = np.linspace(lo, hi, 10)
+        d = det0(pts[1:-1])
+        flip = np.nonzero(np.sign(d) != np.sign(dlo))[0]
+        j = flip[0] + 1 if flip.size else 9
+        lo, hi = pts[j - 1], pts[j]
+        if j > 1:
+            dlo = d[j - 2]
     s_star = 0.5 * (lo + hi)
     assert resonance_test(_scaled_system(default_system, s_star))["resonant"]
     assert not resonance_test(_scaled_system(default_system, s_star + 0.1))["resonant"]
