@@ -84,23 +84,6 @@ class LinearizedSystem:
             v1, v2 = self.V1_fn(x), self.V2_fn(x)
         return v1 + v2, v1 - v2
 
-    def v34_refined(self, refine: int):
-        """(V3, V4) on the uniform supergrid with spacing dx/refine.
-
-        The smooth decaying fields are refined by Fourier zero padding,
-        which is spectrally exact; marching substep grids align with the
-        supergrid so no polynomial interpolation error enters.
-        """
-        n = self.grid.N
-        if refine == 1:
-            return self.V3.copy(), self.V4.copy()
-
-        def pad(u):
-            spec = np.fft.rfft(u)
-            return np.fft.irfft(spec, n=refine * n) * refine
-
-        return pad(self.V3), pad(self.V4)
-
     # -- actions ------------------------------------------------------------
 
     def apply_L(self, v: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ __all__ = [
 
 
 K_FINE_TARGET = 0.25  # max phase increment 2 k t dk per fine-k quadrature step
+FINE_CHUNK = 2**17    # most fine-k nodes pulled back onto the table at once
 
 
 def _block_simpson_weights(k: np.ndarray) -> np.ndarray:
@@ -203,18 +204,26 @@ class PropagatorPlan:
         k_eff = min(k[-1], k[big[-1]] + 0.5) if big.size else k[-1]
         nfine = int(np.ceil(k_eff / min(dk_needed, dk_max)))
         nfine = max(nfine, 400)
-        if nfine % 2 == 1:
-            nfine += 1
-        kf = np.linspace(0.0, k_eff, nfine + 1)
-        wf = np.ones(nfine + 1)
-        wf[1:-1:2], wf[2:-1:2] = 4.0, 2.0
-        wf *= (kf[1] - kf[0]) / 3.0
-        cf = CubicSpline(k, coef)(kf) * (np.exp(-1j * t * (beta + kf**2)) * wf)[:, None]
+        nfine += nfine % 2
+        dkf = k_eff / nfine
+        spline = CubicSpline(k, coef)
         # the spline is linear in the tabulated rows: with S the map from
         # values at k to values at kf, sum_q c_q (S e)_q = sum_j (S^T c)_j
         # e_j, so the weights move onto the table nodes and the mode rows
-        # are never resampled
-        return self._spline_transpose(k, stride, kf, cf)
+        # are never resampled.  S^T is linear too, so the fine nodes go in
+        # equal chunks of at most FINE_CHUNK and the pulled-back weights
+        # add up: the memory of one evolve does not grow with t
+        nchunk = -(-(nfine + 1) // FINE_CHUNK)
+        size = -(-(nfine + 1) // nchunk)
+        w = 0.0
+        for lo in range(0, nfine + 1, size):
+            n = np.arange(lo, min(lo + size, nfine + 1))
+            kf = dkf * n
+            wf = np.where(n % 2 == 1, 4.0, 2.0)
+            wf[(n == 0) | (n == nfine)] = 1.0
+            cf = spline(kf) * (np.exp(-1j * t * (beta + kf**2)) * wf * (dkf / 3.0))[:, None]
+            w = w + self._spline_transpose(k, stride, kf, cf)
+        return w
 
     def _spline_transpose(self, k: np.ndarray, stride: int, kf: np.ndarray,
                           v: np.ndarray) -> np.ndarray:

@@ -25,14 +25,21 @@ left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
 
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
 from the point where the potentials fall below 1e-17 (outside, the free
-forms are exact to machine precision).  psi1, eta and phi1 are columns
-of one leftward march, which stops at x = -8 for every k: all Wronskian
-samples lie in |x| <= 5.5, so the reflected values they read sit at
-x >= -5.5, and the continuum modes are assembled from values at x >= 0
-alone.  Left of -8 the marched solutions are zero and flagged invalid.
-The rows of a leftward march may carry a per-row coupling scale
-(W -> s W), so a coupling scan at k = 0 is one march.
-xi1 is marched rightward from the same point.  The closed channel grows
+forms are exact to machine precision).  A grid step is a few sixth-order
+Magnus steps, each sampling W at its three Gauss-Legendre nodes through
+the trigonometric interpolant.  The free part of the generator is
+constant and is taken exactly inside the exponential, so the step size
+is set by dx and the variation of W, not by k.  The 4x4 transfer matrices
+do not depend on the state: they are built vectorized for a chunk of grid
+steps at a time and shared by all columns of a row.
+
+psi1, eta and phi1 are columns of one leftward march, which stops at
+x = -8 for every k: all Wronskian samples lie in |x| <= 5.5, so the
+reflected values they read sit at x >= -5.5, and the continuum modes are
+assembled from values at x >= 0 alone.  Left of -8 the marched solutions
+are zero and flagged invalid.  The rows of a leftward march may carry a
+per-row coupling scale (W -> s W), so a coupling scan at k = 0 is one
+march.  xi1 is marched rightward from x = -8.  The closed channel grows
 like e^(mu |x|) under leftward marching, so psi-type solutions (eta is
 psi1's twin at k = 0, same rate) are "purged" every unit of x: a multiple
 of phi1 is subtracted to zero the closed channel.  Since psi1 is only
@@ -71,8 +78,17 @@ __all__ = [
 W_FLOOR = 1e-17          # potential tail threshold: free forms beyond
 PURGE_SPACING = 1.0      # x-distance between closed-channel purges
 MARCH_STOP = -8.0        # every leftward march ends here (see above)
-MARCH_ERR = 1e-8         # RK4 global phase error target of every march
+MARCH_ERR = 1e-8         # global error target of every march; MAGNUS_H
+                         # meets it ~100x over (s to ~1e-10, flat in k)
+MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W
+EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
 FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
+TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
+
+
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+_CHUNK = 32              # grid steps per batch of transfer matrices
+_REAL = np.array([1.0, 1.0, 1j, 1j])  # y -> real frame, where A is real
 
 
 def _km(sys: LinearizedSystem, lam: float):
@@ -84,11 +100,11 @@ def _km(sys: LinearizedSystem, lam: float):
     return k, mu
 
 
-def _w_edge(sys: LinearizedSystem, gain: float = 1.0) -> float:
-    """Smallest x0 with gain |W| < W_FLOOR for all |x| >= x0."""
+def _w_edge(sys: LinearizedSystem) -> float:
+    """Smallest x0 with |W| < W_FLOOR for all |x| >= x0."""
     probe = np.linspace(0.0, 3.0 * sys.grid.L, 4096)
     v3, v4 = sys.v34_at(probe)
-    amp = 0.5 * gain * (np.abs(v3) + np.abs(v4))
+    amp = 0.5 * (np.abs(v3) + np.abs(v4))
     beyond = np.where(amp > W_FLOOR)[0]
     if beyond.size == 0:
         return 0.0
@@ -131,63 +147,102 @@ class JostSolution:
 # ---------------------------------------------------------------------------
 
 
-def _substeps(dx: float, rate: float, span: float) -> int:
-    """RK4 substep count for global phase error below MARCH_ERR."""
-    rate = max(rate, 1.0)
-    h = (MARCH_ERR * 120.0 / (max(span, 1.0) * rate**5)) ** 0.25
-    return max(1, int(np.ceil(dx / h)))
+def _w_shifted(sys: LinearizedSystem, offsets: np.ndarray):
+    """(V3, V4) at x_j + offset dx for every node j, one row per offset.
 
-
-def _stepper(sys: LinearizedSystem, ks: np.ndarray, gg: np.ndarray,
-             j0: int, n_main: int, sign: int, scale=None):
-    """RK4 grid step for rescaled states z [nk, ncol, 4] marched from node j0.
-
-    Column c of row q obeys the (H - beta - k_q^2) system in the frame
-    z = e^(-gg[q, c] x) y, with W scaled by scale[q] when a per-row
-    coupling scale is given; the march runs over n_main grid steps in the
-    direction sign (+1 rightward, -1 leftward).  Returns step(z, i), which
-    advances z from node j0 + sign i to j0 + sign (i + 1).
+    The smooth decaying fields are sampled off the grid through their
+    trigonometric interpolant, one FFT phase shift per offset, so no
+    polynomial interpolation error enters.
     """
     g = sys.grid
-    mus = np.sqrt(ks**2 + 2.0 * sys.beta)
-    span = abs(g.nodes[j0 + sign * n_main] - g.nodes[j0])
-    m = _substeps(g.dx, float(np.max(mus + ks)), span)
+    kappa = 2.0 * np.pi * np.fft.rfftfreq(g.N, d=g.dx)
+    phase = np.exp(1j * np.multiply.outer(np.asarray(offsets) * g.dx, kappa))
+    return (np.fft.irfft(np.fft.rfft(sys.V3) * phase, n=g.N),
+            np.fft.irfft(np.fft.rfft(sys.V4) * phase, n=g.N))
+
+
+def _coupling(w, b):
+    """Batch [..., 4, 4] of the W part of the generator in the real frame."""
+    out = np.zeros(w.shape + (4, 4))
+    out[..., 1, 0] = out[..., 3, 2] = w
+    out[..., 1, 2] = out[..., 3, 0] = b
+    return out
+
+
+def _comm(x, y):
+    return x @ y - y @ x
+
+
+def _expm(om, d):
+    """exp of a batch [..., nk, 4, 4], balanced by diag(d[q]) per row q.
+
+    Taylor-8 by Horner on D om D^-1, scaled by 2^-s into 1-norm
+    EXPM_THETA (truncation below 1e-16) and squared back.
+    """
+    x = om * d[:, :, None] / d[:, None, :]
+    theta = float(np.max(np.sum(np.abs(x), axis=-2)))
+    s = max(0, int(np.ceil(np.log2(max(theta, 1e-300) / EXPM_THETA))))
+    x = x / 2.0**s
+    eye = np.eye(4)
+    e = eye + x / 8.0
+    for n in range(7, 0, -1):
+        e = eye + (x @ e) / n
+    for _ in range(s):
+        e = e @ e
+    return e * d[:, None, :] / d[:, :, None]
+
+
+def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
+             sign: int, scale=None):
+    """Yield the transfer matrices [nk, 4, 4] of n_main grid steps from node j0.
+
+    Row q carries y' = A y, the (H - beta - k_q^2) system in the real frame
+    y -> diag(1, 1, i, i) y, where A is real; W is scaled by scale[q] when
+    a per-row coupling scale is given.  The i-th matrix takes y from node
+    j0 + sign i to j0 + sign (i + 1).  A column marched in a rescaled frame
+    z = e^(-g x) y takes the same matrix times the scalar e^(-g sign dx),
+    so one matrix per row serves all its columns.
+
+    A grid step is m = ceil(dx / MAGNUS_H) sixth-order Magnus steps on the
+    three Gauss-Legendre nodes (Blanes, Casas, Oteo and Ros, Phys. Rep.
+    470, 2009).  The matrices exp(Omega) do not depend on the state, so
+    they are built vectorized for _CHUNK grid steps at a time.  Omega lies
+    in the Lie algebra that keeps the sigma3 Wronskian, so the step keeps
+    it to roundoff.
+    """
+    g = sys.grid
+    nk = ks.size
+    m = max(1, int(np.ceil(g.dx / MAGNUS_H - 1e-9)))
     h = sign * g.dx / m
-    # W at every substep and half-substep point: the substep grid is an
-    # integer refinement of the main grid, so the samples come from exact
-    # Fourier refinement
-    R = 2 * m
-    v3f, v4f = sys.v34_refined(R)
-    at = j0 * R + sign * np.arange(2 * n_main * m + 1)
-    w11 = 0.5 * v3f[at]
-    w12 = -0.5j * v4f[at]
-    if scale is not None:
-        # per-row samples [points, nk, 1], broadcast against z[..., c]
-        row = np.asarray(scale, dtype=float)[None, :, None]
-        w11, w12 = w11[:, None, None] * row, w12[:, None, None] * row
-    a_k2 = (ks**2)[:, None]
-    a_mu2 = (mus**2)[:, None]
-    rate = gg[..., None]
-
-    def rhs(z, w11_x, w12_x):
-        d = np.empty_like(z)
-        d[..., 0] = z[..., 1]
-        d[..., 1] = (w11_x - a_k2) * z[..., 0] + w12_x * z[..., 2]
-        d[..., 2] = z[..., 3]
-        d[..., 3] = -w12_x * z[..., 0] + (a_mu2 + w11_x) * z[..., 2]
-        return d - rate * z
-
-    def step(z, i):
-        for sub in range(m):
-            i0 = 2 * (i * m + sub)
-            k1 = rhs(z, w11[i0], w12[i0])
-            k2 = rhs(z + 0.5 * h * k1, w11[i0 + 1], w12[i0 + 1])
-            k3 = rhs(z + 0.5 * h * k2, w11[i0 + 1], w12[i0 + 1])
-            k4 = rhs(z + h * k3, w11[i0 + 2], w12[i0 + 2])
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return z
-
-    return step
+    mus = np.sqrt(ks**2 + 2.0 * sys.beta)
+    # W at Gauss node c of Magnus step p of the grid step leaving node j:
+    # x_j + sign (p + c) dx / m, as rows [p, c] of node-indexed samples
+    v3, v4 = _w_shifted(sys, sign * (np.arange(m)[:, None] + _GAUSS).ravel() / m)
+    w11 = (0.5 * v3).reshape(m, 3, g.N)
+    w12 = (-0.5 * v4).reshape(m, 3, g.N)
+    row = np.ones(nk) if scale is None else np.asarray(scale, dtype=float)
+    free = np.zeros((nk, 4, 4))
+    free[:, 0, 1] = free[:, 2, 3] = 1.0
+    free[:, 1, 0] = -ks**2
+    free[:, 3, 2] = mus**2
+    bal = np.ones((nk, 4))
+    bal[:, 1] = bal[:, 3] = 1.0 / np.sqrt(mus**2 + 1.0)
+    for i0 in range(0, n_main, _CHUNK):
+        nodes = j0 + sign * np.arange(i0, min(i0 + _CHUNK, n_main))
+        # coupling at the Gauss nodes: [step, p, c, row, 4, 4]
+        cw = _coupling(w11[:, :, nodes].transpose(2, 0, 1)[..., None] * row,
+                       w12[:, :, nodes].transpose(2, 0, 1)[..., None] * row)
+        a1 = h * (free + cw[:, :, 1])
+        a2 = (np.sqrt(15.0) / 3.0) * h * (cw[:, :, 2] - cw[:, :, 0])
+        a3 = (10.0 / 3.0) * h * (cw[:, :, 2] - 2.0 * cw[:, :, 1] + cw[:, :, 0])
+        c12 = _comm(a1, a2)
+        om = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c12,
+                                    a2 - _comm(a1, 2.0 * a3 + c12) / 60.0) / 240.0
+        e = _expm(om, bal)
+        t = e[:, 0]
+        for p in range(1, m):
+            t = e[:, p] @ t
+        yield from t
 
 
 def _free_forms(kinds, ks: np.ndarray, mus: np.ndarray):
@@ -222,11 +277,14 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     kinds names the columns, "psi1" and/or "eta" (k = 0 only) followed by
     "phi1", against which the others are purged.  An optional per-row
     coupling scale [nk] marches row q for the system with W -> scale[q] W
-    in the same kernel; the march then starts at the edge of the largest
-    |scale| W, which is exact for every row (past it |scale| W < W_FLOOR).
-    Returns full-grid rows [nk, ncol, 4, N] (components xi1, xi1', xi2,
-    xi2'), reconciled to a single representative per purged column and
-    zero left of the window, plus the window mask [N].
+    in the same kernel.  Every march starts at _w_edge(sys), 2 past the
+    last point where |W| reaches W_FLOOR.  The grid steps apply the
+    Magnus transfer matrices of _stepper, which depend on the step and W
+    alone, not on the span: where a march starts and where its purges fall
+    moves the result only at roundoff.  Returns full-grid rows
+    [nk, ncol, 4, N] (components xi1, xi1', xi2, xi2'), reconciled to a
+    single representative per purged column and zero left of the window,
+    plus the window mask [N].
     """
     g = sys.grid
     nodes = g.nodes
@@ -234,26 +292,27 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     mus = np.sqrt(ks**2 + 2.0 * sys.beta)
     nk, ncol = ks.size, len(kinds)
 
-    edge = _w_edge(sys, 1.0 if scale is None else float(np.max(np.abs(scale))))
+    edge = _w_edge(sys)
     j_hi = min(int(np.searchsorted(nodes, min(edge, nodes[-1]))), g.N - 1)
     j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
     n_main = j_hi - j_lo
     A, B, gg = _free_forms(kinds, ks, mus)
-    step = _stepper(sys, ks, gg, j_hi, n_main, -1, scale)
+    frame = np.exp(gg * g.dx)[..., None]
 
-    z = A + nodes[j_hi] * B
+    z = (A + nodes[j_hi] * B) * _REAL
     out = np.zeros((nk, ncol, 4, n_main + 1), dtype=complex)
     out[..., n_main] = z
     purge_every = max(1, int(round(PURGE_SPACING / g.dx)))
     ledger = {}  # slot -> purge coefficients [nk, ncol - 1]
-    for i in range(n_main):
-        z = step(z, i)
+    for i, t in enumerate(_stepper(sys, ks, j_hi, n_main, -1, scale)):
+        z = (z @ t.transpose(0, 2, 1)) * frame
         slot = n_main - 1 - i
         if (i + 1) % purge_every == 0 or i == n_main - 1:
             c = z[:, :-1, 2] / z[:, -1:, 2]
             z[:, :-1] = z[:, :-1] - c[..., None] * z[:, -1:]
             ledger[slot] = c
         out[..., slot] = z
+    out *= np.conj(_REAL)[:, None]
     if not np.all(np.isfinite(out)):
         raise ValueError("Jost march overflow")
 
@@ -294,14 +353,14 @@ def _march_xi(sys: LinearizedSystem, lam: float):
     nodes = g.nodes
     j_lo = int(np.searchsorted(nodes, MARCH_STOP))
     n_main = g.N - 1 - j_lo
-    step = _stepper(sys, np.array([k]), np.array([[mu]], dtype=complex), j_lo, n_main, 1)
     # in the frame z = e^(-mu x) y every solution stays bounded rightward
-    z = np.array([[[0.0, 0.0, 1.0, mu]]], dtype=complex)
+    z = np.array([[[0.0, 0.0, 1.0, mu]]]) * _REAL
     out = np.zeros((4, n_main + 1), dtype=complex)
     out[:, 0] = z[0, 0]
-    for i in range(n_main):
-        z = step(z, i)
+    for i, t in enumerate(_stepper(sys, np.array([k]), j_lo, n_main, 1)):
+        z = (z @ t.transpose(0, 2, 1)) * np.exp(-mu * g.dx)
         out[:, i + 1] = z[0, 0]
+    out *= np.conj(_REAL)[:, None]
     # normalize on the free tail: rescaled xi1 tends to (0, 0, C, mu C)
     y = np.zeros((4, g.N), dtype=complex)
     y[:, j_lo:] = out / out[2, -1] * np.exp(mu * nodes[j_lo:])
@@ -866,9 +925,8 @@ def default_k_grid(k_max: float = 13.1) -> np.ndarray:
 def eigentable_build(
     sys: LinearizedSystem,
     k_grid: Optional[np.ndarray] = None,
-    block: int = 256,
 ) -> GeneralizedEigenTable:
-    """Build e(x, k), s(k), r(k) over the k grid in vectorized blocks."""
+    """Build e(x, k), s(k), r(k) over the k grid in blocks of TABLE_BLOCK rows."""
     g = sys.grid
     ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     if _is_free(sys):
@@ -902,8 +960,8 @@ def eigentable_build(
 
     pos = np.where(ks > 0)[0]
     zero_idx = np.where(ks == 0)[0]
-    for start in range(0, pos.size, block):
-        sel = pos[start : start + block]
+    for start in range(0, pos.size, TABLE_BLOCK):
+        sel = pos[start : start + TABLE_BLOCK]
         e[sel], s[sel], r[sel], b[sel], dmat = _mode_block(sys, ks[sel])
         d11[sel], d12[sel], d21[sel], d22[sel], spread[sel] = dmat
     for i in zero_idx:

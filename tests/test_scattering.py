@@ -159,6 +159,74 @@ def test_resonance_scan_matches_single_marches(default_system):
         assert abs(scan["wronskian_lemma"][j] - d.d11) < 1e-10 * abs(d.d11)
 
 
+def test_march_start_does_not_move_threshold_data(default_system):
+    """A scan row marched from the edge of W equals the scaled system
+    marched from its own, nearer edge: past both edges the step is the
+    free one and the purges are exact bookkeeping, so only roundoff is
+    left.  s = 0.5 sits next to the crossing at s* = 0.487, where det D(0)
+    is small."""
+    from nlslab.scattering import _scaled_system, _w_edge
+
+    scaled = _scaled_system(default_system, 0.5)
+    assert _w_edge(scaled) < _w_edge(default_system) - 5 * default_system.grid.dx
+    scan = resonance_scan(default_system, [0.5])
+    d = wronskian_matrix(scaled, default_system.beta)
+    assert abs(scan["detD0"][0] - d.det) <= 1e-12 * abs(d.det)
+    assert abs(scan["wronskian_lemma"][0] - d.d11) <= 1e-12 * abs(d.d11)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 8.0])
+def test_march_matches_dop853_oracle(default_system, k):
+    """phi1 from the Magnus march against an adaptive DOP853 integration.
+
+    The oracle integrates (H - lam) u = 0 written as a first-order 4x4
+    system, with W evaluated from the trigonometric interpolant of the
+    grid samples, from the potential edge leftward to x = -5.5.  phi1 is
+    the dominant column of a leftward march, so it needs no purge.  Both
+    are compared in the frame e^(mu x) phi1 at the Wronskian sample nodes
+    and their reflections.
+    """
+    from scipy.integrate import solve_ivp
+
+    from nlslab.scattering import _sample_indices, _w_edge
+
+    sys_ = default_system
+    g = sys_.grid
+    beta = sys_.beta
+    mu = np.sqrt(k**2 + 2.0 * beta)
+    kappa = 2.0 * np.pi * np.fft.rfftfreq(g.N, d=g.dx)
+    amp = np.fft.rfft(np.stack([sys_.V3, sys_.V4])) / g.N
+    amp[:, 1:(g.N + 1) // 2] *= 2.0
+
+    def v34(x):
+        return np.real(amp @ np.exp(1j * kappa * (x - g.nodes[0])))
+
+    def rhs(x, z):
+        v3, v4 = v34(x)
+        # u1'' = (V3/2 - k^2) u1 - (i/2) V4 u2, u2'' = (mu^2 + V3/2) u2 + (i/2) V4 u1,
+        # for z = e^(mu x) (u1, u1', u2, u2')
+        dz = np.array([z[1],
+                       (0.5 * v3 - k**2) * z[0] - 0.5j * v4 * z[2],
+                       z[3],
+                       (mu**2 + 0.5 * v3) * z[2] + 0.5j * v4 * z[0]])
+        return dz + mu * z
+
+    idx = _sample_indices(g, mu)
+    ridx = (g.N - idx) % g.N
+    nodes = np.concatenate([g.nodes[idx], g.nodes[ridx]])
+    x0 = _w_edge(sys_)
+    sol = solve_ivp(rhs, (x0, -5.5), np.array([0, 0, 1.0, -mu], dtype=complex),
+                    method="DOP853", rtol=1e-12, atol=1e-15,
+                    t_eval=np.sort(nodes)[::-1])
+    assert sol.success
+    oracle = sol.y[(0, 2), :][:, np.argsort(np.argsort(-nodes))]
+
+    phi1 = jost_solve(sys_, beta + k**2, "phi1")
+    marched = phi1.values[:, np.concatenate([idx, ridx])] * np.exp(mu * nodes)
+    rel = np.max(np.abs(marched - oracle), axis=0) / np.max(np.abs(oracle), axis=0)
+    assert np.max(rel) <= 1e-9, np.max(rel)
+
+
 def test_resonance_flip_by_bisection(default_system):
     """The verdict flips exactly where a bounded threshold solution appears.
 
