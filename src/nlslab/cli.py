@@ -249,18 +249,17 @@ class StageRunner:
             dev = weighted_pair_norm(g, us - ud, 4.0) / max(weighted_pair_norm(g, ud, 4.0), 1e-300)
             dev_max = max(dev_max, dev)
 
-        reports = {}
+        # each estimate on its own default fit window (DECAY_WINDOWS), in
+        # one call so that estimates sharing a window share its evolves;
+        # verify_decay projects the probes itself
+        ests = list(pblock["estimates"])
+        reports = dict(zip(ests, verify_decay(plan, probes, ests)))
         rows = []
-        for est in pblock["estimates"]:
-            # each estimate on its own default fit window (DECAY_WINDOWS);
-            # verify_decay projects the probes itself
-            rep = verify_decay(plan, probes, est)
-            reports[est] = rep
-            fit = rep.fitted_curve()
-            for t, nrm, fc in zip(rep.times, rep.norms, fit):
-                rows.append((est, float(t), float(nrm), float(fc)))
-        _write_csv(self.path("decay_reports.csv"), ["estimate", "t", "norm", "fitted_curve"],
-                   rows)
+        for est, rep in reports.items():
+            for t, nrm, fc, edge in zip(rep.times, rep.norms, rep.fitted_curve(), rep.edge_mass):
+                rows.append((est, float(t), float(nrm), float(fc), float(edge)))
+        _write_csv(self.path("decay_reports.csv"),
+                   ["estimate", "t", "norm", "fitted_curve", "edge_mass"], rows)
         ok = (max(t0_errs) < 1e-4 and dev_max < 1e-3
               and all(r.passes for r in reports.values()))
         summary = {

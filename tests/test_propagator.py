@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from nlslab.grids import make_grid
 from nlslab.linearized import LinearizedSystem
-from nlslab.propagator import (build_plan, evolve_direct, evolve_L_direct,
-                               evolve_spectral, pair_norm, positivity_check,
-                               sup_pair_norm, verify_decay, weighted_pair_norm)
+from nlslab.propagator import (K_FINE_TARGET, _spline_adjoint, build_plan, evolve_direct,
+                               evolve_L_direct, evolve_spectral, pair_norm,
+                               positivity_check, sup_pair_norm, verify_decay,
+                               weighted_pair_norm)
 from nlslab.scattering import eigentable_build
 
 
@@ -82,13 +84,87 @@ def test_one_pass_matches_mirror_rows(default_plan):
                 ref = reference(f, t, branch, stride)
                 out = plan.evolve(f, t, branch=branch, stride=stride)
                 assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride, branch)
+
+
+def _dense_resample_weights(plan, coef, t):
+    """The fine-k weight rows S^T D S coef, formed node by node.
+
+    The coefficient spline is evaluated at every fine node and multiplied
+    by the chirp e^(-it(beta + kf^2)) and the Simpson weights; S^T is the
+    dense one: the products are gathered against the monomials of each
+    table interval and contracted with the spline basis through the unit
+    vectors, in blocks of table columns.
+    """
+    k = plan.table.k
+    beta = plan.system.beta
+    dk_max = float(np.max(np.diff(k)))
+    dk_needed = K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0)
+    assert dk_needed < dk_max
+    amp = np.sum(np.abs(coef), axis=1)
+    big = np.where(amp > max(np.max(amp) * 1e-12, 1e-300))[0]
+    k_eff = min(k[-1], k[big[-1]] + 0.5)
+    nfine = max(int(np.ceil(k_eff / min(dk_needed, dk_max))), 400)
+    nfine += nfine % 2
+    dkf = k_eff / nfine
+    spline = CubicSpline(k, coef)
+    n_int = k.size - 1
+    gathered = np.zeros((4, n_int, coef.shape[1]), dtype=complex)
+    for lo in range(0, nfine + 1, 2**16):
+        n = np.arange(lo, min(lo + 2**16, nfine + 1))
+        kf = dkf * n
+        wf = np.where(n % 2 == 1, 4.0, 2.0)
+        wf[(n == 0) | (n == nfine)] = 1.0
+        cf = spline(kf) * (np.exp(-1j * t * (beta + kf**2)) * wf * (dkf / 3.0))[:, None]
+        idx = np.clip(np.searchsorted(k, kf, side="right") - 1, 0, n_int - 1)
+        for m in range(4):
+            vm = cf * ((kf - k[idx]) ** (3 - m))[:, None]
+            for c in range(coef.shape[1]):
+                gathered[m, :, c] += (np.bincount(idx, vm[:, c].real, n_int)
+                                      + 1j * np.bincount(idx, vm[:, c].imag, n_int))
+    w = np.empty((coef.shape[1], k.size), dtype=complex)
+    eye = np.eye(k.size)
+    for j in range(0, k.size, 512):
+        basis = CubicSpline(k, eye[:, j:j + 512]).c         # [4, n_int, block]
+        w[:, j:j + 512] = np.einsum("mij,mic->cj", basis, gathered)
+    return w
+
+
+def test_fine_k_pullback_matches_dense_resample(default_plan, free_plan):
+    """The chirp-moment weights against the explicit fine-k resample.
+
+    _weights contracts the chirp moments of each table interval with the
+    spline's interval coefficients and pulls the result back through the
+    banded adjoint of the not-a-knot construction; the reference evaluates
+    the spline at every fine node and applies the dense S^T.
+    """
+    rng = np.random.default_rng(12)
+    k = default_plan.table.k
+    for stride in (1, 2):
+        ks = k[::stride]
+        basis = CubicSpline(ks, np.eye(ks.size)).c                # [4, n_int, nk]
+        g = rng.standard_normal((4, ks.size - 1, 3)) + 1j * rng.standard_normal((4, ks.size - 1, 3))
+        ref = np.einsum("mij,mic->jc", basis, g)
+        out = _spline_adjoint(ks, g)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), stride
     # the four-column pull-back equals four one-column ones
-    kf = np.linspace(0.0, k[-1], 5001)
-    v = rng.standard_normal((kf.size, 4)) + 1j * rng.standard_normal((kf.size, 4))
-    joint = plan._spline_transpose(k, 1, kf, v)
-    for j in range(4):
-        single = plan._spline_transpose(k, 1, kf, v[:, [j]])[0]
-        assert np.max(np.abs(joint[j] - single)) <= 1e-14 * np.max(np.abs(single))
+    g = rng.standard_normal((4, k.size - 1, 4)) + 1j * rng.standard_normal((4, k.size - 1, 4))
+    joint = _spline_adjoint(k, g)
+    for c in range(4):
+        single = _spline_adjoint(k, g[:, :, [c]])[:, 0]
+        assert np.max(np.abs(joint[:, c] - single)) <= 1e-14 * np.max(np.abs(single))
+
+    # coefficient columns with tails of different reach, so that the k_eff
+    # cut falls inside the table for some of them
+    decay = np.array([0.5, 1.0, 2.0, 3.0])
+    for plan, t in ((default_plan, 2.0), (default_plan, 30.0), (default_plan, 150.0),
+                    (free_plan, 2000.0)):
+        kp = plan.table.k
+        ncol = 4 if plan is default_plan else 1
+        coef = ((rng.standard_normal((kp.size, ncol)) + 1j * rng.standard_normal((kp.size, ncol)))
+                * np.exp(-decay[:ncol] * kp[:, None]))
+        out = plan._weights(coef, t, 1)
+        ref = _dense_resample_weights(plan, coef, t)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), t
 
 
 def test_free_field_closed_form_evolution(free_plan, free_system):
@@ -129,15 +205,16 @@ def test_free_field_late_time_gaussian(free_plan, free_system):
 
 
 def test_late_time_memory_bounded(free_plan, free_system):
-    """The fine k grid is pulled back in bounded chunks, so the memory of
-    one evolve does not grow with t: t = 2000 takes ~13x the fine nodes of
-    t = 150 (1.6e6 against 1.2e5) within 1.1x the allocation peak."""
+    """The chirp moments of the fine k grid are formed in bounded chunks, so
+    the memory of one evolve does not grow with t: t = 2000 takes ~13x the
+    fine nodes of t = 150 (1.6e6 against 1.2e5) within 1.1x the allocation
+    peak."""
     import tracemalloc
 
     x = free_system.grid.nodes
     h = np.zeros((2, x.size), dtype=complex)
     h[0] = np.exp(-x**2 / 0.24)
-    free_plan.evolve(h, 150.0)          # caches the spline basis
+    free_plan.evolve(h, 150.0)          # warm-up: first-call allocations are not the evolve's
     peaks = {}
     for t in (150.0, 2000.0):
         tracemalloc.start()
@@ -213,7 +290,7 @@ def test_quadrature_convergence(default_plan, default_projector, probe_maker):
     assert rel < 1e-3
 
 
-def test_decay_reports(default_plan, default_projector, probe_maker):
+def test_decay_reports(default_plan, default_projector, probe_maker, monkeypatch):
     probes = [default_projector.apply_complement_H(probe_maker(2.0, seed_offset=60)),
               default_projector.apply_complement_H(probe_maker(3.0, seed_offset=61))]
     # Least-squares log-log slopes of the E1 curve on sub-windows of 41
@@ -226,13 +303,29 @@ def test_decay_reports(default_plan, default_projector, probe_maker):
     # L = 60 window, so they are fitted on [1, 60].
     weighted_times = np.geomspace(30.0, 150.0, 9)
     sup_times = np.geomspace(1.0, 60.0, 9)
-    for est, lo, hi, times in (("E1", -2.0, -1.35, weighted_times),
-                               ("E2", -2.0, -1.35, weighted_times),
-                               ("E3", -1.0, -0.4, sup_times),
-                               ("E4", -1.0, -0.4, sup_times)):
-        rep = verify_decay(default_plan, probes, est, times=times)
+    # These are the default windows (DECAY_WINDOWS); estimates that share
+    # one evolve each (probe, t) once: 2 probes x 9 times x 2 windows.
+    evolve = default_plan.evolve
+    calls = []
+    monkeypatch.setattr(default_plan, "evolve", lambda h, t: calls.append(t) or evolve(h, t))
+    reports = verify_decay(default_plan, probes, ["E1", "E2", "E3", "E4"])
+    assert len(calls) == 36
+    for rep, (est, lo, hi, times) in zip(reports, (("E1", -2.0, -1.35, weighted_times),
+                                                   ("E2", -2.0, -1.35, weighted_times),
+                                                   ("E3", -1.0, -0.4, sup_times),
+                                                   ("E4", -1.0, -0.4, sup_times))):
+        assert rep.estimate_id == est
+        assert np.array_equal(rep.times, times)
         assert rep.passes
         assert lo <= rep.fitted_exponent <= hi, (est, rep.fitted_exponent)
+    # a single id gives the same report as its entry in the list
+    single = verify_decay(default_plan, probes, "E4")
+    assert single.fitted_exponent == reports[3].fitted_exponent
+    assert np.array_equal(single.norms, reports[3].norms)
+    # the mass that leaves the L = 60 window grows across the E1 window
+    edge = reports[0].edge_mass
+    assert np.all((edge >= 0.0) & (edge <= 1.0))
+    assert np.all(np.diff(edge) > 0.0), edge
 
 
 def test_free_field_e3_baseline(free_plan, free_system):
@@ -254,6 +347,10 @@ def test_verify_decay_guards(default_plan, probe_maker):
         verify_decay(default_plan, [probe_maker(2.0)], "E9")
     with pytest.raises(ValueError, match="time samples"):
         verify_decay(default_plan, [probe_maker(2.0)], "E1", times=[1.0, 2.0, 3.0])
+    # E4 fits against log t
+    with pytest.raises(ValueError, match="positive"):
+        verify_decay(default_plan, [probe_maker(2.0)], ["E3", "E4"],
+                     times=np.linspace(0.0, 8.0, 9))
 
 
 def test_positivity(default_plan, probe_maker):
