@@ -58,9 +58,6 @@ def default_config_dict() -> dict:
     }
 
 
-_SCHEMA = default_config_dict()
-
-
 def _check_keys(block: dict, schema: dict, path: str):
     for key in block:
         if key not in schema:
@@ -134,6 +131,11 @@ def _validate(raw: dict):
         raise ValueError("dynamics.dt: must be at most 0.01")
     if int(d["N"]) % 2 != 0:
         raise ValueError("dynamics.N: odd point count")
+    sc = raw["scattering"]
+    if not float(sc["k_max"]) > 0:
+        raise ValueError("scattering.k_max: must be positive")
+    if any(abs(float(s)) > 0.5 for s in sc["scan_couplings"]):
+        raise ValueError("scattering.scan_couplings: |s| must be at most 0.5")
     for t in raw["propagator"]["times"]:
         if t < 0:
             raise ValueError("propagator.times: must be nonnegative")

@@ -38,7 +38,6 @@ __all__ = [
     "DiscreteSpectrum",
     "SpectralProjector",
     "assemble_L",
-    "transform_H",
     "discrete_spectrum",
     "feshbach_predict",
     "build_projector",
@@ -59,9 +58,6 @@ class LinearizedSystem:
     V1: np.ndarray
     V2: np.ndarray
     profile: Optional[SolitonProfile] = None
-    # smooth callables for off-grid evaluation (scattering marches past +-L)
-    V1_fn: Optional[object] = None
-    V2_fn: Optional[object] = None
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -74,15 +70,6 @@ class LinearizedSystem:
     @property
     def V4(self) -> np.ndarray:
         return self.V1 - self.V2
-
-    def v34_at(self, x: np.ndarray):
-        """(V3, V4) at arbitrary points, decaying tails beyond the grid."""
-        if self.V1_fn is None:
-            v1 = np.interp(x, self.grid.nodes, self.V1, left=0.0, right=0.0)
-            v2 = np.interp(x, self.grid.nodes, self.V2, left=0.0, right=0.0)
-        else:
-            v1, v2 = self.V1_fn(x), self.V2_fn(x)
-        return v1 + v2, v1 - v2
 
     # -- actions ------------------------------------------------------------
 
@@ -149,8 +136,6 @@ class LinearizedSystem:
             V1=self.V1[::stride].copy(),
             V2=self.V2[::stride].copy(),
             profile=self.profile,
-            V1_fn=self.V1_fn,
-            V2_fn=self.V2_fn,
         )
 
 
@@ -164,35 +149,7 @@ def assemble_L(profile: SolitonProfile) -> LinearizedSystem:
     vh = V(g.nodes)
     v1 = vh - f.f(phi2)
     v2 = vh - f.f(phi2) - 2.0 * f.fprime(phi2) * phi2
-
-    phi_sp = CubicSpline(g.nodes, profile.phi, extrapolate=False)
-
-    def v1_fn(x):
-        x = np.asarray(x, dtype=float)
-        ph = phi_sp(np.clip(x, g.nodes[0], g.nodes[-1]))
-        ph = np.where((x < g.nodes[0]) | (x > g.nodes[-1]), 0.0, ph)
-        return V(x) - f.f(ph**2)
-
-    def v2_fn(x):
-        x = np.asarray(x, dtype=float)
-        ph = phi_sp(np.clip(x, g.nodes[0], g.nodes[-1]))
-        ph = np.where((x < g.nodes[0]) | (x > g.nodes[-1]), 0.0, ph)
-        s = ph**2
-        return V(x) - f.f(s) - 2.0 * f.fprime(s) * s
-
-    return LinearizedSystem(
-        grid=g, beta=profile.lam, V1=v1, V2=v2, profile=profile,
-        V1_fn=v1_fn, V2_fn=v2_fn,
-    )
-
-
-def transform_H(sys: LinearizedSystem) -> LinearizedSystem:
-    """The H-frame view; returned unchanged since the system carries both.
-
-    Kept as a named operation so callers can assert the transform
-    relations (V3 = V1 + V2 pointwise, spec(H) = spec(-iL)) against it.
-    """
-    return sys
+    return LinearizedSystem(grid=g, beta=profile.lam, V1=v1, V2=v2, profile=profile)
 
 
 def feshbach_predict(h: float, vpp0: float) -> np.ndarray:
@@ -236,9 +193,6 @@ class DiscreteSpectrum:
 
     def tagged(self):
         return [self.zero_mode, self.zero_assoc, self.odd_plus, self.odd_minus]
-
-    def tagged_eigenvalues(self):
-        return np.array([0.0, 0.0, 1j * self.eps1, -1j * self.eps1])
 
 
 def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):

@@ -17,8 +17,9 @@ enter only through seven chirp moments per table interval, and the
 weights return to the table nodes through the adjoint of the spline
 construction, so nothing per coefficient is formed at a fine node.  At
 t = 0 the two branches sum to 1 - P_d, which is the sharpest global
-consistency check of the whole construction.  A Crank-Nicolson integrator for i u_t = H u provides the
-independent time-stepping oracle, and the weighted decay estimates
+consistency check of the whole construction.  A Crank-Nicolson
+integrator for i u_t = H u provides the independent time-stepping
+oracle, and the weighted decay estimates
 
     || rho_nu U(t) Pess h ||_2  <~  (1+t)^(-3/2)
     || U(t) Pess h ||_inf       <~  t^(-1/2)
@@ -174,9 +175,7 @@ class PropagatorPlan:
         # value minus e(-L, k), a rank-one patch at node 0
         self._ridx = (g.N - np.arange(g.N)) % g.N
         mu = np.sqrt(k**2 + 2.0 * self.system.beta)
-        det = np.where(np.abs(tab.detD) > 0, tab.detD, 1.0)
-        a = np.where(np.abs(tab.detD) > 0, -2j * k * tab.d12 / det, 0.0)
-        mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), a * np.exp(-mu * g.L)], axis=1)
+        mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), tab.a * np.exp(-mu * g.L)], axis=1)
         self._d0 = mirror0 - self._e[:, :, 0]
 
     def evolve(self, f: np.ndarray, t: float, branch: str = "both", stride: int = 1) -> np.ndarray:

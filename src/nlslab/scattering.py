@@ -23,6 +23,14 @@ continuum mode
 obeys |s|^2 + |r|^2 = 1 with the reflection coefficient r(k) from the
 left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
 
+Only psi1, eta, phi1 and xi1 are marched.  Every other solution and
+every pairing comes from those rows through the two symmetries of the
+even system: _mirror (x -> -x, derivative rows negated) and _s3conj
+(sigma3 conjugation), applied to the march's row layout
+(xi1, xi1', xi2, xi2').  Pairing the left expansion of e with psi1 and
+phi1 gives D (r, b) = -(W(psi1, psi2(-.)), W(phi1, psi2(-.))), so r and
+b follow from D by Cramer's rule.
+
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
 from the point where the potentials fall below 1e-17 (outside, the free
 forms are exact to machine precision).  A grid step is a few sixth-order
@@ -78,9 +86,8 @@ __all__ = [
 W_FLOOR = 1e-17          # potential tail threshold: free forms beyond
 PURGE_SPACING = 1.0      # x-distance between closed-channel purges
 MARCH_STOP = -8.0        # every leftward march ends here (see above)
-MARCH_ERR = 1e-8         # global error target of every march; MAGNUS_H
-                         # meets it ~100x over (s to ~1e-10, flat in k)
-MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W
+MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W; meets
+                         # a 1e-8 march error ~100x over (s to ~1e-10, flat in k)
 EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
 FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
 TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
@@ -101,14 +108,16 @@ def _km(sys: LinearizedSystem, lam: float):
 
 
 def _w_edge(sys: LinearizedSystem) -> float:
-    """Smallest x0 with |W| < W_FLOOR for all |x| >= x0."""
-    probe = np.linspace(0.0, 3.0 * sys.grid.L, 4096)
-    v3, v4 = sys.v34_at(probe)
-    amp = 0.5 * (np.abs(v3) + np.abs(v4))
-    beyond = np.where(amp > W_FLOOR)[0]
+    """2 past the last grid node x >= 0 with |W| >= W_FLOOR (W is even).
+
+    May lie past +L; every consumer clips it to the grid.
+    """
+    x = sys.grid.nodes
+    amp = 0.5 * (np.abs(sys.V3) + np.abs(sys.V4))
+    beyond = np.where((x >= 0.0) & (amp > W_FLOOR))[0]
     if beyond.size == 0:
         return 0.0
-    return float(probe[beyond[-1]] + 2.0)
+    return float(x[beyond[-1]] + 2.0)
 
 
 def _is_free(sys: LinearizedSystem) -> bool:
@@ -119,8 +128,9 @@ def _is_free(sys: LinearizedSystem) -> bool:
 class JostSolution:
     """One distinguished solution sampled on the grid.
 
-    values/derivs have shape [2, N]; entries outside the validity window
-    (left of the march window, xi1's transient skin) are flagged invalid.
+    y holds the row (xi1, xi1', xi2, xi2') [4, N]; values/derivs are its
+    [2, N] views.  Entries outside the validity window (left of the march
+    window, xi1's transient skin) are flagged invalid.
     """
 
     kind: str
@@ -128,18 +138,27 @@ class JostSolution:
     k: float
     mu: float
     grid: Grid
-    values: np.ndarray
-    derivs: np.ndarray
+    y: np.ndarray
     valid: np.ndarray         # boolean mask over grid nodes
     residual: float           # weighted interior ODE residual (nan if skipped)
     tail_fit_rate: float      # fitted decay rate of the normalized remainder
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.y[[0, 2]]
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return self.y[[1, 3]]
+
     def at(self, idx):
-        return self.values[:, idx], self.derivs[:, idx]
+        y = self.y[:, idx]
+        return y[[0, 2]], y[[1, 3]]
 
     def reflected_at(self, idx_of_minus_x):
         """Values of x -> X(-x) given the indices of -x."""
-        return self.values[:, idx_of_minus_x], -self.derivs[:, idx_of_minus_x]
+        y = self.y[:, idx_of_minus_x]
+        return y[[0, 2]], -y[[1, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +386,6 @@ def _march_xi(sys: LinearizedSystem, lam: float):
     return y, nodes >= nodes[j_lo] + 16.0 / mu
 
 
-def _fill_solution(sys, kind, lam, y, valid) -> JostSolution:
-    """Solution from a full-grid row y [4, N] and its validity mask."""
-    g = sys.grid
-    k, mu = _km(sys, lam)
-    values = y[(0, 2), :]
-    derivs = y[(1, 3), :]
-    resid = _ode_residual(sys, lam, values, valid)
-    rate = _tail_rate(sys, kind, lam, values)
-    return JostSolution(
-        kind=kind, lam=float(lam), k=float(k), mu=float(mu), grid=g,
-        values=values, derivs=derivs, valid=valid, residual=resid,
-        tail_fit_rate=rate,
-    )
-
-
 def _ode_residual(sys: LinearizedSystem, lam: float, values, valid) -> float:
     """Weighted sup of (H - lam) xi via an 8th-order stencil, k <= 1.5 only."""
     k, mu = _km(sys, lam)
@@ -424,6 +428,8 @@ def _decay_alpha(sys: LinearizedSystem) -> float:
 def _tail_rate(sys, kind, lam, values) -> float:
     """Fitted decay rate of the normalized remainder on the far right.
 
+    kind is a marched kind: psi1, eta, phi1 or xi1.
+
     The window ends where the potential support does: past the edge the
     remainder is at the noise floor, which would flatten the fit.
     """
@@ -434,102 +440,83 @@ def _tail_rate(sys, kind, lam, values) -> float:
     x = g.nodes
     edge = min(_w_edge(sys), 0.9 * g.L)
     sel = (x > 1.0) & (x < max(edge, 6.0))
-    if kind in ("psi1", "psi2"):
-        rem = values[0, sel] * np.exp(-1j * (k if kind == "psi1" else -k) * x[sel]) - 1.0
+    if kind == "psi1":
+        rem = values[0, sel] * np.exp(-1j * k * x[sel]) - 1.0
         rem = np.abs(rem) + np.abs(values[1, sel])
-    elif kind == "phi1":
-        rem = values[1, sel] * np.exp(mu * x[sel]) - 1.0
-        rem = np.abs(rem) + np.abs(values[0, sel] * np.exp(mu * x[sel]))
-    elif kind == "xi1":
-        rem = values[1, sel] * np.exp(-mu * x[sel]) - 1.0
-        rem = np.abs(rem) + np.abs(values[0, sel] * np.exp(-mu * x[sel]))
     elif kind == "eta":
         rem = np.abs(values[0, sel] - x[sel]) + np.abs(values[1, sel])
-    else:
-        return float("nan")
+    else:  # phi1 ~ e^(-mu x), xi1 ~ e^(mu x) in the second component
+        unit = np.exp((mu if kind == "phi1" else -mu) * x[sel])
+        rem = np.abs(values[1, sel] * unit - 1.0) + np.abs(values[0, sel] * unit)
     rate, _ = fit_exponential_decay(x[sel], rem, floor=1e-15)
     return rate
 
 
-def _reflect_solution(sol: JostSolution, kind: str) -> JostSolution:
-    g = sol.grid
-    return JostSolution(
-        kind=kind, lam=sol.lam, k=sol.k, mu=sol.mu, grid=g,
-        values=g.reflect(sol.values), derivs=-g.reflect(sol.derivs),
-        valid=g.reflect(sol.valid.astype(float)) > 0.5,
-        residual=sol.residual, tail_fit_rate=sol.tail_fit_rate,
-    )
-
-
-def _sigma3_conj(sol: JostSolution, kind: str) -> JostSolution:
-    vals = np.stack([np.conj(sol.values[0]), -np.conj(sol.values[1])])
-    ders = np.stack([np.conj(sol.derivs[0]), -np.conj(sol.derivs[1])])
-    return JostSolution(
-        kind=kind, lam=sol.lam, k=sol.k, mu=sol.mu, grid=sol.grid,
-        values=vals, derivs=ders, valid=sol.valid.copy(),
-        residual=sol.residual, tail_fit_rate=sol.tail_fit_rate,
-    )
-
-
 def _free_solution(sys, kind, lam) -> JostSolution:
+    """Closed form of a named solution of the potential-free system.
+
+    Evaluated at every node: mirroring would map x = -L onto itself,
+    where the growing forms are off by e^(2 mu L).
+    """
     g = sys.grid
     k, mu = _km(sys, lam)
     x = g.nodes
-    values = np.zeros((2, g.N), dtype=complex)
-    derivs = np.zeros((2, g.N), dtype=complex)
-    if kind == "psi1":
-        values[0] = np.exp(1j * k * x)
-        derivs[0] = 1j * k * values[0]
-    elif kind == "psi2":
-        values[0] = np.exp(-1j * k * x)
-        derivs[0] = -1j * k * values[0]
-    elif kind == "phi1":
-        values[1] = np.exp(-mu * x)
-        derivs[1] = -mu * values[1]
-    elif kind == "phi2":
-        values[1] = np.exp(mu * x)
-        derivs[1] = mu * values[1]
-    elif kind == "xi1":
-        values[1] = np.exp(mu * x)
-        derivs[1] = mu * values[1]
-    elif kind == "xi2":
-        values[1] = np.exp(-mu * x)
-        derivs[1] = -mu * values[1]
-    elif kind == "eta":
-        values[0] = x
-        derivs[0] = 1.0
+    y = np.zeros((4, g.N), dtype=complex)
+    if kind == "eta":
+        y[0], y[1] = x, 1.0
     else:
-        raise ValueError(f"unknown kind '{kind}'")
+        # the nonzero component and its rate: value e^(rate x)
+        comp, rate = {"psi1": (0, 1j * k), "psi2": (0, -1j * k),
+                      "phi1": (1, -mu), "phi2": (1, mu),
+                      "xi1": (1, mu), "xi2": (1, -mu)}[kind]
+        y[2 * comp] = np.exp(rate * x)
+        y[2 * comp + 1] = rate * y[2 * comp]
     return JostSolution(
-        kind=kind, lam=float(lam), k=k, mu=mu, grid=g, values=values,
-        derivs=derivs, valid=np.ones(g.N, dtype=bool), residual=0.0,
-        tail_fit_rate=np.inf,
+        kind=kind, lam=float(lam), k=k, mu=mu, grid=g, y=y,
+        valid=np.ones(g.N, dtype=bool), residual=0.0, tail_fit_rate=np.inf,
     )
 
 
+# the marched solution each kind is an image of
+_BASE_KIND = {"phi1": "phi1", "phi2": "phi1", "psi1": "psi1", "psi2": "psi1",
+              "xi1": "xi1", "xi2": "xi1", "eta": "eta"}
+
+
 def jost_solve(sys: LinearizedSystem, lam: float, kind: str) -> JostSolution:
-    """Construct one distinguished solution of (H - lam) xi = 0."""
-    if kind not in ("phi1", "phi2", "psi1", "psi2", "xi1", "xi2", "eta"):
+    """Construct one distinguished solution of (H - lam) xi = 0.
+
+    psi1, eta, phi1 and xi1 are marched; phi2 and xi2 are their mirrors
+    and psi2 = sigma3 conj psi1.  The residual and the tail rate are
+    those of the marched solution.
+    """
+    if kind not in _BASE_KIND:
         raise ValueError(f"unknown kind '{kind}'")
+    if kind == "eta" and abs(lam - sys.beta) > 1e-12:
+        raise ValueError("eta is defined at the threshold only")
     if _is_free(sys):
         return _free_solution(sys, kind, lam)
+    g = sys.grid
     k, mu = _km(sys, lam)
-    if kind == "eta":
-        if abs(lam - sys.beta) > 1e-12:
-            raise ValueError("eta is defined at the threshold only")
-        y, valid = _march_left(sys, np.zeros(1), ("eta", "phi1"))
-        return _fill_solution(sys, "eta", lam, y[0, 0], valid)
-    if kind in ("xi1", "xi2"):
-        sol = _fill_solution(sys, "xi1", lam, *_march_xi(sys, lam))
-        return sol if kind == "xi1" else _reflect_solution(sol, "xi2")
-    y, valid = _march_left(sys, np.array([k]), ("psi1", "phi1"))
-    if kind in ("phi1", "phi2"):
-        sol = _fill_solution(sys, "phi1", lam, y[0, 1], valid)
-        return sol if kind == "phi1" else _reflect_solution(sol, "phi2")
-    sol = _fill_solution(sys, "psi1", lam, y[0, 0], valid)
-    if kind == "psi1":
-        return sol
-    return _sigma3_conj(sol, "psi2")
+    base = _BASE_KIND[kind]
+    if base == "eta":
+        rows, valid = _march_left(sys, np.zeros(1), ("eta", "phi1"))
+        y = rows[0, 0]
+    elif base == "xi1":
+        y, valid = _march_xi(sys, lam)
+    else:
+        rows, valid = _march_left(sys, np.array([k]), ("psi1", "phi1"))
+        y = rows[0, 0 if base == "psi1" else 1]
+    values = y[[0, 2]]
+    resid = _ode_residual(sys, lam, values, valid)
+    rate = _tail_rate(sys, base, lam, values)
+    if kind == "psi2":
+        y = _s3conj(y)
+    elif kind != base:
+        y, valid = _mirror(y, np.arange(g.N)), g.reflect(valid)
+    return JostSolution(
+        kind=kind, lam=float(lam), k=float(k), mu=float(mu), grid=g, y=y,
+        valid=valid, residual=resid, tail_fit_rate=rate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +537,40 @@ def _sample_indices(grid: Grid, mu: float = 1.0, count: int = 16):
     return np.unique(np.searchsorted(grid.nodes, xs))
 
 
-def _wr(v1, d1, v2, d2):
+_DERIV_SIGN = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+
+
+def _mirror(y, idx):
+    """Rows [..., 4, N] of x -> y(-x) at the nodes idx.
+
+    Gathers y at -x and negates the derivative rows.  Node 0 (x = -L)
+    maps onto itself: +L is not a grid node.
+    """
+    n = y.shape[-1]
+    return y[..., (n - np.asarray(idx)) % n] * _DERIV_SIGN
+
+
+def _s3conj(y):
+    """sigma3 conj y for rows stacked by component, [..., 2m, N].
+
+    The lower half of the rows holds the second component (xi2, xi2' of
+    a march row, xi2 of a value pair) and changes sign.
+    """
+    out = np.conj(y)
+    out[..., y.shape[-2] // 2:, :] *= -1.0
+    return out
+
+
+def _wr(y1, y2):
     """Conserved bilinear form d1^T sigma3 v2 - d2^T sigma3 v1.
 
-    Values and derivatives carry the component axis second to last,
-    [..., c, samples].  The sigma3 weight in the closed channel is what
-    the block structure of H conserves; the plain transpose form drifts
-    across the support of the off-diagonal coupling.
+    Both arguments are march rows [..., 4, samples] (values and
+    derivatives interleaved).  The sigma3 weight in the closed channel is
+    what the block structure of H conserves; the plain transpose form
+    drifts across the support of the off-diagonal coupling.
     """
-    return (d1[..., 0, :] * v2[..., 0, :] - d1[..., 1, :] * v2[..., 1, :]
-            - d2[..., 0, :] * v1[..., 0, :] + d2[..., 1, :] * v1[..., 1, :])
+    return (y1[..., 1, :] * y2[..., 0, :] - y1[..., 3, :] * y2[..., 2, :]
+            - y2[..., 1, :] * y1[..., 0, :] + y2[..., 3, :] * y1[..., 2, :])
 
 
 def _cmedian(w):
@@ -576,20 +587,15 @@ def wronskian(X1: JostSolution, X2: JostSolution, reflect_second: bool = False):
     """
     if abs(X1.lam - X2.lam) > 1e-10:
         raise ValueError("solutions must share the spectral parameter")
-    g = X1.grid
-    idx = _sample_indices(g, X1.mu)
-    v1, d1 = X1.at(idx)
-    if reflect_second:
-        ridx = (g.N - idx) % g.N
-        v2, d2 = X2.reflected_at(ridx)
-    else:
-        v2, d2 = X2.at(idx)
-    w = _wr(v1, d1, v2, d2)
+    idx = _sample_indices(X1.grid, X1.mu)
+    y1 = X1.y[:, idx]
+    y2 = _mirror(X2.y, idx) if reflect_second else X2.y[:, idx]
+    w = _wr(y1, y2)
     med = complex(_cmedian(w))
     # a vanishing Wronskian is perfectly constant: floor the relative
     # scale at a small fraction of the largest cross product
-    prod = float(np.max(np.abs(d1[0]) * np.abs(v2[0]) + np.abs(d1[1]) * np.abs(v2[1])
-                        + np.abs(d2[0]) * np.abs(v1[0]) + np.abs(d2[1]) * np.abs(v1[1])))
+    a1, a2 = np.abs(y1), np.abs(y2)
+    prod = float(np.max(a1[1] * a2[0] + a1[3] * a2[2] + a2[1] * a1[0] + a2[3] * a1[2]))
     scale = max(abs(med), 1e-4 * prod, 1e-300)
     spread = float(np.std(w) / scale)
     if spread > 1e-5:
@@ -609,10 +615,6 @@ class WronskianMatrix:
     spread: float  # worst relative cross-point scatter among the entries
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.d11, self.d12], [self.d21, self.d22]])
-
-    @property
     def det(self) -> complex:
         return self.d11 * self.d22 - self.d12 * self.d21
 
@@ -622,39 +624,20 @@ class WronskianMatrix:
         return abs(self.d12 - self.d21) / scale
 
 
-def _dmatrix_from_pair(g: Grid, ypsi, yphi, idx_samples):
-    """D entries from marched psi1/phi1 blocks; arrays [nk, 4, N].
+def _dmatrix_from_pair(ypsi, yphi, idx_samples):
+    """D entries W(X, Y(-.)), X, Y in [psi1, phi1], from blocks [nk, 4, N].
 
     idx_samples must come from _sample_indices with the block's largest mu.
     """
-    ridx = (g.N - idx_samples) % g.N
-    vpsi = ypsi[:, (0, 2)][:, :, idx_samples]
-    dpsi = ypsi[:, (1, 3)][:, :, idx_samples]
-    vphi = yphi[:, (0, 2)][:, :, idx_samples]
-    dphi = yphi[:, (1, 3)][:, :, idx_samples]
-    vpsir = ypsi[:, (0, 2)][:, :, ridx]
-    dpsir = -ypsi[:, (1, 3)][:, :, ridx]
-    vphir = yphi[:, (0, 2)][:, :, ridx]
-    dphir = -yphi[:, (1, 3)][:, :, ridx]
-
-    w11 = _wr(vpsi, dpsi, vpsir, dpsir)
-    w12 = _wr(vpsi, dpsi, vphir, dphir)
-    w21 = _wr(vphi, dphi, vpsir, dpsir)
-    w22 = _wr(vphi, dphi, vphir, dphir)
-
-    def reduce(w):
-        return _cmedian(w), np.std(w, axis=1)
-
-    d11, s11 = reduce(w11)
-    d12, s12 = reduce(w12)
-    d21, s21 = reduce(w21)
-    d22, s22 = reduce(w22)
+    pair = np.stack([ypsi[..., idx_samples], yphi[..., idx_samples]], axis=1)
+    mirrored = np.stack([_mirror(ypsi, idx_samples), _mirror(yphi, idx_samples)], axis=1)
+    w = _wr(pair[:, :, None], mirrored[:, None])    # [nk, 2, 2, samples]
+    d = _cmedian(w)
     # cross-point scatter relative to the dominant matrix entry, so that
     # structural zeros (d12 for even potentials) do not read as drift
-    scale = np.maximum.reduce([np.abs(d11), np.abs(d12), np.abs(d21), np.abs(d22)])
-    scale = np.maximum(scale, 1e-300)
-    spread = np.max(np.stack([s11, s12, s21, s22]), axis=0) / scale
-    return d11, d12, d21, d22, spread
+    scale = np.maximum(np.max(np.abs(d), axis=(1, 2)), 1e-300)
+    spread = np.max(np.std(w, axis=-1), axis=(1, 2)) / scale
+    return d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1], spread
 
 
 def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
@@ -668,7 +651,7 @@ def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     mu_max = float(np.sqrt(np.max(ks) ** 2 + 2.0 * sys.beta))
     samples = _sample_indices(sys.grid, mu_max)
     ypsi, yphi = y[:, 0], y[:, 1]
-    return ypsi, yphi, samples, _dmatrix_from_pair(sys.grid, ypsi, yphi, samples)
+    return ypsi, yphi, samples, _dmatrix_from_pair(ypsi, yphi, samples)
 
 
 def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
@@ -697,13 +680,8 @@ def resonance_test(sys: LinearizedSystem, rel_tol: float = 1e-6) -> dict:
 
 
 def _scaled_system(sys: LinearizedSystem, s: float) -> LinearizedSystem:
-    v1fn, v2fn = sys.V1_fn, sys.V2_fn
-    return LinearizedSystem(
-        grid=sys.grid, beta=sys.beta, V1=s * sys.V1, V2=s * sys.V2,
-        profile=sys.profile,
-        V1_fn=(None if v1fn is None else (lambda x, _f=v1fn, _s=s: _s * _f(x))),
-        V2_fn=(None if v2fn is None else (lambda x, _f=v2fn, _s=s: _s * _f(x))),
-    )
+    return LinearizedSystem(grid=sys.grid, beta=sys.beta, V1=s * sys.V1, V2=s * sys.V2,
+                            profile=sys.profile)
 
 
 def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
@@ -731,8 +709,7 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
         dets[live] = d11 * d22 - d12 * d21
         wlems[live] = d11
         margins[live] = np.abs(dets[live]) / np.maximum(np.abs(d22) ** 2, 1e-300)
-    g0 = sys0.grid
-    int_v3 = float(np.real(g0.integrate(sys0.V3)))
+    int_v3 = float(np.real(sys0.grid.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan
     if np.count_nonzero(small) >= 2:
@@ -753,55 +730,25 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sr_coeffs(g: Grid, ypsi, yphi, d11, d12, d21, d22, ks, samples):
-    """Transmission s, reflection r and closed-channel weight b per k.
+def _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples):
+    """Transmission s, phi1 admixture a, reflection r and weight b per k.
 
-    s and the phi1 admixture follow from the D entries; (b, r) solve the
-    2x2 Wronskian system pairing the left expansion against phi1, psi1.
+    The right representation is e = s psi1 + a phi1.  Its left expansion
+    e = psi2(-x) + r psi1(-x) + b phi1(-x), paired with psi1 and phi1,
+    gives W(psi1, e) = W(phi1, e) = 0 (both are Jost solutions at
+    +infinity, so W(psi1, phi1) = 0), that is D (r, b) = -(c1, c2) with
+    c1 = W(psi1, psi2(-.)) and c2 = W(phi1, psi2(-.)).
     """
     det = d11 * d22 - d12 * d21
     s = 2j * ks * d22 / det
     a = -2j * ks * d12 / det
-    ridx = (g.N - samples) % g.N
-
-    def view(y, refl=False, conj=False):
-        v = y[:, (0, 2)]
-        d = y[:, (1, 3)]
-        if conj:
-            v = np.stack([np.conj(v[:, 0]), -np.conj(v[:, 1])], axis=1)
-            d = np.stack([np.conj(d[:, 0]), -np.conj(d[:, 1])], axis=1)
-        if refl:
-            return v[:, :, ridx], -d[:, :, ridx]
-        return v[:, :, samples], d[:, :, samples]
-
-    def wr(a_, b_):
-        return _cmedian(_wr(*a_, *b_))
-
-    psi = view(ypsi)
-    phi = view(yphi)
-    psi_r = view(ypsi, refl=True)
-    phi_r = view(yphi, refl=True)          # phi2
-    psi2_r = view(ypsi, refl=True, conj=True)  # psi2(-x)
-
-    w_psi_phi = wr(psi, phi)
-    w_phir_phi = wr(phi_r, phi)
-    w_psir_phi = wr(psi_r, phi)
-    w_psi2r_phi = wr(psi2_r, phi)
-    w_phir_psi = wr(phi_r, psi)
-    w_psir_psi = wr(psi_r, psi)
-    w_psi2r_psi = wr(psi2_r, psi)
-
-    # W(e, Z) = s W(psi1, Z) + a W(phi1, Z); W(phi1, phi1) = 0
-    rhs1 = s * w_psi_phi - w_psi2r_phi
-    rhs2 = a * (-w_psi_phi) - w_psi2r_psi
-    mat = np.stack([
-        np.stack([w_phir_phi, w_psir_phi], axis=-1),
-        np.stack([w_phir_psi, w_psir_psi], axis=-1),
-    ], axis=-2)
-    rhs = np.stack([rhs1, rhs2], axis=-1)
-    sol = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    b, r = sol[..., 0], sol[..., 1]
-    return s, a, b, r
+    pair = np.stack([ypsi[..., samples], yphi[..., samples]], axis=1)
+    psi2_m = _s3conj(_mirror(ypsi, samples))
+    c = _cmedian(_wr(pair, psi2_m[:, None]))
+    c1, c2 = c[:, 0], c[:, 1]
+    r = (d12 * c2 - d22 * c1) / det
+    b = (d21 * c1 - d11 * c2) / det
+    return s, a, r, b
 
 
 @dataclass(frozen=True)
@@ -813,7 +760,7 @@ class GeneralizedEigenTable:
     e: np.ndarray              # [nk, 2, N]
     s: np.ndarray              # transmission
     r: np.ndarray              # reflection
-    b: np.ndarray              # closed-channel weight of the left expansion
+    a: np.ndarray              # phi1 admixture of the right representation
     detD: np.ndarray
     d11: np.ndarray
     d12: np.ndarray
@@ -843,14 +790,12 @@ def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
     e[:, :, right] = (
         s[:, None, None] * vpsi[:, :, right] + a[:, None, None] * vphi[:, :, right]
     )
-    left = ~right
-    lidx = np.where(left)[0]
+    lidx = np.where(~right)[0]
     ridx = (n - lidx) % n
     vpsi_ref = vpsi[:, :, ridx]
-    vpsi2_ref = np.stack([np.conj(vpsi[:, 0, ridx]), -np.conj(vpsi[:, 1, ridx])], axis=1)
     vphi2 = vphi[:, :, ridx]
     e[:, :, lidx] = (
-        vpsi2_ref + r[:, None, None] * vpsi_ref + b[:, None, None] * vphi2
+        _s3conj(vpsi_ref) + r[:, None, None] * vpsi_ref + b[:, None, None] * vphi2
     )
     # node 0 sits at -L whose mirror +L is not a grid node (the periodic
     # flip wraps back to -L); use the exact potential-free forms there
@@ -865,17 +810,16 @@ def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
 def _mode_block(sys: LinearizedSystem, ks: np.ndarray):
     """Continuum modes of a block of k > 0 from one Jost march.
 
-    Returns (e [nk, 2, N], s, r, b, (d11, d12, d21, d22, spread)); raises
+    Returns (e [nk, 2, N], s, r, a, (d11, d12, d21, d22, spread)); raises
     when D is near-singular at some k of the block.
     """
-    g = sys.grid
     ypsi, yphi, samples, dmat = _pair_rows(sys, ks)
     d11, d12, d21, d22, _spread = dmat
-    s, a, b, r = _sr_coeffs(g, ypsi, yphi, d11, d12, d21, d22, ks, samples)
     det = d11 * d22 - d12 * d21
     if np.any(np.abs(det) < 1e-8 * np.maximum(np.abs(d22) ** 2, 1e-300)):
         raise ValueError("near-singular D inside the k grid")
-    return _assemble_e(g, ypsi, yphi, s, a, b, r, ks, sys.beta), s, r, b, dmat
+    s, a, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples)
+    return _assemble_e(sys.grid, ypsi, yphi, s, a, b, r, ks, sys.beta), s, r, a, dmat
 
 
 def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
@@ -894,7 +838,7 @@ def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
     if k == 0.0:
         # e(., 0) = 0 for a non-resonant system (analytic 2ik factor)
         return np.zeros((2, sys.grid.N), dtype=complex), 0.0 + 0.0j, -1.0 + 0.0j
-    e, s, r, _b, _dmat = _mode_block(sys, np.array([k]))
+    e, s, r, _a, _dmat = _mode_block(sys, np.array([k]))
     return e[0], complex(s[0]), complex(r[0])
 
 
@@ -935,7 +879,7 @@ def eigentable_build(
         ones = np.ones(ks.size, dtype=complex)
         zeros = np.zeros(ks.size, dtype=complex)
         return GeneralizedEigenTable(
-            system=sys, k=ks, e=e, s=ones, r=zeros, b=zeros,
+            system=sys, k=ks, e=e, s=ones, r=zeros, a=zeros,
             detD=4j * ks * np.sqrt(ks**2 + 2 * sys.beta),
             d11=2j * ks, d12=zeros, d21=zeros,
             d22=2.0 * np.sqrt(ks**2 + 2 * sys.beta) * ones,
@@ -951,7 +895,7 @@ def eigentable_build(
     e = np.zeros((nk, 2, g.N), dtype=complex)
     s = np.zeros(nk, dtype=complex)
     r = np.zeros(nk, dtype=complex)
-    b = np.zeros(nk, dtype=complex)
+    a = np.zeros(nk, dtype=complex)
     d11 = np.zeros(nk, dtype=complex)
     d12 = np.zeros(nk, dtype=complex)
     d21 = np.zeros(nk, dtype=complex)
@@ -959,18 +903,17 @@ def eigentable_build(
     spread = np.zeros(nk)
 
     pos = np.where(ks > 0)[0]
-    zero_idx = np.where(ks == 0)[0]
     for start in range(0, pos.size, TABLE_BLOCK):
         sel = pos[start : start + TABLE_BLOCK]
-        e[sel], s[sel], r[sel], b[sel], dmat = _mode_block(sys, ks[sel])
+        e[sel], s[sel], r[sel], a[sel], dmat = _mode_block(sys, ks[sel])
         d11[sel], d12[sel], d21[sel], d22[sel], spread[sel] = dmat
-    for i in zero_idx:
-        d = res["matrix"]
-        d11[i], d12[i], d21[i], d22[i] = d.d11, d.d12, d.d21, d.d22
-        s[i], r[i], b[i] = 0.0, -1.0, 0.0
-        # e(., 0) = 0 for a non-resonant system (analytic 2ik factor)
+    # k = 0: D from the resonance test, r = -1, and s = a = 0, so that
+    # e(., 0) = 0 for a non-resonant system (analytic 2ik factor)
+    d, zero = res["matrix"], ks == 0
+    d11[zero], d12[zero], d21[zero], d22[zero] = d.d11, d.d12, d.d21, d.d22
+    r[zero] = -1.0
     return GeneralizedEigenTable(
-        system=sys, k=ks, e=e, s=s, r=r, b=b,
+        system=sys, k=ks, e=e, s=s, r=r, a=a,
         detD=d11 * d22 - d12 * d21, d11=d11, d12=d12, d21=d21, d22=d22,
         wronskian_spread=spread, resonant=bool(res["resonant"]),
         resonance_margin=float(res["margin"]),

@@ -6,8 +6,7 @@ import pytest
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
 from nlslab.linearized import (LinearizedSystem, T_MAT, assemble_L,
                                build_projector, contour_projector,
-                               discrete_spectrum, feshbach_predict,
-                               transform_H)
+                               discrete_spectrum, feshbach_predict)
 from nlslab.solitons import solve_dlambda, solve_soliton
 
 
@@ -38,7 +37,7 @@ def test_free_operator_block_action(grid, cfg):
 
 
 def test_transform_entries(default_system):
-    sys = transform_H(default_system)
+    sys = default_system
     assert np.allclose(sys.V3, sys.V1 + sys.V2, atol=0)
     assert np.allclose(sys.V4, sys.V1 - sys.V2, atol=0)
     lo, hi = sys.ess_spectrum_H()

@@ -14,15 +14,25 @@ from nlslab.scattering import (default_k_grid, dump_table, e_over_k,
 
 
 def test_free_field_closed_forms(free_system):
-    g = free_system.grid
-    lam = free_system.beta + 1.0
-    k, mu = 1.0, np.sqrt(lam + free_system.beta)
-    phi1 = jost_solve(free_system, lam, "phi1")
-    assert np.max(np.abs(phi1.values[0])) == 0.0
-    assert np.max(np.abs(phi1.values[1] - np.exp(-mu * g.nodes))) < 1e-12 * np.max(np.exp(-mu * g.nodes))
-    psi1 = jost_solve(free_system, lam, "psi1")
-    assert np.max(np.abs(psi1.values[0] - np.exp(1j * k * g.nodes))) < 1e-12
-    assert np.max(np.abs(psi1.values[1])) == 0.0
+    """Every kind on the free system is its closed form at every node,
+    x = -L included (a mirrored growing form is off by e^(2 mu L) there)."""
+    beta = free_system.beta
+    x = free_system.grid.nodes
+    k, mu = 1.0, np.sqrt(2.0 * beta + 1.0)
+    forms = {"phi1": (1, -mu), "phi2": (1, mu), "psi1": (0, 1j * k),
+             "psi2": (0, -1j * k), "xi1": (1, mu), "xi2": (1, -mu)}
+    for kind, (comp, rate) in forms.items():
+        sol = jost_solve(free_system, beta + k * k, kind)
+        value = np.exp(rate * x)
+        for got, want in ((sol.values, value), (sol.derivs, rate * value)):
+            assert np.max(np.abs(got[1 - comp])) == 0.0, kind
+            assert np.max(np.abs(got[comp] - want) / np.abs(want)) < 1e-12, kind
+        assert np.all(sol.valid), kind
+    eta = jost_solve(free_system, beta, "eta")
+    assert np.array_equal(eta.values[0], x) and np.all(eta.derivs[0] == 1.0)
+    assert np.max(np.abs(eta.values[1])) == 0.0 and np.max(np.abs(eta.derivs[1])) == 0.0
+    with pytest.raises(ValueError, match="threshold only"):
+        jost_solve(free_system, beta + 1.0, "eta")
 
 
 def test_free_field_threshold_wronskian(free_system):
@@ -113,6 +123,24 @@ def test_wronskian_matrix_properties(default_system):
     lhs = 2j * d.k * s1
     rhs = d.d11 - d.d12**2 / d.d22
     assert abs(lhs - rhs) < 1e-6 * abs(rhs)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_wronskian_matrix_matches_jost_pairings(default_system, k):
+    """The batched D entries equal the pairings of single Jost solutions
+    against their reflections, and W(psi1, phi1) vanishes: both are Jost
+    solutions at +infinity, which the Cramer form of (r, b) relies on."""
+    lam = default_system.beta + k * k
+    d = wronskian_matrix(default_system, lam)
+    sols = {kind: jost_solve(default_system, lam, kind) for kind in ("psi1", "phi1")}
+    entries = {("psi1", "psi1"): d.d11, ("psi1", "phi1"): d.d12,
+               ("phi1", "psi1"): d.d21, ("phi1", "phi1"): d.d22}
+    scale = max(abs(d.d11), abs(d.d12), abs(d.d21), abs(d.d22))
+    for (x, y), want in entries.items():
+        got, _ = wronskian(sols[x], sols[y], reflect_second=True)
+        assert abs(got - want) <= 1e-13 * scale, (x, y)
+    w, _ = wronskian(sols["psi1"], sols["phi1"])
+    assert abs(w) < 1e-12 * scale
 
 
 def test_free_field_resonant(free_system):
