@@ -50,6 +50,9 @@ __all__ = [
 FP_TOL = 1e-13
 FP_FLOOR = 1e-6
 FP_MAX = 30
+CONSERVATION_TOL = 1e-6   # mass and energy drift per unit time
+TUBE_RADIUS = 0.5         # ||R|| bound of the decomposition, relative to ||phi||
+COND_LIMIT = 1e8          # condition number of the 2x2 modulation matrix
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,6 @@ def evolve_nls(
     T: float,
     dt: float,
     sample_every: int = 50,
-    enforce_parity: bool = True,
-    conservation_tol: float = 1e-6,
 ):
     """Conservative Crank-Nicolson trajectory of the nonlinear equation.
 
@@ -112,12 +113,13 @@ def evolve_nls(
     t = T).  The implicit step is solved by fixed-point iteration on the
     nonlinear part around a prefactored banded linear solve; iterating to
     the roundoff floor keeps the scheme's exact invariants at roundoff
-    level.  Raises when FP_MAX iterations do not reach that floor.
+    level.  The datum must be even and each step is symmetrized.  Raises
+    when FP_MAX iterations do not reach that floor.
     """
     if dt > 0.01 + 1e-15:
         raise ValueError("time step must satisfy dt <= 0.01")
     psi = np.asarray(psi0, dtype=complex).copy()
-    if enforce_parity and grid.parity_defect(psi) > 1e-8 * max(1.0, np.max(np.abs(psi))):
+    if grid.parity_defect(psi) > 1e-8 * max(1.0, np.max(np.abs(psi))):
         raise ValueError("initial datum must be even")
 
     d2 = grid.fd_d2_matrix(order=4).tocsc()
@@ -160,13 +162,13 @@ def evolve_nls(
             prev = delta
         else:
             raise ValueError(f"fixed-point iteration not settled after {FP_MAX} iterations")
-        psi = grid.symmetrize(new) if enforce_parity else new
+        psi = grid.symmetrize(new)
         t = step * dt
         if step % sample_every == 0 or step == n_steps:
             snapshot(t, psi)
             drift_n = abs(states[-1].mass - mass0) / max(mass0, 1e-300) / max(t, dt)
             drift_h = abs(states[-1].energy - energy0) / escale / max(t, dt)
-            if drift_n > conservation_tol or drift_h > conservation_tol:
+            if drift_n > CONSERVATION_TOL or drift_h > CONSERVATION_TOL:
                 raise ValueError("conservation breach")
             dens = np.abs(psi) ** 2
             outer = np.abs(grid.nodes) > 0.95 * grid.L
@@ -222,7 +224,6 @@ def modulation_decompose(
     t: float = 0.0,
     tol: float = 1e-12,
     max_iter: int = 40,
-    tube_radius: float = 0.5,
 ) -> ModulationState:
     """2d Newton for (lam, gamma) enforcing the orthogonality constraints.
 
@@ -284,7 +285,7 @@ def modulation_decompose(
     prof = family.profile(lam)
     R = np.exp(-1j * gamma) * psi - prof.phi
     rnorm = g.norm(R)
-    if rnorm > tube_radius * np.sqrt(prof.mass):
+    if rnorm > TUBE_RADIUS * np.sqrt(prof.mass):
         raise ValueError("outside tube")
     w = g.weight(nu)
     return ModulationState(
@@ -308,8 +309,7 @@ def nonlinear_remainder(f: PolynomialNonlinearity, phi: np.ndarray, R: np.ndarra
             + f.fprime(s_phi) * s_phi * (R + np.conj(R)))
 
 
-def modulation_rhs(state: ModulationState, family: SolitonFamily,
-                   cond_limit: float = 1e8):
+def modulation_rhs(state: ModulationState, family: SolitonFamily):
     """(lam_dot, gamma_dot) from the 2x2 symplectic modulation system.
 
     Projecting the fluctuation equation onto phi and phi_lam and using
@@ -336,7 +336,7 @@ def modulation_rhs(state: ModulationState, family: SolitonFamily,
         [np.imag(g.inner(R, phi_ll.astype(complex))),
          pairing + np.real(g.inner(R, phi_lam.astype(complex)))],
     ])
-    if np.linalg.cond(m) > cond_limit:
+    if np.linalg.cond(m) > COND_LIMIT:
         raise ValueError("modulation matrix singular")
     nr = nonlinear_remainder(family.nonlinearity, phi, R)
     rhs = np.array([
@@ -347,11 +347,11 @@ def modulation_rhs(state: ModulationState, family: SolitonFamily,
     return float(sol[0]), float(sol[1]), m
 
 
-def frozen_frame_decompose(series, family: SolitonFamily, T_index: int = -1):
+def frozen_frame_decompose(series, family: SolitonFamily):
     """Split the fluctuation along the frozen-time discrete directions.
 
     Given modulation samples (from modulation_decompose), freeze
-    (lam1, gamma1) at sample T, build g = e^{-i Delta1} R with the phase
+    (lam1, gamma1) at the last sample T, build g = e^{-i Delta1} R with the phase
     mismatch Delta1 anchored so Delta1(T) = 0, project out the frozen
     discrete directions (coefficients k1, k2), and return the series
     {t, k1, k2, h} with h in the essential subspace of the frozen frame.
@@ -371,7 +371,7 @@ def frozen_frame_decompose(series, family: SolitonFamily, T_index: int = -1):
     ts = np.array([s.t for s in series])
     lams = np.array([s.lam for s in series])
     gammas = np.unwrap(np.array([s.gamma for s in series]))
-    iT = T_index % len(series)
+    iT = len(series) - 1
     lam1, gamma1 = lams[iT], gammas[iT]
     prof1 = family.profile(lam1)
     phi1 = prof1.phi

@@ -12,10 +12,10 @@ from the positive one by the antilinear symmetry f -> sigma1 conj(f)
 mirror rows e(-., k) are their grid reflections except at node 0, a
 rank-one patch, so one evolve makes one pass over the table for all
 coefficients and one for the sums.  Once 2 k t outruns the table grid,
-the coefficients are spline-resampled onto a fine k grid; the fine nodes
-enter only through seven chirp moments per table interval, and the
-weights return to the table nodes through the adjoint of the spline
-construction, so nothing per coefficient is formed at a fine node.  At
+the coefficient spline in k times the chirp is integrated exactly through
+seven closed-form moments per table interval (Filon-type; Iserles and
+Norsett, Proc. R. Soc. A 461, 2005), and the weights return to the table
+nodes through the adjoint of the spline construction.  At
 t = 0 the two branches sum to 1 - P_d, which is the sharpest global
 consistency check of the whole construction.  A Crank-Nicolson
 integrator for i u_t = H u provides the independent time-stepping
@@ -30,6 +30,8 @@ are verified by log-log fits over a time window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from math import factorial
 from typing import Optional
 
 import numpy as np
@@ -52,8 +54,8 @@ __all__ = [
 ]
 
 
-K_FINE_TARGET = 0.25  # max phase increment 2 k t dk per fine-k quadrature step
-FINE_CHUNK = 2**15    # most fine-k nodes whose chirp moments are formed at once
+K_FINE_TARGET = 0.25  # max phase step 2 k t dk of the native table quadrature
+C_MAX = 5.0           # largest |t| dk^2 of a table interval the chirp moments support
 
 
 def _block_simpson_weights(k: np.ndarray) -> np.ndarray:
@@ -134,19 +136,52 @@ def _spline_adjoint(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pair_inner(grid, a, b) -> complex:
-    return grid.inner(a[0], b[0]) + grid.inner(a[1], b[1])
+def _chirp_moments(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """m[p, i] = int_0^1 s^p e^(-i(theta_i s + c_i s^2)) ds for p = 0..6.
+
+    As e^(-ics^2) = sum_j (-ic s^2)^j / j!, m[p] = sum_j (-ic)^j/j! E_(p+2j)
+    with E_q = int_0^1 s^q e^(-i theta s) ds = i (e^(-i theta) - q E_(q-1)) / theta.
+    That recurrence scales errors by q/|theta| upward and by |theta|/q
+    downward (Gautschi, SIAM Rev. 9, 1967), so E_q comes upward from E_0
+    where q + 1 <= |theta| and downward from E_Q = 0 elsewhere.  J and Q
+    are the first indices where max|c|^J/J! and the start error, damped by
+    the factors |theta|/q, fall below 2^-53.  The terms of the series sum
+    to e^|c| in size, so its rounding grows like e^|c| ulps; past
+    |c| = C_MAX (~150 ulps) it raises instead.
+    """
+    cmax = float(np.max(np.abs(c)))
+    if cmax > C_MAX:
+        raise ValueError(f"chirp moments unsupported at |t| dk^2 = {cmax:.3g} > C_MAX = {C_MAX}")
+    nterm = next(j for j in count(1) if cmax**j / factorial(j) < 2.0**-53)
+    qmax = 2 * nterm + 4                    # the highest E_q the series uses
+    a = np.abs(theta)
+    down = a < qmax + 1
+    amax = float(np.max(a, where=down, initial=0.0))
+    start = next(q for q in count(qmax + 1)
+                 if amax ** (q - qmax) * factorial(qmax) / factorial(q) < 2.0**-53)
+    eit = np.exp(-1j * theta)
+    # theta -> 0 where no q <= qmax is downward, 1 where none is upward,
+    # which keeps the values that np.where discards finite
+    ith = 1j * np.where(down, theta, 0.0)
+    e = np.zeros((qmax + 2, theta.size), dtype=complex)
+    for q in range(start, qmax + 1, -1):                   # to E_(qmax+1), in e[-1]
+        e[-1] = (eit + ith * e[-1]) / q
+    for q in range(qmax + 1, 0, -1):
+        e[q - 1] = (eit + ith * e[q]) / q
+    inv = 1j / np.where(a >= 1.0, theta, 1.0)
+    e[0] = np.where(a >= 1.0, (eit - 1.0) * inv, e[0])
+    for q in range(1, qmax + 1):
+        e[q] = np.where(q + 1 <= a, (eit - q * e[q - 1]) * inv, e[q])
+    terms = np.cumprod([np.ones_like(c)] + [-1j * c / j for j in range(1, nterm)], axis=0)
+    return sum(terms[j] * e[2 * j:2 * j + 7] for j in range(nterm))
 
 
 def pair_norm(grid, u) -> float:
-    return float(np.sqrt(np.real(_pair_inner(grid, u, u))))
+    return float(np.sqrt(np.real(grid.inner(u[0], u[0]) + grid.inner(u[1], u[1]))))
 
 
 def weighted_pair_norm(grid, u, nu: float) -> float:
-    w = grid.weight(nu)
-    return float(np.sqrt(np.real(
-        grid.integrate(w**2 * (np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2))
-    )))
+    return pair_norm(grid, grid.weight(nu) * u)
 
 
 def sup_pair_norm(u) -> float:
@@ -197,9 +232,9 @@ class PropagatorPlan:
 
         with the patch added at node 0 of R B and R D.  The weights are
         Richardson-Simpson on the table grid while 2 k t is resolved there;
-        otherwise they are those of the coefficient spline on a fine k grid,
-        formed from chirp moments and pulled back onto the table nodes
-        (_weights).
+        otherwise they are the exact integral of the coefficient spline
+        times the chirp, formed from chirp moments and pulled back onto the
+        table nodes (_weights).
         """
         f = np.asarray(f, dtype=complex)
         g = self.system.grid
@@ -232,19 +267,16 @@ class PropagatorPlan:
 
         While the phase step 2 k t dk is resolved on the table, the rows are
         coef times the phase and the Richardson-Simpson weights.  Otherwise
-        the coefficients are resampled by the not-a-knot spline S onto a
-        fine grid kf of Simpson weights, up to k_eff past which they are
-        negligible, and the rows are w = S^T D S coef with D the phase times
-        those weights.  On table interval i the spline is
-        sum_m c[m, i] tau^(3-m), tau = kf - k_i, so
+        they are w = S^T D S coef, the exact integral of the not-a-knot
+        spline S coef against the chirp D = e^(-it(beta + k^2)).  On table
+        interval i the spline is sum_m c[m, i] tau^(3-m), tau = k - k_i, so
 
-            g[m, i] = sum_{kf in i} tau^(3-m) D (S coef)
-                    = sum_m' c[m', i] M[6 - m - m', i],
-            M[p, i] = sum_{kf in i} D tau^p,  p = 0..6,
+            g[m, i] = sum_m' c[m', i] M[6 - m - m', i],
+            M[p, i] = int_0^h e^(-it(beta + (k_i + tau)^2)) tau^p dtau,
 
-        and w is the adjoint of the spline construction applied to g
-        (_spline_adjoint).  The moments are one pass over the fine nodes
-        that does not depend on coef.
+        h = k_i+1 - k_i, p = 0..6.  With tau = h s, M is e^(-it(beta + k_i^2))
+        h^(p+1) times _chirp_moments at theta = 2 t k_i h and c = t h^2, and w
+        is the adjoint of the spline construction applied to g (_spline_adjoint).
         """
         k = self.table.k[::stride]
         beta = self.system.beta
@@ -261,37 +293,10 @@ class PropagatorPlan:
                 self._native_weights[stride] = w
             return (coef * (np.exp(-1j * t * (beta + k**2)) * w)[:, None]).T
 
-        # resampled path: restrict to where the coefficients matter
-        amp = np.sum(np.abs(coef), axis=1)
-        tail = max(np.max(amp) * 1e-12, 1e-300)
-        big = np.where(amp > tail)[0]
-        k_eff = min(k[-1], k[big[-1]] + 0.5) if big.size else k[-1]
-        nfine = int(np.ceil(k_eff / min(dk_needed, dk_max)))
-        nfine = max(nfine, 400)
-        nfine += nfine % 2
-        dkf = k_eff / nfine
-        # the fine nodes go in equal chunks of at most FINE_CHUNK whose
-        # moments add up, so the memory of one evolve does not grow with t
-        n_int = k.size - 1
-        moments = np.zeros((7, n_int), dtype=complex)
-        nchunk = -(-(nfine + 1) // FINE_CHUNK)
-        size = -(-(nfine + 1) // nchunk)
-        for lo in range(0, nfine + 1, size):
-            n = np.arange(lo, min(lo + size, nfine + 1))
-            kf = dkf * n
-            wf = np.where(n % 2 == 1, 4.0, 2.0)
-            wf[(n == 0) | (n == nfine)] = 1.0
-            v = np.exp(-1j * t * (beta + kf**2)) * wf * (dkf / 3.0)
-            # kf is sorted: interval i holds the run of nodes k_i <= kf < k_i+1
-            # from starts[i]; the end intervals also take the nodes past k
-            starts = np.searchsorted(kf, k[:-1])
-            starts[0] = 0
-            counts = np.diff(starts, append=kf.size)
-            live = counts > 0
-            tau = kf - np.repeat(k[:-1], counts)
-            for p in range(7):
-                moments[p, live] += np.add.reduceat(v, starts[live])
-                v = v * tau
+        # resampled path: the spline times the chirp, integrated exactly
+        h = np.diff(k)
+        moments = _chirp_moments(2.0 * t * k[:-1] * h, t * h**2)
+        moments *= np.exp(-1j * t * (beta + k[:-1] ** 2)) * h ** np.arange(1, 8)[:, None]
         c = CubicSpline(k, coef).c                              # [4, n_int, ncol]
         order = 6 - np.arange(4)[:, None] - np.arange(4)        # [m, m']
         g = np.einsum("mni,nic->mic", moments[order], c)
@@ -331,6 +336,18 @@ def evolve_spectral(plan: PropagatorPlan, f: np.ndarray, t: float,
     return sys.to_L_frame(plan.evolve(u, -t))
 
 
+def _crank_nicolson(a, y: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """y(t) of y' = a y (a sparse) in equal Crank-Nicolson steps of at most dt."""
+    n_steps = max(1, int(np.ceil(abs(t) / dt)))
+    half = 0.5 * (t / n_steps) * a
+    eye = sparse.identity(a.shape[0], format="csc")
+    lhs = splu((eye - half).tocsc())
+    rhs = (eye + half).tocsc()
+    for _ in range(n_steps):
+        y = lhs.solve(rhs @ y)
+    return y
+
+
 def evolve_direct(
     sys: LinearizedSystem,
     f: np.ndarray,
@@ -346,17 +363,8 @@ def evolve_direct(
     u = np.asarray(f, dtype=complex)
     if projector is not None:
         u = projector.apply_complement_H(u)
-    n_steps = max(1, int(np.ceil(abs(t) / dt)))
-    dt_eff = t / n_steps
-    h = sys.H_matrix(order=4)
-    n = g.N
-    eye = sparse.identity(2 * n, format="csc")
-    lhs = splu((eye + 0.5j * dt_eff * h).tocsc())
-    rhs = (eye - 0.5j * dt_eff * h).tocsc()
-    vec = np.concatenate([u[0], u[1]])
-    for _ in range(n_steps):
-        vec = lhs.solve(rhs @ vec)
-    out = np.stack([vec[:n], vec[n:]])
+    vec = _crank_nicolson(-1j * sys.H_matrix(order=4), np.concatenate([u[0], u[1]]), t, dt)
+    out = np.stack([vec[:g.N], vec[g.N:]])
     if check_boundary:
         dens = np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2
         outer = np.abs(g.nodes) > 0.9 * g.L
@@ -372,18 +380,9 @@ def evolve_L_direct(sys: LinearizedSystem, v: np.ndarray, t: float,
     L is real, so the real and imaginary parts of v evolve independently;
     they are carried as the two columns of one real right-hand side.
     """
-    g = sys.grid
-    n_steps = max(1, int(np.ceil(abs(t) / dt)))
-    dt_eff = t / n_steps
-    lmat = sys.L_matrix(order=4)
-    n = g.N
-    eye = sparse.identity(2 * n, format="csc")
-    lhs = splu((eye - 0.5 * dt_eff * lmat).tocsc())
-    rhs = (eye + 0.5 * dt_eff * lmat).tocsc()
+    n = sys.grid.N
     vec = np.concatenate([np.asarray(v[0], dtype=complex), np.asarray(v[1], dtype=complex)])
-    cols = np.column_stack([vec.real, vec.imag])
-    for _ in range(n_steps):
-        cols = lhs.solve(rhs @ cols)
+    cols = _crank_nicolson(sys.L_matrix(order=4), np.column_stack([vec.real, vec.imag]), t, dt)
     vec = cols[:, 0] + 1j * cols[:, 1]
     return np.stack([vec[:n], vec[n:]])
 
@@ -531,8 +530,7 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
 
         e, s, r = generalized_eigenfunction(sys, lam)
         epct = np.stack([e[0], -e[1]])
-        eflip = np.stack([g.reflect(e[0]), g.reflect(e[1])])
-        epct_flip = np.stack([eflip[0], -eflip[1]])
+        epct_flip = g.reflect(epct)
         for i in live:
             fp = g.dx * np.sum(np.conj(epct) * flist[i])
             fm = g.dx * np.sum(np.conj(epct_flip) * flist[i])

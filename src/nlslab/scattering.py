@@ -779,24 +779,22 @@ class GeneralizedEigenTable:
 
 
 def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
-    """Right representation for x >= 0, left expansion for x < 0."""
-    nk = ypsi.shape[0]
+    """Right representation for x >= 0, left expansion for x < 0.
+
+    Each component of each half is written straight from the value rows
+    (0 and 2) of the march blocks; the left half reads them at -x.
+    """
     n = g.N
-    x = g.nodes
-    right = x >= 0
-    e = np.zeros((nk, 2, n), dtype=complex)
-    vpsi = ypsi[:, (0, 2)]
-    vphi = yphi[:, (0, 2)]
-    e[:, :, right] = (
-        s[:, None, None] * vpsi[:, :, right] + a[:, None, None] * vphi[:, :, right]
-    )
-    lidx = np.where(~right)[0]
-    ridx = (n - lidx) % n
-    vpsi_ref = vpsi[:, :, ridx]
-    vphi2 = vphi[:, :, ridx]
-    e[:, :, lidx] = (
-        _s3conj(vpsi_ref) + r[:, None, None] * vpsi_ref + b[:, None, None] * vphi2
-    )
+    half = int(np.count_nonzero(g.nodes < 0))    # the nodes x < 0 come first
+    mirror = (n - np.arange(half)) % n
+    e = np.zeros((ypsi.shape[0], 2, n), dtype=complex)
+    for comp, row in enumerate((0, 2)):
+        e[:, comp, half:] = s[:, None] * ypsi[:, row, half:] + a[:, None] * yphi[:, row, half:]
+        vpsi = ypsi[:, row, mirror]
+        left = np.conj(vpsi)
+        if comp:
+            left *= -1.0                           # sigma3 conj
+        e[:, comp, :half] = left + r[:, None] * vpsi + b[:, None] * yphi[:, row, mirror]
     # node 0 sits at -L whose mirror +L is not a grid node (the periodic
     # flip wraps back to -L); use the exact potential-free forms there
     ks = np.asarray(ks, dtype=float)

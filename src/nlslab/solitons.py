@@ -278,18 +278,17 @@ class SolitonFamily:
         self.grid = grid
         self._cache: dict = {}
 
-    def profile(self, lam: float, with_derivative: bool = True) -> SolitonProfile:
+    def profile(self, lam: float) -> SolitonProfile:
         key = round(float(lam), 12)
         hit = self._cache.get(key)
-        if hit is not None and (hit.phi_lam is not None or not with_derivative):
+        if hit is not None:
             return hit
         seed = None
         if self._cache:
             nearest = min(self._cache, key=lambda k: abs(k - lam))
             seed = self._cache[nearest].phi
         prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid, initial_guess=seed)
-        if with_derivative:
-            prof = solve_dlambda(prof)
+        prof = solve_dlambda(prof)
         self._cache[key] = prof
         return prof
 

@@ -6,9 +6,9 @@ from scipy.interpolate import CubicSpline
 
 from nlslab.grids import make_grid
 from nlslab.linearized import LinearizedSystem
-from nlslab.propagator import (K_FINE_TARGET, _spline_adjoint, build_plan, evolve_direct,
-                               evolve_L_direct, evolve_spectral, pair_norm,
-                               positivity_check, sup_pair_norm, verify_decay,
+from nlslab.propagator import (C_MAX, K_FINE_TARGET, _chirp_moments, _spline_adjoint,
+                               build_plan, evolve_direct, evolve_L_direct, evolve_spectral,
+                               pair_norm, positivity_check, sup_pair_norm, verify_decay,
                                weighted_pair_norm)
 from nlslab.scattering import eigentable_build
 
@@ -86,41 +86,62 @@ def test_one_pass_matches_mirror_rows(default_plan):
                 assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride, branch)
 
 
-def _dense_resample_weights(plan, coef, t):
-    """The fine-k weight rows S^T D S coef, formed node by node.
+def test_chirp_moments_match_mpmath():
+    """The closed-form chirp moments against 40-digit quadrature.
 
-    The coefficient spline is evaluated at every fine node and multiplied
-    by the chirp e^(-it(beta + kf^2)) and the Simpson weights; S^T is the
-    dense one: the products are gathered against the monomials of each
-    table interval and contracted with the spline basis through the unit
-    vectors, in blocks of table columns.
+    m[p] = int_0^1 s^p e^(-i(theta s + c s^2)) ds, so a bound on m is the
+    same bound relative to h^(p+1) on the interval moments.  The samples
+    cover theta = 0, |theta| < 1, the switch between the two recurrences
+    (q + 1 ~ |theta| for q up to 2 J + 4 = 22 at c = 0.06), |theta| far
+    above every q used, negative t (theta and c both negative), and |c| at
+    C_MAX.  Each sample is checked alone, which sets its own Taylor length
+    and recurrence start, and all of them in one call.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    samples = [(0.0, 0.5), (0.4, 0.01), (-0.7, -0.2), (9.5, 0.06), (21.7, 0.06),
+               (-120.0, -0.3), (3.0, C_MAX), (-25.0, -C_MAX)]
+    ref = np.zeros((7, len(samples)), dtype=complex)
+    with mpmath.workdps(40):
+        for i, (theta, c) in enumerate(samples):
+            th, cc = mpmath.mpf(theta), mpmath.mpf(c)
+            cuts = mpmath.linspace(0, 1, int((abs(theta) + abs(c)) / 16) + 2)
+            for p in range(7):
+                ref[p, i] = complex(mpmath.quad(
+                    lambda x: x**p * mpmath.expj(-(th * x + cc * x * x)), cuts))
+    theta, c = np.array(samples).T
+    for i in range(len(samples)):
+        m = _chirp_moments(theta[i:i + 1], c[i:i + 1])
+        assert np.max(np.abs(m[:, 0] - ref[:, i])) < 1e-13, samples[i]
+    assert np.max(np.abs(_chirp_moments(theta, c) - ref)) < 1e-13
+
+
+def _exact_resample_weights(plan, coef, t):
+    """The resampled weight rows S^T D S coef by direct quadrature.
+
+    On each table interval the coefficient spline times the chirp and the
+    monomial tau^(3-m) is integrated by Gauss-Legendre with 20 nodes plus
+    one per radian of phase across the interval.  The chirp is evaluated
+    as e^(-it(beta + k_i^2)) e^(-it tau (2 k_i + tau)), so that its
+    rounding does not grow with t k^2.  S^T is the dense one: the products
+    are contracted with the spline basis through the unit vectors, in
+    blocks of table columns.
     """
     k = plan.table.k
-    beta = plan.system.beta
-    dk_max = float(np.max(np.diff(k)))
-    dk_needed = K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0)
-    assert dk_needed < dk_max
-    amp = np.sum(np.abs(coef), axis=1)
-    big = np.where(amp > max(np.max(amp) * 1e-12, 1e-300))[0]
-    k_eff = min(k[-1], k[big[-1]] + 0.5)
-    nfine = max(int(np.ceil(k_eff / min(dk_needed, dk_max))), 400)
-    nfine += nfine % 2
-    dkf = k_eff / nfine
+    h = np.diff(k)
+    assert K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0) < np.max(h)
     spline = CubicSpline(k, coef)
-    n_int = k.size - 1
-    gathered = np.zeros((4, n_int, coef.shape[1]), dtype=complex)
-    for lo in range(0, nfine + 1, 2**16):
-        n = np.arange(lo, min(lo + 2**16, nfine + 1))
-        kf = dkf * n
-        wf = np.where(n % 2 == 1, 4.0, 2.0)
-        wf[(n == 0) | (n == nfine)] = 1.0
-        cf = spline(kf) * (np.exp(-1j * t * (beta + kf**2)) * wf * (dkf / 3.0))[:, None]
-        idx = np.clip(np.searchsorted(k, kf, side="right") - 1, 0, n_int - 1)
+    count = 20 + np.ceil(abs(t) * (2.0 * k[:-1] + h) * h).astype(int)
+    gathered = np.zeros((4, k.size - 1, coef.shape[1]), dtype=complex)
+    for n in np.unique(count):
+        idx = np.where(count == n)[0]
+        x, wq = np.polynomial.legendre.leggauss(n)
+        hi = h[idx, None]
+        tau = 0.5 * hi * (x + 1.0)                                   # [interval, node]
+        chirp = (np.exp(-1j * t * (plan.system.beta + k[idx, None] ** 2))
+                 * np.exp(-1j * t * tau * (2.0 * k[idx, None] + tau)))
+        vals = spline(k[idx, None] + tau) * (chirp * 0.5 * hi * wq)[..., None]
         for m in range(4):
-            vm = cf * ((kf - k[idx]) ** (3 - m))[:, None]
-            for c in range(coef.shape[1]):
-                gathered[m, :, c] += (np.bincount(idx, vm[:, c].real, n_int)
-                                      + 1j * np.bincount(idx, vm[:, c].imag, n_int))
+            gathered[m, idx] = np.einsum("in,inc->ic", tau ** (3 - m), vals)
     w = np.empty((coef.shape[1], k.size), dtype=complex)
     eye = np.eye(k.size)
     for j in range(0, k.size, 512):
@@ -130,12 +151,12 @@ def _dense_resample_weights(plan, coef, t):
 
 
 def test_fine_k_pullback_matches_dense_resample(default_plan, free_plan):
-    """The chirp-moment weights against the explicit fine-k resample.
+    """The chirp-moment weights against direct quadrature of the spline.
 
     _weights contracts the chirp moments of each table interval with the
     spline's interval coefficients and pulls the result back through the
-    banded adjoint of the not-a-knot construction; the reference evaluates
-    the spline at every fine node and applies the dense S^T.
+    banded adjoint of the not-a-knot construction; the reference integrates
+    spline times chirp by Gauss-Legendre and applies the dense S^T.
     """
     rng = np.random.default_rng(12)
     k = default_plan.table.k
@@ -153,17 +174,16 @@ def test_fine_k_pullback_matches_dense_resample(default_plan, free_plan):
         single = _spline_adjoint(k, g[:, :, [c]])[:, 0]
         assert np.max(np.abs(joint[:, c] - single)) <= 1e-14 * np.max(np.abs(single))
 
-    # coefficient columns with tails of different reach, so that the k_eff
-    # cut falls inside the table for some of them
+    # coefficient columns with tails of different reach
     decay = np.array([0.5, 1.0, 2.0, 3.0])
     for plan, t in ((default_plan, 2.0), (default_plan, 30.0), (default_plan, 150.0),
-                    (free_plan, 2000.0)):
+                    (default_plan, -30.0), (free_plan, 2000.0)):
         kp = plan.table.k
         ncol = 4 if plan is default_plan else 1
         coef = ((rng.standard_normal((kp.size, ncol)) + 1j * rng.standard_normal((kp.size, ncol)))
                 * np.exp(-decay[:ncol] * kp[:, None]))
         out = plan._weights(coef, t, 1)
-        ref = _dense_resample_weights(plan, coef, t)
+        ref = _exact_resample_weights(plan, coef, t)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), t
 
 
@@ -188,9 +208,11 @@ def test_free_field_closed_form_evolution(free_plan, free_system):
 def test_free_field_late_time_gaussian(free_plan, free_system):
     """A narrow Gaussian at late times against the full-line closed form.
 
-    The fine k grid keeps its phase step 2 k t dk at the target at every
-    t; at t = 2000 that takes 1.6e6 nodes on the k <= 10 table.  Simpson's
-    rule at a phase step of 0.25 leaves ~0.25^4/180 = 2e-5 relative.
+    The error, 2.45e-5 / 1.76e-5 relative at t = 600 / 2000, is not the
+    quadrature's: the exact chirp moments and a Simpson rule on a fine k
+    grid at a phase step of 0.25 give the same values.  At t = 0 the
+    probe is off by 5.3e-4, the k <= 10 cut of its spectrum; which shared
+    term sets the late-time error is not identified.
     """
     g = free_system.grid
     x = g.nodes
@@ -205,10 +227,9 @@ def test_free_field_late_time_gaussian(free_plan, free_system):
 
 
 def test_late_time_memory_bounded(free_plan, free_system):
-    """The chirp moments of the fine k grid are formed in bounded chunks, so
-    the memory of one evolve does not grow with t: t = 2000 takes ~13x the
-    fine nodes of t = 150 (1.6e6 against 1.2e5) within 1.1x the allocation
-    peak."""
+    """The chirp moments are closed-form per table interval, so the memory
+    of one evolve does not grow with t: t = 2000 and t = 1e4 stay within
+    1.1x the allocation peak of t = 150."""
     import tracemalloc
 
     x = free_system.grid.nodes
@@ -216,14 +237,28 @@ def test_late_time_memory_bounded(free_plan, free_system):
     h[0] = np.exp(-x**2 / 0.24)
     free_plan.evolve(h, 150.0)          # warm-up: first-call allocations are not the evolve's
     peaks = {}
-    for t in (150.0, 2000.0):
+    for t in (150.0, 2000.0, 1e4):
         tracemalloc.start()
         try:
             free_plan.evolve(h, t)
             peaks[t] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[2000.0] <= 1.1 * peaks[150.0], peaks
+    assert max(peaks[2000.0], peaks[1e4]) <= 1.1 * peaks[150.0], peaks
+
+
+def test_late_time_raises_past_c_max(free_plan, free_system):
+    """Past |t| dk^2 = C_MAX the chirp moments would lose digits, so evolve
+    raises instead, at either sign of t; the stride-2 table, with twice the
+    spacing, reaches the bound at a quarter of the time."""
+    x = free_system.grid.nodes
+    h = np.zeros((2, x.size), dtype=complex)
+    h[0] = np.exp(-x**2 / 0.24)
+    t_max = C_MAX / float(np.max(np.diff(free_plan.table.k))) ** 2
+    for t, stride in ((1.01 * t_max, 1), (-1.01 * t_max, 1), (0.26 * t_max, 2)):
+        with pytest.raises(ValueError, match="chirp moments unsupported"):
+            free_plan.evolve(h, t, stride=stride)
+    assert np.all(np.isfinite(free_plan.evolve(h, 0.24 * t_max, stride=2)))
 
 
 def test_direct_oracle_richardson_order(default_system, default_projector, probe_maker):
