@@ -123,6 +123,9 @@ def _validate(raw: dict):
         raise ValueError("grid.N: odd point count")
     if not (float(g["L"]) > 0):
         raise ValueError("grid.L: must be positive")
+    cp = int(g["coarse_points"])
+    if cp % 2 != 0 or cp < 16 or int(g["N"]) % cp != 0:
+        raise ValueError("grid.coarse_points: must be even, at least 16 and divide grid.N")
     m = raw["model"]
     if float(m["h"]) < 0:
         raise ValueError("model.h: must be nonnegative")

@@ -109,6 +109,8 @@ class Grid:
         4th order 5-point stencil in the interior; the two rows nearest
         each boundary fall back to the 3-point stencil (the fields that
         reach them are below truncation level anyway).  Cached per grid.
+        The coarse spectral solve folds the rows x >= 0 of this matrix at
+        x = 0 into a mirror-symmetric operator (linearized._parity_blocks).
         """
         key = (self.half_width, self.point_count, order)
         hit = _D2_CACHE.get(key)

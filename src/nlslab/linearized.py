@@ -12,18 +12,21 @@ scattering and propagator modules, with
 
     W = (1/2) [[V3, -i V4], [-i V4, -V3]],  V3 = V1 + V2,  V4 = V1 - V2.
 
-Four discrete (generalized) modes matter: the gauge pair (0, phi) and
-(dphi/dlam, 0) in the zero Jordan block, and an odd pair with small
+Four discrete (generalized) modes matter: the even gauge pair (0, phi)
+and (dphi/dlam, 0) in the zero Jordan block, and an odd pair with small
 imaginary eigenvalues +-i eps1 created by the trapping potential, with
 eps1 ~ h sqrt(2 V''(0)) from the four-dimensional reduced eigenvalue
-problem.  The biorthogonal projector P_d onto their span (adjoint
-vectors are J xi, J = [[0,1],[-1,0]]) defines P_ess = 1 - P_d.
+problem.  The trap and the profile are even, so L commutes with x -> -x,
+and discrete_spectrum finds the four per parity block of a
+mirror-symmetric coarse FD4 L.  The biorthogonal projector P_d onto their
+span (adjoint vectors are J xi, J = [[0,1],[-1,0]]) defines
+P_ess = 1 - P_d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -113,9 +116,8 @@ class LinearizedSystem:
         d2 = g.fd_d2_matrix(order=order)
         v3, v4 = self.V3, self.V4
         h11 = -d2 + sparse.diags(b + 0.5 * v3)
-        h22 = d2 - sparse.diags(b + 0.0 * v3) - sparse.diags(0.5 * v3)
         off = sparse.diags(-0.5j * v4)
-        return sparse.bmat([[h11, off], [off, h22]]).tocsc()
+        return sparse.bmat([[h11, off], [off, -h11]]).tocsc()
 
     def to_H_frame(self, v: np.ndarray) -> np.ndarray:
         """u = T* v componentwise."""
@@ -180,7 +182,7 @@ class DiscreteSpectrum:
     """Eigenvalues in the spectral gap and the four tagged modes."""
 
     system: LinearizedSystem
-    eigenvalues: np.ndarray       # coarse-grid eigenvalues with |mu| < beta - margin
+    eigenvalues: np.ndarray       # localized coarse-grid gap eigenvalues, even block then odd
     eps1: float                   # small imaginary eigenvalue (positive branch)
     zero_mode: np.ndarray         # (0, phi), stacked pair on the fine grid
     zero_assoc: np.ndarray        # (phi_lam, 0)
@@ -207,8 +209,7 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     # two plain inverse-iteration steps lock onto the FD4 eigenvector
     for _ in range(2):
         w = lu.solve(v)
-        pair = 0.5 * (np.stack([w[:n], w[n:]]) - g.reflect(np.stack([w[:n], w[n:]])))
-        w = np.concatenate(pair)
+        w = 0.5 * (w - g.reflect(w.reshape(2, n)).ravel())
         v = w / np.linalg.norm(w)
     # Newton polish against the spectral operator.  The near-singular
     # preconditioner solve blows up along the FD4 eigenvector; combining
@@ -226,8 +227,7 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
         mv = lu.solve(v)
         alpha = np.vdot(v, mr) / np.vdot(v, mv)
         w = v - (mr - alpha * mv)
-        pair = 0.5 * (np.stack([w[:n], w[n:]]) - g.reflect(np.stack([w[:n], w[n:]])))
-        w = np.concatenate(pair)
+        w = 0.5 * (w - g.reflect(w.reshape(2, n)).ravel())
         nw = np.linalg.norm(w)
         if nw == 0:
             raise ValueError("tag failure")
@@ -250,14 +250,55 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     return cand, complex(mu), float(resid), float(drop)
 
 
-def _reduced_eig(coarse: LinearizedSystem):
-    """All 2n eigenvalues of the coarse FD4 L from one n-order eigensolve.
+class _ParityBlock(NamedTuple):
+    """One parity block of the mirror-symmetric coarse FD4 (Lminus, Lplus)."""
 
-    Returns vals = [mu, -mu] and a function mapping indices into vals to
-    unit eigenvectors [2n, m]; the reduction is described in
-    discrete_spectrum.
+    x: np.ndarray                  # the block's nodes, x >= 0
+    weight: np.ndarray             # 1 at x = 0, 2 elsewhere (the node and its mirror)
+    unfold: sparse.csr_matrix      # stacked pairs [2m] -> [2n] by u(-x) = +-u(x)
+    lminus: sparse.csr_matrix
+    lplus: sparse.csr_matrix
+
+
+def _parity_blocks(coarse: LinearizedSystem):
+    """The even and odd blocks of the mirror-symmetric coarse FD4 pair.
+
+    The rows x >= 0 of the Dirichlet FD4 matrix on the n coarse nodes are
+    those of a mirror-symmetric operator on the n - 1 nodes x_1 .. x_{n-1}
+    (node -L dropped, 3-point rows at the two nodes next to each wall).
+    Composed with the unfold map they fold the 5-point stencil at x = 0 by
+    u(-x) = +-u(x): the even block on the n/2 nodes x = 0, ..., L - dx, the
+    odd block on the n/2 - 1 nodes x = dx, ..., L - dx.  The mass of an
+    unfolded vector is that of the block vector under the node weights.
     """
+    cg = coarse.grid
+    c = cg.N // 2                              # index of x = 0
+    eye = sparse.identity(cg.N, format="csc")
     lminus, lplus = coarse.blocks(order=4)
+    blocks = []
+    for sign, first in ((1.0, 0), (-1.0, 1)):
+        m = np.arange(first, c)                # node index from x = 0
+        # u at x = m dx and, for m > 0, +-u at its mirror -m dx
+        unfold = eye[:, c + m] + eye[:, c - m] @ sparse.diags(np.where(m > 0, sign, 0.0))
+        blocks.append(_ParityBlock(
+            x=cg.nodes[c + m], weight=np.where(m > 0, 2.0, 1.0),
+            unfold=sparse.block_diag((unfold, unfold), format="csr"),
+            lminus=lminus[c + m] @ unfold, lplus=lplus[c + m] @ unfold))
+    return blocks
+
+
+def _reduced_eig(lminus, lplus):
+    """All 2m eigenvalues of L = [[0, lminus], [-lplus, 0]] from one m-order eigensolve.
+
+    L squares to -diag(lminus lplus, lplus lminus), so the eigenpairs
+    (nu, x) of lminus lplus give the eigenvalues +-mu, mu = sqrt(-nu) on
+    the principal branch.  lminus lplus is not symmetric and the FD4
+    lminus need not be positive, so there is no symmetric route.  The
+    eigenvector of +-mu is (x, -+lplus x / mu); it is formed as
+    (mu x, -+lplus x), which stays finite at mu = 0, and only for the
+    columns asked for.  Returns vals = [mu, -mu] and a function mapping
+    indices into vals to unit eigenvectors [2m, k].
+    """
     nu, x = np.linalg.eig((lminus @ lplus).toarray())
     mu = np.sqrt(-nu.astype(complex))
     n = mu.size
@@ -271,11 +312,11 @@ def _reduced_eig(coarse: LinearizedSystem):
     return np.concatenate([mu, -mu]), vectors
 
 
-def _mask_density(w: np.ndarray, mask: np.ndarray):
-    """Pair density |w1|^2 + |w2|^2 of each column: (sum on mask, total)."""
+def _localized(w: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: float):
+    """Columns whose weighted pair density |w1|^2 + |w2|^2 puts more than frac on mask."""
     n = mask.size
-    dens = np.abs(w[:n]) ** 2 + np.abs(w[n:]) ** 2
-    return np.sum(dens[mask], axis=0), np.sum(dens, axis=0)
+    dens = weight[:, None] * (np.abs(w[:n]) ** 2 + np.abs(w[n:]) ** 2)
+    return np.sum(dens[mask], axis=0) > frac * np.sum(dens, axis=0)
 
 
 def discrete_spectrum(
@@ -283,86 +324,67 @@ def discrete_spectrum(
     coarse_points: int = 768,
     localization: float = 0.95,
 ) -> DiscreteSpectrum:
-    """Reduced dense eigensolve on a coarsened grid plus fine-grid refinement.
+    """Reduced dense eigensolves per parity block plus fine-grid refinement.
 
-    Only O(1) discrete modes matter, so the dense solve runs at
-    coarse_points nodes, on the Hamiltonian reduction: L squares to
-    -diag(Lminus Lplus, Lplus Lminus), so one eigensolve of the n-order
-    Lminus Lplus, eigenpairs (nu, x), gives all 2n eigenvalues of the
-    coarse L as +-mu, mu = sqrt(-nu) on the principal branch.  Lminus Lplus
-    is not symmetric and the FD4 Lminus need not be positive, so there is
-    no symmetric route.  The eigenvector of +-mu is (x, -+Lplus x / mu);
-    it is formed as (mu x, -+Lplus x), which stays finite at mu = 0, and
-    only for the columns that the gap and embedded filters read (see
-    _reduced_eig).  The gauge modes are taken from the profile (they
-    are exact), and the odd trapping pair is tagged as the coarse pair
-    closest to the reduced-matrix prediction, then refined on the fine
-    grid by shifted inverse iteration.  Gap eigenvalues are recognized by
-    eigenvector localization rather than by a distance margin, so weakly
-    bound states just inside the thresholds are still reported (they
-    break the four-mode structure and matter downstream).
+    Only O(1) discrete modes matter, so the dense solves run on n coarse
+    nodes, the largest even divisor of N from 16 up to coarse_points, on
+    the mirror-symmetric FD4 L of _parity_blocks: an even block of order
+    n/2 and an odd block of order n/2 - 1, each solved through the
+    Hamiltonian reduction of _reduced_eig.  That operator differs from
+    L_matrix only next to x = -L, where every gap mode has decayed like
+    e^(-sqrt(beta)|x|).  Gap eigenvalues are recognized by eigenvector
+    localization rather than by a distance margin, so weakly bound states
+    just inside the thresholds are still reported (they break the
+    four-mode structure and matter downstream).  The zero cluster is
+    counted in the even block; the gauge modes are taken from the profile
+    (they are exact).  The trapping pair is the odd gap eigenvalue with
+    Im > 0 closest to the reduced-matrix prediction, its conjugate partner
+    is matched in the odd block, and its vector, unfolded by odd
+    reflection, is refined on the fine grid by shifted inverse iteration.
     """
     prof = sys.profile
     if prof is None or prof.phi_lam is None:
         raise ValueError("system must carry a profile with phi_lam")
     g = sys.grid
-    n_c = min(coarse_points, g.N)
-    while g.N % n_c != 0:
-        n_c -= 1
-    coarse = sys.coarsen(n_c)
-    vals, vectors = _reduced_eig(coarse)
-
-    beta = sys.beta
-    cg0 = coarse.grid
-    interior0 = np.abs(cg0.nodes) < 0.4 * cg0.L
-    in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
-                      & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
-    vecs = vectors(in_gap)
-    inside, total = _mask_density(vecs, interior0)
-    local = inside > localization * total
-    gap_vals = vals[in_gap[local]]
-    gap_vecs = vecs[:, local]
-
-    if gap_vals.size < 4:
+    divisors = [n for n in range(16, min(coarse_points, g.N) + 1, 2) if g.N % n == 0]
+    if not divisors:
+        raise ValueError(f"coarse_points: no even divisor of N = {g.N} from 16 to {coarse_points}")
+    coarse = sys.coarsen(divisors[-1])
+    beta, half = sys.beta, coarse.grid.L
+    blocks = _parity_blocks(coarse)
+    gap, embedded = [], []
+    for blk in blocks:
+        vals, vectors = _reduced_eig(blk.lminus, blk.lplus)
+        in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
+                          & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
+        vecs = vectors(in_gap)
+        local = _localized(vecs, blk.weight, blk.x < 0.4 * half, localization)
+        gap.append((vals[in_gap[local]], vecs[:, local]))
+        # embedded-eigenvalue scan (assumption check, not enforcement): a
+        # discretized continuum mode fills the box, a genuine embedded mode
+        # is localized, so filter by interior mass fraction
+        cand = np.where((np.abs(vals.imag) > beta * (1 + 1e-6))
+                        & (np.abs(vals.real) < 1e-6))[0]
+        embedded.append(vals[cand[_localized(vectors(cand), blk.weight,
+                                             blk.x < 0.5 * half, 0.995)]])
+    (even_vals, _), (odd_vals, odd_vecs) = gap
+    if even_vals.size + odd_vals.size < 4:
         raise ValueError("tag failure")
 
     # zero cluster: within a band well separated from the trapping pair
     pred = feshbach_predict(getattr(prof.potential, "h", 0.0),
                             prof.potential.second_derivative_at_zero())
     eps_pred = float(np.max(np.abs(pred.imag)))
-    zero_band = max(1e-3, 0.25 * eps_pred)
-    zero_cluster = np.abs(gap_vals) < zero_band
-    n_zero = int(np.count_nonzero(zero_cluster))
+    zero_cluster = np.abs(even_vals) < max(1e-3, 0.25 * eps_pred)
 
-    # trapping pair: closest gap eigenvalue to +i eps_pred with odd vector
-    cg = coarse.grid
-    cand_idx = None
-    cand_dist = np.inf
-    for j in np.where(~zero_cluster)[0]:
-        mu = gap_vals[j]
-        if mu.imag <= 0:
-            continue
-        d = abs(mu - 1j * eps_pred)
-        if d < cand_dist:
-            w = gap_vecs[:, j]
-            pair = np.stack([w[: cg.N], w[cg.N:]])
-            odd_frac = cg.norm(np.concatenate(pair - (-cg.reflect(pair)))) / max(
-                cg.norm(np.concatenate(pair)), 1e-300
-            )
-            if odd_frac < 0.5:
-                cand_idx, cand_dist = j, d
-    if cand_idx is None:
+    # trapping pair: the odd gap eigenvalue closest to +i eps_pred
+    upper = odd_vals.imag > 0
+    if not np.any(upper):
         raise ValueError("tag failure")
-
-    mu0 = gap_vals[cand_idx]
-    w = gap_vecs[:, cand_idx]
-    pair0 = np.stack([w[: cg.N], w[cg.N:]])
-    pair0 = 0.5 * (pair0 - cg.reflect(pair0))
-    # interpolate to the fine grid
-    up = np.stack([
-        CubicSpline(cg.nodes, pair0[0])(g.nodes),
-        CubicSpline(cg.nodes, pair0[1])(g.nodes),
-    ])
+    j = int(np.argmin(np.where(upper, np.abs(odd_vals - 1j * eps_pred), np.inf)))
+    mu0 = odd_vals[j]
+    pair0 = (blocks[1].unfold @ odd_vecs[:, j]).reshape(2, -1)
+    up = CubicSpline(coarse.grid.nodes, pair0, axis=1)(g.nodes)
     odd_plus, mu_ref, resid, _drop = _refine_odd_mode(sys, up, mu0)
     eps1 = float(abs(mu_ref.imag))
     odd_minus = np.conj(odd_plus)  # L real: conjugate pair, (xi1, -eta1)
@@ -372,35 +394,20 @@ def discrete_spectrum(
     zero_mode = np.stack([np.zeros_like(phi), phi])
     zero_assoc = np.stack([phi_lam, np.zeros_like(phi)])
 
-    tagged_set = {cand_idx}
-    # the conjugate partner of the tagged pair
-    for j in np.where(~zero_cluster)[0]:
-        if abs(gap_vals[j] - np.conj(mu0)) < 1e-8 + 1e-6 * abs(mu0):
-            tagged_set.add(j)
-    extras = [
-        gap_vals[j]
-        for j in range(gap_vals.size)
-        if j not in tagged_set and not zero_cluster[j]
-    ]
-    # embedded-eigenvalue scan (assumption check, not enforcement): a
-    # discretized continuum mode fills the box, a genuine embedded mode is
-    # localized, so filter by interior mass fraction
-    interior = np.abs(cg.nodes) < 0.5 * cg.L
-    cand = np.where((np.abs(vals.imag) > beta * (1 + 1e-6)) & (np.abs(vals.real) < 1e-6))[0]
-    inside, total = _mask_density(vectors(cand), interior)
-    embedded = vals[cand[inside > 0.995 * total]]
-
+    # the tagged pair and its conjugate partner
+    tagged = np.abs(odd_vals - np.conj(mu0)) < 1e-8 + 1e-6 * abs(mu0)
+    tagged[j] = True
     return DiscreteSpectrum(
         system=sys,
-        eigenvalues=gap_vals,
+        eigenvalues=np.concatenate([even_vals, odd_vals]),
         eps1=eps1,
         zero_mode=zero_mode,
         zero_assoc=zero_assoc,
         odd_plus=odd_plus,
         odd_minus=odd_minus,
-        zero_cluster_size=n_zero,
-        extra_interior=np.array(extras),
-        embedded_candidates=embedded,
+        zero_cluster_size=int(np.count_nonzero(zero_cluster)),
+        extra_interior=np.concatenate([even_vals[~zero_cluster], odd_vals[~tagged]]),
+        embedded_candidates=np.concatenate(embedded),
         odd_residual=resid,
     )
 

@@ -34,3 +34,20 @@ def test_cli_exits_2_on_bad_scan_coupling(tmp_path, capsys):
     code = cli.main(["resonance", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    {"N": 3000, "coarse_points": 400},     # not a divisor of N
+    {"coarse_points": 767},                # odd
+    {"N": 3072, "coarse_points": 8},       # below 16
+])
+def test_bad_coarse_points_rejected(tmp_path, grid):
+    with pytest.raises(ValueError, match="grid.coarse_points"):
+        load_config(_write(tmp_path, {"grid": grid}))
+
+
+def test_cli_exits_2_on_bad_coarse_points(tmp_path, capsys):
+    path = _write(tmp_path, {"grid": {"N": 3000, "coarse_points": 400}})
+    code = cli.main(["spectrum", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err

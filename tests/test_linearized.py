@@ -67,27 +67,87 @@ def test_spectra_match_after_rotation(default_system):
     assert np.max(np.abs(a - b)) < 1e-8 * max(1.0, np.max(np.abs(b)))
 
 
+def _gap(vals, beta):
+    return np.where((np.abs(vals.real) < 1e-4 * beta)
+                    & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
+
+
 def test_reduced_eigensolve_matches_dense(default_system):
-    """Eigenvalues +-sqrt(-nu) of Lminus Lplus are those of the dense L."""
-    from nlslab.linearized import _reduced_eig
+    """Eigenvalues +-sqrt(-nu) of Lminus Lplus are those of the dense block L."""
+    from nlslab.linearized import _parity_blocks, _reduced_eig
 
     coarse = default_system.coarsen(256)
-    lmat = coarse.L_matrix(order=4).toarray()
-    vals, vectors = _reduced_eig(coarse)
+    for blk in _parity_blocks(coarse):
+        lminus, lplus = blk.lminus.toarray(), blk.lplus.toarray()
+        zero = np.zeros_like(lminus)
+        lmat = np.block([[zero, lminus], [-lplus, zero]])
+        vals, vectors = _reduced_eig(blk.lminus, blk.lplus)
+        dense = np.linalg.eigvals(lmat)
+        # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
+        a = 1j * np.sort_complex(-1j * vals)
+        b = 1j * np.sort_complex(-1j * dense)
+        assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
+        # the even gap holds the zero cluster (the Jordan block, split by the
+        # FD4 grid), whose vectors come from the small-mu end of
+        # (mu x, -+Lplus x); the odd gap holds the trapping pair
+        gap = _gap(vals, coarse.beta)
+        assert gap.size == 2
+        vecs = vectors(gap)
+        assert np.all(np.isfinite(vecs))
+        for mu, v in zip(vals[gap], vecs.T):
+            assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
+
+
+def test_parity_blocks_match_symmetric_operator(default_system, default_profile):
+    """The even and odd blocks together are the FD4 L on the n - 1 nodes x_1 .. x_{n-1}."""
+    from nlslab.linearized import _parity_blocks, _reduced_eig
+
+    coarse = default_system.coarsen(256)
+    n, beta = coarse.grid.N, coarse.beta
+    # Dirichlet FD4 on the mirror-symmetric nodes: 5-point rows, 3-point
+    # rows at the two nodes next to each wall
+    m = n - 1
+    d2 = sum(np.diag(np.full(m - abs(k), c / 12.0), k)
+             for k, c in zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0)))
+    for j in (0, 1, m - 2, m - 1):
+        d2[j] = 0.0
+        d2[j, j] = -2.0
+        d2[j, max(j - 1, 0):j] = 1.0
+        d2[j, j + 1:j + 2] = 1.0
+    d2 /= coarse.grid.dx ** 2
+    lminus = -d2 + np.diag(beta + coarse.V1[1:])
+    lplus = -d2 + np.diag(beta + coarse.V2[1:])
+    zero = np.zeros((m, m))
+    lmat = np.block([[zero, lminus], [-lplus, zero]])
     dense = np.linalg.eigvals(lmat)
-    # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
+
+    blocks = _parity_blocks(coarse)
+    assert [blk.x.size for blk in blocks] == [n // 2, n // 2 - 1]
+    spectra = [_reduced_eig(blk.lminus, blk.lplus) for blk in blocks]
+    vals = np.concatenate([v for v, _ in spectra])
     a = 1j * np.sort_complex(-1j * vals)
     b = 1j * np.sort_complex(-1j * dense)
     assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
-    beta = coarse.beta
-    gap = np.where((np.abs(vals.real) < 1e-4 * beta)
-                   & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
-    # the gap holds the zero cluster (the Jordan block, split by the FD4
-    # grid), whose vectors come from the small-mu end of (mu x, -+Lplus x)
-    vecs = vectors(gap)
-    assert np.all(np.isfinite(vecs))
-    for mu, v in zip(vals[gap], vecs.T):
-        assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
+    assert _gap(dense, beta).size == 4
+
+    pot = default_profile.potential
+    eps_pred = np.max(np.abs(feshbach_predict(pot.h, pot.second_derivative_at_zero()).imag))
+    (even, _), (odd, _) = spectra
+    even_gap, odd_gap = even[_gap(even, beta)], odd[_gap(odd, beta)]
+    # zero cluster from the even block, the +-i eps pair from the odd block
+    assert even_gap.size == 2 and np.all(np.abs(even_gap) < 0.25 * eps_pred)
+    assert odd_gap.size == 2 and np.all(np.abs(odd_gap) > 0.5 * eps_pred)
+    assert abs(np.sum(odd_gap)) < 1e-8 and np.max(np.abs(odd_gap.real)) < 1e-8
+    for blk, (v, vectors) in zip(blocks, spectra):
+        gap = _gap(v, beta)
+        vecs = vectors(gap)
+        # unfold onto the n coarse nodes and drop node -L from each component
+        full = (blk.unfold @ vecs).reshape(2, n, -1)[:, 1:].reshape(2 * m, -1)
+        # the node weights carry the mass of the unfolded vectors
+        mass = np.tile(blk.weight, 2) @ np.abs(vecs) ** 2
+        assert np.allclose(np.sum(np.abs(full) ** 2, axis=0), mass, rtol=1e-13, atol=0)
+        for mu, w in zip(v[gap], full.T):
+            assert np.linalg.norm(lmat @ w - mu * w) <= 1e-8 * np.linalg.norm(w)
 
 
 def test_free_H_fourier_mode(grid, cfg):
@@ -163,6 +223,31 @@ def test_small_eigenvalue_tracks_reduced_matrix():
     pred = 0.1 * np.sqrt(2 * 4.0)
     assert abs(spec.eps1 - pred) <= 0.05
     assert spec.zero_cluster_size == 2
+
+
+def test_degree4_model_on_bench_grid():
+    """A quad_gauss trap with the degree-4 nonlinearity tags the same four modes."""
+    g = make_grid(30.0, 1024)
+    f = PolynomialNonlinearity((1.0, 0.0, 0.0, -0.001))
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    spec = discrete_spectrum(assemble_L(solve_dlambda(solve_soliton(2.0, V, f, g))),
+                             coarse_points=512)
+    assert spec.zero_cluster_size == 2
+    assert spec.extra_interior.size == 0
+    assert spec.embedded_candidates.size == 0
+    assert spec.odd_residual < 1e-10
+    assert build_projector(spec).rank == 4
+
+
+def test_coarse_points_step_over_even_divisors(default_system):
+    with pytest.raises(ValueError, match="coarse_points"):
+        discrete_spectrum(default_system, coarse_points=14)
+    # the largest divisor of 1500 up to 400 is 375; the largest even one is 300
+    g = make_grid(30.0, 1500)
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    prof = solve_dlambda(solve_soliton(2.0, V, PolynomialNonlinearity((1.0,)), g))
+    spec = discrete_spectrum(assemble_L(prof), coarse_points=400)
+    assert spec.zero_cluster_size == 2 and spec.odd_residual < 1e-10
 
 
 def test_projector_algebra(default_projector, default_system, probe_maker):
