@@ -122,7 +122,7 @@ def evolve_nls(
     if grid.parity_defect(psi) > 1e-8 * max(1.0, np.max(np.abs(psi))):
         raise ValueError("initial datum must be even")
 
-    d2 = grid.fd_d2_matrix(order=4).tocsc()
+    d2 = grid.fd_d2_matrix().tocsc()
     vh = V(grid.nodes)
     lin = (-d2 + sparse.diags(vh)).tocsc()
     eye = sparse.identity(grid.N, format="csc")
@@ -458,14 +458,9 @@ class StabilityReport:
                    self.r_weighted[j], self.mass_drift[j], self.energy_drift[j])
 
 
-def default_bump(grid: Grid, width: float = 2.0, kind: str = "gauss"):
+def default_bump(grid: Grid, width: float = 2.0):
     """Even, smooth, localized perturbation shape of unit sup amplitude."""
-    x = grid.nodes
-    if kind == "gauss":
-        return np.exp(-((x / width) ** 2))
-    if kind == "sech":
-        return 1.0 / np.cosh(x / width)
-    raise ValueError("unknown bump kind")
+    return np.exp(-((grid.nodes / width) ** 2))
 
 
 def stability_experiment(

@@ -103,7 +103,7 @@ class Grid:
     def spectral_d2(self, u: np.ndarray) -> np.ndarray:
         return np.fft.ifft(-(self.wavenumbers**2) * np.fft.fft(u))
 
-    def fd_d2_matrix(self, order: int = 4) -> sparse.csr_matrix:
+    def fd_d2_matrix(self) -> sparse.csr_matrix:
         """Banded second-derivative matrix, Dirichlet truncation at +-L.
 
         4th order 5-point stencil in the interior; the two rows nearest
@@ -112,20 +112,12 @@ class Grid:
         The coarse spectral solve folds the rows x >= 0 of this matrix at
         x = 0 into a mirror-symmetric operator (linearized._parity_blocks).
         """
-        key = (self.half_width, self.point_count, order)
+        key = (self.half_width, self.point_count)
         hit = _D2_CACHE.get(key)
         if hit is not None:
             return hit
         n = self.point_count
         h2 = self.dx**2
-        if order == 2:
-            main = -2.0 * np.ones(n)
-            off = np.ones(n - 1)
-            mat = (sparse.diags([off, main, off], [-1, 0, 1]) / h2).tocsr()
-            _D2_CACHE[key] = mat
-            return mat
-        if order != 4:
-            raise ValueError("order must be 2 or 4")
         c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
         mat = sparse.diags(
             [np.full(n - 2, c[0]), np.full(n - 1, c[1]), np.full(n, c[2]),

@@ -99,21 +99,21 @@ class LinearizedSystem:
 
     # -- sparse matrices ----------------------------------------------------
 
-    def blocks(self, order: int = 4):
+    def blocks(self):
         """The banded finite-difference (Lminus, Lplus)."""
-        d2 = self.grid.fd_d2_matrix(order=order)
+        d2 = self.grid.fd_d2_matrix()
         return (-d2 + sparse.diags(self.beta + self.V1),
                 -d2 + sparse.diags(self.beta + self.V2))
 
-    def L_matrix(self, order: int = 4) -> sparse.csc_matrix:
+    def L_matrix(self) -> sparse.csc_matrix:
         g = self.grid
-        lminus, lplus = self.blocks(order)
+        lminus, lplus = self.blocks()
         zero = sparse.csr_matrix((g.N, g.N))
         return sparse.bmat([[zero, lminus], [-lplus, zero]]).tocsc()
 
-    def H_matrix(self, order: int = 4) -> sparse.csc_matrix:
+    def H_matrix(self) -> sparse.csc_matrix:
         g, b = self.grid, self.beta
-        d2 = g.fd_d2_matrix(order=order)
+        d2 = g.fd_d2_matrix()
         v3, v4 = self.V3, self.V4
         h11 = -d2 + sparse.diags(b + 0.5 * v3)
         off = sparse.diags(-0.5j * v4)
@@ -198,14 +198,17 @@ class DiscreteSpectrum:
 
 
 def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
-    """Inverse iteration with spectral defect polish on the fine grid."""
+    """Inverse iteration with spectral defect polish on the fine grid.
+
+    One LU of the FD4 L - mu0 serves every solve: mu0 is the coarse
+    eigenvalue, close enough to the fine one that the shift need not
+    follow the polish.
+    """
     g = sys.grid
-    mat = sys.L_matrix(order=4)
     n = g.N
     v = np.concatenate([v0[0], v0[1]])
     v = v / np.linalg.norm(v)
-    mu = complex(mu0)
-    lu = splu((mat - mu * sparse.identity(2 * n, format="csc")).tocsc())
+    lu = splu((sys.L_matrix() - mu0 * sparse.identity(2 * n, format="csc")).tocsc())
     # two plain inverse-iteration steps lock onto the FD4 eigenvector
     for _ in range(2):
         w = lu.solve(v)
@@ -222,7 +225,6 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
         resid = g.dx ** 0.5 * np.linalg.norm(resid_vec)
         if resid < 1e-11:
             break
-        lu = splu((mat - mu * sparse.identity(2 * n, format="csc")).tocsc())
         mr = lu.solve(resid_vec)
         mv = lu.solve(v)
         alpha = np.vdot(v, mr) / np.vdot(v, mv)
@@ -239,7 +241,6 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     pair = pair / phase
     xi = np.real(pair[0])
     eta = 1j * np.imag(pair[1])
-    drop = max(np.max(np.abs(np.imag(pair[0]))), np.max(np.abs(np.real(pair[1]))))
     cand = np.stack([xi.astype(complex), eta])
     nrm = np.sqrt(np.real(g.inner(cand[0], cand[0]) + g.inner(cand[1], cand[1])))
     cand = cand / nrm
@@ -247,7 +248,7 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     mu = g.inner(cand[0], lv[0]) + g.inner(cand[1], lv[1])
     resid = np.sqrt(np.real(g.inner(lv[0] - mu * cand[0], lv[0] - mu * cand[0])
                             + g.inner(lv[1] - mu * cand[1], lv[1] - mu * cand[1])))
-    return cand, complex(mu), float(resid), float(drop)
+    return cand, complex(mu), float(resid)
 
 
 class _ParityBlock(NamedTuple):
@@ -274,7 +275,7 @@ def _parity_blocks(coarse: LinearizedSystem):
     cg = coarse.grid
     c = cg.N // 2                              # index of x = 0
     eye = sparse.identity(cg.N, format="csc")
-    lminus, lplus = coarse.blocks(order=4)
+    lminus, lplus = coarse.blocks()
     blocks = []
     for sign, first in ((1.0, 0), (-1.0, 1)):
         m = np.arange(first, c)                # node index from x = 0
@@ -322,7 +323,6 @@ def _localized(w: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: float)
 def discrete_spectrum(
     sys: LinearizedSystem,
     coarse_points: int = 768,
-    localization: float = 0.95,
 ) -> DiscreteSpectrum:
     """Reduced dense eigensolves per parity block plus fine-grid refinement.
 
@@ -333,9 +333,10 @@ def discrete_spectrum(
     Hamiltonian reduction of _reduced_eig.  That operator differs from
     L_matrix only next to x = -L, where every gap mode has decayed like
     e^(-sqrt(beta)|x|).  Gap eigenvalues are recognized by eigenvector
-    localization rather than by a distance margin, so weakly bound states
-    just inside the thresholds are still reported (they break the
-    four-mode structure and matter downstream).  The zero cluster is
+    localization (over 95% of the mass in |x| < 0.4 L) rather than by a
+    distance margin, so weakly bound states just inside the thresholds
+    are still reported (they break the four-mode structure and matter
+    downstream).  The zero cluster is
     counted in the even block; the gauge modes are taken from the profile
     (they are exact).  The trapping pair is the odd gap eigenvalue with
     Im > 0 closest to the reduced-matrix prediction, its conjugate partner
@@ -358,15 +359,18 @@ def discrete_spectrum(
         in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
                           & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
         vecs = vectors(in_gap)
-        local = _localized(vecs, blk.weight, blk.x < 0.4 * half, localization)
+        local = _localized(vecs, blk.weight, blk.x < 0.4 * half, 0.95)
         gap.append((vals[in_gap[local]], vecs[:, local]))
         # embedded-eigenvalue scan (assumption check, not enforcement): a
         # discretized continuum mode fills the box, a genuine embedded mode
-        # is localized, so filter by interior mass fraction
+        # is localized, so filter by interior mass fraction.  The vectors of
+        # +-mu share x and their density, so each x column is tested once.
         cand = np.where((np.abs(vals.imag) > beta * (1 + 1e-6))
                         & (np.abs(vals.real) < 1e-6))[0]
-        embedded.append(vals[cand[_localized(vectors(cand), blk.weight,
-                                             blk.x < 0.5 * half, 0.995)]])
+        column = cand % (vals.size // 2)
+        cols = np.unique(column)
+        local = cols[_localized(vectors(cols), blk.weight, blk.x < 0.5 * half, 0.995)]
+        embedded.append(vals[cand[np.isin(column, local)]])
     (even_vals, _), (odd_vals, odd_vecs) = gap
     if even_vals.size + odd_vals.size < 4:
         raise ValueError("tag failure")
@@ -385,7 +389,7 @@ def discrete_spectrum(
     mu0 = odd_vals[j]
     pair0 = (blocks[1].unfold @ odd_vecs[:, j]).reshape(2, -1)
     up = CubicSpline(coarse.grid.nodes, pair0, axis=1)(g.nodes)
-    odd_plus, mu_ref, resid, _drop = _refine_odd_mode(sys, up, mu0)
+    odd_plus, mu_ref, resid = _refine_odd_mode(sys, up, mu0)
     eps1 = float(abs(mu_ref.imag))
     odd_minus = np.conj(odd_plus)  # L real: conjugate pair, (xi1, -eta1)
 
@@ -482,19 +486,18 @@ def contour_projector(
     sys: LinearizedSystem,
     fields,
     radius: float,
-    n_nodes: int = 128,
 ) -> np.ndarray:
     """Resolvent-quadrature oracle: (1/2 pi i) contour integral of (L-z)^{-1} f.
 
-    Trapezoid on the circle |z| = radius, which encloses the zero block
-    and the trapping pair but stays inside the spectral gap.  The node
-    count must beat the geometric convergence rate (radius against the
-    distance to the nearest spectrum outside), hence the 128 default.
+    Trapezoid with 128 nodes on the circle |z| = radius, which encloses
+    the zero block and the trapping pair but stays inside the spectral
+    gap.  The node count must beat the geometric convergence rate (radius
+    against the distance to the nearest spectrum outside).
     Accepts one stacked pair or a list of them (one factorization per
     node either way).
     """
     g = sys.grid
-    mat = sys.L_matrix(order=4)
+    mat = sys.L_matrix()
     n = g.N
     single = not isinstance(fields, (list, tuple))
     flist = [fields] if single else list(fields)
@@ -512,6 +515,7 @@ def contour_projector(
         return out
 
     acc = np.zeros_like(rhs)
+    n_nodes = 128
     thetas = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     for th in thetas:
         z = radius * np.exp(1j * th)

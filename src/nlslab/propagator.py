@@ -11,15 +11,16 @@ from the positive one by the antilinear symmetry f -> sigma1 conj(f)
 (sigma1 H sigma1 = -conj(H)).  Only the rows e(., k) are stored: the
 mirror rows e(-., k) are their grid reflections except at node 0, a
 rank-one patch, so one evolve makes one pass over the table for all
-coefficients and one for the sums.  Once 2 k t outruns the table grid,
-the coefficient spline in k times the chirp is integrated exactly through
-seven closed-form moments per table interval (Filon-type; Iserles and
-Norsett, Proc. R. Soc. A 461, 2005), and the weights return to the table
-nodes through the adjoint of the spline construction.  At
-t = 0 the two branches sum to 1 - P_d, which is the sharpest global
-consistency check of the whole construction.  A Crank-Nicolson
-integrator for i u_t = H u provides the independent time-stepping
-oracle, and the weighted decay estimates
+coefficients and one for the sums.  The k integral has one rule at every
+t: the coefficient spline in k times the chirp is integrated exactly
+through seven closed-form moments per table interval (Filon-type; Iserles
+and Norsett, Proc. R. Soc. A 461, 2005), and the weights return to the
+table nodes through the adjoint of the spline construction.  At t = 0
+the chirp is constant, the rule integrates the spline itself, and the two
+branches sum to 1 - P_d, which is the sharpest global consistency check
+of the whole construction.  A Crank-Nicolson integrator for i u_t = H u
+provides the independent time-stepping oracle, and the weighted decay
+estimates
 
     || rho_nu U(t) Pess h ||_2  <~  (1+t)^(-3/2)
     || U(t) Pess h ||_inf       <~  t^(-1/2)
@@ -29,7 +30,7 @@ are verified by log-log fits over a time window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from math import factorial
 from typing import Optional
@@ -54,43 +55,7 @@ __all__ = [
 ]
 
 
-K_FINE_TARGET = 0.25  # max phase step 2 k t dk of the native table quadrature
 C_MAX = 5.0           # largest |t| dk^2 of a table interval the chirp moments support
-
-
-def _block_simpson_weights(k: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights on a piecewise-uniform grid.
-
-    Each maximal uniform block gets standard Simpson weights; a block
-    with an odd interval count ends with a 3/8 panel.
-    """
-    n = k.size
-    w = np.zeros(n)
-    d = np.diff(k)
-    edges = [0]
-    for j in range(1, d.size):
-        if abs(d[j] - d[j - 1]) > 1e-12 * max(d[j], d[j - 1]):
-            edges.append(j)
-    edges.append(d.size)
-    for b in range(len(edges) - 1):
-        lo, hi = edges[b], edges[b + 1]  # interval index range
-        m = hi - lo
-        h = d[lo]
-        simp_end = hi if m % 2 == 0 else hi - 3
-        if simp_end > lo:
-            idx = np.arange(lo, simp_end + 1)
-            wb = np.ones(idx.size)
-            wb[1:-1:2] = 4.0
-            wb[2:-1:2] = 2.0
-            w[idx] += wb * h / 3.0
-        if m % 2 == 1:
-            if m >= 3:
-                idx = np.arange(simp_end, hi + 1)
-                w[idx] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
-            else:  # single leftover interval: trapezoid
-                w[lo] += 0.5 * h
-                w[hi] += 0.5 * h
-    return w
 
 
 def _spline_adjoint(k: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -195,7 +160,6 @@ class PropagatorPlan:
     system: LinearizedSystem
     table: GeneralizedEigenTable
     projector: Optional[SpectralProjector]
-    _native_weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         tab = self.table
@@ -230,11 +194,9 @@ class PropagatorPlan:
 
             e^(-itH) Pess f = [(A + R B) + sigma1 conj(C + R D)] / 2 pi,
 
-        with the patch added at node 0 of R B and R D.  The weights are
-        Richardson-Simpson on the table grid while 2 k t is resolved there;
-        otherwise they are the exact integral of the coefficient spline
-        times the chirp, formed from chirp moments and pulled back onto the
-        table nodes (_weights).
+        with the patch added at node 0 of R B and R D.  The weights are the
+        exact integral of the coefficient spline times the chirp, formed
+        from chirp moments and pulled back onto the table nodes (_weights).
         """
         f = np.asarray(f, dtype=complex)
         g = self.system.grid
@@ -265,11 +227,10 @@ class PropagatorPlan:
     def _weights(self, coef: np.ndarray, t: float, stride: int) -> np.ndarray:
         """Quadrature weight rows [ncol, nk] for the coefficient columns at t.
 
-        While the phase step 2 k t dk is resolved on the table, the rows are
-        coef times the phase and the Richardson-Simpson weights.  Otherwise
-        they are w = S^T D S coef, the exact integral of the not-a-knot
-        spline S coef against the chirp D = e^(-it(beta + k^2)).  On table
-        interval i the spline is sum_m c[m, i] tau^(3-m), tau = k - k_i, so
+        The rows are w = S^T D S coef, the exact integral of the not-a-knot
+        spline S coef against the chirp D = e^(-it(beta + k^2)), at every t
+        up to |t| dk^2 = C_MAX.  On table interval i the spline is
+        sum_m c[m, i] tau^(3-m), tau = k - k_i, so
 
             g[m, i] = sum_m' c[m', i] M[6 - m - m', i],
             M[p, i] = int_0^h e^(-it(beta + (k_i + tau)^2)) tau^p dtau,
@@ -280,20 +241,6 @@ class PropagatorPlan:
         """
         k = self.table.k[::stride]
         beta = self.system.beta
-        dk_max = float(np.max(np.diff(k)))
-        dk_needed = K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0)
-        if dk_needed >= dk_max:
-            w = self._native_weights.get(stride)
-            if w is None:
-                # Richardson-extrapolated Simpson: (16 S_h - S_2h)/15 removes
-                # the h^4 term that the long-range e^{ikx} oscillation excites
-                w2 = np.zeros(k.size)
-                w2[::2] = _block_simpson_weights(k[::2])
-                w = (16.0 * _block_simpson_weights(k) - w2) / 15.0
-                self._native_weights[stride] = w
-            return (coef * (np.exp(-1j * t * (beta + k**2)) * w)[:, None]).T
-
-        # resampled path: the spline times the chirp, integrated exactly
         h = np.diff(k)
         moments = _chirp_moments(2.0 * t * k[:-1] * h, t * h**2)
         moments *= np.exp(-1j * t * (beta + k[:-1] ** 2)) * h ** np.arange(1, 8)[:, None]
@@ -353,7 +300,6 @@ def evolve_direct(
     f: np.ndarray,
     t: float,
     dt: Optional[float] = None,
-    projector: Optional[SpectralProjector] = None,
     check_boundary: bool = True,
 ) -> np.ndarray:
     """Crank-Nicolson oracle for i u_t = H u with Dirichlet truncation."""
@@ -361,9 +307,7 @@ def evolve_direct(
     if dt is None:
         dt = 0.01 / sys.beta
     u = np.asarray(f, dtype=complex)
-    if projector is not None:
-        u = projector.apply_complement_H(u)
-    vec = _crank_nicolson(-1j * sys.H_matrix(order=4), np.concatenate([u[0], u[1]]), t, dt)
+    vec = _crank_nicolson(-1j * sys.H_matrix(), np.concatenate([u[0], u[1]]), t, dt)
     out = np.stack([vec[:g.N], vec[g.N:]])
     if check_boundary:
         dens = np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2
@@ -382,7 +326,7 @@ def evolve_L_direct(sys: LinearizedSystem, v: np.ndarray, t: float,
     """
     n = sys.grid.N
     vec = np.concatenate([np.asarray(v[0], dtype=complex), np.asarray(v[1], dtype=complex)])
-    cols = _crank_nicolson(sys.L_matrix(order=4), np.column_stack([vec.real, vec.imag]), t, dt)
+    cols = _crank_nicolson(sys.L_matrix(), np.column_stack([vec.real, vec.imag]), t, dt)
     vec = cols[:, 0] + 1j * cols[:, 1]
     return np.stack([vec[:n], vec[n:]])
 

@@ -665,13 +665,13 @@ def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
     )
 
 
-def resonance_test(sys: LinearizedSystem, rel_tol: float = 1e-6) -> dict:
+def resonance_test(sys: LinearizedSystem) -> dict:
     """Threshold-resonance verdict from det D(0) against |D22(0)|^2."""
     d = wronskian_matrix(sys, sys.beta)
     scale = max(abs(d.d22) ** 2, 1e-300)
     margin = abs(d.det) / scale
     return {
-        "resonant": bool(margin < rel_tol),
+        "resonant": bool(margin < 1e-6),
         "detD0": complex(d.det),
         "margin": float(margin),
         "d22": complex(d.d22),

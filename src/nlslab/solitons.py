@@ -67,12 +67,6 @@ class SolitonProfile:
     def field(self) -> ComplexField:
         return ComplexField(self.grid, self.phi.astype(complex), parity="even")
 
-    def dmass_dlam(self) -> float:
-        """2 <phi, dphi/dlam>; requires the derivative to be attached."""
-        if self.phi_lam is None:
-            raise ValueError("phi_lam not set; call solve_dlambda first")
-        return float(2.0 * np.real(self.grid.inner(self.phi, self.phi_lam)))
-
 
 def _residual(grid: Grid, lam, V, f, phi):
     vh = V(grid.nodes)
@@ -81,7 +75,7 @@ def _residual(grid: Grid, lam, V, f, phi):
 
 def _lplus_matrix(grid: Grid, lam, V, f, phi):
     # L_plus = -d2 + V_h + lam - f(phi^2) - 2 f'(phi^2) phi^2, banded FD4
-    d2 = grid.fd_d2_matrix(order=4)
+    d2 = grid.fd_d2_matrix()
     vh = V(grid.nodes)
     diag = vh + lam - f.f(phi**2) - 2.0 * f.fprime(phi**2) * phi**2
     from scipy import sparse
@@ -169,7 +163,7 @@ def solve_soliton(
     )
 
 
-def solve_dlambda(profile: SolitonProfile, tol: float = 1e-11) -> SolitonProfile:
+def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
     """Attach dphi/dlam, the solution of L_plus dphi = -phi.
 
     Defect-correction iteration against the spectral L_plus with the
@@ -199,7 +193,7 @@ def solve_dlambda(profile: SolitonProfile, tol: float = 1e-11) -> SolitonProfile
     u = lu.solve(rhs)
     for _ in range(12):
         defect = rhs - lplus_apply(u)
-        if grid.norm(defect) < tol * max(grid.norm(rhs), 1e-300):
+        if grid.norm(defect) < 1e-11 * max(grid.norm(rhs), 1e-300):
             break
         u = u + lu.solve(defect)
     u = grid.symmetrize(np.real(u))

@@ -48,8 +48,8 @@ def test_transform_is_unitary_conjugation(default_system):
     """H must equal -i T* L T as a matrix identity of the discretization."""
     sys = default_system
     coarse = sys.coarsen(256)
-    lmat = coarse.L_matrix(order=4).toarray()
-    hmat = coarse.H_matrix(order=4).toarray()
+    lmat = coarse.L_matrix().toarray()
+    hmat = coarse.H_matrix().toarray()
     n = coarse.grid.N
     eye = np.eye(n)
     t_big = np.block([[T_MAT[0, 0] * eye, T_MAT[0, 1] * eye],
@@ -60,8 +60,8 @@ def test_transform_is_unitary_conjugation(default_system):
 
 def test_spectra_match_after_rotation(default_system):
     coarse = default_system.coarsen(256)
-    lvals = np.linalg.eigvals(coarse.L_matrix(order=4).toarray())
-    hvals = np.linalg.eigvals(coarse.H_matrix(order=4).toarray())
+    lvals = np.linalg.eigvals(coarse.L_matrix().toarray())
+    hvals = np.linalg.eigvals(coarse.H_matrix().toarray())
     a = np.sort_complex(-1j * lvals)
     b = np.sort_complex(hvals)
     assert np.max(np.abs(a - b)) < 1e-8 * max(1.0, np.max(np.abs(b)))

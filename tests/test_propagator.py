@@ -6,7 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from nlslab.grids import make_grid
 from nlslab.linearized import LinearizedSystem
-from nlslab.propagator import (C_MAX, K_FINE_TARGET, _chirp_moments, _spline_adjoint,
+from nlslab.propagator import (C_MAX, _chirp_moments, _spline_adjoint,
                                build_plan, evolve_direct, evolve_L_direct, evolve_spectral,
                                pair_norm, positivity_check, sup_pair_norm, verify_decay,
                                weighted_pair_norm)
@@ -27,6 +27,21 @@ def test_p_ess_reproduction_t0(default_plan, default_projector, probe_maker):
         rel = pair_norm(g, default_plan.p_ess_spectral(h)
                         - default_projector.apply_complement_H(h)) / pair_norm(g, h)
         assert rel < 1e-4
+
+
+def test_p_ess_reproduction_t0_half_table(default_plan, default_projector, probe_maker):
+    """The t = 0 identity on every second table row.
+
+    The spline rule loses little on the halved table, so the stride-2
+    evolve that quadrature_converged compares against stays close to
+    1 - P_d.
+    """
+    g = default_plan.system.grid
+    for j, w in enumerate((2.0, 2.5, 3.0, 3.5, 1.8)):
+        h = probe_maker(w, seed_offset=j)
+        rel = pair_norm(g, default_plan.evolve(h, 0.0, stride=2)
+                        - default_projector.apply_complement_H(h)) / pair_norm(g, h)
+        assert rel < 5e-5
 
 
 def test_branch_decomposition(default_plan, default_projector, probe_maker):
@@ -128,7 +143,6 @@ def _exact_resample_weights(plan, coef, t):
     """
     k = plan.table.k
     h = np.diff(k)
-    assert K_FINE_TARGET / max(2.0 * k[-1] * abs(t), 1.0) < np.max(h)
     spline = CubicSpline(k, coef)
     count = 20 + np.ceil(abs(t) * (2.0 * k[:-1] + h) * h).astype(int)
     gathered = np.zeros((4, k.size - 1, coef.shape[1]), dtype=complex)
@@ -177,7 +191,8 @@ def test_fine_k_pullback_matches_dense_resample(default_plan, free_plan):
     # coefficient columns with tails of different reach
     decay = np.array([0.5, 1.0, 2.0, 3.0])
     for plan, t in ((default_plan, 2.0), (default_plan, 30.0), (default_plan, 150.0),
-                    (default_plan, -30.0), (free_plan, 2000.0)):
+                    (default_plan, -30.0), (free_plan, 2000.0),
+                    (default_plan, 0.0), (default_plan, 0.3)):
         kp = plan.table.k
         ncol = 4 if plan is default_plan else 1
         coef = ((rng.standard_normal((kp.size, ncol)) + 1j * rng.standard_normal((kp.size, ncol)))
