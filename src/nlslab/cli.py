@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_hash, default_config_dict, load_config
+from .config import ExperimentConfig, config_hash, load_config
 from .grids import validate_assumptions
 from .linearized import assemble_L, build_projector, discrete_spectrum, feshbach_predict
 from .propagator import build_plan, evolve_direct, verify_decay, weighted_pair_norm, pair_norm

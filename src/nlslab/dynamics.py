@@ -20,15 +20,15 @@ dispersive part h whose weighted norm is the decay observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .grids import ComplexField, Grid, PolynomialNonlinearity, PotentialSpec
-from .solitons import SolitonFamily, SolitonProfile
+from .grids import Grid, PolynomialNonlinearity, PotentialSpec
+from .solitons import SolitonFamily
 
 __all__ = [
     "EvolutionState",
@@ -51,6 +51,8 @@ FP_TOL = 1e-13
 FP_FLOOR = 1e-6
 FP_MAX = 30
 CONSERVATION_TOL = 1e-6   # mass and energy drift per unit time
+DECOMPOSE_TOL = 1e-12     # constraint residual of the decomposition Newton, relative
+DECOMPOSE_MAX_ITER = 40
 TUBE_RADIUS = 0.5         # ||R|| bound of the decomposition, relative to ||phi||
 COND_LIMIT = 1e8          # condition number of the 2x2 modulation matrix
 
@@ -222,8 +224,6 @@ def modulation_decompose(
     family: SolitonFamily,
     nu: float = 4.0,
     t: float = 0.0,
-    tol: float = 1e-12,
-    max_iter: int = 40,
 ) -> ModulationState:
     """2d Newton for (lam, gamma) enforcing the orthogonality constraints.
 
@@ -242,7 +242,7 @@ def modulation_decompose(
 
     prev = np.inf
     stalled = 0
-    for it in range(max_iter):
+    for it in range(DECOMPOSE_MAX_ITER):
         prof = family.profile(lam)
         phi = prof.phi
         phi_lam = prof.phi_lam
@@ -253,7 +253,7 @@ def modulation_decompose(
         g2 = np.imag(eig * ip_lam)
         err = max(abs(g1), abs(g2))
         scale = max(prof.mass, 1.0)
-        if err < tol * scale:
+        if err < DECOMPOSE_TOL * scale:
             break
         # the family itself is resolved to ~1e-12; stop at its floor
         if err > 0.5 * prev:
@@ -266,8 +266,8 @@ def modulation_decompose(
         dmass = 2.0 * np.real(g.inner(phi, phi_lam))
         j11 = np.real(eig * ip_lam) - dmass            # d g1 / d lam
         j12 = -np.imag(eig * ip_phi)                   # d g1 / d gamma
-        # the (2,1) entry is O(||R||); dropping it keeps the iteration
-        # superlinear and saves two profile solves per step
+        # the (2,1) entry Im(e^(i gamma) <psi, phi_lamlam>) = Im<R, phi_lamlam>
+        # is O(||R||); dropping it keeps the iteration superlinear
         j21 = 0.0
         j22 = np.real(eig * ip_lam)                    # d g2 / d gamma
         det = j11 * j22 - j12 * j21
@@ -327,7 +327,7 @@ def modulation_rhs(state: ModulationState, family: SolitonFamily):
     prof = family.profile(state.lam)
     phi = prof.phi
     phi_lam = prof.phi_lam
-    phi_ll = family.phi_lamlam(state.lam)
+    phi_ll = prof.phi_lamlam
     R = state.fluctuation
     pairing = np.real(g.inner(phi_lam.astype(complex), phi.astype(complex)))
     m = np.array([

@@ -91,6 +91,7 @@ MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W; meets
 EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
 FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
 TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
+EK_DELTA = 2e-3          # k step of the (e/k) stencils and of its k -> 0 limit
 
 
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
@@ -936,9 +937,8 @@ def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
     s_over_k = 2j * a22[0] / det
     a_over_k = -2j * a12[0] / det
     out = s_over_k * fp[0, (0, 2)] + a_over_k * fh[0, (0, 2)]
-    delta = 2e-3
-    lo = e_over_k(sys, delta)
-    hi = e_over_k(sys, 2 * delta)
+    lo = e_over_k(sys, EK_DELTA)
+    hi = e_over_k(sys, 2 * EK_DELTA)
     left = g.nodes < 0
     out[:, left] = 2.0 * lo[:, left] - hi[:, left]
     return out
@@ -946,48 +946,37 @@ def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
 
 _FD5_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _FD5_SECOND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+GROWTH_K = (0.01, 0.03, 0.08, 0.2, 0.5, 1.0, 2.0, 4.0)  # k list of the growth sup
 
 
-def ek_growth_report(
-    sys: LinearizedSystem,
-    k_report=None,
-    delta: float = 2e-3,
-    x_min: float = 2.0,
-    x_hi_frac: float = 0.45,
-    n_x: int = 14,
-):
+def ek_growth_report(sys: LinearizedSystem):
     """Spatial-growth fits of sup_k |d^n/dk^n (e/k)| for n = 0, 1, 2.
 
-    The k-derivatives are 5-point central stencils of the analytic
-    (e/k) rows (never a division of sampled e by k near the threshold:
-    the k = 0 row uses the closed analytic factor).  For each |x| the
-    sup runs over the report k list and both signs of x; the returned
-    exponents are log-log fits against (1 + |x|) and should sit near
-    n + 1.
+    The k-derivatives are 5-point central stencils of step EK_DELTA on the
+    analytic (e/k) rows (never a division of sampled e by k near the
+    threshold: the k = 0 row uses the closed analytic factor).  For each
+    |x| on 14 geometric nodes in [2, 0.45 L] the sup runs over GROWTH_K
+    and both signs of x; the returned exponents are log-log fits against
+    (1 + |x|) and should sit near n + 1.
     """
     g = sys.grid
-    if k_report is None:
-        k_report = np.array([0.01, 0.03, 0.08, 0.2, 0.5, 1.0, 2.0, 4.0])
-    k_report = np.asarray(k_report, dtype=float)
-    stencil = np.arange(-2, 3) * delta
-    ks = np.unique(np.concatenate([(k + stencil) for k in k_report]))
-    if np.any(ks <= 0):
-        raise ValueError("report k values must exceed 2*delta")
+    stencil = np.arange(-2, 3) * EK_DELTA
+    ks = np.unique(np.concatenate([(k + stencil) for k in GROWTH_K]))
     rows = _mode_block(sys, ks)[0] / ks[:, None, None]
     row0 = e_over_k(sys, 0.0)
 
     sup = {0: np.zeros(g.N), 1: np.zeros(g.N), 2: np.zeros(g.N)}
     sup[0] = np.maximum(sup[0], np.max(np.abs(row0), axis=0))
-    for k in k_report:
+    for k in GROWTH_K:
         idx = np.array([int(np.argmin(np.abs(ks - (k + s)))) for s in stencil])
         block = rows[idx]
         sup[0] = np.maximum(sup[0], np.max(np.abs(block[2]), axis=0))
-        d1 = np.tensordot(_FD5_FIRST, block, axes=(0, 0)) / delta
-        d2 = np.tensordot(_FD5_SECOND, block, axes=(0, 0)) / delta**2
+        d1 = np.tensordot(_FD5_FIRST, block, axes=(0, 0)) / EK_DELTA
+        d2 = np.tensordot(_FD5_SECOND, block, axes=(0, 0)) / EK_DELTA**2
         sup[1] = np.maximum(sup[1], np.max(np.abs(d1), axis=0))
         sup[2] = np.maximum(sup[2], np.max(np.abs(d2), axis=0))
 
-    xs = np.geomspace(x_min, x_hi_frac * g.L, n_x)
+    xs = np.geomspace(2.0, 0.45 * g.L, 14)
     exponents = {}
     curves = {}
     for n in (0, 1, 2):
@@ -1000,7 +989,7 @@ def ek_growth_report(
         slope, _ = np.polyfit(np.log(1.0 + xs), np.log(vals), 1)
         exponents[n] = float(slope)
         curves[n] = (xs, vals)
-    return {"exponents": exponents, "curves": curves, "k_report": k_report}
+    return {"exponents": exponents, "curves": curves, "k_report": np.array(GROWTH_K)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,29 @@ finite-difference Jacobian as a defect-correction preconditioner.  That
 combination converges to the continuum profile to ~1e-12 while keeping
 every linear solve O(N).
 
-The frequency derivative d(phi)/d(lam) solves L_plus dphi = -phi with the
-same defect-correction scheme, and the mass scan N(lam) provides the
-orbital-stability index dN/dlam.
+The frequency derivatives come from one banded factor of L_plus: with
+G(phi) = f(phi^2) phi, differentiating the profile equation in lam gives
+
+    L_plus phi_lam    = -phi
+    L_plus phi_lamlam = -2 phi_lam + G''(phi) phi_lam^2,
+
+both solved by the same defect correction against the spectral L_plus.
+The mass scan N(lam) provides the orbital-stability index dN/dlam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from .grids import (
-    ComplexField,
     Grid,
     PolynomialNonlinearity,
     PotentialSpec,
     fit_exponential_decay,
-    make_grid,
     validate_assumptions,
 )
 
@@ -48,11 +51,12 @@ __all__ = [
 # downstream lambda-derivatives and modulation solves see a smooth family
 RESIDUAL_TOL = 1e-9
 TARGET_TOL = 5e-13
+NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
 class SolitonProfile:
-    """Ground state phi, optionally with its lambda-derivative attached."""
+    """Ground state phi, optionally with its lambda-derivatives attached."""
 
     lam: float
     potential: PotentialSpec
@@ -63,9 +67,7 @@ class SolitonProfile:
     residual_sup: float
     mass: float
     tail_rate: float  # fitted decay exponent of phi
-
-    def field(self) -> ComplexField:
-        return ComplexField(self.grid, self.phi.astype(complex), parity="even")
+    phi_lamlam: Optional[np.ndarray] = None
 
 
 def _residual(grid: Grid, lam, V, f, phi):
@@ -73,14 +75,17 @@ def _residual(grid: Grid, lam, V, f, phi):
     return np.real(-grid.spectral_d2(phi) + (lam + vh) * phi - f.f(phi**2) * phi)
 
 
-def _lplus_matrix(grid: Grid, lam, V, f, phi):
-    # L_plus = -d2 + V_h + lam - f(phi^2) - 2 f'(phi^2) phi^2, banded FD4
-    d2 = grid.fd_d2_matrix()
-    vh = V(grid.nodes)
-    diag = vh + lam - f.f(phi**2) - 2.0 * f.fprime(phi**2) * phi**2
+def _lplus_diag(grid: Grid, lam, V, f, phi):
+    # L_plus = -d2 + diag, diag = V_h + lam - f(phi^2) - 2 f'(phi^2) phi^2
+    s = phi**2
+    return V(grid.nodes) + lam - f.f(s) - 2.0 * f.fprime(s) * s
+
+
+def _lplus_matrix(grid: Grid, diag):
+    # the banded FD4 L_plus
     from scipy import sparse
 
-    return (-d2 + sparse.diags(diag)).tocsc()
+    return (-grid.fd_d2_matrix() + sparse.diags(diag)).tocsc()
 
 
 def solve_soliton(
@@ -89,9 +94,6 @@ def solve_soliton(
     f: PolynomialNonlinearity,
     grid: Grid,
     initial_guess: Optional[np.ndarray] = None,
-    max_iter: int = 60,
-    tol: float = TARGET_TOL,
-    accept_tol: float = RESIDUAL_TOL,
 ) -> SolitonProfile:
     """Damped Newton solve of the profile equation with positivity guard.
 
@@ -118,10 +120,10 @@ def solve_soliton(
     res = _residual(grid, lam, V, f, phi)
     res_sup = float(np.max(np.abs(res)))
     stalled = 0
-    for _ in range(max_iter):
-        if res_sup < tol or (stalled >= 2 and res_sup < accept_tol):
+    for _ in range(NEWTON_MAX_ITER):
+        if res_sup < TARGET_TOL or (stalled >= 2 and res_sup < RESIDUAL_TOL):
             break
-        lu = splu(_lplus_matrix(grid, lam, V, f, phi))
+        lu = splu(_lplus_matrix(grid, _lplus_diag(grid, lam, V, f, phi)))
         step = lu.solve(res)
         step = np.real(step)
         damping = 1.0
@@ -131,17 +133,17 @@ def solve_soliton(
             if np.min(cand) > -1e-13 * np.max(cand):
                 new_res = _residual(grid, lam, V, f, cand)
                 new_sup = float(np.max(np.abs(new_res)))
-                if new_sup < res_sup or new_sup < tol:
+                if new_sup < res_sup or new_sup < TARGET_TOL:
                     stalled = stalled + 1 if new_sup > 0.5 * res_sup else 0
                     phi, res, res_sup = cand, new_res, new_sup
                     break
             damping *= 0.5
         else:
-            if res_sup < accept_tol:
+            if res_sup < RESIDUAL_TOL:
                 break
             raise ValueError("positivity lost")
     else:
-        if res_sup >= accept_tol:
+        if res_sup >= RESIDUAL_TOL:
             raise ValueError(f"Newton diverged (last residual {res_sup:.3e})")
 
     if np.min(phi) < -1e-11 * np.max(phi):
@@ -163,33 +165,12 @@ def solve_soliton(
     )
 
 
-def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
-    """Attach dphi/dlam, the solution of L_plus dphi = -phi.
-
-    Defect-correction iteration against the spectral L_plus with the
-    banded FD4 factorization as preconditioner; raises when the banded
-    L_plus is numerically singular (lambda at a bifurcation point).
-    """
-    if profile.residual_sup > 10 * RESIDUAL_TOL:
-        raise ValueError("profile residual too large for derivative solve")
-    grid, lam = profile.grid, profile.lam
-    V, f, phi = profile.potential, profile.nonlinearity, profile.phi
-    mat = _lplus_matrix(grid, lam, V, f, phi)
-    # crude singularity guard: inverse power step on a random probe
-    lu = splu(mat)
-    rng = np.random.default_rng(0)
-    probe = grid.symmetrize(rng.standard_normal(grid.N))
-    grow = grid.norm(lu.solve(probe)) / max(grid.norm(probe), 1e-300)
-    if grow > 1e10:
-        raise ValueError("L_plus singular")
-
-    vh = V(grid.nodes)
-    diag = vh + lam - f.f(phi**2) - 2.0 * f.fprime(phi**2) * phi**2
+def _defect_solve(grid: Grid, lu, diag, rhs):
+    """Spectral L_plus u = rhs by defect correction on the banded factor lu."""
 
     def lplus_apply(u):
         return np.real(-grid.spectral_d2(u) + diag * u)
 
-    rhs = -phi
     u = lu.solve(rhs)
     for _ in range(12):
         defect = rhs - lplus_apply(u)
@@ -197,20 +178,38 @@ def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
             break
         u = u + lu.solve(defect)
     u = grid.symmetrize(np.real(u))
-    rel = grid.norm(lplus_apply(u) + phi) / grid.norm(phi)
+    rel = grid.norm(lplus_apply(u) - rhs) / grid.norm(rhs)
     if rel > 1e-8:
         raise ValueError(f"derivative solve did not converge (rel {rel:.2e})")
-    return SolitonProfile(
-        lam=profile.lam,
-        potential=profile.potential,
-        nonlinearity=profile.nonlinearity,
-        grid=grid,
-        phi=profile.phi,
-        phi_lam=u,
-        residual_sup=profile.residual_sup,
-        mass=profile.mass,
-        tail_rate=profile.tail_rate,
-    )
+    return u
+
+
+def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
+    """Attach phi_lam and phi_lamlam, solved with one banded L_plus factor.
+
+    L_plus phi_lam = -phi and L_plus phi_lamlam = -2 phi_lam + G''(phi)
+    phi_lam^2 (G(phi) = f(phi^2) phi) by defect correction against the
+    spectral L_plus; raises when the banded L_plus is numerically
+    singular (lambda at a bifurcation point).
+    """
+    if profile.residual_sup > 10 * RESIDUAL_TOL:
+        raise ValueError("profile residual too large for derivative solve")
+    grid, f, phi = profile.grid, profile.nonlinearity, profile.phi
+    diag = _lplus_diag(grid, profile.lam, profile.potential, f, phi)
+    lu = splu(_lplus_matrix(grid, diag))
+    # crude singularity guard: inverse power step on a random probe
+    rng = np.random.default_rng(0)
+    probe = grid.symmetrize(rng.standard_normal(grid.N))
+    grow = grid.norm(lu.solve(probe)) / max(grid.norm(probe), 1e-300)
+    if grow > 1e10:
+        raise ValueError("L_plus singular")
+
+    phi_lam = _defect_solve(grid, lu, diag, -phi)
+    # G''(phi) = 6 phi f'(phi^2) + 4 phi^3 f''(phi^2) = sum_m 2m(2m+1) c_m phi^(2m-1)
+    g2 = sum(2 * m * (2 * m + 1) * c * phi ** (2 * m - 1)
+             for m, c in enumerate(f.coefficients, start=1))
+    phi_lamlam = _defect_solve(grid, lu, diag, -2.0 * phi_lam + g2 * phi_lam**2)
+    return replace(profile, phi_lam=phi_lam, phi_lamlam=phi_lamlam)
 
 
 @dataclass(frozen=True)
@@ -285,12 +284,6 @@ class SolitonFamily:
         prof = solve_dlambda(prof)
         self._cache[key] = prof
         return prof
-
-    def phi_lamlam(self, lam: float, step: float = 1e-4) -> np.ndarray:
-        """Second lambda-derivative by centered differences of phi_lam."""
-        lo = self.profile(lam - step)
-        hi = self.profile(lam + step)
-        return (hi.phi_lam - lo.phi_lam) / (2 * step)
 
 
 def power_law_standing_wave(eps: float, grid: Grid, corrected_prefactor: bool = False):

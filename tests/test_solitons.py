@@ -110,6 +110,33 @@ def test_dlambda_defining_equation(default_profile):
     assert g.norm(lplus + phi) < 1e-8 * g.norm(phi)
 
 
+@pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 0.0, 0.2, -0.05)],
+                         ids=["cubic", "degree4"])
+def test_dlamlam_equation_and_finite_difference(coefficients):
+    # the dynamics family's trap; the degree-4 model gives the cubic and
+    # quartic terms of G'' weight
+    g = make_grid(60.0, 2048)
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    f = PolynomialNonlinearity(coefficients)
+    lam = 2.0
+    prof = solve_dlambda(solve_soliton(lam, V, f, g))
+    phi, phi_lam, phi_ll = prof.phi, prof.phi_lam, prof.phi_lamlam
+    s = phi**2
+    fpp = sum(m * (m - 1) * c * s ** max(m - 2, 0)
+              for m, c in enumerate(coefficients, start=1))
+    g2 = 6 * phi * f.fprime(s) + 4 * phi**3 * fpp
+    rhs = -2 * phi_lam + g2 * phi_lam**2
+    lplus = (-np.real(g.spectral_d2(phi_ll))
+             + (V(g.nodes) + lam - f.f(s) - 2 * f.fprime(s) * s) * phi_ll)
+    assert g.norm(lplus - rhs) < 1e-10 * g.norm(rhs)
+    # centered difference of phi_lam from two fresh solves
+    step = 1e-4
+    hi = solve_dlambda(solve_soliton(lam + step, V, f, g))
+    lo = solve_dlambda(solve_soliton(lam - step, V, f, g))
+    fd = (hi.phi_lam - lo.phi_lam) / (2 * step)
+    assert g.norm(fd - phi_ll) < 1e-7 * g.norm(phi_ll)
+
+
 def test_mass_derivative_cross_check(default_profile):
     g = default_profile.grid
     pairing = 2 * np.real(g.inner(default_profile.phi, default_profile.phi_lam))
