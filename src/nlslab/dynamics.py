@@ -3,19 +3,21 @@
 The full equation i psi_t = -psi_xx + V_h psi - f(|psi|^2) psi is stepped
 with the conservative Crank-Nicolson scheme (the nonlinear term uses the
 difference quotient of the primitive F, which makes both invariants
-exact up to the nonlinear-solver tolerance).  A split-step Fourier
-integrator doubles as a cross-check oracle.
+exact up to the nonlinear-solver tolerance) in the even sector: on the
+half grid x >= 0, with the FD4 Laplacian folded at x = 0.  A split-step
+Fourier integrator on the full grid doubles as a cross-check oracle.
 
 Solutions near the soliton family are decomposed as
 
     psi(t) = e^(i integral(lam) + i gamma) (phi^lam + R)
 
 with (lam, gamma) fixed by the two symplectic orthogonality constraints
-Re<R, phi> = Im<R, phi_lam> = 0 (a 2d Newton solve), which puts R in the
-essential-spectrum subspace of the linearization.  The 2x2 modulation
-system then gives (lam_dot, gamma_dot) with right sides quadratic in R,
-and the frozen-frame split g = i k1 phi + k2 phi_lam + h isolates the
-dispersive part h whose weighted norm is the decay observable.
+Re<R, phi> = Im<R, phi_lam> = 0 (a 2d Newton solve on the cached
+profile's Taylor model), which puts R in the essential-spectrum subspace
+of the linearization.  The 2x2 modulation system then gives (lam_dot,
+gamma_dot) with right sides quadratic in R, and the frozen-frame split
+g = i k1 phi + k2 phi_lam + h isolates the dispersive part h whose
+weighted norm is the decay observable.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import splu
 
 from .grids import Grid, PolynomialNonlinearity, PotentialSpec
@@ -112,37 +115,40 @@ def evolve_nls(
     """Conservative Crank-Nicolson trajectory of the nonlinear equation.
 
     Returns a list of EvolutionState samples (always including t = 0 and
-    t = T).  The implicit step is solved by fixed-point iteration on the
-    nonlinear part around a prefactored banded linear solve; iterating to
-    the roundoff floor keeps the scheme's exact invariants at roundoff
-    level.  The datum must be even and each step is symmetrized.  Raises
-    when FP_MAX iterations do not reach that floor.
+    t = T).  The datum must be even; the steps run in the even sector, with
+    the FD4 rows x >= 0 folded by Grid.unfold, and samples are unfolded.
+    The implicit step is solved by fixed-point iteration on the nonlinear
+    part around a prefactored banded linear solve; iterating to the
+    roundoff floor keeps the scheme's exact invariants at roundoff level.
+    Raises when FP_MAX iterations do not reach that floor.
     """
     if dt > 0.01 + 1e-15:
         raise ValueError("time step must satisfy dt <= 0.01")
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if grid.parity_defect(psi) > 1e-8 * max(1.0, np.max(np.abs(psi))):
+    psi0 = np.asarray(psi0, dtype=complex)
+    if grid.parity_defect(psi0) > 1e-8 * max(1.0, np.max(np.abs(psi0))):
         raise ValueError("initial datum must be even")
 
-    d2 = grid.fd_d2_matrix().tocsc()
-    vh = V(grid.nodes)
-    lin = (-d2 + sparse.diags(vh)).tocsc()
-    eye = sparse.identity(grid.N, format="csc")
+    d2 = grid.fd_d2_matrix()
+    idx, unfold = grid.unfold()
+    lin = -d2[idx] @ unfold + sparse.diags(V(grid.nodes[idx]))
+    eye = sparse.identity(idx.size, format="csc")
     lhs = splu((eye + 0.5j * dt * lin).tocsc())
-    rhs_mat = (eye - 0.5j * dt * lin).tocsc()
+    rhs_mat = (eye - 0.5j * dt * lin).tocsr()
 
     n_steps = int(round(T / dt))
     states = []
 
     def snapshot(t, u):
-        mass = float(np.real(grid.integrate(np.abs(u) ** 2)))
-        en = hamiltonian(grid, V, f, u, d2=d2)
-        wn = float(np.sqrt(np.real(grid.integrate(((1 + np.abs(grid.nodes)) * np.abs(u)) ** 2))))
+        full = unfold @ u
+        mass = float(np.real(grid.integrate(np.abs(full) ** 2)))
+        en = hamiltonian(grid, V, f, full, d2=d2)
+        wn = float(np.sqrt(np.real(grid.integrate(((1 + np.abs(grid.nodes)) * np.abs(full)) ** 2))))
         states.append(EvolutionState(
-            t=float(t), psi=u.copy(), mass=mass, energy=en,
-            weighted_norm=wn, parity_defect=grid.parity_defect(u),
+            t=float(t), psi=full, mass=mass, energy=en,
+            weighted_norm=wn, parity_defect=grid.parity_defect(full),
         ))
 
+    psi = psi0[idx]
     snapshot(0.0, psi)
     mass0 = states[0].mass
     energy0 = states[0].energy
@@ -164,7 +170,7 @@ def evolve_nls(
             prev = delta
         else:
             raise ValueError(f"fixed-point iteration not settled after {FP_MAX} iterations")
-        psi = grid.symmetrize(new)
+        psi = new
         t = step * dt
         if step % sample_every == 0 or step == n_steps:
             snapshot(t, psi)
@@ -172,7 +178,7 @@ def evolve_nls(
             drift_h = abs(states[-1].energy - energy0) / escale / max(t, dt)
             if drift_n > CONSERVATION_TOL or drift_h > CONSERVATION_TOL:
                 raise ValueError("conservation breach")
-            dens = np.abs(psi) ** 2
+            dens = np.abs(states[-1].psi) ** 2
             outer = np.abs(grid.nodes) > 0.95 * grid.L
             if np.sum(dens[outer]) > 1e-5 * np.sum(dens):
                 raise ValueError("boundary contamination")
@@ -227,10 +233,13 @@ def modulation_decompose(
 ) -> ModulationState:
     """2d Newton for (lam, gamma) enforcing the orthogonality constraints.
 
-    gamma starts at the phase of <phi^lam_guess, psi>; the Jacobian uses
-    the family's lambda-derivatives.  Odd input is rejected (the trapped
-    even sector is the model's scope) and an iterate leaving the orbital
-    neighborhood raises "outside tube".
+    gamma starts at the phase of <phi^lam_guess, psi>.  Newton runs on the
+    Taylor model phi + d phi_lam + d^2/2 phi_lamlam of the profile at an
+    anchor lam_a (first lam_guess), on six inner products formed once per
+    anchor.  The profile solved at the model's root is the next anchor,
+    and its exact constraints must hold to DECOMPOSE_TOL.  Odd input is
+    rejected (the trapped even sector is the model's scope) and an
+    iterate leaving the orbital neighborhood raises "outside tube".
     """
     g = family.grid
     psi = np.asarray(psi, dtype=complex)
@@ -238,51 +247,45 @@ def modulation_decompose(
         raise ValueError("input must be even (odd perturbations rejected)")
     prof = family.profile(lam_guess)
     gamma = float(np.angle(g.inner(prof.phi.astype(complex), psi)))
-    lam = float(lam_guess)
+    lam, reanchor = float(lam_guess), True
 
-    prev = np.inf
-    stalled = 0
-    for it in range(DECOMPOSE_MAX_ITER):
-        prof = family.profile(lam)
-        phi = prof.phi
-        phi_lam = prof.phi_lam
-        ip_phi = g.inner(psi, phi)        # <psi, phi>
-        ip_lam = g.inner(psi, phi_lam)
+    for _ in range(DECOMPOSE_MAX_ITER):
+        if reanchor:
+            prof = family.profile(lam)
+            phi, phi_lam, phi_ll = prof.phi, prof.phi_lam, prof.phi_lamlam
+            p0, p1, p2 = g.inner(psi, phi), g.inner(psi, phi_lam), g.inner(psi, phi_ll)
+            a01 = np.real(g.inner(phi, phi_lam))
+            a2 = np.real(g.inner(phi_lam, phi_lam) + g.inner(phi, phi_ll))
+            # d is 0, or below the cache's 1e-12 resolution after a hit
+            lam_a, d = prof.lam, lam - prof.lam
+        # <psi, phi(d)> = p0 + d p1 + d^2/2 p2, mass(d) = mass + 2 d a01 + d^2 a2
         eig = np.exp(1j * gamma)
-        g1 = np.real(eig * ip_phi) - prof.mass
-        g2 = np.imag(eig * ip_lam)
-        err = max(abs(g1), abs(g2))
-        scale = max(prof.mass, 1.0)
-        if err < DECOMPOSE_TOL * scale:
+        q0 = eig * (p0 + d * p1 + 0.5 * d * d * p2)
+        q1 = eig * (p1 + d * p2)
+        g1 = np.real(q0) - (prof.mass + 2.0 * d * a01 + d * d * a2)
+        g2 = np.imag(q1)
+        if reanchor and max(abs(g1), abs(g2)) < DECOMPOSE_TOL * max(prof.mass, 1.0):
             break
-        # the family itself is resolved to ~1e-12; stop at its floor
-        if err > 0.5 * prev:
-            stalled += 1
-            if stalled >= 3 and err < 1e-9 * scale:
-                break
-        else:
-            stalled = 0
-        prev = err
-        dmass = 2.0 * np.real(g.inner(phi, phi_lam))
-        j11 = np.real(eig * ip_lam) - dmass            # d g1 / d lam
-        j12 = -np.imag(eig * ip_phi)                   # d g1 / d gamma
-        # the (2,1) entry Im(e^(i gamma) <psi, phi_lamlam>) = Im<R, phi_lamlam>
-        # is O(||R||); dropping it keeps the iteration superlinear
-        j21 = 0.0
-        j22 = np.real(eig * ip_lam)                    # d g2 / d gamma
+        j11 = np.real(q1) - 2.0 * (a01 + d * a2)       # d g1 / d lam
+        j12 = -np.imag(q0)                              # d g1 / d gamma
+        # Im(e^(i gamma) <psi, phi_lamlam>) = Im<R, phi_lamlam> is O(||R||);
+        # on the model it is one product, and Newton stays quadratic
+        j21 = np.imag(eig * p2)                         # d g2 / d lam
+        j22 = np.real(q1)                               # d g2 / d gamma
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             raise ValueError("decomposition Newton diverged")
-        dlam = (-g1 * j22 + g2 * j12) / det
-        dgam = (-j11 * g2 + j21 * g1) / det
-        lam += float(np.real(dlam))
-        gamma += float(np.real(dgam))
-        if not np.isfinite(lam) or abs(lam - lam_guess) > 1.0:
+        dlam = float((-g1 * j22 + g2 * j12) / det)
+        dgam = float((-j11 * g2 + j21 * g1) / det)
+        d += dlam
+        gamma += dgam
+        if not np.isfinite(d) or abs(lam_a + d - lam_guess) > 1.0:
             raise ValueError("decomposition Newton diverged")
+        reanchor = max(abs(dlam), abs(dgam)) < 1e-14   # at the model root, to roundoff
+        lam = lam_a + d
     else:
         raise ValueError("decomposition Newton diverged")
 
-    prof = family.profile(lam)
     R = np.exp(-1j * gamma) * psi - prof.phi
     rnorm = g.norm(R)
     if rnorm > TUBE_RADIUS * np.sqrt(prof.mass):
@@ -379,8 +382,6 @@ def frozen_frame_decompose(series, family: SolitonFamily):
     c1 = np.real(g.inner(phi1_lam.astype(complex), phi1.astype(complex)))
 
     # Delta1(t) = lam1 (t - T) - int_T^t lam ds + gamma1 - gamma(t)
-    from scipy.integrate import cumulative_trapezoid
-
     int_lam = cumulative_trapezoid(lams, ts, initial=0.0)
     int_lam = int_lam - int_lam[iT]
     delta1 = lam1 * (ts - ts[iT]) - int_lam + gamma1 - gammas
@@ -488,10 +489,6 @@ def stability_experiment(
     V, f = family.potential, family.nonlinearity
     prof0 = family.profile(lam0)
     chi0 = delta * default_bump(g, bump_width)
-    # smallness in the theorem's norm: scale by ||x^2 chi|| + ||chi||_H1
-    x = g.nodes
-    h1 = np.sqrt(g.norm(chi0) ** 2 + g.norm(np.real(g.spectral_d1(chi0))) ** 2)
-    size0 = float(g.norm(x**2 * chi0) + h1)
     psi0 = np.exp(1j * gamma0) * (prof0.phi + chi0)
 
     sample_every = max(1, int(round(sample_dt / dt)))
@@ -502,12 +499,10 @@ def stability_experiment(
     mdrift, edrift = [], []
     mass0, energy0 = states[0].mass, states[0].energy
     lam_guess = lam0
-    mods = []
     for st in states:
         ms = modulation_decompose(st.psi, lam_guess, family, nu=nu, t=st.t)
         lam_guess = ms.lam
         ld, gd, _m = modulation_rhs(ms, family)
-        mods.append(ms)
         times.append(st.t)
         lams.append(ms.lam)
         gammas.append(ms.gamma)

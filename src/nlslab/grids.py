@@ -95,6 +95,18 @@ class Grid:
     def symmetrize(self, u: np.ndarray) -> np.ndarray:
         return 0.5 * (u + self.reflect(u))
 
+    def unfold(self, sign: float = 1.0):
+        """Half-grid node indices and the map U: u(-x) = sign u(x) onto the grid.
+
+        The nodes are x = 0 (dx for sign = -1), ..., L - dx.  U u is 0 at
+        x = -L, which has no mirror, so it is exactly even or odd, with the
+        mass of u under the node weights 1 at x = 0 and 2 elsewhere.
+        """
+        c = self.point_count // 2                  # index of x = 0
+        m = np.arange(0 if sign > 0 else 1, c)     # node index from x = 0
+        eye = sparse.identity(self.point_count, format="csc")
+        return c + m, eye[:, c + m] + eye[:, c - m] @ sparse.diags(np.where(m > 0, sign, 0.0))
+
     # -- derivatives --------------------------------------------------------
 
     def spectral_d1(self, u: np.ndarray) -> np.ndarray:
@@ -109,8 +121,8 @@ class Grid:
         4th order 5-point stencil in the interior; the two rows nearest
         each boundary fall back to the 3-point stencil (the fields that
         reach them are below truncation level anyway).  Cached per grid.
-        The coarse spectral solve folds the rows x >= 0 of this matrix at
-        x = 0 into a mirror-symmetric operator (linearized._parity_blocks).
+        Its rows x >= 0 composed with unfold() are the parity blocks that
+        linearized._parity_blocks and dynamics.evolve_nls work on.
         """
         key = (self.half_width, self.point_count)
         hit = _D2_CACHE.get(key)

@@ -267,24 +267,18 @@ def _parity_blocks(coarse: LinearizedSystem):
     The rows x >= 0 of the Dirichlet FD4 matrix on the n coarse nodes are
     those of a mirror-symmetric operator on the n - 1 nodes x_1 .. x_{n-1}
     (node -L dropped, 3-point rows at the two nodes next to each wall).
-    Composed with the unfold map they fold the 5-point stencil at x = 0 by
-    u(-x) = +-u(x): the even block on the n/2 nodes x = 0, ..., L - dx, the
-    odd block on the n/2 - 1 nodes x = dx, ..., L - dx.  The mass of an
-    unfolded vector is that of the block vector under the node weights.
+    Composed with Grid.unfold they fold the 5-point stencil at x = 0 into
+    the even block on n/2 nodes and the odd block on n/2 - 1 nodes.
     """
     cg = coarse.grid
-    c = cg.N // 2                              # index of x = 0
-    eye = sparse.identity(cg.N, format="csc")
     lminus, lplus = coarse.blocks()
     blocks = []
-    for sign, first in ((1.0, 0), (-1.0, 1)):
-        m = np.arange(first, c)                # node index from x = 0
-        # u at x = m dx and, for m > 0, +-u at its mirror -m dx
-        unfold = eye[:, c + m] + eye[:, c - m] @ sparse.diags(np.where(m > 0, sign, 0.0))
+    for sign in (1.0, -1.0):
+        idx, unfold = cg.unfold(sign)
         blocks.append(_ParityBlock(
-            x=cg.nodes[c + m], weight=np.where(m > 0, 2.0, 1.0),
+            x=cg.nodes[idx], weight=np.where(idx > cg.N // 2, 2.0, 1.0),
             unfold=sparse.block_diag((unfold, unfold), format="csr"),
-            lminus=lminus[c + m] @ unfold, lplus=lplus[c + m] @ unfold))
+            lminus=lminus[idx] @ unfold, lplus=lplus[idx] @ unfold))
     return blocks
 
 

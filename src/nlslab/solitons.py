@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .grids import (
@@ -83,8 +84,6 @@ def _lplus_diag(grid: Grid, lam, V, f, phi):
 
 def _lplus_matrix(grid: Grid, diag):
     # the banded FD4 L_plus
-    from scipy import sparse
-
     return (-grid.fd_d2_matrix() + sparse.diags(diag)).tocsc()
 
 

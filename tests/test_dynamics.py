@@ -1,14 +1,24 @@
 """Nonlinear evolution, modulation decomposition, frozen-frame split."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
+from scipy.sparse.linalg import splu
 
-from nlslab.dynamics import (evolve_nls, frozen_frame_decompose, hamiltonian,
+from nlslab import solitons
+from nlslab.dynamics import (DECOMPOSE_MAX_ITER, DECOMPOSE_TOL, FP_FLOOR, FP_MAX,
+                             FP_TOL, _nl_quotient, default_bump, evolve_nls,
+                             frozen_frame_decompose, hamiltonian,
                              modulation_decompose, modulation_rhs,
-                             nonlinear_remainder, split_step_oracle)
+                             nonlinear_remainder, split_step_oracle,
+                             stability_experiment)
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
 from nlslab.solitons import SolitonFamily, solve_soliton
+
+THEOREM_F = PolynomialNonlinearity((1.0, 0.0, 0.0, -0.001))
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +75,97 @@ def test_weighted_norm_growth(dyn_family, dyn_grid):
     # at most linear growth of ||(1+|x|) psi||
     slope = np.polyfit(np.log(ts + 1.0), np.log(wn), 1)[0]
     assert slope <= 1.1
+
+
+def _full_grid_cn(psi0, V, f, grid, T, dt, sample_every):
+    """Dirichlet FD4 Crank-Nicolson on all N nodes, symmetrized every step."""
+    lin = -grid.fd_d2_matrix() + sparse.diags(V(grid.nodes))
+    eye = sparse.identity(grid.N, format="csc")
+    lhs = splu((eye + 0.5j * dt * lin).tocsc())
+    rhs_mat = eye - 0.5j * dt * lin
+    psi, out = psi0.copy(), [psi0.copy()]
+    for step in range(1, int(round(T / dt)) + 1):
+        base, s_old = rhs_mat @ psi, np.abs(psi) ** 2
+        new, prev = psi.copy(), np.inf
+        for _ in range(FP_MAX):
+            chi = _nl_quotient(f, np.abs(new) ** 2, s_old)
+            cand = lhs.solve(base + 0.5j * dt * chi * (new + psi))
+            delta = np.max(np.abs(cand - new)) / max(1.0, np.max(np.abs(cand)))
+            new = cand
+            if delta < FP_TOL or (delta >= prev and delta < FP_FLOOR):
+                break
+            prev = delta
+        psi = grid.symmetrize(new)
+        if step % sample_every == 0:
+            out.append(psi.copy())
+    return out
+
+
+def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
+    g, V = dyn_grid, dyn_family.potential
+    prof = solve_soliton(2.0, V, THEOREM_F, g)
+    psi0 = np.exp(0.2j) * (prof.phi + 0.01 * np.exp(-g.nodes**2 / 4))
+    states = evolve_nls(psi0, V, THEOREM_F, g, T=0.2, dt=0.004, sample_every=10)
+    ref = _full_grid_cn(psi0, V, THEOREM_F, g, T=0.2, dt=0.004, sample_every=10)
+    assert len(states) == len(ref) == 6
+    c = g.N // 2
+    weight = np.where(np.arange(c) > 0, 2.0, 1.0)       # x = 0 once, x > 0 for +-x
+    for st, psi in zip(states, ref):
+        assert g.norm(st.psi - psi) < 1e-10 * g.norm(psi)
+        assert st.parity_defect == 0.0
+        half_mass = g.dx * np.sum(weight * np.abs(st.psi[c:]) ** 2)
+        assert abs(half_mass - st.mass) < 1e-14 * st.mass
+
+
+def _exact_profile_newton(psi, lam_guess, family):
+    """Newton in (lam, gamma) with a fresh profile at every iterate."""
+    g = family.grid
+    prof = family.profile(lam_guess)
+    gamma, lam = float(np.angle(g.inner(prof.phi.astype(complex), psi))), float(lam_guess)
+    prev, stalled = np.inf, 0
+    for _ in range(DECOMPOSE_MAX_ITER):
+        prof = family.profile(lam)
+        ip_phi, ip_lam = g.inner(psi, prof.phi), g.inner(psi, prof.phi_lam)
+        eig = np.exp(1j * gamma)
+        g1, g2 = np.real(eig * ip_phi) - prof.mass, np.imag(eig * ip_lam)
+        err, scale = max(abs(g1), abs(g2)), max(prof.mass, 1.0)
+        if err < DECOMPOSE_TOL * scale:
+            break
+        if err > 0.5 * prev:
+            stalled += 1
+            if stalled >= 3 and err < 1e-9 * scale:
+                break
+        else:
+            stalled = 0
+        prev = err
+        j11 = np.real(eig * ip_lam) - 2.0 * np.real(g.inner(prof.phi, prof.phi_lam))
+        j12, j22 = -np.imag(eig * ip_phi), np.real(eig * ip_lam)
+        lam += float(-g1 / j11 + g2 * j12 / (j11 * j22))
+        gamma += float(-g2 / j22)
+    return lam, gamma
+
+
+def test_decompose_solves_once_per_sample(dyn_grid, monkeypatch):
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    family = SolitonFamily(V, THEOREM_F, dyn_grid)
+    family.profile(2.0)
+    calls = []
+    solve = solitons.solve_soliton
+    monkeypatch.setattr(solitons, "solve_soliton", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    rep = stability_experiment(family, lam0=2.0, gamma0=0.4, delta=0.01, T=1.0, dt=0.005,
+                               sample_dt=0.25, fit_window=(0.25, 1.0), bump_width=1.8)
+    monkeypatch.undo()
+    assert rep.times.size == 5
+    assert len(calls) <= rep.times.size + 1
+    # the same trajectory, decomposed sample by sample with exact profiles
+    psi0 = np.exp(0.4j) * (family.profile(2.0).phi + 0.01 * default_bump(dyn_grid, 1.8))
+    states = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=1.0, dt=0.005, sample_every=50)
+    lam_guess = 2.0
+    for j, st in enumerate(states):
+        lam_ref, gamma_ref = _exact_profile_newton(st.psi, lam_guess, family)
+        lam_guess = lam_ref
+        assert abs(rep.lam[j] - lam_ref) < 1e-12
+        assert abs(math.remainder(rep.gamma[j] - gamma_ref, 2 * math.pi)) < 1e-11
 
 
 def test_dt_guard(dyn_family, dyn_grid):
