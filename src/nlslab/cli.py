@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, load_config
-from .grids import validate_assumptions
+from .grids import make_grid, validate_assumptions
 from .linearized import assemble_L, build_projector, discrete_spectrum, feshbach_predict
 from .propagator import build_plan, evolve_direct, verify_decay, weighted_pair_norm, pair_norm
 from .scattering import (default_k_grid, dump_table, eigentable_build,
@@ -231,7 +231,6 @@ class StageRunner:
             rel = pair_norm(g, plan.p_ess_spectral(h) - pd.apply_complement_H(h)) / pair_norm(g, h)
             t0_errs.append(rel)
         # oracle equivalence on the enlarged box
-        from .grids import make_grid
         gb = make_grid(pblock["oracle_L"], pblock["oracle_N"])
         prof_b = solve_dlambda(solve_soliton(cfg.lam, cfg.potential(), cfg.nonlinearity(), gb))
         sys_b = assemble_L(prof_b)

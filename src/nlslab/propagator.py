@@ -42,7 +42,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from .linearized import LinearizedSystem, SpectralProjector
-from .scattering import GeneralizedEigenTable
+from .scattering import GeneralizedEigenTable, generalized_eigenfunction
 
 __all__ = [
     "PropagatorPlan",
@@ -470,8 +470,6 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
     out = [0.0] * len(flist)
     live = [i for i, gf in enumerate(flist) if float(np.max(np.abs(gf))) != 0.0]
     if live:
-        from .scattering import generalized_eigenfunction
-
         e, s, r = generalized_eigenfunction(sys, lam)
         epct = np.stack([e[0], -e[1]])
         epct_flip = g.reflect(epct)

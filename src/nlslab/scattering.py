@@ -9,27 +9,27 @@ the distinguished solutions are fixed by their behavior at +infinity:
     phi1 ~ (0, e^(-mu x))     decaying closed channel
     psi1 ~ (e^(ikx), 0)       outgoing oscillatory
     psi2 ~ (e^(-ikx), 0)      incoming oscillatory (= sigma3 conj psi1)
-    xi1  ~ e^(mu x) (0, 1)    growing closed channel
     eta  ~ (x, 0)             threshold (k = 0) linear solution
 
-phi2(x) = phi1(-x) and xi2(x) = xi1(-x) complete the basis.  The 2x2
-Wronskian matrix D(k) built from [psi1, phi1] against their reflections
-encodes the scattering data: det D(0) = 0 is the threshold-resonance
-criterion, s(k) = 2ik D22/det D is the transmission coefficient, and the
-continuum mode
+The 2x2 Wronskian matrix D(k) built from [psi1, phi1] against their
+reflections (phi2(x) = phi1(-x) decays at -infinity) encodes the
+scattering data: det D(0) = 0 is the threshold-resonance criterion,
+s(k) = 2ik D22/det D is the transmission coefficient, and the continuum
+mode
 
     e(x, k) = s(k) [psi1(x,k) - (D12/D22) phi1(x, mu)]
 
 obeys |s|^2 + |r|^2 = 1 with the reflection coefficient r(k) from the
 left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
 
-Only psi1, eta, phi1 and xi1 are marched.  Every other solution and
-every pairing comes from those rows through the two symmetries of the
-even system: _mirror (x -> -x, derivative rows negated) and _s3conj
-(sigma3 conjugation), applied to the march's row layout
-(xi1, xi1', xi2, xi2').  Pairing the left expansion of e with psi1 and
-phi1 gives D (r, b) = -(W(psi1, psi2(-.)), W(phi1, psi2(-.))), so r and
-b follow from D by Cramer's rule.
+Only psi1, eta and phi1 are marched.  psi2 and the mirrored solutions
+are never stored: they exist only as pairings of the march rows, taken
+through the two symmetries of the even system: _mirror (x -> -x,
+derivative rows negated) and _s3conj (sigma3 conjugation), applied to
+the march's row layout (xi1, xi1', xi2, xi2') of the two components of
+xi.  Pairing the left expansion of e with psi1 and phi1 gives
+D (r, b) = -(W(psi1, psi2(-.)), W(phi1, psi2(-.))), so r and b follow
+from D by Cramer's rule.
 
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
 from the point where the potentials fall below 1e-17 (outside, the free
@@ -45,20 +45,20 @@ psi1, eta and phi1 are columns of one leftward march, which stops at
 x = -8 for every k: all Wronskian samples lie in |x| <= 5.5, so the
 reflected values they read sit at x >= -5.5, and the continuum modes are
 assembled from values at x >= 0 alone.  Left of -8 the marched solutions
-are zero and flagged invalid.  The rows of a leftward march may carry a
-per-row coupling scale (W -> s W), so a coupling scan at k = 0 is one
-march.  xi1 is marched rightward from x = -8.  The closed channel grows
-like e^(mu |x|) under leftward marching, so psi-type solutions (eta is
-psi1's twin at k = 0, same rate) are "purged" every unit of x: a multiple
-of phi1 is subtracted to zero the closed channel.  Since psi1 is only
-defined modulo phi1 and every deliverable (D entries computed from one
-representative, s, r, e) is invariant under that shift, purging is exact
-bookkeeping, and a final ledger pass maps all stored values to a single
-representative.
+are zero and flagged invalid.  The rows of a march may carry a per-row
+coupling scale (W -> s W), so a coupling scan at k = 0 is one march.
+The closed channel grows like e^(mu |x|) under leftward marching, so
+psi-type solutions (eta is psi1's twin at k = 0, same rate) are "purged"
+every unit of x: a multiple of phi1 is subtracted to zero the closed
+channel.  Since psi1 is only defined modulo phi1 and every deliverable
+(D entries computed from one representative, s, r, e) is invariant under
+that shift, purging is exact bookkeeping, and a final ledger pass maps
+all stored values to a single representative.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,11 +68,8 @@ from .grids import Grid
 from .linearized import LinearizedSystem
 
 __all__ = [
-    "JostSolution",
     "WronskianMatrix",
     "GeneralizedEigenTable",
-    "jost_solve",
-    "wronskian",
     "wronskian_matrix",
     "resonance_test",
     "resonance_scan",
@@ -123,43 +120,6 @@ def _w_edge(sys: LinearizedSystem) -> float:
 
 def _is_free(sys: LinearizedSystem) -> bool:
     return float(np.max(np.abs(sys.V3)) + np.max(np.abs(sys.V4))) < FREE_FIELD_SUP
-
-
-@dataclass(frozen=True)
-class JostSolution:
-    """One distinguished solution sampled on the grid.
-
-    y holds the row (xi1, xi1', xi2, xi2') [4, N]; values/derivs are its
-    [2, N] views.  Entries outside the validity window (left of the march
-    window, xi1's transient skin) are flagged invalid.
-    """
-
-    kind: str
-    lam: float
-    k: float
-    mu: float
-    grid: Grid
-    y: np.ndarray
-    valid: np.ndarray         # boolean mask over grid nodes
-    residual: float           # weighted interior ODE residual (nan if skipped)
-    tail_fit_rate: float      # fitted decay rate of the normalized remainder
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.y[[0, 2]]
-
-    @property
-    def derivs(self) -> np.ndarray:
-        return self.y[[1, 3]]
-
-    def at(self, idx):
-        y = self.y[:, idx]
-        return y[[0, 2]], y[[1, 3]]
-
-    def reflected_at(self, idx_of_minus_x):
-        """Values of x -> X(-x) given the indices of -x."""
-        y = self.y[:, idx_of_minus_x]
-        return y[[0, 2]], -y[[1, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -360,166 +320,6 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     return y, np.arange(g.N) >= j_lo
 
 
-def _march_xi(sys: LinearizedSystem, lam: float):
-    """Growing closed-channel solution by stable rightward marching.
-
-    Any seed converges in direction to xi1 since e^(mu x) dominates to
-    the right; the result is normalized against the free form on the
-    potential-free tail.  Valid from a transient skin above the seed at
-    MARCH_STOP.  Returns the full-grid row [4, N] and its validity mask.
-    """
-    g = sys.grid
-    k, mu = _km(sys, lam)
-    nodes = g.nodes
-    j_lo = int(np.searchsorted(nodes, MARCH_STOP))
-    n_main = g.N - 1 - j_lo
-    # in the frame z = e^(-mu x) y every solution stays bounded rightward
-    z = np.array([[[0.0, 0.0, 1.0, mu]]]) * _REAL
-    out = np.zeros((4, n_main + 1), dtype=complex)
-    out[:, 0] = z[0, 0]
-    for i, t in enumerate(_stepper(sys, np.array([k]), j_lo, n_main, 1)):
-        z = (z @ t.transpose(0, 2, 1)) * np.exp(-mu * g.dx)
-        out[:, i + 1] = z[0, 0]
-    out *= np.conj(_REAL)[:, None]
-    # normalize on the free tail: rescaled xi1 tends to (0, 0, C, mu C)
-    y = np.zeros((4, g.N), dtype=complex)
-    y[:, j_lo:] = out / out[2, -1] * np.exp(mu * nodes[j_lo:])
-    return y, nodes >= nodes[j_lo] + 16.0 / mu
-
-
-def _ode_residual(sys: LinearizedSystem, lam: float, values, valid) -> float:
-    """Weighted sup of (H - lam) xi via an 8th-order stencil, k <= 1.5 only."""
-    k, mu = _km(sys, lam)
-    if k > 1.5:
-        return float("nan")
-    g = sys.grid
-    c = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
-    n = g.N
-    ok = valid.copy()
-    ok[:4] = False
-    ok[-4:] = False
-    d2 = np.zeros((2, n), dtype=complex)
-    for j, cj in enumerate(c):
-        d2 += cj * np.roll(values, 4 - j, axis=1)
-    d2 /= g.dx**2
-    v3, v4 = sys.V3, sys.V4
-    r1 = -d2[0] + sys.beta * values[0] + 0.5 * (v3 * values[0] - 1j * v4 * values[1]) - lam * values[0]
-    r2 = d2[1] - sys.beta * values[1] + 0.5 * (-1j * v4 * values[0] - v3 * values[1]) - lam * values[1]
-    # interior, avoiding the validity edge where the stencil straddles
-    edge = np.convolve(ok.astype(float), np.ones(9), mode="same") < 8.5
-    ok &= ~edge
-    if not np.any(ok):
-        return float("nan")
-    alpha = _decay_alpha(sys)
-    w = np.exp(-np.abs(g.nodes) * alpha / 4.0)
-    scale = np.max(w[ok] * (np.abs(values[0]) + np.abs(values[1]))[ok])
-    resid = np.max(w[ok] * (np.abs(r1) + np.abs(r2))[ok])
-    return float(resid / max(scale, 1e-300))
-
-
-def _decay_alpha(sys: LinearizedSystem) -> float:
-    from .grids import fit_exponential_decay
-
-    a3, _ = fit_exponential_decay(sys.grid.nodes, sys.V3)
-    a4, _ = fit_exponential_decay(sys.grid.nodes, sys.V4)
-    cands = [a for a in (a3, a4) if a > 0]
-    return min(cands) if cands else 1.0
-
-
-def _tail_rate(sys, kind, lam, values) -> float:
-    """Fitted decay rate of the normalized remainder on the far right.
-
-    kind is a marched kind: psi1, eta, phi1 or xi1.
-
-    The window ends where the potential support does: past the edge the
-    remainder is at the noise floor, which would flatten the fit.
-    """
-    from .grids import fit_exponential_decay
-
-    g = sys.grid
-    k, mu = _km(sys, lam)
-    x = g.nodes
-    edge = min(_w_edge(sys), 0.9 * g.L)
-    sel = (x > 1.0) & (x < max(edge, 6.0))
-    if kind == "psi1":
-        rem = values[0, sel] * np.exp(-1j * k * x[sel]) - 1.0
-        rem = np.abs(rem) + np.abs(values[1, sel])
-    elif kind == "eta":
-        rem = np.abs(values[0, sel] - x[sel]) + np.abs(values[1, sel])
-    else:  # phi1 ~ e^(-mu x), xi1 ~ e^(mu x) in the second component
-        unit = np.exp((mu if kind == "phi1" else -mu) * x[sel])
-        rem = np.abs(values[1, sel] * unit - 1.0) + np.abs(values[0, sel] * unit)
-    rate, _ = fit_exponential_decay(x[sel], rem, floor=1e-15)
-    return rate
-
-
-def _free_solution(sys, kind, lam) -> JostSolution:
-    """Closed form of a named solution of the potential-free system.
-
-    Evaluated at every node: mirroring would map x = -L onto itself,
-    where the growing forms are off by e^(2 mu L).
-    """
-    g = sys.grid
-    k, mu = _km(sys, lam)
-    x = g.nodes
-    y = np.zeros((4, g.N), dtype=complex)
-    if kind == "eta":
-        y[0], y[1] = x, 1.0
-    else:
-        # the nonzero component and its rate: value e^(rate x)
-        comp, rate = {"psi1": (0, 1j * k), "psi2": (0, -1j * k),
-                      "phi1": (1, -mu), "phi2": (1, mu),
-                      "xi1": (1, mu), "xi2": (1, -mu)}[kind]
-        y[2 * comp] = np.exp(rate * x)
-        y[2 * comp + 1] = rate * y[2 * comp]
-    return JostSolution(
-        kind=kind, lam=float(lam), k=k, mu=mu, grid=g, y=y,
-        valid=np.ones(g.N, dtype=bool), residual=0.0, tail_fit_rate=np.inf,
-    )
-
-
-# the marched solution each kind is an image of
-_BASE_KIND = {"phi1": "phi1", "phi2": "phi1", "psi1": "psi1", "psi2": "psi1",
-              "xi1": "xi1", "xi2": "xi1", "eta": "eta"}
-
-
-def jost_solve(sys: LinearizedSystem, lam: float, kind: str) -> JostSolution:
-    """Construct one distinguished solution of (H - lam) xi = 0.
-
-    psi1, eta, phi1 and xi1 are marched; phi2 and xi2 are their mirrors
-    and psi2 = sigma3 conj psi1.  The residual and the tail rate are
-    those of the marched solution.
-    """
-    if kind not in _BASE_KIND:
-        raise ValueError(f"unknown kind '{kind}'")
-    if kind == "eta" and abs(lam - sys.beta) > 1e-12:
-        raise ValueError("eta is defined at the threshold only")
-    if _is_free(sys):
-        return _free_solution(sys, kind, lam)
-    g = sys.grid
-    k, mu = _km(sys, lam)
-    base = _BASE_KIND[kind]
-    if base == "eta":
-        rows, valid = _march_left(sys, np.zeros(1), ("eta", "phi1"))
-        y = rows[0, 0]
-    elif base == "xi1":
-        y, valid = _march_xi(sys, lam)
-    else:
-        rows, valid = _march_left(sys, np.array([k]), ("psi1", "phi1"))
-        y = rows[0, 0 if base == "psi1" else 1]
-    values = y[[0, 2]]
-    resid = _ode_residual(sys, lam, values, valid)
-    rate = _tail_rate(sys, base, lam, values)
-    if kind == "psi2":
-        y = _s3conj(y)
-    elif kind != base:
-        y, valid = _mirror(y, np.arange(g.N)), g.reflect(valid)
-    return JostSolution(
-        kind=kind, lam=float(lam), k=float(k), mu=float(mu), grid=g, y=y,
-        valid=valid, residual=resid, tail_fit_rate=rate,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Wronskians and the scattering matrix
 # ---------------------------------------------------------------------------
@@ -577,31 +377,6 @@ def _wr(y1, y2):
 def _cmedian(w):
     """Median over the last (sample) axis, taken apart in re and im."""
     return np.median(w.real, axis=-1) + 1j * np.median(w.imag, axis=-1)
-
-
-def wronskian(X1: JostSolution, X2: JostSolution, reflect_second: bool = False):
-    """Constant Wronskian of two solutions at the same lam.
-
-    Evaluated at 16 interior sample points; returns (median, relative
-    standard deviation).  Raises when the cross-point scatter shows the
-    pair does not solve the same equation.
-    """
-    if abs(X1.lam - X2.lam) > 1e-10:
-        raise ValueError("solutions must share the spectral parameter")
-    idx = _sample_indices(X1.grid, X1.mu)
-    y1 = X1.y[:, idx]
-    y2 = _mirror(X2.y, idx) if reflect_second else X2.y[:, idx]
-    w = _wr(y1, y2)
-    med = complex(_cmedian(w))
-    # a vanishing Wronskian is perfectly constant: floor the relative
-    # scale at a small fraction of the largest cross product
-    a1, a2 = np.abs(y1), np.abs(y2)
-    prod = float(np.max(a1[1] * a2[0] + a1[3] * a2[2] + a2[1] * a1[0] + a2[3] * a1[2]))
-    scale = max(abs(med), 1e-4 * prod, 1e-300)
-    spread = float(np.std(w) / scale)
-    if spread > 1e-5:
-        raise ValueError("not constant")
-    return med, spread
 
 
 @dataclass(frozen=True)
@@ -678,11 +453,6 @@ def resonance_test(sys: LinearizedSystem) -> dict:
         "d22": complex(d.d22),
         "matrix": d,
     }
-
-
-def _scaled_system(sys: LinearizedSystem, s: float) -> LinearizedSystem:
-    return LinearizedSystem(grid=sys.grid, beta=sys.beta, V1=s * sys.V1, V2=s * sys.V2,
-                            profile=sys.profile)
 
 
 def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
@@ -1000,8 +770,6 @@ def ek_growth_report(sys: LinearizedSystem):
 def dump_table(table: GeneralizedEigenTable, path, sidecar_path=None):
     """Binary grid dump: int64 N, int64 k-count, float64 L, float64 k_max,
     then the row-major complex mode table; JSON sidecar with s, r."""
-    import json
-
     g = table.system.grid
     with open(path, "wb") as fh:
         np.array([g.N, table.k.size], dtype="<i8").tofile(fh)

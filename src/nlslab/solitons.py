@@ -113,7 +113,11 @@ def solve_soliton(
         # for the dominant power so supercritical seeds start close
         nz = [m for m, c in enumerate(f.coefficients, start=1) if c != 0.0]
         m_dom = nz[0] if len(nz) == 1 else 1
-        initial_guess = report.root * np.cosh(m_dom * np.sqrt(lam_eff) * x) ** (-1.0 / m_dom)
+        # sech^(1/m)(a) through log cosh a = |a| + log1p(e^(-2|a|)) - log 2,
+        # which does not overflow cosh on wide boxes
+        a = np.abs(m_dom * np.sqrt(lam_eff) * x)
+        log_cosh = a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+        initial_guess = report.root * np.exp(-log_cosh / m_dom)
     phi = grid.symmetrize(np.asarray(initial_guess, dtype=float))
 
     res = _residual(grid, lam, V, f, phi)

@@ -1,4 +1,11 @@
-"""Jost solutions, Wronskian matrix, resonances, continuum modes."""
+"""Jost rows, Wronskian matrix, resonances, continuum modes.
+
+The Jost checks read the rows production serves: the columns of one
+leftward `_march_left` (psi1, eta, phi1), as `_pair_rows` returns them.
+psi2 and the mirrored solutions are pairings of those rows (`_s3conj`,
+`_mirror`), and every Wronskian is `_wr` with `_cmedian`.  The
+eighth-order ODE residual and the tail-rate fit are helpers of this file.
+"""
 
 import json
 import os
@@ -6,110 +13,156 @@ import os
 import numpy as np
 import pytest
 
-from nlslab.scattering import (default_k_grid, dump_table, e_over_k,
+from nlslab.grids import fit_exponential_decay
+from nlslab.linearized import LinearizedSystem
+from nlslab.scattering import (_cmedian, _march_left, _mirror, _pair_rows,
+                               _s3conj, _sample_indices, _w_edge, _wr,
+                               default_k_grid, dump_table, e_over_k,
                                eigentable_build, ek_growth_report,
-                               generalized_eigenfunction, jost_solve,
-                               load_table, resonance_scan, resonance_test,
-                               wronskian, wronskian_matrix)
+                               generalized_eigenfunction, load_table,
+                               resonance_scan, resonance_test,
+                               wronskian_matrix)
+
+_D2_EIGHTH = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
+                       8 / 5, -1 / 5, 8 / 315, -1 / 560])
 
 
-def test_free_field_closed_forms(free_system):
-    """Every kind on the free system is its closed form at every node,
-    x = -L included (a mirrored growing form is off by e^(2 mu L) there)."""
-    beta = free_system.beta
-    x = free_system.grid.nodes
-    k, mu = 1.0, np.sqrt(2.0 * beta + 1.0)
-    forms = {"phi1": (1, -mu), "phi2": (1, mu), "psi1": (0, 1j * k),
-             "psi2": (0, -1j * k), "xi1": (1, mu), "xi2": (1, -mu)}
-    for kind, (comp, rate) in forms.items():
-        sol = jost_solve(free_system, beta + k * k, kind)
-        value = np.exp(rate * x)
-        for got, want in ((sol.values, value), (sol.derivs, rate * value)):
-            assert np.max(np.abs(got[1 - comp])) == 0.0, kind
-            assert np.max(np.abs(got[comp] - want) / np.abs(want)) < 1e-12, kind
-        assert np.all(sol.valid), kind
-    eta = jost_solve(free_system, beta, "eta")
-    assert np.array_equal(eta.values[0], x) and np.all(eta.derivs[0] == 1.0)
-    assert np.max(np.abs(eta.values[1])) == 0.0 and np.max(np.abs(eta.derivs[1])) == 0.0
-    with pytest.raises(ValueError, match="threshold only"):
-        jost_solve(free_system, beta + 1.0, "eta")
+def _scaled_system(sys_, s):
+    """The system with its coupling W scaled by s."""
+    return LinearizedSystem(grid=sys_.grid, beta=sys_.beta, V1=s * sys_.V1,
+                            V2=s * sys_.V2, profile=sys_.profile)
 
 
-def test_free_field_threshold_wronskian(free_system):
-    beta = free_system.beta
-    lam = beta
-    p1 = jost_solve(free_system, lam, "phi1")
-    p2 = jost_solve(free_system, lam, "phi2")
-    w, spread = wronskian(p1, p2)
-    assert abs(abs(w) - 2 * np.sqrt(2 * beta)) < 1e-10
-    assert spread < 1e-9
+def _window(row):
+    """Nodes a march row covers: it is zero left of its window."""
+    return np.any(row != 0.0, axis=0)
 
 
-def test_wronskian_self_vanishes(default_system):
-    lam = default_system.beta + 1.0
-    p1 = jost_solve(default_system, lam, "phi1")
-    w, _ = wronskian(p1, p1)
-    assert abs(w) < 1e-12
+def _ode_residual(sys_, lam, values, valid):
+    """Weighted sup of (H - lam) xi through an eighth-order stencil.
+
+    Relative to the weighted sup of xi, on the nodes of the valid window
+    whose stencil stays inside it.  The weight e^(-alpha |x| / 4), with
+    alpha the fitted decay rate of the potentials, keeps the growing
+    far-left values from setting the scale.
+    """
+    g = sys_.grid
+    ok = valid.copy()
+    ok[:4] = False
+    ok[-4:] = False
+    d2 = np.zeros((2, g.N), dtype=complex)
+    for j, cj in enumerate(_D2_EIGHTH):
+        d2 += cj * np.roll(values, 4 - j, axis=1)
+    d2 /= g.dx**2
+    v3, v4 = sys_.V3, sys_.V4
+    r1 = (-d2[0] + sys_.beta * values[0] + 0.5 * (v3 * values[0] - 1j * v4 * values[1])
+          - lam * values[0])
+    r2 = (d2[1] - sys_.beta * values[1] + 0.5 * (-1j * v4 * values[0] - v3 * values[1])
+          - lam * values[1])
+    ok &= np.convolve(ok.astype(float), np.ones(9), mode="same") >= 8.5
+    rates = [fit_exponential_decay(g.nodes, v)[0] for v in (v3, v4)]
+    alpha = min([a for a in rates if a > 0], default=1.0)
+    w = np.exp(-np.abs(g.nodes) * alpha / 4.0)
+    scale = np.max(w[ok] * (np.abs(values[0]) + np.abs(values[1]))[ok])
+    return float(np.max(w[ok] * (np.abs(r1) + np.abs(r2))[ok]) / scale)
+
+
+def _tail_rate(sys_, kind, k, values):
+    """Fitted decay rate of the remainder against the free form on the right.
+
+    The window ends where the potential support does: past the edge the
+    remainder is at the noise floor, which would flatten the fit.
+    """
+    g = sys_.grid
+    mu = np.sqrt(k**2 + 2.0 * sys_.beta)
+    x = g.nodes
+    sel = (x > 1.0) & (x < max(min(_w_edge(sys_), 0.9 * g.L), 6.0))
+    v, xs = values[:, sel], x[sel]
+    if kind == "eta":
+        rem = np.abs(v[0] - xs) + np.abs(v[1])
+    elif kind == "phi1":
+        unit = np.exp(mu * xs)
+        rem = np.abs(v[1] * unit - 1.0) + np.abs(v[0] * unit)
+    else:  # psi1 ~ e^(ikx) and psi2 ~ e^(-ikx) in the first component
+        phase = np.exp((-1j if kind == "psi1" else 1j) * k * xs)
+        rem = np.abs(v[0] * phase - 1.0) + np.abs(v[1])
+    rate, _ = fit_exponential_decay(xs, rem, floor=1e-15)
+    return rate
 
 
 def test_jost_residuals_and_tails(default_system):
+    """psi1, psi2 and phi1 at k = 1 and eta at k = 0 solve (H - lam) xi = 0
+    and approach their free forms exponentially on the right."""
     beta = default_system.beta
-    for kind, lam in (("phi1", beta + 1.0), ("psi1", beta + 1.0),
-                      ("psi2", beta + 1.0), ("xi1", beta + 1.0),
-                      ("eta", beta)):
-        sol = jost_solve(default_system, lam, kind)
-        assert sol.residual < 1e-7, kind
-        assert sol.tail_fit_rate > 0.2, kind
+    ypsi, yphi, _samples, _d = _pair_rows(default_system, np.array([1.0]))
+    rows, _valid = _march_left(default_system, np.zeros(1), ("eta", "phi1"))
+    cases = (("psi1", 1.0, ypsi[0]), ("psi2", 1.0, _s3conj(ypsi[0])),
+             ("phi1", 1.0, yphi[0]), ("eta", 0.0, rows[0, 0]))
+    for kind, k, row in cases:
+        values = row[(0, 2), :]
+        assert _ode_residual(default_system, beta + k * k, values, _window(row)) < 1e-7, kind
+        assert _tail_rate(default_system, kind, k, values) > 0.2, kind
 
 
 def test_jost_normalization_decay(default_system):
     """phi1 e^{mu x} approaches (0,1) exponentially on the far right."""
-    lam = default_system.beta + 1.0
-    sol = jost_solve(default_system, lam, "phi1")
+    mu = np.sqrt(1.0 + 2.0 * default_system.beta)
+    phi1 = _pair_rows(default_system, np.array([1.0]))[1][0][(0, 2), :]
     g = default_system.grid
     # the correction lives on the potential support; past it only the
     # noise floor remains
     sel = (g.nodes > 2.0) & (g.nodes < 12.0)
-    rem = np.abs(sol.values[1, sel] * np.exp(sol.mu * g.nodes[sel]) - 1.0)
-    rem += np.abs(sol.values[0, sel] * np.exp(sol.mu * g.nodes[sel]))
-    from nlslab.grids import fit_exponential_decay
-
+    rem = np.abs(phi1[1, sel] * np.exp(mu * g.nodes[sel]) - 1.0)
+    rem += np.abs(phi1[0, sel] * np.exp(mu * g.nodes[sel]))
     rate, _ = fit_exponential_decay(g.nodes[sel], rem + 1e-300, floor=1e-280)
     assert rate > 0.2
 
 
 def test_jost_k_smoothness(default_system):
-    """Centered k-differences agree with re-solves at shifted k."""
-    beta = default_system.beta
+    """Centered k-differences agree across the rows of one march at shifted k."""
     k0, d = 1.0, 1e-3
-    sols = {dk: jost_solve(default_system, beta + (k0 + dk) ** 2, "psi1")
-            for dk in (-2 * d, -d, d, 2 * d)}
+    shifts = (-2 * d, -d, d, 2 * d)
+    rows, _valid = _march_left(default_system, k0 + np.array(shifts), ("psi1", "phi1"))
     g = default_system.grid
     j = np.searchsorted(g.nodes, 3.0)
-    five = (sols[-2 * d].values[0, j] - 8 * sols[-d].values[0, j]
-            + 8 * sols[d].values[0, j] - sols[2 * d].values[0, j]) / (12 * d)
-    three = (sols[d].values[0, j] - sols[-d].values[0, j]) / (2 * d)
+    v = dict(zip(shifts, rows[:, 0, 0, j]))
+    five = (v[-2 * d] - 8 * v[-d] + 8 * v[d] - v[2 * d]) / (12 * d)
+    three = (v[d] - v[-d]) / (2 * d)
     assert abs(five - three) < 1e-5 * max(abs(five), 1.0)
+
+
+def test_three_column_march_matches_two_column_marches(default_system):
+    """Columns of a march do not interact: psi1 and eta are each purged
+    against the last column, phi1, so one k = 0 march with all three gives
+    the rows of the (psi1, phi1) and (eta, phi1) marches."""
+    zero = np.zeros(1)
+    both, valid = _march_left(default_system, zero, ("psi1", "eta", "phi1"))
+    pp, valid_pp = _march_left(default_system, zero, ("psi1", "phi1"))
+    ep, valid_ep = _march_left(default_system, zero, ("eta", "phi1"))
+    for got, want in ((both[0, 0], pp[0, 0]), (both[0, 2], pp[0, 1]),
+                      (both[0, 1], ep[0, 0]), (both[0, 2], ep[0, 1])):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(valid, valid_pp) and np.array_equal(valid, valid_ep)
 
 
 def test_threshold_eta_psi1_wronskian(default_system):
     """eta and psi1 share one march at k = 0; their Wronskian is the free
     value eta' psi1 - psi1' eta = 1 on the potential-free tail."""
-    beta = default_system.beta
-    eta = jost_solve(default_system, beta, "eta")
-    psi1 = jost_solve(default_system, beta, "psi1")
-    w, spread = wronskian(eta, psi1)
-    assert abs(w - 1.0) < 1e-10
-    assert spread < 1e-7
+    rows, _valid = _march_left(default_system, np.zeros(1), ("psi1", "eta", "phi1"))
+    idx = _sample_indices(default_system.grid, np.sqrt(2.0 * default_system.beta))
+    w = _wr(rows[0, 1][:, idx], rows[0, 0][:, idx])
+    med = complex(_cmedian(w))
+    assert abs(med - 1.0) < 1e-10
+    assert np.std(w) / abs(med) < 1e-7
 
 
 def test_sigma3_conjugation_symmetry(default_system):
-    lam = default_system.beta + 1.0
-    p1 = jost_solve(default_system, lam, "phi1")
-    flip = -np.stack([np.conj(p1.values[0]), -np.conj(p1.values[1])])
-    sel = p1.valid
-    scale = np.max(np.abs(p1.values[:, sel]))
-    assert np.max(np.abs((p1.values - flip)[:, sel])) < 1e-8 * scale
+    phi1 = _pair_rows(default_system, np.array([1.0]))[1][0]
+    values = phi1[(0, 2), :]
+    flip = -np.stack([np.conj(values[0]), -np.conj(values[1])])
+    sel = _window(phi1)
+    scale = np.max(np.abs(values[:, sel]))
+    assert np.max(np.abs((values - flip)[:, sel])) < 1e-8 * scale
 
 
 def test_wronskian_matrix_properties(default_system):
@@ -127,20 +180,27 @@ def test_wronskian_matrix_properties(default_system):
 
 @pytest.mark.parametrize("k", [0.5, 2.0])
 def test_wronskian_matrix_matches_jost_pairings(default_system, k):
-    """The batched D entries equal the pairings of single Jost solutions
-    against their reflections, and W(psi1, phi1) vanishes: both are Jost
-    solutions at +infinity, which the Cramer form of (r, b) relies on."""
-    lam = default_system.beta + k * k
-    d = wronskian_matrix(default_system, lam)
-    sols = {kind: jost_solve(default_system, lam, kind) for kind in ("psi1", "phi1")}
+    """The D entries equal the explicit pairings of the psi1 and phi1 rows
+    against their reflections.  W(psi1, phi1) vanishes: both are Jost
+    solutions at +infinity, which the Cramer form of (r, b) relies on.  A
+    row paired with itself gives zero."""
+    mu = np.sqrt(k * k + 2.0 * default_system.beta)
+    d = wronskian_matrix(default_system, default_system.beta + k * k)
+    ypsi, yphi, _samples, _d = _pair_rows(default_system, np.array([k]))
+    rows = {"psi1": ypsi[0], "phi1": yphi[0]}
+    idx = _sample_indices(default_system.grid, mu)
+
+    def pairing(x, y):
+        return complex(_cmedian(_wr(x[:, idx], y)))
+
     entries = {("psi1", "psi1"): d.d11, ("psi1", "phi1"): d.d12,
                ("phi1", "psi1"): d.d21, ("phi1", "phi1"): d.d22}
     scale = max(abs(d.d11), abs(d.d12), abs(d.d21), abs(d.d22))
     for (x, y), want in entries.items():
-        got, _ = wronskian(sols[x], sols[y], reflect_second=True)
+        got = pairing(rows[x], _mirror(rows[y], idx))
         assert abs(got - want) <= 1e-13 * scale, (x, y)
-    w, _ = wronskian(sols["psi1"], sols["phi1"])
-    assert abs(w) < 1e-12 * scale
+    assert abs(pairing(rows["psi1"], rows["phi1"][:, idx])) < 1e-12 * scale
+    assert abs(pairing(rows["phi1"], rows["phi1"][:, idx])) < 1e-12
 
 
 def test_free_field_resonant(free_system):
@@ -157,8 +217,6 @@ def test_default_system_not_resonant(default_system):
 
 
 def test_scaled_coupling_not_resonant(default_system):
-    from nlslab.scattering import _scaled_system
-
     rt = resonance_test(_scaled_system(default_system, 0.05))
     assert not rt["resonant"]
 
@@ -176,8 +234,6 @@ def test_resonance_scan_slope(default_system):
 
 def test_resonance_scan_matches_single_marches(default_system):
     """The batched scan march equals one scaled-system march per coupling."""
-    from nlslab.scattering import _scaled_system
-
     scan = resonance_scan(default_system, [-0.1, 0.0, 0.05, 0.5])
     assert scan["detD0"][1] == 0.0 and scan["wronskian_lemma"][1] == 0.0
     for j in (0, 2, 3):
@@ -193,8 +249,6 @@ def test_march_start_does_not_move_threshold_data(default_system):
     free one and the purges are exact bookkeeping, so only roundoff is
     left.  s = 0.5 sits next to the crossing at s* = 0.487, where det D(0)
     is small."""
-    from nlslab.scattering import _scaled_system, _w_edge
-
     scaled = _scaled_system(default_system, 0.5)
     assert _w_edge(scaled) < _w_edge(default_system) - 5 * default_system.grid.dx
     scan = resonance_scan(default_system, [0.5])
@@ -215,8 +269,6 @@ def test_march_matches_dop853_oracle(default_system, k):
     and their reflections.
     """
     from scipy.integrate import solve_ivp
-
-    from nlslab.scattering import _sample_indices, _w_edge
 
     sys_ = default_system
     g = sys_.grid
@@ -249,8 +301,8 @@ def test_march_matches_dop853_oracle(default_system, k):
     assert sol.success
     oracle = sol.y[(0, 2), :][:, np.argsort(np.argsort(-nodes))]
 
-    phi1 = jost_solve(sys_, beta + k**2, "phi1")
-    marched = phi1.values[:, np.concatenate([idx, ridx])] * np.exp(mu * nodes)
+    phi1 = _pair_rows(sys_, np.array([k]))[1][0]
+    marched = phi1[(0, 2), :][:, np.concatenate([idx, ridx])] * np.exp(mu * nodes)
     rel = np.max(np.abs(marched - oracle), axis=0) / np.max(np.abs(oracle), axis=0)
     assert np.max(rel) <= 1e-9, np.max(rel)
 
@@ -264,8 +316,6 @@ def test_resonance_flip_by_bisection(default_system):
     threshold combination psi1 - (D12/D22) phi1 stays bounded on the
     left (its linear-growth coefficient collapses).
     """
-    from nlslab.scattering import _pair_rows, _scaled_system, jost_solve
-
     def dmat(s):
         return wronskian_matrix(_scaled_system(default_system, s),
                                 default_system.beta)
@@ -303,28 +353,17 @@ def test_resonance_flip_by_bisection(default_system):
     # Wronskian pairings (exact invariants, no far-field cancellation);
     # boundedness at -infinity means a vanishing coefficient b of the
     # linear-growth member eta(-x)
-    def wr(view_a, view_b):
-        (va, da), (vb, db) = view_a, view_b
-        w = da[0] * vb[0] - da[1] * vb[1] - (db[0] * va[0] - db[1] * va[1])
-        return complex(np.median(w.real) + 1j * np.median(w.imag))
-
     def growth_coefficient(s):
-        syss = _scaled_system(default_system, s)
         d = dmat(s)
-        beta = default_system.beta
         g = default_system.grid
         idx = np.unique(np.searchsorted(g.nodes, np.linspace(0.8, 5.0, 12)))
-        ridx = (g.N - idx) % g.N
-        sols = {kind: jost_solve(syss, beta, kind)
-                for kind in ("psi1", "phi1", "eta")}
-        B = [sols["psi1"].reflected_at(ridx), sols["eta"].reflected_at(ridx),
-             sols["phi1"].reflected_at(ridx)]
-        mat = np.array([[wr(B[i], B[j]) for i in range(3)] for j in range(3)])
-        z = -d.d12 / d.d22
-        pv, pd_ = sols["psi1"].at(idx)
-        fv, fd = sols["phi1"].at(idx)
-        cand = (pv + z * fv, pd_ + z * fd)
-        rhs = np.array([wr(cand, B[j]) for j in range(3)])
+        rows, _valid = _march_left(_scaled_system(default_system, s), np.zeros(1),
+                                   ("psi1", "eta", "phi1"))
+        psi1, _eta, phi1 = rows[0]
+        left = _mirror(rows[0], idx)     # psi1(-x), eta(-x), phi1(-x)
+        mat = _cmedian(_wr(left[None, :], left[:, None]))  # [j, i] = W(left_i, left_j)
+        cand = (psi1 - d.d12 / d.d22 * phi1)[:, idx]
+        rhs = _cmedian(_wr(cand, left))
         coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         return abs(coef[1]), float(np.max(np.abs(coef)))
 
@@ -372,8 +411,6 @@ def test_table_invariants(default_table):
 def test_reflection_consistency(default_system, default_table):
     """Left-side values rebuilt from the reflection expansion match the
     right representation continued across the origin."""
-    from nlslab.scattering import _pair_rows
-
     g = default_system.grid
     tab = default_table
     for kq in (0.5, 1.0, 2.0):
@@ -391,8 +428,6 @@ def test_reflection_consistency(default_system, default_table):
 
 def test_large_x_factorization(default_system, default_table):
     """e(x,k) - s(k) e^{ikx}(1,0) decays exponentially on the far right."""
-    from nlslab.grids import fit_exponential_decay
-
     g = default_system.grid
     tab = default_table
     i = int(np.argmin(np.abs(tab.k - 1.0)))
@@ -440,7 +475,5 @@ def test_table_dump_roundtrip(default_table, tmp_path):
 def test_near_resonant_system_rejected(default_system):
     # an infinitesimally scaled coupling sits next to the free-field
     # threshold resonance, which the table build must refuse
-    from nlslab.scattering import _scaled_system
-
     with pytest.raises(ValueError, match="resonant"):
         eigentable_build(_scaled_system(default_system, 1e-9), np.array([0.0, 0.5]))

@@ -1,5 +1,7 @@
 """Ground-state construction, derivatives, and the stability index."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ def test_profile_even_and_positive(default_profile):
     g = default_profile.grid
     assert np.min(default_profile.phi) > 0
     assert g.parity_defect(default_profile.phi) == 0.0
+
+
+def test_wide_box_seed_does_not_overflow(cfg, trap, cubic):
+    """The sech seed on an L = 800 box reaches |sqrt(lam_eff) x| ~ 1400,
+    far past where cosh overflows; the seed must be formed without it."""
+    g = make_grid(800.0, 32768)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = solve_soliton(cfg.lam, trap, cubic, g)
+    assert np.min(prof.phi) > 0
+    assert g.parity_defect(prof.phi) == 0.0
 
 
 def test_tail_rate(free_soliton):
