@@ -3,9 +3,9 @@
 Everything downstream (soliton construction, linearizations, scattering,
 time propagation) works on a uniform symmetric grid on [-L, L).  Smooth
 exponentially decaying fields are resolved to near machine precision by
-the periodic spectral derivative; banded finite-difference operators are
-provided for the time steppers and dense eigensolves, which need sparse
-matrices rather than FFT applications.
+the periodic spectral derivative; the banded finite-difference operator,
+as a sparse matrix or in band storage with a one-factor band LU, serves
+the time steppers, Newton solves and dense eigensolves.
 
 All containers are immutable after construction and all operations are
 pure, so they can be used concurrently without coordination.
@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "Grid",
@@ -30,6 +31,7 @@ __all__ = [
     "eval_nonlinearity",
     "validate_assumptions",
     "fit_exponential_decay",
+    "band_solver",
 ]
 
 PARITY_TOL = 1e-10
@@ -115,12 +117,27 @@ class Grid:
     def spectral_d2(self, u: np.ndarray) -> np.ndarray:
         return np.fft.ifft(-(self.wavenumbers**2) * np.fft.fft(u))
 
-    def fd_d2_matrix(self) -> sparse.csr_matrix:
+    def fd_d2_band(self) -> np.ndarray:
         """Banded second-derivative matrix, Dirichlet truncation at +-L.
 
         4th order 5-point stencil in the interior; the two rows nearest
         each boundary fall back to the 3-point stencil (the fields that
-        reach them are below truncation level anyway).  Cached per grid.
+        reach them are below truncation level anyway).  Row 2 - k holds
+        the diagonal of offset k, column-aligned (entry (j - k, j) in
+        column j): the storage of scipy.linalg.solve_banded with
+        (l, u) = (2, 2), and of a dia_matrix with offsets 2 .. -2.
+        """
+        n = self.point_count
+        band = np.repeat(np.array([[-1.0], [16.0], [-30.0], [16.0], [-1.0]]) / 12.0, n, axis=1)
+        for j in (0, 1, n - 2, n - 1):
+            for k, c in zip(range(2, -3, -1), (0.0, 1.0, -2.0, 1.0, 0.0)):
+                if 0 <= j + k < n:
+                    band[2 - k, j + k] = c
+        return band / self.dx**2
+
+    def fd_d2_matrix(self) -> sparse.csr_matrix:
+        """fd_d2_band as a sparse matrix, cached per grid.
+
         Its rows x >= 0 composed with unfold() are the parity blocks that
         linearized._parity_blocks and dynamics.evolve_nls work on.
         """
@@ -129,27 +146,29 @@ class Grid:
         if hit is not None:
             return hit
         n = self.point_count
-        h2 = self.dx**2
-        c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-        mat = sparse.diags(
-            [np.full(n - 2, c[0]), np.full(n - 1, c[1]), np.full(n, c[2]),
-             np.full(n - 1, c[3]), np.full(n - 2, c[4])],
-            [-2, -1, 0, 1, 2],
-        ).tolil()
-        for j in (0, 1, n - 2, n - 1):
-            mat.rows[j], mat.data[j] = [], []
-            if j - 1 >= 0:
-                mat[j, j - 1] = 1.0
-            mat[j, j] = -2.0
-            if j + 1 < n:
-                mat[j, j + 1] = 1.0
-        mat = (mat / h2).tocsr()
+        mat = sparse.dia_matrix((self.fd_d2_band(), range(2, -3, -1)), shape=(n, n)).tocsr()
         _D2_CACHE[key] = mat
         return mat
 
     def weight(self, nu: float) -> np.ndarray:
         """rho_nu(x) = (1 + |x|)^(-nu)."""
         return (1.0 + np.abs(self.nodes)) ** (-nu)
+
+
+def band_solver(ab: np.ndarray, kl: int, ku: int):
+    """rhs -> A^-1 rhs from one LU of the band matrix A.
+
+    ab holds A in the storage of scipy.linalg.solve_banded (row
+    ku + i - j, column j holds A[i, j]).  Unlike solve_banded, the LU
+    (LAPACK gbtrf) is formed once and serves every right-hand side.
+    """
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    work = np.zeros((2 * kl + ku + 1, ab.shape[1]), dtype=ab.dtype)
+    work[kl:] = ab
+    lu, piv, info = gbtrf(work, kl, ku)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular band matrix")
+    return lambda rhs: gbtrs(lu, kl, ku, rhs, piv)[0]
 
 
 def make_grid(L: float, N: int) -> Grid:

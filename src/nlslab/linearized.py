@@ -31,9 +31,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import splu
 
-from .grids import Grid, make_grid
+from .grids import Grid, band_solver, make_grid
 from .solitons import SolitonProfile
 
 __all__ = [
@@ -197,6 +196,26 @@ class DiscreteSpectrum:
         return [self.zero_mode, self.zero_assoc, self.odd_plus, self.odd_minus]
 
 
+def _shifted_solver(sys: LinearizedSystem, z: complex):
+    """v -> (L - z)^-1 v for the FD4 L on stacked pairs [2N, ...], from one band LU.
+
+    With the two components interleaved (v1_0, v2_0, v1_1, ...), L - z
+    is a band with kl = ku = 5: Lminus on the odd columns of the even
+    rows, -Lplus on the even columns of the odd rows.
+    """
+    n = sys.grid.N
+    d2 = sys.grid.fd_d2_band()
+    band = np.zeros((11, 2 * n), dtype=complex)
+    band[5] = -z
+    band[0:9:2, 1::2], band[2:11:2, 0::2] = -d2, d2
+    band[4, 1::2] += sys.beta + sys.V1
+    band[6, 0::2] -= sys.beta + sys.V2
+    solve = band_solver(band, 5, 5)
+    interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+    stack = np.arange(2 * n).reshape(n, 2).T.ravel()
+    return lambda v: solve(v[interleave])[stack]
+
+
 def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     """Inverse iteration with spectral defect polish on the fine grid.
 
@@ -208,10 +227,10 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     n = g.N
     v = np.concatenate([v0[0], v0[1]])
     v = v / np.linalg.norm(v)
-    lu = splu((sys.L_matrix() - mu0 * sparse.identity(2 * n, format="csc")).tocsc())
+    solve = _shifted_solver(sys, mu0)
     # two plain inverse-iteration steps lock onto the FD4 eigenvector
     for _ in range(2):
-        w = lu.solve(v)
+        w = solve(v)
         w = 0.5 * (w - g.reflect(w.reshape(2, n)).ravel())
         v = w / np.linalg.norm(w)
     # Newton polish against the spectral operator.  The near-singular
@@ -225,8 +244,8 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
         resid = g.dx ** 0.5 * np.linalg.norm(resid_vec)
         if resid < 1e-11:
             break
-        mr = lu.solve(resid_vec)
-        mv = lu.solve(v)
+        mr = solve(resid_vec)
+        mv = solve(v)
         alpha = np.vdot(v, mr) / np.vdot(v, mv)
         w = v - (mr - alpha * mv)
         w = 0.5 * (w - g.reflect(w.reshape(2, n)).ravel())
@@ -268,7 +287,8 @@ def _parity_blocks(coarse: LinearizedSystem):
     those of a mirror-symmetric operator on the n - 1 nodes x_1 .. x_{n-1}
     (node -L dropped, 3-point rows at the two nodes next to each wall).
     Composed with Grid.unfold they fold the 5-point stencil at x = 0 into
-    the even block on n/2 nodes and the odd block on n/2 - 1 nodes.
+    the even block on n/2 nodes and the odd block on n/2 - 1 nodes, exactly;
+    the odd solve symmetrizes its wall rows itself (_symmetric_eig).
     """
     cg = coarse.grid
     lminus, lplus = coarse.blocks()
@@ -282,19 +302,16 @@ def _parity_blocks(coarse: LinearizedSystem):
     return blocks
 
 
-def _reduced_eig(lminus, lplus):
-    """All 2m eigenvalues of L = [[0, lminus], [-lplus, 0]] from one m-order eigensolve.
+def _pair_spectrum(nu: np.ndarray, x: np.ndarray, lplus):
+    """Eigenpairs of L = [[0, lminus], [-lplus, 0]] from those (nu, x) of lminus lplus.
 
-    L squares to -diag(lminus lplus, lplus lminus), so the eigenpairs
-    (nu, x) of lminus lplus give the eigenvalues +-mu, mu = sqrt(-nu) on
-    the principal branch.  lminus lplus is not symmetric and the FD4
-    lminus need not be positive, so there is no symmetric route.  The
+    L squares to -diag(lminus lplus, lplus lminus), so nu gives the
+    eigenvalues +-mu, mu = sqrt(-nu) on the principal branch.  The
     eigenvector of +-mu is (x, -+lplus x / mu); it is formed as
     (mu x, -+lplus x), which stays finite at mu = 0, and only for the
     columns asked for.  Returns vals = [mu, -mu] and a function mapping
     indices into vals to unit eigenvectors [2m, k].
     """
-    nu, x = np.linalg.eig((lminus @ lplus).toarray())
     mu = np.sqrt(-nu.astype(complex))
     n = mu.size
 
@@ -305,6 +322,31 @@ def _reduced_eig(lminus, lplus):
         return v / np.linalg.norm(v, axis=0)
 
     return np.concatenate([mu, -mu]), vectors
+
+
+def _reduced_eig(lminus, lplus):
+    """_pair_spectrum from one dense eig of lminus lplus, which is not symmetric.
+
+    The even block has no symmetric route: its FD4 lminus has the discrete
+    near-kernel phi, a small negative eigenvalue.
+    """
+    nu, x = np.linalg.eig((lminus @ lplus).toarray())
+    return _pair_spectrum(nu, x, lplus)
+
+
+def _symmetric_eig(lminus, lplus):
+    """_pair_spectrum of the odd block, by Cholesky and eigh.
+
+    Its node weights are uniform, so its FD4 rows are symmetric but at the
+    wall, where a 3-point row sits next to a 5-point row that reads it.
+    A -> (A + A^T)/2 symmetrizes them there, which moves only modes that
+    reach the wall.  lminus is positive definite (its ground state phi is
+    even); with lminus = C C^T, C^T lplus C z = nu z gives real nu, x = C z.
+    """
+    lminus, lplus = (0.5 * (a + a.T) for a in (lminus.toarray(), lplus.toarray()))
+    chol = np.linalg.cholesky(lminus)
+    nu, z = np.linalg.eigh(chol.T @ lplus @ chol)
+    return _pair_spectrum(nu, chol @ z, lplus)
 
 
 def _localized(w: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: float):
@@ -324,8 +366,9 @@ def discrete_spectrum(
     nodes, the largest even divisor of N from 16 up to coarse_points, on
     the mirror-symmetric FD4 L of _parity_blocks: an even block of order
     n/2 and an odd block of order n/2 - 1, each solved through the
-    Hamiltonian reduction of _reduced_eig.  That operator differs from
-    L_matrix only next to x = -L, where every gap mode has decayed like
+    Hamiltonian reduction: the even block by _reduced_eig, the odd block,
+    its wall rows symmetrized, by _symmetric_eig.  That operator differs
+    from L_matrix only next to the walls, where every gap mode has decayed like
     e^(-sqrt(beta)|x|).  Gap eigenvalues are recognized by eigenvector
     localization (over 95% of the mass in |x| < 0.4 L) rather than by a
     distance margin, so weakly bound states just inside the thresholds
@@ -348,8 +391,8 @@ def discrete_spectrum(
     beta, half = sys.beta, coarse.grid.L
     blocks = _parity_blocks(coarse)
     gap, embedded = [], []
-    for blk in blocks:
-        vals, vectors = _reduced_eig(blk.lminus, blk.lplus)
+    for blk, solve in zip(blocks, (_reduced_eig, _symmetric_eig)):
+        vals, vectors = solve(blk.lminus, blk.lplus)
         in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
                           & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
         vecs = vectors(in_gap)
@@ -490,9 +533,7 @@ def contour_projector(
     Accepts one stacked pair or a list of them (one factorization per
     node either way).
     """
-    g = sys.grid
-    mat = sys.L_matrix()
-    n = g.N
+    n = sys.grid.N
     single = not isinstance(fields, (list, tuple))
     flist = [fields] if single else list(fields)
     rhs = np.stack([
@@ -501,24 +542,20 @@ def contour_projector(
     ], axis=1)
 
     def apply_spectral(block, z):
-        out = np.empty_like(block)
-        for j in range(block.shape[1]):
-            pair = np.stack([block[:n, j], block[n:, j]])
-            lv = sys.apply_L(pair) - z * pair
-            out[:, j] = np.concatenate([lv[0], lv[1]])
-        return out
+        pairs = block.reshape(2, n, -1).transpose(0, 2, 1)    # [2, columns, n]
+        return (sys.apply_L(pairs) - z * pairs).transpose(0, 2, 1).reshape(block.shape)
 
     acc = np.zeros_like(rhs)
     n_nodes = 128
     thetas = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     for th in thetas:
         z = radius * np.exp(1j * th)
-        lu = splu((mat - z * sparse.identity(2 * n, format="csc")).tocsc())
-        x = lu.solve(rhs)
+        solve = _shifted_solver(sys, z)
+        x = solve(rhs)
         # two defect-correction sweeps lift the banded resolvent to the
         # spectral operator's accuracy
         for _ in range(2):
-            x = x + lu.solve(rhs - apply_spectral(x, z))
+            x = x + solve(rhs - apply_spectral(x, z))
         # dz/(2 pi i) = z dtheta / (2 pi)
         acc = acc - x * z / n_nodes
     out = [np.stack([acc[:n, j], acc[n:, j]]) for j in range(len(flist))]

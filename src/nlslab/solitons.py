@@ -9,7 +9,9 @@ evaluated spectrally (periodic FFT Laplacian, tails are far below
 truncation) and whose linear solves use a banded 4th-order
 finite-difference Jacobian as a defect-correction preconditioner.  That
 combination converges to the continuum profile to ~1e-12 while keeping
-every linear solve O(N).
+every linear solve O(N).  The FD4 Jacobian is kept in banded storage
+(Grid.fd_d2_band, laid out once per solve); each Newton step adds its
+diagonal and takes one LAPACK band LU (grids.band_solver).
 
 The frequency derivatives come from one banded factor of L_plus: with
 G(phi) = f(phi^2) phi, differentiating the profile equation in lam gives
@@ -27,13 +29,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .grids import (
     Grid,
     PolynomialNonlinearity,
     PotentialSpec,
+    band_solver,
     fit_exponential_decay,
     validate_assumptions,
 )
@@ -82,9 +83,11 @@ def _lplus_diag(grid: Grid, lam, V, f, phi):
     return V(grid.nodes) + lam - f.f(s) - 2.0 * f.fprime(s) * s
 
 
-def _lplus_matrix(grid: Grid, diag):
-    # the banded FD4 L_plus
-    return (-grid.fd_d2_matrix() + sparse.diags(diag)).tocsc()
+def _lplus_solver(neg_d2: np.ndarray, diag: np.ndarray):
+    """rhs -> L_plus^-1 rhs for the banded FD4 L_plus: -d2 in band storage, plus diag."""
+    ab = neg_d2.copy()
+    ab[2] += diag
+    return band_solver(ab, 2, 2)
 
 
 def solve_soliton(
@@ -122,13 +125,12 @@ def solve_soliton(
 
     res = _residual(grid, lam, V, f, phi)
     res_sup = float(np.max(np.abs(res)))
+    neg_d2 = -grid.fd_d2_band()
     stalled = 0
     for _ in range(NEWTON_MAX_ITER):
         if res_sup < TARGET_TOL or (stalled >= 2 and res_sup < RESIDUAL_TOL):
             break
-        lu = splu(_lplus_matrix(grid, _lplus_diag(grid, lam, V, f, phi)))
-        step = lu.solve(res)
-        step = np.real(step)
+        step = _lplus_solver(neg_d2, _lplus_diag(grid, lam, V, f, phi))(res)
         damping = 1.0
         for _half in range(30):
             cand = grid.symmetrize(phi - damping * step)
@@ -168,18 +170,18 @@ def solve_soliton(
     )
 
 
-def _defect_solve(grid: Grid, lu, diag, rhs):
-    """Spectral L_plus u = rhs by defect correction on the banded factor lu."""
+def _defect_solve(grid: Grid, solve, diag, rhs):
+    """Spectral L_plus u = rhs by defect correction on the banded solve."""
 
     def lplus_apply(u):
         return np.real(-grid.spectral_d2(u) + diag * u)
 
-    u = lu.solve(rhs)
+    u = solve(rhs)
     for _ in range(12):
         defect = rhs - lplus_apply(u)
         if grid.norm(defect) < 1e-11 * max(grid.norm(rhs), 1e-300):
             break
-        u = u + lu.solve(defect)
+        u = u + solve(defect)
     u = grid.symmetrize(np.real(u))
     rel = grid.norm(lplus_apply(u) - rhs) / grid.norm(rhs)
     if rel > 1e-8:
@@ -199,19 +201,19 @@ def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
         raise ValueError("profile residual too large for derivative solve")
     grid, f, phi = profile.grid, profile.nonlinearity, profile.phi
     diag = _lplus_diag(grid, profile.lam, profile.potential, f, phi)
-    lu = splu(_lplus_matrix(grid, diag))
+    solve = _lplus_solver(-grid.fd_d2_band(), diag)
     # crude singularity guard: inverse power step on a random probe
     rng = np.random.default_rng(0)
     probe = grid.symmetrize(rng.standard_normal(grid.N))
-    grow = grid.norm(lu.solve(probe)) / max(grid.norm(probe), 1e-300)
+    grow = grid.norm(solve(probe)) / max(grid.norm(probe), 1e-300)
     if grow > 1e10:
         raise ValueError("L_plus singular")
 
-    phi_lam = _defect_solve(grid, lu, diag, -phi)
+    phi_lam = _defect_solve(grid, solve, diag, -phi)
     # G''(phi) = 6 phi f'(phi^2) + 4 phi^3 f''(phi^2) = sum_m 2m(2m+1) c_m phi^(2m-1)
     g2 = sum(2 * m * (2 * m + 1) * c * phi ** (2 * m - 1)
              for m, c in enumerate(f.coefficients, start=1))
-    phi_lamlam = _defect_solve(grid, lu, diag, -2.0 * phi_lam + g2 * phi_lam**2)
+    phi_lamlam = _defect_solve(grid, solve, diag, -2.0 * phi_lam + g2 * phi_lam**2)
     return replace(profile, phi_lam=phi_lam, phi_lamlam=phi_lamlam)
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from nlslab.grids import (ComplexField, PolynomialNonlinearity, PotentialSpec,
-                          eval_nonlinearity, make_grid, validate_assumptions,
-                          weighted_norm)
+                          band_solver, eval_nonlinearity, make_grid,
+                          validate_assumptions, weighted_norm)
 
 
 def test_make_grid_spacing():
@@ -186,3 +186,37 @@ def test_reflect_convention():
         xm = -g.nodes[j]
         jm = int(np.argmin(np.abs(g.nodes - xm)))
         assert refl[j] == pytest.approx(u[jm], abs=1e-12)
+
+
+def _dense_from_band(ab, kl, ku):
+    """The matrix whose entry (i, j) sits at row ku + i - j, column j of ab."""
+    n = ab.shape[1]
+    return np.array([[ab[ku + i - j, j] if -ku <= i - j <= kl else 0.0 for j in range(n)]
+                     for i in range(n)], dtype=ab.dtype)
+
+
+def test_fd_d2_band_is_the_sparse_matrix():
+    g = make_grid(5.0, 32)
+    assert np.array_equal(_dense_from_band(g.fd_d2_band(), 2, 2), g.fd_d2_matrix().toarray())
+
+
+@pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 1, 3)])
+def test_band_solver_matches_dense_solve(dtype, kl, ku):
+    rng = np.random.default_rng(3)
+    n = 40
+    ab = rng.standard_normal((kl + ku + 1, n)).astype(dtype)
+    if dtype is complex:
+        ab += 1j * rng.standard_normal(ab.shape)
+    ab[ku] += 8.0                                   # diagonally dominant
+    rhs = rng.standard_normal((n, 3)).astype(dtype)
+    want = np.linalg.solve(_dense_from_band(ab, kl, ku), rhs)
+    solve = band_solver(ab, kl, ku)
+    assert np.max(np.abs(solve(rhs) - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(solve(rhs[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want))
+
+
+def test_band_solver_rejects_a_singular_band():
+    ab = np.ones((5, 8))
+    ab[:, 3] = 0.0                                  # a zero column
+    with pytest.raises(np.linalg.LinAlgError):
+        band_solver(ab, 2, 2)

@@ -98,6 +98,38 @@ def test_reduced_eigensolve_matches_dense(default_system):
             assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
 
 
+def test_symmetric_odd_solve_matches_dense(default_system):
+    """The Cholesky + eigh route gives the spectrum of the wall-symmetrized odd block L.
+
+    np.linalg.cholesky reads one triangle and does not check symmetry, so
+    the reference symmetrizes on its own; the gap pair must agree with the
+    unsymmetrized block's eig, since the gap modes have decayed at the wall.
+    """
+    from nlslab.linearized import _parity_blocks, _reduced_eig, _symmetric_eig
+
+    coarse = default_system.coarsen(256)
+    odd = _parity_blocks(coarse)[1]
+    lminus, lplus = odd.lminus.toarray(), odd.lplus.toarray()
+    assert np.max(np.abs(lminus - lminus.T)) > 0.1   # the wall rows
+    lminus, lplus = 0.5 * (lminus + lminus.T), 0.5 * (lplus + lplus.T)
+    zero = np.zeros_like(lminus)
+    lmat = np.block([[zero, lminus], [-lplus, zero]])
+    vals, vectors = _symmetric_eig(odd.lminus, odd.lplus)
+    dense = np.linalg.eigvals(lmat)
+    a = 1j * np.sort_complex(-1j * vals)
+    b = 1j * np.sort_complex(-1j * dense)
+    assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
+    gap = _gap(vals, coarse.beta)
+    assert gap.size == 2
+    for mu, v in zip(vals[gap], vectors(gap).T):
+        assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
+    ref, _ = _reduced_eig(odd.lminus, odd.lplus)
+    ref_gap = ref[_gap(ref, coarse.beta)]
+    assert ref_gap.size == 2
+    for mu in vals[gap]:
+        assert np.min(np.abs(ref_gap - mu)) < 1e-10
+
+
 def test_parity_blocks_match_symmetric_operator(default_system, default_profile):
     """The even and odd blocks together are the FD4 L on the n - 1 nodes x_1 .. x_{n-1}."""
     from nlslab.linearized import _parity_blocks, _reduced_eig

@@ -203,6 +203,21 @@ def test_wronskian_matrix_matches_jost_pairings(default_system, k):
     assert abs(pairing(rows["phi1"], rows["phi1"][:, idx])) < 1e-12
 
 
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_wronskian_matrix_matches_block_march(default_system, k):
+    """The single-k D entries against those of rows marched in a four-k
+    block, paired at the block's own sample nodes (set by its largest mu):
+    a second roundoff realization of the rows, so the gap is not 0."""
+    d = wronskian_matrix(default_system, default_system.beta + k * k)
+    ks = np.array([0.3, 0.5, 2.0, 4.0])
+    block = _pair_rows(default_system, ks)[3]
+    q = int(np.flatnonzero(ks == k)[0])
+    want = (d.d11, d.d12, d.d21, d.d22)
+    scale = max(abs(w) for w in want)
+    for got, w in zip(block[:4], want):
+        assert abs(got[q] - w) <= 1e-12 * scale
+
+
 def test_free_field_resonant(free_system):
     rt = resonance_test(free_system)
     assert rt["resonant"]

@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from nlslab import solitons
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
-from nlslab.solitons import (power_law_standing_wave, solve_dlambda,
-                             solve_soliton, stability_scan)
+from nlslab.solitons import (SolitonProfile, _lplus_diag, _lplus_solver,
+                             power_law_standing_wave, solve_dlambda, solve_soliton,
+                             stability_scan)
 
 
 def shooting_oracle(lam, f, x_max=25.0, tol=1e-12):
@@ -206,9 +210,65 @@ def test_bifurcation_continuation_rate():
 def test_newton_divergence_reported():
     g = make_grid(40.0, 1024)
     f = PolynomialNonlinearity((1.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Newton diverged"):
         # lam + V(0) = 0: no localized seed exists
         solve_soliton(1.0, PotentialSpec("quad_gauss", 0.1, {"amp": 1.0, "offset": 1.0}), f, g)
+
+
+def test_newton_iteration_cap_reported(monkeypatch):
+    """A Newton run stopped above RESIDUAL_TOL raises rather than returning."""
+    monkeypatch.setattr(solitons, "NEWTON_MAX_ITER", 1)
+    g = make_grid(40.0, 1024)
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    with pytest.raises(ValueError, match="Newton diverged"):
+        solve_soliton(2.0, V, PolynomialNonlinearity((1.0,)), g)
+
+
+def test_positivity_loss_reported():
+    """From a negative seed every damped step stays negative: -phi also solves."""
+    g = make_grid(40.0, 1024)
+    seed = -np.sqrt(2.0) / np.cosh(1.1 * g.nodes)
+    with pytest.raises(ValueError, match="positivity lost"):
+        solve_soliton(1.0, PotentialSpec("zero", 0.0), PolynomialNonlinearity((1.0,)), g,
+                      initial_guess=seed)
+
+
+def test_singular_lplus_reported():
+    """With f = 0 and no trap, L_plus = -d2 + lam, singular to roundoff
+    when lam is the eigenvalue of the FD4 d2 nearest zero (its even
+    ground state, which the symmetrized probe excites)."""
+    g = make_grid(20.0, 256)
+    lam = float(np.max(np.linalg.eigvals(g.fd_d2_matrix().toarray()).real))
+    prof = SolitonProfile(lam=lam, potential=PotentialSpec("zero", 0.0),
+                          nonlinearity=PolynomialNonlinearity((0.0,)), grid=g,
+                          phi=np.exp(-g.nodes**2), phi_lam=None, residual_sup=0.0,
+                          mass=0.0, tail_rate=0.0)
+    with pytest.raises(ValueError, match="L_plus singular"):
+        solve_dlambda(prof)
+
+
+@pytest.mark.parametrize("L, N", [(60.0, 3072), (800.0, 32768)])
+def test_banded_lplus_matches_sparse_solve(default_profile, L, N):
+    """The band LU of L_plus solves the sparse FD4 L_plus as SuperLU does.
+
+    Both are backward stable: the residual under the sparse matrix is at
+    roundoff relative to |L_plus| |u| (measured <= 1.4e-16).  Their
+    solutions then differ by roundoff times cond(L_plus), ~1e4 on the
+    L = 60 grid, so the forward gap is held to 1e-12 (measured <= 3.2e-14).
+    """
+    g = make_grid(L, N)
+    lam, V, f = default_profile.lam, default_profile.potential, default_profile.nonlinearity
+    a = np.sqrt(lam) * np.abs(g.nodes)
+    phi = 2.0 * np.sqrt(2.0 * lam) * np.exp(-a) / (1.0 + np.exp(-2.0 * a))   # sech, no overflow
+    diag = _lplus_diag(g, lam, V, f, phi)
+    lplus = (-g.fd_d2_matrix() + sparse.diags(diag)).tocsc()
+    norm = abs(lplus).sum(axis=1).max()
+    sparse_lu = splu(lplus)
+    banded = _lplus_solver(-g.fd_d2_band(), diag)
+    for rhs in (-phi, g.nodes * phi, g.nodes**2 * phi):
+        u, want = banded(rhs), sparse_lu.solve(rhs)
+        assert np.max(np.abs(lplus @ u - rhs)) <= 1e-15 * norm * np.max(np.abs(u))
+        assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_power_law_standing_wave_forms():
