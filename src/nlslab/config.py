@@ -117,12 +117,17 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     return out
 
 
+def _grid(path: str, L, N):
+    """make_grid(L, N), its rejections reported as config errors under path."""
+    try:
+        return make_grid(float(L), int(N))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _validate(raw: dict):
     g = raw["grid"]
-    if int(g["N"]) % 2 != 0:
-        raise ValueError("grid.N: odd point count")
-    if not (float(g["L"]) > 0):
-        raise ValueError("grid.L: must be positive")
+    grid = _grid("grid", g["L"], g["N"])
     cp = int(g["coarse_points"])
     if cp % 2 != 0 or cp < 16 or int(g["N"]) % cp != 0:
         raise ValueError("grid.coarse_points: must be even, at least 16 and divide grid.N")
@@ -130,19 +135,25 @@ def _validate(raw: dict):
     if float(m["h"]) < 0:
         raise ValueError("model.h: must be nonnegative")
     d = raw["dynamics"]
-    if float(d["dt"]) > 0.01:
-        raise ValueError("dynamics.dt: must be at most 0.01")
-    if int(d["N"]) % 2 != 0:
-        raise ValueError("dynamics.N: odd point count")
+    if not 0 < float(d["dt"]) <= 0.01:
+        raise ValueError("dynamics.dt: must be positive and at most 0.01")
+    _grid("dynamics", d["L"], d["N"])
+    # stage_propagate embeds the grid in the oracle box by index offset
+    p = raw["propagator"]
+    oracle = _grid("propagator.oracle_L, oracle_N", p["oracle_L"], p["oracle_N"])
+    if abs(oracle.dx - grid.dx) > 1e-12 * grid.dx or oracle.L < grid.L:
+        raise ValueError("propagator.oracle_L, oracle_N: need grid's spacing and L >= grid.L")
+    if not (float(p["oracle_dt"]) > 0):
+        raise ValueError("propagator.oracle_dt: must be positive")
     sc = raw["scattering"]
     if not float(sc["k_max"]) > 0:
         raise ValueError("scattering.k_max: must be positive")
     if any(abs(float(s)) > 0.5 for s in sc["scan_couplings"]):
         raise ValueError("scattering.scan_couplings: |s| must be at most 0.5")
-    for t in raw["propagator"]["times"]:
+    for t in p["times"]:
         if t < 0:
             raise ValueError("propagator.times: must be nonnegative")
-    for est in raw["propagator"]["estimates"]:
+    for est in p["estimates"]:
         if est not in ("E1", "E2", "E3", "E4"):
             raise ValueError(f"propagator.estimates: unknown id '{est}'")
     PolynomialNonlinearity(tuple(m["nonlinearity"]))

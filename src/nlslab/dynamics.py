@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
-from scipy.sparse.linalg import splu
 
-from .grids import Grid, PolynomialNonlinearity, PotentialSpec
+from .grids import Grid, PolynomialNonlinearity, PotentialSpec, band_matvec, band_solver
 from .solitons import SolitonFamily
 
 __all__ = [
@@ -74,12 +72,16 @@ class EvolutionState:
 
 def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
                 psi: np.ndarray, d2=None) -> float:
-    """H = int [ (|psi_x|^2 + V |psi|^2)/2 - F(|psi|^2) ], F = (1/2) int f."""
+    """H = int [ (|psi_x|^2 + V |psi|^2)/2 - F(|psi|^2) ], F = (1/2) int f.
+
+    The kinetic term is spectral, or -<psi, d2 psi>/2 for d2 a (2, 2)
+    band such as Grid.fd_d2_band().
+    """
     if d2 is None:
         dpsi = grid.spectral_d1(psi)
         kin = 0.5 * np.real(grid.integrate(np.abs(dpsi) ** 2))
     else:
-        kin = -0.5 * np.real(grid.inner(psi, d2 @ psi))
+        kin = -0.5 * np.real(grid.inner(psi, band_matvec(d2, 2, 2, psi)))
     dens = np.abs(psi) ** 2
     pot = 0.5 * np.real(grid.integrate(V(grid.nodes) * dens))
     nl = 0.5 * np.real(grid.integrate(f.antiderivative(dens)))
@@ -115,12 +117,14 @@ def evolve_nls(
     """Conservative Crank-Nicolson trajectory of the nonlinear equation.
 
     Returns a list of EvolutionState samples (always including t = 0 and
-    t = T).  The datum must be even; the steps run in the even sector, with
-    the FD4 rows x >= 0 folded by Grid.unfold, and samples are unfolded.
-    The implicit step is solved by fixed-point iteration on the nonlinear
-    part around a prefactored banded linear solve; iterating to the
-    roundoff floor keeps the scheme's exact invariants at roundoff level.
-    Raises when FP_MAX iterations do not reach that floor.
+    t = T).  The datum must be even; the steps run in the even sector, on
+    the FD4 band folded by Grid.fold, and samples are unfolded.  With
+    A = (i dt/2)(-d2 + V) the step is psi+ = (1 + A)^-1 [(1 - A) psi + b],
+    b the nonlinear term, which is (1 + A)^-1 (2 psi + b) - psi: one
+    band LU of 1 + A serves every solve.  The implicit step is solved by
+    fixed-point iteration on b; iterating to the roundoff floor keeps the
+    scheme's exact invariants at roundoff level.  Raises when FP_MAX
+    iterations do not reach that floor.
     """
     if dt > 0.01 + 1e-15:
         raise ValueError("time step must satisfy dt <= 0.01")
@@ -128,18 +132,18 @@ def evolve_nls(
     if grid.parity_defect(psi0) > 1e-8 * max(1.0, np.max(np.abs(psi0))):
         raise ValueError("initial datum must be even")
 
-    d2 = grid.fd_d2_matrix()
-    idx, unfold = grid.unfold()
-    lin = -d2[idx] @ unfold + sparse.diags(V(grid.nodes[idx]))
-    eye = sparse.identity(idx.size, format="csc")
-    lhs = splu((eye + 0.5j * dt * lin).tocsc())
-    rhs_mat = (eye - 0.5j * dt * lin).tocsr()
+    d2 = grid.fd_d2_band()
+    lin = -d2
+    lin[2] += V(grid.nodes)
+    lhs = 0.5j * dt * grid.fold(lin)
+    lhs[2] += 1.0
+    solve = band_solver(lhs, 2, 2)
 
     n_steps = int(round(T / dt))
     states = []
 
     def snapshot(t, u):
-        full = unfold @ u
+        full = grid.unfold(u)
         mass = float(np.real(grid.integrate(np.abs(full) ** 2)))
         en = hamiltonian(grid, V, f, full, d2=d2)
         wn = float(np.sqrt(np.real(grid.integrate(((1 + np.abs(grid.nodes)) * np.abs(full)) ** 2))))
@@ -148,21 +152,21 @@ def evolve_nls(
             weighted_norm=wn, parity_defect=grid.parity_defect(full),
         ))
 
-    psi = psi0[idx]
+    psi = psi0[grid.half()]
     snapshot(0.0, psi)
     mass0 = states[0].mass
     energy0 = states[0].energy
     escale = max(abs(energy0), 1.0)
 
     for step in range(1, n_steps + 1):
-        base = rhs_mat @ psi
+        base = 2.0 * psi
         s_old = np.abs(psi) ** 2
         new = psi.copy()
         prev = np.inf
         for _ in range(FP_MAX):
             s_new = np.abs(new) ** 2
             chi = _nl_quotient(f, s_new, s_old)
-            cand = lhs.solve(base + 0.5j * dt * chi * (new + psi))
+            cand = solve(base + 0.5j * dt * chi * (new + psi)) - psi
             delta = np.max(np.abs(cand - new)) / max(1.0, np.max(np.abs(cand)))
             new = cand
             if delta < FP_TOL or (delta >= prev and delta < FP_FLOOR):

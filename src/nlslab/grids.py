@@ -4,11 +4,13 @@ Everything downstream (soliton construction, linearizations, scattering,
 time propagation) works on a uniform symmetric grid on [-L, L).  Smooth
 exponentially decaying fields are resolved to near machine precision by
 the periodic spectral derivative; the banded finite-difference operator,
-as a sparse matrix or in band storage with a one-factor band LU, serves
-the time steppers, Newton solves and dense eigensolves.
+in band storage with a one-factor band LU, serves the time steppers,
+Newton solves and dense eigensolves, and Grid.fold / Grid.unfold carry
+it and its fields to the even or odd sector on the half grid x >= 0.
 
-All containers are immutable after construction and all operations are
-pure, so they can be used concurrently without coordination.
+All containers are immutable after construction, all operations are
+pure and there is no module-level mutable state, so they can be used
+concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 __all__ = [
     "Grid",
@@ -32,10 +33,10 @@ __all__ = [
     "validate_assumptions",
     "fit_exponential_decay",
     "band_solver",
+    "band_matvec",
 ]
 
 PARITY_TOL = 1e-10
-_D2_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -97,17 +98,40 @@ class Grid:
     def symmetrize(self, u: np.ndarray) -> np.ndarray:
         return 0.5 * (u + self.reflect(u))
 
-    def unfold(self, sign: float = 1.0):
-        """Half-grid node indices and the map U: u(-x) = sign u(x) onto the grid.
-
-        The nodes are x = 0 (dx for sign = -1), ..., L - dx.  U u is 0 at
-        x = -L, which has no mirror, so it is exactly even or odd, with the
-        mass of u under the node weights 1 at x = 0 and 2 elsewhere.
-        """
+    def half(self, sign: float = 1.0) -> np.ndarray:
+        """Node indices of the half grid x = 0 (dx for sign = -1), ..., L - dx."""
         c = self.point_count // 2                  # index of x = 0
-        m = np.arange(0 if sign > 0 else 1, c)     # node index from x = 0
-        eye = sparse.identity(self.point_count, format="csc")
-        return c + m, eye[:, c + m] + eye[:, c - m] @ sparse.diags(np.where(m > 0, sign, 0.0))
+        return np.arange(c if sign > 0 else c + 1, self.point_count)
+
+    def unfold(self, u: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """Half-grid values (last axis) onto the grid by u(-x) = sign u(x).
+
+        The result is 0 at x = -L, which has no mirror, so it is exactly
+        even or odd, with the mass of u under the node weights 1 at x = 0
+        and 2 elsewhere.
+        """
+        idx = self.half(sign)
+        full = np.zeros(u.shape[:-1] + (self.point_count,), dtype=u.dtype)
+        full[..., idx] = u
+        full[..., self.point_count - idx] = sign * u   # the mirror nodes; x = 0 is its own
+        return full
+
+    def fold(self, ab: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """The rows x >= 0 of a (2, 2) band A composed with unfold(., sign).
+
+        Returns the (2, 2) band of that operator on the half grid: column
+        x of it is column x of A plus sign times column -x.  In band
+        storage column -x sits 2x/dx rows below column x, and a 5-point
+        row reaches across x = 0 only at the 3 entries (0, dx), (0, 2 dx)
+        and (dx, dx); the odd sector has no row x = 0 and keeps the last.
+        Slots outside the half matrix hold leftovers and are not read.
+        """
+        c = self.point_count // 2
+        lo = self.half(sign)[0]
+        out = ab[:, lo:].copy()
+        for n in (1, 2):                           # column -n dx onto column n dx
+            out[:5 - 2 * n, c + n - lo] += sign * ab[2 * n:, c - n]
+        return out
 
     # -- derivatives --------------------------------------------------------
 
@@ -124,8 +148,9 @@ class Grid:
         each boundary fall back to the 3-point stencil (the fields that
         reach them are below truncation level anyway).  Row 2 - k holds
         the diagonal of offset k, column-aligned (entry (j - k, j) in
-        column j): the storage of scipy.linalg.solve_banded with
-        (l, u) = (2, 2), and of a dia_matrix with offsets 2 .. -2.
+        column j): the storage of band_solver and scipy.linalg.solve_banded
+        with (l, u) = (2, 2); the slots outside the matrix are not read.
+        This is the one FD4 operator: Grid.fold takes it to the half grid.
         """
         n = self.point_count
         band = np.repeat(np.array([[-1.0], [16.0], [-30.0], [16.0], [-1.0]]) / 12.0, n, axis=1)
@@ -134,21 +159,6 @@ class Grid:
                 if 0 <= j + k < n:
                     band[2 - k, j + k] = c
         return band / self.dx**2
-
-    def fd_d2_matrix(self) -> sparse.csr_matrix:
-        """fd_d2_band as a sparse matrix, cached per grid.
-
-        Its rows x >= 0 composed with unfold() are the parity blocks that
-        linearized._parity_blocks and dynamics.evolve_nls work on.
-        """
-        key = (self.half_width, self.point_count)
-        hit = _D2_CACHE.get(key)
-        if hit is not None:
-            return hit
-        n = self.point_count
-        mat = sparse.dia_matrix((self.fd_d2_band(), range(2, -3, -1)), shape=(n, n)).tocsr()
-        _D2_CACHE[key] = mat
-        return mat
 
     def weight(self, nu: float) -> np.ndarray:
         """rho_nu(x) = (1 + |x|)^(-nu)."""
@@ -169,6 +179,12 @@ def band_solver(ab: np.ndarray, kl: int, ku: int):
     if info > 0:
         raise np.linalg.LinAlgError("singular band matrix")
     return lambda rhs: gbtrs(lu, kl, ku, rhs, piv)[0]
+
+
+def band_matvec(ab: np.ndarray, kl: int, ku: int, u: np.ndarray) -> np.ndarray:
+    """A u for the square band matrix A in the storage of band_solver (BLAS gbmv)."""
+    gbmv = get_blas_funcs("gbmv", (ab, u))
+    return gbmv(ab.shape[1], ab.shape[1], kl, ku, 1.0, ab, u)
 
 
 def make_grid(L: float, N: int) -> Grid:

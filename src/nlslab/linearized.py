@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.interpolate import CubicSpline
 
 from .grids import Grid, band_solver, make_grid
@@ -96,27 +95,32 @@ class LinearizedSystem:
         """Essential spectrum of H: two rays from the thresholds."""
         return ((-np.inf, -self.beta), (self.beta, np.inf))
 
-    # -- sparse matrices ----------------------------------------------------
+    # -- the FD4 discretization ----------------------------------------------
 
-    def blocks(self):
-        """The banded finite-difference (Lminus, Lplus)."""
-        d2 = self.grid.fd_d2_matrix()
-        return (-d2 + sparse.diags(self.beta + self.V1),
-                -d2 + sparse.diags(self.beta + self.V2))
+    def fd_band(self, frame: str) -> np.ndarray:
+        """The FD4 L (frame "L") or H (frame "H") on interleaved pairs.
 
-    def L_matrix(self) -> sparse.csc_matrix:
-        g = self.grid
-        lminus, lplus = self.blocks()
-        zero = sparse.csr_matrix((g.N, g.N))
-        return sparse.bmat([[zero, lminus], [-lplus, zero]]).tocsc()
-
-    def H_matrix(self) -> sparse.csc_matrix:
-        g, b = self.grid, self.beta
-        d2 = g.fd_d2_matrix()
-        v3, v4 = self.V3, self.V4
-        h11 = -d2 + sparse.diags(b + 0.5 * v3)
-        off = sparse.diags(-0.5j * v4)
-        return sparse.bmat([[h11, off], [off, -h11]]).tocsc()
+        With the pair laid out as (v1_0, v2_0, v1_1, v2_1, ...), either is
+        one band with kl = ku = 5 in the storage of grids.band_solver.  L
+        has Lminus on the odd columns of the even rows and -Lplus on the
+        even columns of the odd rows; H has h11 = -d2 + beta + V3/2 and
+        -h11 on the two components and -i V4/2 between them.  Both are
+        complex, as every solve with them is.
+        """
+        d2 = self.grid.fd_d2_band()
+        band = np.zeros((11, 2 * self.grid.N), dtype=complex)
+        if frame == "L":
+            band[0:9:2, 1::2], band[2:11:2, 0::2] = -d2, d2
+            band[4, 1::2] += self.beta + self.V1
+            band[6, 0::2] -= self.beta + self.V2
+        elif frame == "H":
+            h11 = -d2
+            h11[2] += self.beta + 0.5 * self.V3
+            band[1:10:2, 0::2], band[1:10:2, 1::2] = h11, -h11
+            band[4, 1::2] = band[6, 0::2] = -0.5j * self.V4
+        else:
+            raise ValueError("frame must be 'L' or 'H'")
+        return band
 
     def to_H_frame(self, v: np.ndarray) -> np.ndarray:
         """u = T* v componentwise."""
@@ -197,23 +201,18 @@ class DiscreteSpectrum:
 
 
 def _shifted_solver(sys: LinearizedSystem, z: complex):
-    """v -> (L - z)^-1 v for the FD4 L on stacked pairs [2N, ...], from one band LU.
-
-    With the two components interleaved (v1_0, v2_0, v1_1, ...), L - z
-    is a band with kl = ku = 5: Lminus on the odd columns of the even
-    rows, -Lplus on the even columns of the odd rows.
-    """
-    n = sys.grid.N
-    d2 = sys.grid.fd_d2_band()
-    band = np.zeros((11, 2 * n), dtype=complex)
-    band[5] = -z
-    band[0:9:2, 1::2], band[2:11:2, 0::2] = -d2, d2
-    band[4, 1::2] += sys.beta + sys.V1
-    band[6, 0::2] -= sys.beta + sys.V2
+    """v -> (L - z)^-1 v for the FD4 L on pairs v [2, ..., N], from one band LU
+    of L - z on interleaved pairs (LinearizedSystem.fd_band)."""
+    band = sys.fd_band("L")
+    band[5] -= z
     solve = band_solver(band, 5, 5)
-    interleave = np.arange(2 * n).reshape(2, n).T.ravel()
-    stack = np.arange(2 * n).reshape(n, 2).T.ravel()
-    return lambda v: solve(v[interleave])[stack]
+
+    def apply(v):
+        # [2, ..., N] -> interleaved columns [2N, ...] and back, in C order
+        w = solve(np.moveaxis(v, 0, -1).reshape(*v.shape[1:-1], -1).T).T
+        return np.moveaxis(w.reshape(*v.shape[1:], 2), -1, 0).copy()
+
+    return apply
 
 
 def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
@@ -224,21 +223,19 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     follow the polish.
     """
     g = sys.grid
-    n = g.N
-    v = np.concatenate([v0[0], v0[1]])
+    v = np.ascontiguousarray(v0)        # C order: norms and vdots sum component by component
     v = v / np.linalg.norm(v)
     solve = _shifted_solver(sys, mu0)
     # two plain inverse-iteration steps lock onto the FD4 eigenvector
     for _ in range(2):
         w = solve(v)
-        w = 0.5 * (w - g.reflect(w.reshape(2, n)).ravel())
+        w = 0.5 * (w - g.reflect(w))
         v = w / np.linalg.norm(w)
     # Newton polish against the spectral operator.  The near-singular
     # preconditioner solve blows up along the FD4 eigenvector; combining
     # the two solves below cancels that direction (Jacobi-Davidson style).
     for _ in range(8):
-        pair = np.stack([v[:n], v[n:]])
-        lv = np.concatenate(sys.apply_L(pair))
+        lv = sys.apply_L(v)
         mu = np.vdot(v, lv) / np.vdot(v, v)
         resid_vec = lv - mu * v
         resid = g.dx ** 0.5 * np.linalg.norm(resid_vec)
@@ -248,16 +245,15 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
         mv = solve(v)
         alpha = np.vdot(v, mr) / np.vdot(v, mv)
         w = v - (mr - alpha * mv)
-        w = 0.5 * (w - g.reflect(w.reshape(2, n)).ravel())
+        w = 0.5 * (w - g.reflect(w))
         nw = np.linalg.norm(w)
         if nw == 0:
             raise ValueError("tag failure")
         v = w / nw
     # rotate so component 1 is real and component 2 imaginary
-    pair = np.stack([v[:n], v[n:]])
-    j = int(np.argmax(np.abs(pair[0])))
-    phase = pair[0][j] / abs(pair[0][j])
-    pair = pair / phase
+    j = int(np.argmax(np.abs(v[0])))
+    phase = v[0][j] / abs(v[0][j])
+    pair = v / phase
     xi = np.real(pair[0])
     eta = 1j * np.imag(pair[1])
     cand = np.stack([xi.astype(complex), eta])
@@ -271,13 +267,23 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
 
 
 class _ParityBlock(NamedTuple):
-    """One parity block of the mirror-symmetric coarse FD4 (Lminus, Lplus)."""
+    """One parity block of the mirror-symmetric coarse FD4 (Lminus, Lplus), dense."""
 
     x: np.ndarray                  # the block's nodes, x >= 0
     weight: np.ndarray             # 1 at x = 0, 2 elsewhere (the node and its mirror)
-    unfold: sparse.csr_matrix      # stacked pairs [2m] -> [2n] by u(-x) = +-u(x)
-    lminus: sparse.csr_matrix
-    lplus: sparse.csr_matrix
+    sign: float                    # u(-x) = sign u(x): Grid.unfold of each component
+    lminus: np.ndarray
+    lplus: np.ndarray
+
+
+def _band_dense(ab: np.ndarray) -> np.ndarray:
+    """The dense matrix of a (2, 2) band in the storage of grids.band_solver."""
+    n = ab.shape[1]
+    out = np.zeros((n, n), dtype=ab.dtype)
+    for k in range(-2, 3):                         # the diagonal (i, i + k)
+        i = np.arange(max(0, -k), min(n, n - k))
+        out[i, i + k] = ab[2 - k, i + k]
+    return out
 
 
 def _parity_blocks(coarse: LinearizedSystem):
@@ -286,19 +292,19 @@ def _parity_blocks(coarse: LinearizedSystem):
     The rows x >= 0 of the Dirichlet FD4 matrix on the n coarse nodes are
     those of a mirror-symmetric operator on the n - 1 nodes x_1 .. x_{n-1}
     (node -L dropped, 3-point rows at the two nodes next to each wall).
-    Composed with Grid.unfold they fold the 5-point stencil at x = 0 into
-    the even block on n/2 nodes and the odd block on n/2 - 1 nodes, exactly;
-    the odd solve symmetrizes its wall rows itself (_symmetric_eig).
+    Grid.fold folds the 5-point stencil at x = 0 into the even block on
+    n/2 nodes and the odd block on n/2 - 1 nodes, exactly; the odd solve
+    symmetrizes its wall rows itself (_symmetric_eig).
     """
     cg = coarse.grid
-    lminus, lplus = coarse.blocks()
+    band = coarse.fd_band("L").real               # Lminus and -Lplus as (2, 2) bands
+    lminus, lplus = band[0:9:2, 1::2], -band[2:11:2, 0::2]
     blocks = []
     for sign in (1.0, -1.0):
-        idx, unfold = cg.unfold(sign)
+        idx = cg.half(sign)
         blocks.append(_ParityBlock(
-            x=cg.nodes[idx], weight=np.where(idx > cg.N // 2, 2.0, 1.0),
-            unfold=sparse.block_diag((unfold, unfold), format="csr"),
-            lminus=lminus[idx] @ unfold, lplus=lplus[idx] @ unfold))
+            x=cg.nodes[idx], weight=np.where(idx > cg.N // 2, 2.0, 1.0), sign=sign,
+            lminus=_band_dense(cg.fold(lminus, sign)), lplus=_band_dense(cg.fold(lplus, sign))))
     return blocks
 
 
@@ -330,7 +336,7 @@ def _reduced_eig(lminus, lplus):
     The even block has no symmetric route: its FD4 lminus has the discrete
     near-kernel phi, a small negative eigenvalue.
     """
-    nu, x = np.linalg.eig((lminus @ lplus).toarray())
+    nu, x = np.linalg.eig(lminus @ lplus)
     return _pair_spectrum(nu, x, lplus)
 
 
@@ -343,7 +349,7 @@ def _symmetric_eig(lminus, lplus):
     reach the wall.  lminus is positive definite (its ground state phi is
     even); with lminus = C C^T, C^T lplus C z = nu z gives real nu, x = C z.
     """
-    lminus, lplus = (0.5 * (a + a.T) for a in (lminus.toarray(), lplus.toarray()))
+    lminus, lplus = (0.5 * (a + a.T) for a in (lminus, lplus))
     chol = np.linalg.cholesky(lminus)
     nu, z = np.linalg.eigh(chol.T @ lplus @ chol)
     return _pair_spectrum(nu, chol @ z, lplus)
@@ -368,14 +374,14 @@ def discrete_spectrum(
     n/2 and an odd block of order n/2 - 1, each solved through the
     Hamiltonian reduction: the even block by _reduced_eig, the odd block,
     its wall rows symmetrized, by _symmetric_eig.  That operator differs
-    from L_matrix only next to the walls, where every gap mode has decayed like
-    e^(-sqrt(beta)|x|).  Gap eigenvalues are recognized by eigenvector
-    localization (over 95% of the mass in |x| < 0.4 L) rather than by a
-    distance margin, so weakly bound states just inside the thresholds
-    are still reported (they break the four-mode structure and matter
-    downstream).  The zero cluster is
-    counted in the even block; the gauge modes are taken from the profile
-    (they are exact).  The trapping pair is the odd gap eigenvalue with
+    from the FD4 L on all n nodes (LinearizedSystem.fd_band) only next to
+    the walls, where every gap mode has decayed like e^(-sqrt(beta)|x|).
+    Gap eigenvalues are recognized by eigenvector localization (over 95%
+    of the mass in |x| < 0.4 L) rather than by a distance margin, so
+    weakly bound states just inside the thresholds are still reported
+    (they break the four-mode structure and matter downstream).  The zero
+    cluster is counted in the even block; the gauge modes are taken from
+    the profile (they are exact).  The trapping pair is the odd gap eigenvalue with
     Im > 0 closest to the reduced-matrix prediction, its conjugate partner
     is matched in the odd block, and its vector, unfolded by odd
     reflection, is refined on the fine grid by shifted inverse iteration.
@@ -424,7 +430,7 @@ def discrete_spectrum(
         raise ValueError("tag failure")
     j = int(np.argmin(np.where(upper, np.abs(odd_vals - 1j * eps_pred), np.inf)))
     mu0 = odd_vals[j]
-    pair0 = (blocks[1].unfold @ odd_vecs[:, j]).reshape(2, -1)
+    pair0 = coarse.grid.unfold(odd_vecs[:, j].reshape(2, -1), blocks[1].sign)
     up = CubicSpline(coarse.grid.nodes, pair0, axis=1)(g.nodes)
     odd_plus, mu_ref, resid = _refine_odd_mode(sys, up, mu0)
     eps1 = float(abs(mu_ref.imag))
@@ -533,18 +539,9 @@ def contour_projector(
     Accepts one stacked pair or a list of them (one factorization per
     node either way).
     """
-    n = sys.grid.N
     single = not isinstance(fields, (list, tuple))
     flist = [fields] if single else list(fields)
-    rhs = np.stack([
-        np.concatenate([np.asarray(f[0], dtype=complex), np.asarray(f[1], dtype=complex)])
-        for f in flist
-    ], axis=1)
-
-    def apply_spectral(block, z):
-        pairs = block.reshape(2, n, -1).transpose(0, 2, 1)    # [2, columns, n]
-        return (sys.apply_L(pairs) - z * pairs).transpose(0, 2, 1).reshape(block.shape)
-
+    rhs = np.stack([np.asarray(f, dtype=complex) for f in flist], axis=1)   # [2, columns, N]
     acc = np.zeros_like(rhs)
     n_nodes = 128
     thetas = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
@@ -555,8 +552,8 @@ def contour_projector(
         # two defect-correction sweeps lift the banded resolvent to the
         # spectral operator's accuracy
         for _ in range(2):
-            x = x + solve(rhs - apply_spectral(x, z))
+            x = x + solve(rhs - (sys.apply_L(x) - z * x))
         # dz/(2 pi i) = z dtheta / (2 pi)
         acc = acc - x * z / n_nodes
-    out = [np.stack([acc[:n, j], acc[n:, j]]) for j in range(len(flist))]
+    out = [acc[:, j] for j in range(len(flist))]
     return out[0] if single else out

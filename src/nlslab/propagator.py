@@ -36,11 +36,10 @@ from math import factorial
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
 
+from .grids import band_solver
 from .linearized import LinearizedSystem, SpectralProjector
 from .scattering import GeneralizedEigenTable, generalized_eigenfunction
 
@@ -203,7 +202,9 @@ class PropagatorPlan:
         e = self._e[::stride].reshape(-1, 2 * g.N)
         d0 = self._d0[::stride]
         ridx = self._ridx
-        flips = {"plus": (False,), "minus": (True,)}.get(branch, (False, True))
+        flips = {"both": (False, True), "plus": (False,), "minus": (True,)}.get(branch)
+        if flips is None:
+            raise ValueError("branch must be 'both', 'plus' or 'minus'")
         cols = []
         for flip in flips:
             # g = conj(sigma3 u); for u = sigma1 conj f that is (f1, -f0)
@@ -283,16 +284,21 @@ def evolve_spectral(plan: PropagatorPlan, f: np.ndarray, t: float,
     return sys.to_L_frame(plan.evolve(u, -t))
 
 
-def _crank_nicolson(a, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """y(t) of y' = a y (a sparse) in equal Crank-Nicolson steps of at most dt."""
+def _crank_nicolson(band: np.ndarray, pair: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """y(t) of y' = A y for a stacked pair, in equal Crank-Nicolson steps of at most dt.
+
+    A is a band on interleaved pairs (LinearizedSystem.fd_band).  With
+    B = (t / n_steps) A / 2 a step is (1 - B)^-1 (1 + B) y = 2 (1 - B)^-1 y - y,
+    one solve from one band LU.
+    """
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
-    half = 0.5 * (t / n_steps) * a
-    eye = sparse.identity(a.shape[0], format="csc")
-    lhs = splu((eye - half).tocsc())
-    rhs = (eye + half).tocsc()
+    lhs = -0.5 * (t / n_steps) * band
+    lhs[5] += 1.0
+    solve = band_solver(lhs, 5, 5)
+    y = np.asarray(pair, dtype=complex).T.ravel()
     for _ in range(n_steps):
-        y = lhs.solve(rhs @ y)
-    return y
+        y = solve(2.0 * y) - y
+    return np.ascontiguousarray(y.reshape(-1, 2).T)
 
 
 def evolve_direct(
@@ -306,9 +312,7 @@ def evolve_direct(
     g = sys.grid
     if dt is None:
         dt = 0.01 / sys.beta
-    u = np.asarray(f, dtype=complex)
-    vec = _crank_nicolson(-1j * sys.H_matrix(), np.concatenate([u[0], u[1]]), t, dt)
-    out = np.stack([vec[:g.N], vec[g.N:]])
+    out = _crank_nicolson(-1j * sys.fd_band("H"), f, t, dt)
     if check_boundary:
         dens = np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2
         outer = np.abs(g.nodes) > 0.9 * g.L
@@ -319,16 +323,8 @@ def evolve_direct(
 
 def evolve_L_direct(sys: LinearizedSystem, v: np.ndarray, t: float,
                     dt: float = 5e-4) -> np.ndarray:
-    """Crank-Nicolson for v_t = L v (the untransformed frame).
-
-    L is real, so the real and imaginary parts of v evolve independently;
-    they are carried as the two columns of one real right-hand side.
-    """
-    n = sys.grid.N
-    vec = np.concatenate([np.asarray(v[0], dtype=complex), np.asarray(v[1], dtype=complex)])
-    cols = _crank_nicolson(sys.L_matrix(), np.column_stack([vec.real, vec.imag]), t, dt)
-    vec = cols[:, 0] + 1j * cols[:, 1]
-    return np.stack([vec[:n], vec[n:]])
+    """Crank-Nicolson for v_t = L v (the untransformed frame)."""
+    return _crank_nicolson(sys.fd_band("L"), v, t, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,10 @@ def test_weighted_norm_growth(dyn_family, dyn_grid):
 
 
 def _full_grid_cn(psi0, V, f, grid, T, dt, sample_every):
-    """Dirichlet FD4 Crank-Nicolson on all N nodes, symmetrized every step."""
-    lin = -grid.fd_d2_matrix() + sparse.diags(V(grid.nodes))
+    """Dirichlet FD4 Crank-Nicolson on all N nodes, symmetrized every step,
+    with the sparse matrix of the FD4 band and SuperLU."""
+    d2 = sparse.dia_matrix((grid.fd_d2_band(), range(2, -3, -1)), shape=(grid.N, grid.N))
+    lin = -d2.tocsr() + sparse.diags(V(grid.nodes))
     eye = sparse.identity(grid.N, format="csc")
     lhs = splu((eye + 0.5j * dt * lin).tocsc())
     rhs_mat = eye - 0.5j * dt * lin

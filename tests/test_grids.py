@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.integrate import trapezoid
 
 from nlslab.grids import (ComplexField, PolynomialNonlinearity, PotentialSpec,
-                          band_solver, eval_nonlinearity, make_grid,
+                          band_matvec, band_solver, eval_nonlinearity, make_grid,
                           validate_assumptions, weighted_norm)
 
 
@@ -196,8 +197,60 @@ def _dense_from_band(ab, kl, ku):
 
 
 def test_fd_d2_band_is_the_sparse_matrix():
+    """The band holds the Dirichlet FD4 matrix, built here with scipy.sparse:
+    5-point rows, and 3-point rows at the two nodes next to each wall."""
     g = make_grid(5.0, 32)
-    assert np.array_equal(_dense_from_band(g.fd_d2_band(), 2, 2), g.fd_d2_matrix().toarray())
+    n = g.N
+    stencil = zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0))
+    d2 = sparse.diags([np.full(n - abs(k), c / 12.0) for k, c in stencil], range(-2, 3)).toarray()
+    for j in (0, 1, n - 2, n - 1):
+        d2[j] = 0.0
+        d2[j, j] = -2.0
+        d2[j, [k for k in (j - 1, j + 1) if 0 <= k < n]] = 1.0
+    assert np.array_equal(_dense_from_band(g.fd_d2_band(), 2, 2), d2 / g.dx**2)
+
+
+def _sparse_d2(g):
+    """fd_d2_band as a scipy.sparse CSR matrix (a dia_matrix has the same layout)."""
+    return sparse.dia_matrix((g.fd_d2_band(), range(2, -3, -1)), shape=(g.N, g.N)).tocsr()
+
+
+def _sparse_unfold(g, sign):
+    """Half-grid node indices and the sparse map U: u(-x) = sign u(x) onto the grid."""
+    c = g.N // 2
+    m = np.arange(0 if sign > 0 else 1, c)
+    eye = sparse.identity(g.N, format="csc")
+    return c + m, eye[:, c + m] + eye[:, c - m] @ sparse.diags(np.where(m > 0, sign, 0.0))
+
+
+@pytest.mark.parametrize("L, N", [(5.0, 32), (30.0, 1024)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fold_and_unfold_match_the_sparse_composition(L, N, sign):
+    """Grid.fold is the rows x >= 0 of the band composed with the sparse
+    unfold map, and Grid.unfold is that map, both bitwise."""
+    g = make_grid(L, N)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(g.N)
+    ab = -g.fd_d2_band()
+    ab[2] += v
+    idx, unfold = _sparse_unfold(g, sign)
+    assert np.array_equal(g.half(sign), idx)
+    want = (-_sparse_d2(g) + sparse.diags(v))[idx] @ unfold
+    assert np.array_equal(_dense_from_band(g.fold(ab, sign), 2, 2), want.toarray())
+    u = rng.standard_normal((2, idx.size)) + 1j * rng.standard_normal((2, idx.size))
+    assert np.array_equal(g.unfold(u, sign), (unfold @ u.T).T)
+    full = g.unfold(u[0], sign)
+    assert full[0] == 0.0 and np.array_equal(g.reflect(full)[1:], sign * full[1:])
+
+
+@pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 5, 5), (complex, 1, 3)])
+def test_band_matvec_matches_dense_product(dtype, kl, ku):
+    rng = np.random.default_rng(5)
+    n = 40
+    ab = rng.standard_normal((kl + ku + 1, n)).astype(dtype)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = _dense_from_band(ab, kl, ku) @ u
+    assert np.max(np.abs(band_matvec(ab, kl, ku, u) - want)) < 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 1, 3)])

@@ -1,5 +1,6 @@
 """Hygiene: every name a package module imports is used or re-exported,
-imports sit at module level, and every private module-level name is read."""
+imports sit at module level, every private module-level name is read, and
+no module imports scipy.sparse (the FD4 operator has one form, the band)."""
 
 import ast
 import pathlib
@@ -71,6 +72,21 @@ def dead_private_names(sources: dict) -> list:
                              for m, line, r in reads))
 
 
+def sparse_imports(source: str) -> list:
+    """Lines of imports of scipy.sparse or of anything under it."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_checker_flags_an_unused_name():
     src = "import os\nfrom x import a, b as c\nfrom y import d\n__all__ = ['d']\nprint(a)\n"
     assert unused_imports(src) == [(1, "os"), (2, "c")]
@@ -87,6 +103,19 @@ def test_checker_flags_a_dead_private_name():
         "b": "from a import _g\nimport a\nprint(a._L)\n",
     }
     assert dead_private_names(sources) == [("a", 2, "_M"), ("a", 4, "_f")]
+
+
+def test_checker_flags_a_sparse_import():
+    src = ("import numpy as np\nfrom scipy import sparse\n"
+           "from scipy.sparse.linalg import splu\nimport scipy.sparse as sp\n"
+           "from scipy.linalg import solve_banded\nfrom scipy import linalg\n"
+           "from .sparse import x\n")
+    assert sparse_imports(src) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sparse_imports(path):
+    assert sparse_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
 from nlslab.linearized import (LinearizedSystem, T_MAT, assemble_L,
@@ -44,12 +45,26 @@ def test_transform_entries(default_system):
     assert lo[1] == -sys.beta and hi[0] == sys.beta
 
 
+def _stacked_dense(sys, frame):
+    """fd_band(frame) as a dense matrix on stacked pairs [v1, v2]."""
+    n = sys.grid.N
+    band = sys.fd_band(frame)
+    dense = sparse.dia_matrix((band, range(5, -6, -1)), shape=(2 * n, 2 * n)).toarray()
+    stack = np.arange(2 * n).reshape(n, 2).T.ravel()     # interleaved index of each stacked entry
+    return dense[np.ix_(stack, stack)]
+
+
+def test_fd_band_rejects_an_unknown_frame(default_system):
+    with pytest.raises(ValueError, match="frame must be"):
+        default_system.coarsen(256).fd_band("X")
+
+
 def test_transform_is_unitary_conjugation(default_system):
     """H must equal -i T* L T as a matrix identity of the discretization."""
     sys = default_system
     coarse = sys.coarsen(256)
-    lmat = coarse.L_matrix().toarray()
-    hmat = coarse.H_matrix().toarray()
+    lmat = _stacked_dense(coarse, "L")
+    hmat = _stacked_dense(coarse, "H")
     n = coarse.grid.N
     eye = np.eye(n)
     t_big = np.block([[T_MAT[0, 0] * eye, T_MAT[0, 1] * eye],
@@ -60,8 +75,8 @@ def test_transform_is_unitary_conjugation(default_system):
 
 def test_spectra_match_after_rotation(default_system):
     coarse = default_system.coarsen(256)
-    lvals = np.linalg.eigvals(coarse.L_matrix().toarray())
-    hvals = np.linalg.eigvals(coarse.H_matrix().toarray())
+    lvals = np.linalg.eigvals(_stacked_dense(coarse, "L"))
+    hvals = np.linalg.eigvals(_stacked_dense(coarse, "H"))
     a = np.sort_complex(-1j * lvals)
     b = np.sort_complex(hvals)
     assert np.max(np.abs(a - b)) < 1e-8 * max(1.0, np.max(np.abs(b)))
@@ -78,7 +93,7 @@ def test_reduced_eigensolve_matches_dense(default_system):
 
     coarse = default_system.coarsen(256)
     for blk in _parity_blocks(coarse):
-        lminus, lplus = blk.lminus.toarray(), blk.lplus.toarray()
+        lminus, lplus = blk.lminus, blk.lplus
         zero = np.zeros_like(lminus)
         lmat = np.block([[zero, lminus], [-lplus, zero]])
         vals, vectors = _reduced_eig(blk.lminus, blk.lplus)
@@ -109,7 +124,7 @@ def test_symmetric_odd_solve_matches_dense(default_system):
 
     coarse = default_system.coarsen(256)
     odd = _parity_blocks(coarse)[1]
-    lminus, lplus = odd.lminus.toarray(), odd.lplus.toarray()
+    lminus, lplus = odd.lminus, odd.lplus
     assert np.max(np.abs(lminus - lminus.T)) > 0.1   # the wall rows
     lminus, lplus = 0.5 * (lminus + lminus.T), 0.5 * (lplus + lplus.T)
     zero = np.zeros_like(lminus)
@@ -174,7 +189,8 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
         gap = _gap(v, beta)
         vecs = vectors(gap)
         # unfold onto the n coarse nodes and drop node -L from each component
-        full = (blk.unfold @ vecs).reshape(2, n, -1)[:, 1:].reshape(2 * m, -1)
+        full = coarse.grid.unfold(vecs.T.reshape(-1, 2, blk.x.size), blk.sign)
+        full = full[:, :, 1:].reshape(-1, 2 * m).T
         # the node weights carry the mass of the unfolded vectors
         mass = np.tile(blk.weight, 2) @ np.abs(vecs) ** 2
         assert np.allclose(np.sum(np.abs(full) ** 2, axis=0), mass, rtol=1e-13, atol=0)

@@ -54,6 +54,13 @@ def test_branch_decomposition(default_plan, default_projector, probe_maker):
         assert pair_norm(g, plus + minus - direct) < 1e-6 * pair_norm(g, h)
 
 
+@pytest.mark.parametrize("branch", ["pluss", "Both", ""])
+def test_evolve_rejects_an_unknown_branch(free_plan, branch):
+    h = np.zeros((2, free_plan.system.grid.N), dtype=complex)
+    with pytest.raises(ValueError, match="branch must be"):
+        free_plan.evolve(h, 1.0, branch=branch)
+
+
 def test_one_pass_matches_mirror_rows(default_plan):
     """The one-pass evolve against explicit mirror rows e(-x, k).
 

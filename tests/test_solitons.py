@@ -233,12 +233,17 @@ def test_positivity_loss_reported():
                       initial_guess=seed)
 
 
+def _sparse_d2(g):
+    """fd_d2_band as a scipy.sparse CSR matrix (a dia_matrix has the same layout)."""
+    return sparse.dia_matrix((g.fd_d2_band(), range(2, -3, -1)), shape=(g.N, g.N)).tocsr()
+
+
 def test_singular_lplus_reported():
     """With f = 0 and no trap, L_plus = -d2 + lam, singular to roundoff
     when lam is the eigenvalue of the FD4 d2 nearest zero (its even
     ground state, which the symmetrized probe excites)."""
     g = make_grid(20.0, 256)
-    lam = float(np.max(np.linalg.eigvals(g.fd_d2_matrix().toarray()).real))
+    lam = float(np.max(np.linalg.eigvals(_sparse_d2(g).toarray()).real))
     prof = SolitonProfile(lam=lam, potential=PotentialSpec("zero", 0.0),
                           nonlinearity=PolynomialNonlinearity((0.0,)), grid=g,
                           phi=np.exp(-g.nodes**2), phi_lam=None, residual_sup=0.0,
@@ -261,7 +266,7 @@ def test_banded_lplus_matches_sparse_solve(default_profile, L, N):
     a = np.sqrt(lam) * np.abs(g.nodes)
     phi = 2.0 * np.sqrt(2.0 * lam) * np.exp(-a) / (1.0 + np.exp(-2.0 * a))   # sech, no overflow
     diag = _lplus_diag(g, lam, V, f, phi)
-    lplus = (-g.fd_d2_matrix() + sparse.diags(diag)).tocsc()
+    lplus = (-_sparse_d2(g) + sparse.diags(diag)).tocsc()
     norm = abs(lplus).sum(axis=1).max()
     sparse_lu = splu(lplus)
     banded = _lplus_solver(-g.fd_d2_band(), diag)
