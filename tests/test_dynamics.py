@@ -1,6 +1,7 @@
 """Nonlinear evolution, modulation decomposition, frozen-frame split."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import splu
 
-from nlslab import solitons
+from nlslab import dynamics, solitons
 from nlslab.dynamics import (DECOMPOSE_MAX_ITER, DECOMPOSE_TOL, FP_FLOOR, FP_MAX,
-                             FP_TOL, _nl_quotient, default_bump, evolve_nls,
+                             FP_TOL, _step_quotient, default_bump, evolve_nls,
                              frozen_frame_decompose, hamiltonian,
                              modulation_decompose, modulation_rhs,
                              nonlinear_remainder, split_step_oracle,
                              stability_experiment)
-from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
+from nlslab.grids import PolynomialNonlinearity, PotentialSpec, band_solver, make_grid
 from nlslab.solitons import SolitonFamily, solve_soliton
 
 THEOREM_F = PolynomialNonlinearity((1.0, 0.0, 0.0, -0.001))
@@ -77,6 +78,34 @@ def test_weighted_norm_growth(dyn_family, dyn_grid):
     assert slope <= 1.1
 
 
+def _h_quotient(f, s_new, s_old):
+    """[F2(s+) - F2(s)] / (s+ - s) as sum_m c_m/(m+1) h_m, with
+    h_m = sum_{j=0..m} s+^j s^(m-j) built by h_m = s+ h_(m-1) + s^m."""
+    h = np.ones_like(s_new)
+    s_pow = np.ones_like(s_old)
+    quot = np.zeros_like(s_new)
+    for m, c in enumerate(f.coefficients, start=1):
+        s_pow = s_pow * s_old
+        h = s_new * h + s_pow
+        quot = quot + c / (m + 1) * h
+    return quot
+
+
+def _fixed_point_from_psi(step, psi, f, dt):
+    """One implicit Crank-Nicolson step by fixed-point iteration started
+    from psi, with the h-recurrence quotient; step(b) solves the linear
+    step with nonlinear term b."""
+    s_old, new, prev = np.abs(psi) ** 2, psi, np.inf
+    for _ in range(FP_MAX):
+        cand = step(0.5j * dt * _h_quotient(f, np.abs(new) ** 2, s_old) * (new + psi))
+        delta = np.max(np.abs(cand - new)) / max(1.0, np.max(np.abs(cand)))
+        new = cand
+        if delta < FP_TOL or (delta >= prev and delta < FP_FLOOR):
+            return new
+        prev = delta
+    raise AssertionError("fixed-point iteration not settled")
+
+
 def _full_grid_cn(psi0, V, f, grid, T, dt, sample_every):
     """Dirichlet FD4 Crank-Nicolson on all N nodes, symmetrized every step,
     with the sparse matrix of the FD4 band and SuperLU."""
@@ -87,20 +116,25 @@ def _full_grid_cn(psi0, V, f, grid, T, dt, sample_every):
     rhs_mat = eye - 0.5j * dt * lin
     psi, out = psi0.copy(), [psi0.copy()]
     for step in range(1, int(round(T / dt)) + 1):
-        base, s_old = rhs_mat @ psi, np.abs(psi) ** 2
-        new, prev = psi.copy(), np.inf
-        for _ in range(FP_MAX):
-            chi = _nl_quotient(f, np.abs(new) ** 2, s_old)
-            cand = lhs.solve(base + 0.5j * dt * chi * (new + psi))
-            delta = np.max(np.abs(cand - new)) / max(1.0, np.max(np.abs(cand)))
-            new = cand
-            if delta < FP_TOL or (delta >= prev and delta < FP_FLOOR):
-                break
-            prev = delta
-        psi = grid.symmetrize(new)
+        base = rhs_mat @ psi
+        psi = grid.symmetrize(_fixed_point_from_psi(lambda b: lhs.solve(base + b), psi, f, dt))
         if step % sample_every == 0:
             out.append(psi.copy())
     return out
+
+
+def _half_grid_cn(psi0, V, f, grid, T, dt):
+    """The even-sector step of evolve_nls with every iteration started
+    from psi: final state on the full grid."""
+    lin = -grid.fd_d2_band()
+    lin[2] += V(grid.nodes)
+    lhs = 0.5j * dt * grid.fold(lin)
+    lhs[2] += 1.0
+    solve = band_solver(lhs, 2, 2)
+    psi = psi0[grid.half()]
+    for _ in range(int(round(T / dt))):
+        psi = _fixed_point_from_psi(lambda b: solve(2.0 * psi + b) - psi, psi, f, dt)
+    return grid.unfold(psi)
 
 
 def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
@@ -117,6 +151,27 @@ def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
         assert st.parity_defect == 0.0
         half_mass = g.dx * np.sum(weight * np.abs(st.psi[c:]) ** 2)
         assert abs(half_mass - st.mass) < 1e-14 * st.mass
+
+
+def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
+    # each fixed-point iteration is one band solve; started from the
+    # extrapolated trajectory a step takes ~4, started from psi it takes 7
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    prof = solve_soliton(2.0, V, THEOREM_F, dyn_grid)
+    psi0 = np.exp(0.3j) * (prof.phi + 0.01 * default_bump(dyn_grid, 2.0))
+    solves = []
+
+    def counting_solver(*args):
+        solve = band_solver(*args)
+        return lambda rhs: solves.append(1) or solve(rhs)
+
+    monkeypatch.setattr(dynamics, "band_solver", counting_solver)
+    T, dt = 0.4, 0.004
+    psi = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=100)[-1].psi
+    monkeypatch.undo()
+    assert len(solves) / round(T / dt) <= 4.5
+    ref = _half_grid_cn(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt)
+    assert dyn_grid.norm(psi - ref) < 1e-12 * dyn_grid.norm(ref)
 
 
 def _exact_profile_newton(psi, lam_guess, family):
@@ -177,6 +232,17 @@ def test_dt_guard(dyn_family, dyn_grid):
                    dyn_family.nonlinearity, dyn_grid, T=0.1, dt=0.05)
 
 
+@pytest.mark.parametrize("run", [evolve_nls, split_step_oracle], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("T, dt", [(1.0, -0.004), (1.0, 0.0), (-1.0, 0.004)],
+                         ids=["negative_dt", "zero_dt", "negative_T"])
+def test_bad_step_or_time_rejected(dyn_family, dyn_grid, run, T, dt):
+    # a negative dt or T used to return the t = 0 state, and dt = 0 to
+    # divide by zero
+    psi0 = dyn_family.profile(2.0).phi.astype(complex)
+    with pytest.raises(ValueError, match="dt|T"):
+        run(psi0, dyn_family.potential, dyn_family.nonlinearity, dyn_grid, T=T, dt=dt)
+
+
 def test_fixed_point_failure_raises():
     # dt f(|psi|^2) = 0.5 at the peak: the implicit-step iteration does not
     # settle within FP_MAX iterations, which must raise, not return
@@ -191,18 +257,16 @@ def test_nl_quotient_exact_near_diagonal():
     # [F2(a) - F2(b)]/(a - b) must equal f(a) at a = b and must not cancel
     # just off the diagonal; a subtracted primitive loses ~1e-5 relative at
     # a = b (1 + 1e-11).  The reference is exact rational arithmetic on the
-    # same floating-point a and b.
-    from fractions import Fraction
-
-    from nlslab.dynamics import _nl_quotient
-
+    # same floating-point a and b.  The quotient is the per-step form:
+    # coefficients from b, evaluated at a.
     b = np.array([0.05, 0.3, 1.0, 1.7, 2.5])
     a = b * (1.0 + 1e-11)
     for coeffs in ((1.0,), (1.0, 0.0, 0.0, -0.001), (0.7, -0.2, 0.05)):
         f = PolynomialNonlinearity(coeffs)
-        diag = _nl_quotient(f, b, b)
+        quotient = _step_quotient(f, b)
+        diag = quotient(b)
         assert np.max(np.abs(diag - f.f(b)) / np.abs(f.f(b))) < 1e-14
-        quot = _nl_quotient(f, a, b)
+        quot = quotient(a)
         for ai, bi, qi in zip(a, b, quot):
             fa, fb = Fraction(float(ai)), Fraction(float(bi))
             exact = sum(Fraction(c) / (m + 1) * (fa ** (m + 1) - fb ** (m + 1))
