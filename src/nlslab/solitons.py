@@ -268,6 +268,12 @@ class SolitonFamily:
     Used by the modulation machinery, which needs profiles at arbitrary
     lambda along a trajectory; Newton restarts from the nearest cached
     profile, so successive queries cost a couple of banded solves.
+
+    phi, phi_lam and phi_lamlam are exactly even (symmetrize is the last
+    step of each solve), so the cache keeps each as its value at x = -L
+    followed by its x >= 0 half, about half the full grid, and rebuilds it
+    with Grid.unfold.  Every call returns fresh arrays, bitwise equal to
+    the solved ones; the cache never evicts.
     """
 
     def __init__(self, V: PotentialSpec, f: PolynomialNonlinearity, grid: Grid):
@@ -276,18 +282,28 @@ class SolitonFamily:
         self.grid = grid
         self._cache: dict = {}
 
+    def _pack(self, u: np.ndarray) -> np.ndarray:
+        return np.concatenate((u[:1], u[self.grid.half()]))
+
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        full = self.grid.unfold(packed[1:])
+        full[0] = packed[0]
+        return full
+
     def profile(self, lam: float) -> SolitonProfile:
         key = round(float(lam), 12)
         hit = self._cache.get(key)
         if hit is not None:
-            return hit
+            return replace(hit, phi=self._unpack(hit.phi), phi_lam=self._unpack(hit.phi_lam),
+                           phi_lamlam=self._unpack(hit.phi_lamlam))
         seed = None
         if self._cache:
             nearest = min(self._cache, key=lambda k: abs(k - lam))
-            seed = self._cache[nearest].phi
+            seed = self._unpack(self._cache[nearest].phi)
         prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid, initial_guess=seed)
         prof = solve_dlambda(prof)
-        self._cache[key] = prof
+        self._cache[key] = replace(prof, phi=self._pack(prof.phi), phi_lam=self._pack(prof.phi_lam),
+                                   phi_lamlam=self._pack(prof.phi_lamlam))
         return prof
 
 

@@ -154,8 +154,9 @@ def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
 
 
 def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
-    # each fixed-point iteration is one band solve; started from the
-    # extrapolated trajectory a step takes ~4, started from psi it takes 7
+    # each fixed-point iteration is one band solve; started from psi a step
+    # takes 7, from the extrapolated trajectory 4.06 here, and from that
+    # extrapolation in the frame turning with the last step's phase 3.45
     V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
     prof = solve_soliton(2.0, V, THEOREM_F, dyn_grid)
     psi0 = np.exp(0.3j) * (prof.phi + 0.01 * default_bump(dyn_grid, 2.0))
@@ -169,9 +170,20 @@ def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
     T, dt = 0.4, 0.004
     psi = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=100)[-1].psi
     monkeypatch.undo()
-    assert len(solves) / round(T / dt) <= 4.5
+    assert len(solves) / round(T / dt) <= 3.5
     ref = _half_grid_cn(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt)
     assert dyn_grid.norm(psi - ref) < 1e-12 * dyn_grid.norm(ref)
+
+
+def test_zero_datum_stays_zero(dyn_family, dyn_grid):
+    # the rotating frame of the start takes the phase of <psi_(n-1), psi_n>,
+    # which is 0 here, not NaN
+    states = evolve_nls(np.zeros(dyn_grid.N, dtype=complex), dyn_family.potential, THEOREM_F,
+                        dyn_grid, T=0.04, dt=0.004, sample_every=5)
+    assert len(states) == 3
+    for st in states:
+        assert not np.any(st.psi)
+        assert st.mass == st.energy == st.weighted_norm == 0.0
 
 
 def _exact_profile_newton(psi, lam_guess, family):

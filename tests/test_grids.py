@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import trapezoid
+from scipy.linalg import get_lapack_funcs
 
+from nlslab import grids
+from nlslab.config import load_config
 from nlslab.grids import (ComplexField, PolynomialNonlinearity, PotentialSpec,
                           band_matvec, band_solver, eval_nonlinearity, make_grid,
                           validate_assumptions, weighted_norm)
+from nlslab.solitons import _lplus_diag, _lplus_solver, solve_soliton
 
 
 def test_make_grid_spacing():
@@ -273,3 +277,71 @@ def test_band_solver_rejects_a_singular_band():
     ab[:, 3] = 0.0                                  # a zero column
     with pytest.raises(np.linalg.LinAlgError):
         band_solver(ab, 2, 2)
+
+
+def _count_gbtrs(monkeypatch):
+    """Count the gbtrs calls of every band_solver made after this."""
+    calls = []
+    lapack = grids.get_lapack_funcs
+
+    def spy(names, arrays):
+        gbtrf, gbtrs = lapack(names, arrays)
+        return gbtrf, lambda *args: calls.append(1) or gbtrs(*args)
+
+    monkeypatch.setattr(grids, "get_lapack_funcs", spy)
+    return calls
+
+
+def _gbtrs_solve(ab, kl, ku, rhs):
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    work = np.zeros((2 * kl + ku + 1, ab.shape[1]), dtype=ab.dtype)
+    work[kl:] = ab
+    lu, piv, _info = gbtrf(work, kl, ku)
+    return gbtrs(lu, kl, ku, rhs, piv)[0]
+
+
+def test_band_sweeps_equal_gbtrs_on_the_crank_nicolson_factor(monkeypatch):
+    # the factor of dynamics.evolve_nls on the dynamics grid takes no row
+    # interchange, so a 1-D right-hand side takes the two tbsv sweeps
+    cfg = load_config()
+    g = cfg.dynamics_grid()
+    lin = -g.fd_d2_band()
+    lin[2] += cfg.potential()(g.nodes)
+    lhs = 0.5j * 0.004 * g.fold(lin)
+    lhs[2] += 1.0
+    calls = _count_gbtrs(monkeypatch)
+    solve = band_solver(lhs, 2, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        rhs = rng.standard_normal(lhs.shape[1]) + 1j * rng.standard_normal(lhs.shape[1])
+        got = solve(rhs)
+        assert not calls
+        assert np.array_equal(got, _gbtrs_solve(lhs, 2, 2, rhs))
+
+
+@pytest.mark.parametrize("diagonal, shape", [(1e-3, (40,)), (8.0, (40, 2))],
+                         ids=["pivoting_band", "2d_rhs"])
+def test_band_solver_falls_back_to_gbtrs(monkeypatch, diagonal, shape):
+    # a small diagonal makes gbtrf swap rows; a dominant one does not
+    rng = np.random.default_rng(11)
+    ab = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
+    ab[2] = diagonal
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    calls = _count_gbtrs(monkeypatch)
+    got = band_solver(ab, 2, 2)(rhs)
+    assert calls
+    want = np.linalg.solve(_dense_from_band(ab, 2, 2), rhs)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_lplus_factor_falls_back_to_gbtrs(monkeypatch, trap, cubic):
+    g = make_grid(20.0, 256)
+    phi = solve_soliton(2.0, trap, cubic, g).phi
+    diag = _lplus_diag(g, 2.0, trap, cubic, phi)
+    calls = _count_gbtrs(monkeypatch)
+    got = _lplus_solver(-g.fd_d2_band(), diag)(phi)
+    assert calls
+    ab = -g.fd_d2_band()
+    ab[2] += diag
+    want = np.linalg.solve(_dense_from_band(ab, 2, 2), phi)
+    assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))

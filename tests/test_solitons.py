@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from nlslab import solitons
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
-from nlslab.solitons import (SolitonProfile, _lplus_diag, _lplus_solver,
+from nlslab.solitons import (SolitonFamily, SolitonProfile, _lplus_diag, _lplus_solver,
                              power_law_standing_wave, solve_dlambda, solve_soliton,
                              stability_scan)
 
@@ -274,6 +274,52 @@ def test_banded_lplus_matches_sparse_solve(default_profile, L, N):
         u, want = banded(rhs), sparse_lu.solve(rhs)
         assert np.max(np.abs(lplus @ u - rhs)) <= 1e-15 * norm * np.max(np.abs(u))
         assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class _FullGridFamily(SolitonFamily):
+    """The family with whole profiles in its cache: the same seeds and solves."""
+
+    def profile(self, lam):
+        key = round(float(lam), 12)
+        if key not in self._cache:
+            seed = None
+            if self._cache:
+                seed = self._cache[min(self._cache, key=lambda k: abs(k - lam))].phi
+            prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid,
+                                 initial_guess=seed)
+            self._cache[key] = solve_dlambda(prof)
+        return self._cache[key]
+
+
+PROFILE_FIELDS = ("phi", "phi_lam", "phi_lamlam")
+
+
+def test_half_grid_cache_returns_the_solved_profiles(trap, cubic):
+    g = make_grid(30.0, 512)
+    family, ref = SolitonFamily(trap, cubic, g), _FullGridFamily(trap, cubic, g)
+    for lam in (2.0, 2.05, 2.0, 1.97, 2.05, 2.03, 1.97 + 1e-14, 2.0):
+        got, want = family.profile(lam), ref.profile(lam)
+        for name in PROFILE_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.lam, got.mass, got.residual_sup, got.tail_rate) == \
+               (want.lam, want.mass, want.residual_sup, want.tail_rate)
+    assert family._cache.keys() == ref._cache.keys()
+    # each cached profile keeps N/2 + 1 of the N nodes of its three fields
+    full = sum(getattr(p, name).nbytes for p in ref._cache.values() for name in PROFILE_FIELDS)
+    held = sum(getattr(p, name).nbytes for p in family._cache.values() for name in PROFILE_FIELDS)
+    assert held == full * (g.N // 2 + 1) // g.N
+
+
+def test_cache_hit_is_not_mutated_through_a_returned_profile(trap, cubic):
+    family = SolitonFamily(trap, cubic, make_grid(30.0, 512))
+    first = family.profile(2.0)
+    want = {name: getattr(first, name).copy() for name in PROFILE_FIELDS}
+    for prof in (first, family.profile(2.0)):
+        for name in PROFILE_FIELDS:
+            getattr(prof, name)[:] = 0.0
+    again = family.profile(2.0)
+    for name in PROFILE_FIELDS:
+        assert np.array_equal(getattr(again, name), want[name])
 
 
 def test_power_law_standing_wave_forms():
