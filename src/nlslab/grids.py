@@ -1,4 +1,4 @@
-"""Grids, fields, weighted norms, nonlinearities and potential families.
+"""Grids, weights, nonlinearities and potential families.
 
 Everything downstream (soliton construction, linearizations, scattering,
 time propagation) works on a uniform symmetric grid on [-L, L).  Smooth
@@ -7,6 +7,8 @@ the periodic spectral derivative; the banded finite-difference operator,
 in band storage with a one-factor band LU, serves the time steppers,
 Newton solves and dense eigensolves, and Grid.fold / Grid.unfold carry
 it and its fields to the even or odd sector on the half grid x >= 0.
+Even fields also live on the closed half grid x = 0, ..., L (Grid.even_*),
+with a DCT-I spectral derivative and the band of Grid.even_fold.
 
 All containers are immutable after construction, all operations are
 pure and there is no module-level mutable state, so they can be used
@@ -19,24 +21,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 __all__ = [
     "Grid",
-    "ComplexField",
     "PolynomialNonlinearity",
     "PotentialSpec",
     "AssumptionReport",
     "make_grid",
-    "weighted_norm",
     "eval_nonlinearity",
     "validate_assumptions",
     "fit_exponential_decay",
     "band_solver",
     "band_matvec",
 ]
-
-PARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,6 @@ class Grid:
         """Sup-norm distance to the even part."""
         return float(np.max(np.abs(u - self.reflect(u))))
 
-    def symmetrize(self, u: np.ndarray) -> np.ndarray:
-        return 0.5 * (u + self.reflect(u))
-
     def half(self, sign: float = 1.0) -> np.ndarray:
         """Node indices of the half grid x = 0 (dx for sign = -1), ..., L - dx."""
         c = self.point_count // 2                  # index of x = 0
@@ -131,6 +127,47 @@ class Grid:
         out = ab[:, lo:].copy()
         for n in (1, 2):                           # column -n dx onto column n dx
             out[:5 - 2 * n, c + n - lo] += sign * ab[2 * n:, c - n]
+        return out
+
+    # -- the even sector on the closed half grid x = 0, dx, ..., L -----------
+
+    @property
+    def even_nodes(self) -> np.ndarray:
+        """Nodes x = 0, dx, ..., L of even_half; x = L is the grid's x = -L."""
+        return self.dx * np.arange(self.point_count // 2 + 1)
+
+    def even_half(self, u: np.ndarray) -> np.ndarray:
+        """Values of the field u (last axis) at even_nodes."""
+        c = self.point_count // 2
+        return np.concatenate((u[..., c:], u[..., :1]), axis=-1)
+
+    def even_full(self, h: np.ndarray) -> np.ndarray:
+        """The even field with values h at even_nodes: even_half inverted on even fields."""
+        return np.concatenate((h[..., :0:-1], h[..., :-1]), axis=-1)
+
+    def even_integrate(self, h: np.ndarray):
+        """integrate(even_full(h)): trapezoid weights dx at x = 0 and L, 2 dx elsewhere."""
+        return self.dx * (2.0 * np.sum(h, axis=-1) - h[..., 0] - h[..., -1])
+
+    def even_norm(self, h: np.ndarray) -> float:
+        """norm(even_full(h)) of a real field h."""
+        return float(np.sqrt(self.even_integrate(h**2)))
+
+    def even_d2(self, h: np.ndarray) -> np.ndarray:
+        """spectral_d2 of even_full(h) at even_nodes, in real arithmetic: the
+        periodic extension of an even field is the DCT-I sequence of h, whose
+        mode m has wavenumber pi m / L."""
+        m = np.arange(h.shape[-1])
+        return sp_fft.idct(-(np.pi * m / self.half_width) ** 2 * sp_fft.dct(h, 1), 1)
+
+    def even_fold(self, ab: np.ndarray) -> np.ndarray:
+        """fold(ab) on even_nodes: the (2, 2) band of ab on even fields, whose
+        row x = L is the row x = -L of ab mirrored (no entry across the wall)."""
+        m = self.point_count // 2
+        out = np.zeros((5, m + 1), dtype=ab.dtype)
+        out[:, :m] = self.fold(ab)
+        for k in range(3):                         # entry (-L, -L + k dx) onto (L, L - k dx)
+            out[2 + k, m - k] = ab[2 - k, k]
         return out
 
     # -- derivatives --------------------------------------------------------
@@ -214,34 +251,6 @@ def make_grid(L: float, N: int) -> Grid:
     if not (L > 0):
         raise ValueError("half width must be positive")
     return Grid(float(L), int(N))
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex values on a grid, with an optional validated parity tag."""
-
-    grid: Grid
-    values: np.ndarray
-    parity: Optional[str] = None  # "even" | "odd" | None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.point_count,):
-            raise ValueError("field length does not match grid")
-        if self.parity is not None:
-            refl = self.grid.reflect(vals)
-            sign = 1.0 if self.parity == "even" else -1.0
-            if self.parity not in ("even", "odd"):
-                raise ValueError("parity must be 'even', 'odd' or None")
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            # node 0 (x = -L) has no mirror on the grid: reflect() maps it
-            # onto itself, so it carries no parity information
-            if np.max(np.abs(vals[1:] - sign * refl[1:])) > PARITY_TOL * scale:
-                raise ValueError(f"field is not {self.parity} to tolerance")
-
-    def norm2(self) -> float:
-        return self.grid.norm(self.values)
 
 
 @dataclass(frozen=True)
@@ -434,12 +443,3 @@ def validate_assumptions(
         growth_bound_ok=True,
         subquadratic=bool(f.degree <= 2),
     )
-
-
-def weighted_norm(u: ComplexField, nu: float) -> float:
-    """|| (1+|x|)^(-nu) u ||_2 by trapezoidal quadrature."""
-    if not np.isfinite(nu):
-        raise ValueError("nu must be finite")
-    g = u.grid
-    w = g.weight(nu)
-    return float(np.sqrt(np.real(g.integrate(np.abs(w * u.values) ** 2))))

@@ -4,14 +4,17 @@ The standing-wave profile phi > 0 solves
 
     -phi'' + (lam + V_h(x)) phi - f(phi^2) phi = 0
 
-on the grid.  The solver is a damped Newton iteration whose residual is
-evaluated spectrally (periodic FFT Laplacian, tails are far below
-truncation) and whose linear solves use a banded 4th-order
-finite-difference Jacobian as a defect-correction preconditioner.  That
-combination converges to the continuum profile to ~1e-12 while keeping
-every linear solve O(N).  The FD4 Jacobian is kept in banded storage
-(Grid.fd_d2_band, laid out once per solve); each Newton step adds its
-diagonal and takes one LAPACK band LU (grids.band_solver).
+on the grid.  V_h and phi are even, so the solve runs on the N/2 + 1
+samples x = 0, dx, ..., L of the even sector (Grid.even_half), and
+profiles are returned on the full grid.  The solver is a damped Newton
+iteration whose residual is evaluated spectrally (the DCT-I Laplacian
+Grid.even_d2, tails are far below truncation) and whose linear solves
+use a banded 4th-order finite-difference Jacobian as a defect-correction
+preconditioner.  That combination converges to the continuum profile to
+~1e-12 while keeping every linear solve O(N).  The FD4 Jacobian is the
+band Grid.fd_d2_band folded onto the half grid (Grid.even_fold, laid out
+once per solve); each Newton step adds its diagonal and takes one LAPACK
+band LU (grids.band_solver).
 
 The frequency derivatives come from one banded factor of L_plus: with
 G(phi) = f(phi^2) phi, differentiating the profile equation in lam gives
@@ -72,15 +75,15 @@ class SolitonProfile:
     phi_lamlam: Optional[np.ndarray] = None
 
 
-def _residual(grid: Grid, lam, V, f, phi):
-    vh = V(grid.nodes)
-    return np.real(-grid.spectral_d2(phi) + (lam + vh) * phi - f.f(phi**2) * phi)
+def _residual(grid: Grid, lam_v, f, phi):
+    """The profile equation at even_nodes; lam_v = lam + V_h there."""
+    return -grid.even_d2(phi) + lam_v * phi - f.f(phi**2) * phi
 
 
-def _lplus_diag(grid: Grid, lam, V, f, phi):
-    # L_plus = -d2 + diag, diag = V_h + lam - f(phi^2) - 2 f'(phi^2) phi^2
+def _lplus_diag(lam_v, f, phi):
+    # L_plus = -d2 + diag, diag = lam + V_h - f(phi^2) - 2 f'(phi^2) phi^2
     s = phi**2
-    return V(grid.nodes) + lam - f.f(s) - 2.0 * f.fprime(s) * s
+    return lam_v - f.f(s) - 2.0 * f.fprime(s) * s
 
 
 def _lplus_solver(neg_d2: np.ndarray, diag: np.ndarray):
@@ -101,12 +104,14 @@ def solve_soliton(
 
     The initial guess is A*sech(sqrt(lam_eff) x) with A the positive root
     of the effective potential, lam_eff = lam + V(0), unless one is
-    passed in (continuation).  Iterates are symmetrized every step, and a
-    Newton step is halved (up to 30 times) whenever it would lose
-    positivity.
+    passed in (continuation; an even field).  Newton runs on the even
+    half grid, and a step is halved (up to 30 times) whenever it would
+    lose positivity.  The tail rate is fitted on 1e-13 < phi < 1e-3 max
+    phi, where phi is resolved and in its tail.
     """
     report = validate_assumptions(f, V, lam, grid)
-    x = grid.nodes
+    x = grid.even_nodes
+    lam_v = lam + V(x)
     lam_eff = lam + V.v0()
     if initial_guess is None:
         if lam_eff <= 0:
@@ -116,27 +121,28 @@ def solve_soliton(
         # for the dominant power so supercritical seeds start close
         nz = [m for m, c in enumerate(f.coefficients, start=1) if c != 0.0]
         m_dom = nz[0] if len(nz) == 1 else 1
-        # sech^(1/m)(a) through log cosh a = |a| + log1p(e^(-2|a|)) - log 2,
+        # sech^(1/m)(a) through log cosh a = a + log1p(e^(-2a)) - log 2,
         # which does not overflow cosh on wide boxes
-        a = np.abs(m_dom * np.sqrt(lam_eff) * x)
+        a = m_dom * np.sqrt(lam_eff) * x
         log_cosh = a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
-        initial_guess = report.root * np.exp(-log_cosh / m_dom)
-    phi = grid.symmetrize(np.asarray(initial_guess, dtype=float))
+        phi = report.root * np.exp(-log_cosh / m_dom)
+    else:
+        phi = grid.even_half(np.asarray(initial_guess, dtype=float))
 
-    res = _residual(grid, lam, V, f, phi)
+    res = _residual(grid, lam_v, f, phi)
     res_sup = float(np.max(np.abs(res)))
-    neg_d2 = -grid.fd_d2_band()
+    neg_d2 = grid.even_fold(-grid.fd_d2_band())
     stalled = 0
     for _ in range(NEWTON_MAX_ITER):
         if res_sup < TARGET_TOL or (stalled >= 2 and res_sup < RESIDUAL_TOL):
             break
-        step = _lplus_solver(neg_d2, _lplus_diag(grid, lam, V, f, phi))(res)
+        step = _lplus_solver(neg_d2, _lplus_diag(lam_v, f, phi))(res)
         damping = 1.0
         for _half in range(30):
-            cand = grid.symmetrize(phi - damping * step)
+            cand = phi - damping * step
             # tolerate roundoff-level sign flips in the underflowed tail
             if np.min(cand) > -1e-13 * np.max(cand):
-                new_res = _residual(grid, lam, V, f, cand)
+                new_res = _residual(grid, lam_v, f, cand)
                 new_sup = float(np.max(np.abs(new_res)))
                 if new_sup < res_sup or new_sup < TARGET_TOL:
                     stalled = stalled + 1 if new_sup > 0.5 * res_sup else 0
@@ -154,36 +160,33 @@ def solve_soliton(
     if np.min(phi) < -1e-11 * np.max(phi):
         raise ValueError("positivity lost")
     phi = np.where(phi > 0, phi, 1e-250)
-    mass = float(np.real(grid.integrate(phi**2)))
-    quarter = x > grid.L / 2
-    rate, _ = fit_exponential_decay(x[quarter], phi[quarter])
+    tail = (x > 0) & (phi < 1e-3 * np.max(phi))
     return SolitonProfile(
         lam=float(lam),
         potential=V,
         nonlinearity=f,
         grid=grid,
-        phi=phi,
+        phi=grid.even_full(phi),
         phi_lam=None,
         residual_sup=res_sup,
-        mass=mass,
-        tail_rate=rate,
+        mass=float(grid.even_integrate(phi**2)),
+        tail_rate=fit_exponential_decay(x[tail], phi[tail])[0],
     )
 
 
 def _defect_solve(grid: Grid, solve, diag, rhs):
-    """Spectral L_plus u = rhs by defect correction on the banded solve."""
+    """Spectral L_plus u = rhs at even_nodes by defect correction on the banded solve."""
 
     def lplus_apply(u):
-        return np.real(-grid.spectral_d2(u) + diag * u)
+        return -grid.even_d2(u) + diag * u
 
     u = solve(rhs)
     for _ in range(12):
         defect = rhs - lplus_apply(u)
-        if grid.norm(defect) < 1e-11 * max(grid.norm(rhs), 1e-300):
+        if grid.even_norm(defect) < 1e-11 * max(grid.even_norm(rhs), 1e-300):
             break
         u = u + solve(defect)
-    u = grid.symmetrize(np.real(u))
-    rel = grid.norm(lplus_apply(u) - rhs) / grid.norm(rhs)
+    rel = grid.even_norm(lplus_apply(u) - rhs) / grid.even_norm(rhs)
     if rel > 1e-8:
         raise ValueError(f"derivative solve did not converge (rel {rel:.2e})")
     return u
@@ -194,27 +197,27 @@ def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
 
     L_plus phi_lam = -phi and L_plus phi_lamlam = -2 phi_lam + G''(phi)
     phi_lam^2 (G(phi) = f(phi^2) phi) by defect correction against the
-    spectral L_plus; raises when the banded L_plus is numerically
-    singular (lambda at a bifurcation point).
+    spectral L_plus, on the even half grid; raises when the banded
+    L_plus is numerically singular (lambda at a bifurcation point).
     """
     if profile.residual_sup > 10 * RESIDUAL_TOL:
         raise ValueError("profile residual too large for derivative solve")
-    grid, f, phi = profile.grid, profile.nonlinearity, profile.phi
-    diag = _lplus_diag(grid, profile.lam, profile.potential, f, phi)
-    solve = _lplus_solver(-grid.fd_d2_band(), diag)
+    grid, f = profile.grid, profile.nonlinearity
+    phi = grid.even_half(profile.phi)
+    diag = _lplus_diag(profile.lam + profile.potential(grid.even_nodes), f, phi)
+    solve = _lplus_solver(grid.even_fold(-grid.fd_d2_band()), diag)
     # crude singularity guard: inverse power step on a random probe
-    rng = np.random.default_rng(0)
-    probe = grid.symmetrize(rng.standard_normal(grid.N))
-    grow = grid.norm(solve(probe)) / max(grid.norm(probe), 1e-300)
+    probe = np.random.default_rng(0).standard_normal(phi.size)
+    grow = grid.even_norm(solve(probe)) / max(grid.even_norm(probe), 1e-300)
     if grow > 1e10:
         raise ValueError("L_plus singular")
 
     phi_lam = _defect_solve(grid, solve, diag, -phi)
-    # G''(phi) = 6 phi f'(phi^2) + 4 phi^3 f''(phi^2) = sum_m 2m(2m+1) c_m phi^(2m-1)
-    g2 = sum(2 * m * (2 * m + 1) * c * phi ** (2 * m - 1)
-             for m, c in enumerate(f.coefficients, start=1))
+    # G''(phi) = 6 phi f'(phi^2) + 4 phi^3 f''(phi^2) = phi sum_m 2m(2m+1) c_m phi^(2m-2)
+    g2 = phi * np.polynomial.polynomial.polyval(
+        phi**2, [2 * m * (2 * m + 1) * c for m, c in enumerate(f.coefficients, start=1)])
     phi_lamlam = _defect_solve(grid, solve, diag, -2.0 * phi_lam + g2 * phi_lam**2)
-    return replace(profile, phi_lam=phi_lam, phi_lamlam=phi_lamlam)
+    return replace(profile, phi_lam=grid.even_full(phi_lam), phi_lamlam=grid.even_full(phi_lamlam))
 
 
 @dataclass(frozen=True)
@@ -266,15 +269,17 @@ class SolitonFamily:
     """Cache of profiles phi^lam (with derivatives) over the family.
 
     Used by the modulation machinery, which needs profiles at arbitrary
-    lambda along a trajectory; Newton restarts from the nearest cached
-    profile, so successive queries cost a couple of banded solves.
+    lambda along a trajectory.  Newton restarts from the Taylor polynomial
+    phi + d phi_lam + d^2/2 phi_lamlam of the nearest cached profile (d =
+    lam - its lambda), so a query costs a couple of banded solves.
 
-    phi, phi_lam and phi_lamlam are exactly even (symmetrize is the last
-    step of each solve), so the cache keeps each as its value at x = -L
-    followed by its x >= 0 half, about half the full grid, and rebuilds it
-    with Grid.unfold.  Every call returns fresh arrays, bitwise equal to
-    the solved ones; the cache never evicts.
+    phi, phi_lam and phi_lamlam are even, so the cache keeps each as its
+    N/2 + 1 samples at Grid.even_nodes and rebuilds it with
+    Grid.even_full.  Every call returns fresh arrays, bitwise equal to the
+    solved ones; the cache never evicts.
     """
+
+    _FIELDS = ("phi", "phi_lam", "phi_lamlam")
 
     def __init__(self, V: PotentialSpec, f: PolynomialNonlinearity, grid: Grid):
         self.potential = V
@@ -282,28 +287,22 @@ class SolitonFamily:
         self.grid = grid
         self._cache: dict = {}
 
-    def _pack(self, u: np.ndarray) -> np.ndarray:
-        return np.concatenate((u[:1], u[self.grid.half()]))
-
-    def _unpack(self, packed: np.ndarray) -> np.ndarray:
-        full = self.grid.unfold(packed[1:])
-        full[0] = packed[0]
-        return full
+    def _mapped(self, prof: SolitonProfile, fn) -> SolitonProfile:
+        return replace(prof, **{name: fn(getattr(prof, name)) for name in self._FIELDS})
 
     def profile(self, lam: float) -> SolitonProfile:
         key = round(float(lam), 12)
         hit = self._cache.get(key)
         if hit is not None:
-            return replace(hit, phi=self._unpack(hit.phi), phi_lam=self._unpack(hit.phi_lam),
-                           phi_lamlam=self._unpack(hit.phi_lamlam))
+            return self._mapped(hit, self.grid.even_full)
         seed = None
         if self._cache:
-            nearest = min(self._cache, key=lambda k: abs(k - lam))
-            seed = self._unpack(self._cache[nearest].phi)
+            near = self._cache[min(self._cache, key=lambda k: abs(k - lam))]
+            d = lam - near.lam
+            seed = self.grid.even_full(near.phi + d * near.phi_lam + 0.5 * d * d * near.phi_lamlam)
         prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid, initial_guess=seed)
         prof = solve_dlambda(prof)
-        self._cache[key] = replace(prof, phi=self._pack(prof.phi), phi_lam=self._pack(prof.phi_lam),
-                                   phi_lamlam=self._pack(prof.phi_lamlam))
+        self._cache[key] = self._mapped(prof, self.grid.even_half)
         return prof
 
 

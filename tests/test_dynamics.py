@@ -117,7 +117,8 @@ def _full_grid_cn(psi0, V, f, grid, T, dt, sample_every):
     psi, out = psi0.copy(), [psi0.copy()]
     for step in range(1, int(round(T / dt)) + 1):
         base = rhs_mat @ psi
-        psi = grid.symmetrize(_fixed_point_from_psi(lambda b: lhs.solve(base + b), psi, f, dt))
+        psi = _fixed_point_from_psi(lambda b: lhs.solve(base + b), psi, f, dt)
+        psi = 0.5 * (psi + grid.reflect(psi))
         if step % sample_every == 0:
             out.append(psi.copy())
     return out

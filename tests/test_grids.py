@@ -10,9 +10,9 @@ from scipy.linalg import get_lapack_funcs
 
 from nlslab import grids
 from nlslab.config import load_config
-from nlslab.grids import (ComplexField, PolynomialNonlinearity, PotentialSpec,
-                          band_matvec, band_solver, eval_nonlinearity, make_grid,
-                          validate_assumptions, weighted_norm)
+from nlslab.grids import (PolynomialNonlinearity, PotentialSpec, band_matvec, band_solver,
+                          eval_nonlinearity, make_grid, validate_assumptions)
+from nlslab.propagator import weighted_pair_norm
 from nlslab.solitons import _lplus_diag, _lplus_solver, solve_soliton
 
 
@@ -48,24 +48,27 @@ def test_grid_nodes_symmetric():
         assert np.min(np.abs(g.nodes + x)) < 1e-12
 
 
+def _pair(u):
+    """The pair (u, 0), whose weighted_pair_norm is the weighted norm of u."""
+    return np.stack((u, np.zeros_like(u)))
+
+
 def test_weighted_norm_zero_field():
     g = make_grid(5.0, 64)
-    u = ComplexField(g, np.zeros(g.N, dtype=complex))
-    assert weighted_norm(u, 3.0) == 0.0
+    assert weighted_pair_norm(g, _pair(np.zeros(g.N, dtype=complex)), 3.0) == 0.0
 
 
 def test_weighted_norm_constant():
     g = make_grid(1.0, 512)
-    u = ComplexField(g, np.ones(g.N, dtype=complex))
-    assert weighted_norm(u, 0.0) == pytest.approx(np.sqrt(2.0), abs=1e-3)
+    u = _pair(np.ones(g.N, dtype=complex))
+    assert weighted_pair_norm(g, u, 0.0) == pytest.approx(np.sqrt(2.0), abs=1e-3)
 
 
 def test_weighted_norm_gaussian_against_fine_quadrature():
     # the weight has a kink at 0, so the quadrature is second order;
     # resolve enough that the refined oracle agrees to 1e-6
     g = make_grid(12.0, 32768)
-    u = ComplexField(g, np.exp(-g.nodes**2).astype(complex))
-    val = weighted_norm(u, 2.0)
+    val = weighted_pair_norm(g, _pair(np.exp(-g.nodes**2).astype(complex)), 2.0)
     xf = np.linspace(-12.0, 12.0, 8 * 32768 + 1)
     integrand = ((1 + np.abs(xf)) ** (-2.0) * np.exp(-(xf**2))) ** 2
     oracle = np.sqrt(trapezoid(integrand, xf))
@@ -74,8 +77,8 @@ def test_weighted_norm_gaussian_against_fine_quadrature():
 
 def test_weighted_norm_matches_plain_l2():
     g = make_grid(9.0, 256)
-    u = ComplexField(g, (np.exp(-g.nodes**2) * (1 + 2j)).astype(complex))
-    assert weighted_norm(u, 0.0) == pytest.approx(u.norm2(), rel=1e-12)
+    u = (np.exp(-g.nodes**2) * (1 + 2j)).astype(complex)
+    assert weighted_pair_norm(g, _pair(u), 0.0) == pytest.approx(g.norm(u), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,9 +87,8 @@ def test_weighted_norm_matches_plain_l2():
 def test_weighted_norm_homogeneous(c, nu):
     g = make_grid(6.0, 128)
     base = np.exp(-g.nodes**2) * (1 + 0.5j)
-    u = ComplexField(g, base)
-    cu = ComplexField(g, c * base)
-    assert weighted_norm(cu, nu) == pytest.approx(abs(c) * weighted_norm(u, nu), rel=1e-12, abs=1e-300)
+    assert weighted_pair_norm(g, _pair(c * base), nu) == pytest.approx(
+        abs(c) * weighted_pair_norm(g, _pair(base), nu), rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,24 +97,20 @@ def test_weighted_norm_monotone(nu1, nu2):
     if nu1 < nu2:
         nu1, nu2 = nu2, nu1
     g = make_grid(6.0, 128)
-    u = ComplexField(g, np.cos(g.nodes) * np.exp(-np.abs(g.nodes)) + 0j)
-    assert weighted_norm(u, nu1) <= weighted_norm(u, nu2) * (1 + 1e-12)
+    u = _pair(np.cos(g.nodes) * np.exp(-np.abs(g.nodes)) + 0j)
+    assert weighted_pair_norm(g, u, nu1) <= weighted_pair_norm(g, u, nu2) * (1 + 1e-12)
 
 
 def test_parity_tag_validation():
+    """parity_defect is 0 on an even field, whatever it holds at x = -L
+    (no mirror), 2 |u| on an odd one, and sees a small odd part."""
     g = make_grid(5.0, 64)
     even = np.exp(-g.nodes**2)
-    ComplexField(g, even, parity="even")
+    assert g.parity_defect(even) == 0.0
+    assert g.parity_defect(np.where(g.nodes == -g.L, 1.0, even)) == 0.0
     odd = g.nodes * even
-    ComplexField(g, odd, parity="odd")
-    with pytest.raises(ValueError):
-        ComplexField(g, even + 0.1 * odd, parity="even")
-
-
-def test_field_length_mismatch():
-    g = make_grid(5.0, 64)
-    with pytest.raises(ValueError):
-        ComplexField(g, np.zeros(12))
+    assert g.parity_defect(odd) == pytest.approx(2.0 * np.max(np.abs(odd[1:])), rel=1e-15)
+    assert g.parity_defect(even + 0.1 * odd) > 1e-2
 
 
 def test_eval_nonlinearity_values():
@@ -247,6 +245,49 @@ def test_fold_and_unfold_match_the_sparse_composition(L, N, sign):
     assert full[0] == 0.0 and np.array_equal(g.reflect(full)[1:], sign * full[1:])
 
 
+def _even_field(g, rng):
+    """A random exactly even field on g, with its value at x = -L."""
+    return g.even_full(rng.standard_normal(g.N // 2 + 1))
+
+
+@pytest.mark.parametrize("L, N", [(5.0, 32), (200.0, 8192)])
+def test_even_d2_is_spectral_d2_on_even_fields(L, N):
+    """The DCT-I second derivative on x = 0, ..., L is spectral_d2 of the
+    even field: the same operator, to roundoff, on smooth and rough data."""
+    g = make_grid(L, N)
+    rng = np.random.default_rng(3)
+    for u in (g.even_full(np.exp(-g.even_nodes**2)), _even_field(g, rng)):
+        want = np.real(g.spectral_d2(u))
+        got = g.even_d2(g.even_half(u))
+        assert np.max(np.abs(got - g.even_half(want))) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("L, N", [(5.0, 32), (200.0, 8192)])
+def test_even_half_and_full_round_trip(L, N):
+    g = make_grid(L, N)
+    u = _even_field(g, np.random.default_rng(4))
+    h = g.even_half(u)
+    assert h.size == g.N // 2 + 1 and h[0] == u[g.N // 2] and h[-1] == u[0]
+    assert np.array_equal(g.even_full(h), u)            # the node x = -L too
+    assert np.array_equal(g.reflect(u), u)
+    assert np.array_equal(g.even_nodes, np.abs(g.even_half(g.nodes)))
+    assert g.even_integrate(h) == pytest.approx(g.integrate(u), rel=1e-13)
+
+
+@pytest.mark.parametrize("L, N", [(5.0, 32), (30.0, 1024)])
+def test_even_fold_is_the_band_on_even_fields(L, N):
+    """even_fold(ab) h is the full band applied to the even field
+    even_full(h), read at x = 0, ..., L: row L is the row -L."""
+    g = make_grid(L, N)
+    rng = np.random.default_rng(8)
+    ab = -g.fd_d2_band()
+    ab[2] += rng.standard_normal(g.N)
+    h = rng.standard_normal(g.N // 2 + 1)
+    want = g.even_half(_dense_from_band(ab, 2, 2) @ g.even_full(h))
+    got = _dense_from_band(g.even_fold(ab), 2, 2) @ h
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 5, 5), (complex, 1, 3)])
 def test_band_matvec_matches_dense_product(dtype, kl, ku):
     rng = np.random.default_rng(5)
@@ -337,7 +378,7 @@ def test_band_solver_falls_back_to_gbtrs(monkeypatch, diagonal, shape):
 def test_lplus_factor_falls_back_to_gbtrs(monkeypatch, trap, cubic):
     g = make_grid(20.0, 256)
     phi = solve_soliton(2.0, trap, cubic, g).phi
-    diag = _lplus_diag(g, 2.0, trap, cubic, phi)
+    diag = _lplus_diag(2.0 + trap(g.nodes), cubic, phi)
     calls = _count_gbtrs(monkeypatch)
     got = _lplus_solver(-g.fd_d2_band(), diag)(phi)
     assert calls

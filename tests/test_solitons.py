@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from nlslab import solitons
-from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
+from nlslab.grids import Grid, PolynomialNonlinearity, PotentialSpec, make_grid
 from nlslab.solitons import (SolitonFamily, SolitonProfile, _lplus_diag, _lplus_solver,
                              power_law_standing_wave, solve_dlambda, solve_soliton,
                              stability_scan)
@@ -94,6 +94,15 @@ def test_wide_box_seed_does_not_overflow(cfg, trap, cubic):
 def test_tail_rate(free_soliton):
     # exponential tail with rate sqrt(lam) = 1
     assert free_soliton.tail_rate == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("which", ["grid", "dynamics_grid"])
+def test_default_tail_rate_is_resolved(cfg, trap, which):
+    """On both default grids all of x > L/2 is below the 1e-13 floor; the
+    fit reads the resolved tail instead, where V_h -> 0: rate sqrt(lam)."""
+    prof = solve_soliton(cfg.lam, trap, cfg.nonlinearity(which == "dynamics_grid"),
+                         getattr(cfg, which)())
+    assert abs(prof.tail_rate - np.sqrt(cfg.lam)) < 1e-2
 
 
 def test_dlambda_values(free_soliton):
@@ -233,17 +242,21 @@ def test_positivity_loss_reported():
                       initial_guess=seed)
 
 
-def _sparse_d2(g):
-    """fd_d2_band as a scipy.sparse CSR matrix (a dia_matrix has the same layout)."""
-    return sparse.dia_matrix((g.fd_d2_band(), range(2, -3, -1)), shape=(g.N, g.N)).tocsr()
+def _sparse_band(ab):
+    """A (2, 2) band such as fd_d2_band as a scipy.sparse CSR matrix (a
+    dia_matrix has the same layout)."""
+    n = ab.shape[1]
+    return sparse.dia_matrix((ab, range(2, -3, -1)), shape=(n, n)).tocsr()
 
 
 def test_singular_lplus_reported():
     """With f = 0 and no trap, L_plus = -d2 + lam, singular to roundoff
-    when lam is the eigenvalue of the FD4 d2 nearest zero (its even
-    ground state, which the symmetrized probe excites)."""
+    when lam is the eigenvalue nearest zero of the FD4 d2 that the guard
+    factors: the band on the even half grid (Grid.even_fold), whose
+    eigenvectors the random probe excites."""
     g = make_grid(20.0, 256)
-    lam = float(np.max(np.linalg.eigvals(_sparse_d2(g).toarray()).real))
+    half = _sparse_band(g.even_fold(g.fd_d2_band())).toarray()
+    lam = float(np.max(np.linalg.eigvals(half).real))
     prof = SolitonProfile(lam=lam, potential=PotentialSpec("zero", 0.0),
                           nonlinearity=PolynomialNonlinearity((0.0,)), grid=g,
                           phi=np.exp(-g.nodes**2), phi_lam=None, residual_sup=0.0,
@@ -265,8 +278,8 @@ def test_banded_lplus_matches_sparse_solve(default_profile, L, N):
     lam, V, f = default_profile.lam, default_profile.potential, default_profile.nonlinearity
     a = np.sqrt(lam) * np.abs(g.nodes)
     phi = 2.0 * np.sqrt(2.0 * lam) * np.exp(-a) / (1.0 + np.exp(-2.0 * a))   # sech, no overflow
-    diag = _lplus_diag(g, lam, V, f, phi)
-    lplus = (-_sparse_d2(g) + sparse.diags(diag)).tocsc()
+    diag = _lplus_diag(lam + V(g.nodes), f, phi)
+    lplus = (-_sparse_band(g.fd_d2_band()) + sparse.diags(diag)).tocsc()
     norm = abs(lplus).sum(axis=1).max()
     sparse_lu = splu(lplus)
     banded = _lplus_solver(-g.fd_d2_band(), diag)
@@ -284,7 +297,9 @@ class _FullGridFamily(SolitonFamily):
         if key not in self._cache:
             seed = None
             if self._cache:
-                seed = self._cache[min(self._cache, key=lambda k: abs(k - lam))].phi
+                near = self._cache[min(self._cache, key=lambda k: abs(k - lam))]
+                d = lam - near.lam
+                seed = near.phi + d * near.phi_lam + 0.5 * d * d * near.phi_lamlam
             prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid,
                                  initial_guess=seed)
             self._cache[key] = solve_dlambda(prof)
@@ -308,6 +323,18 @@ def test_half_grid_cache_returns_the_solved_profiles(trap, cubic):
     full = sum(getattr(p, name).nbytes for p in ref._cache.values() for name in PROFILE_FIELDS)
     held = sum(getattr(p, name).nbytes for p in family._cache.values() for name in PROFILE_FIELDS)
     assert held == full * (g.N // 2 + 1) // g.N
+
+
+def test_family_miss_stays_on_the_half_grid(monkeypatch, trap, cubic):
+    """A profile miss, cold or seeded, never takes the full-grid FFT derivative."""
+    def full_grid(*args):
+        raise AssertionError("Grid.spectral_d2 called")
+
+    monkeypatch.setattr(Grid, "spectral_d2", full_grid)
+    family = SolitonFamily(trap, cubic, make_grid(30.0, 512))
+    for lam in (2.0, 2.05, 2.0):
+        assert family.profile(lam).phi_lamlam is not None
+    assert len(family._cache) == 2
 
 
 def test_cache_hit_is_not_mutated_through_a_returned_profile(trap, cubic):
