@@ -75,22 +75,16 @@ class EvolutionState:
     psi: np.ndarray
     mass: float
     energy: float
-    weighted_norm: float  # ||(1+|x|) psi||_2
-    parity_defect: float
 
 
 def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
-                psi: np.ndarray, d2=None) -> float:
+                psi: np.ndarray, d2: np.ndarray) -> float:
     """H = int [ (|psi_x|^2 + V |psi|^2)/2 - F(|psi|^2) ], F = (1/2) int f.
 
-    The kinetic term is spectral, or -<psi, d2 psi>/2 for d2 a (2, 2)
-    band such as Grid.fd_d2_band().
+    The kinetic term is -<psi, d2 psi>/2 for d2 a (2, 2) band such as
+    Grid.fd_d2_band().
     """
-    if d2 is None:
-        dpsi = grid.spectral_d1(psi)
-        kin = 0.5 * np.real(grid.integrate(np.abs(dpsi) ** 2))
-    else:
-        kin = -0.5 * np.real(grid.inner(psi, band_matvec(d2, 2, 2, psi)))
+    kin = -0.5 * np.real(grid.inner(psi, band_matvec(d2, 2, 2, psi)))
     dens = np.abs(psi) ** 2
     pot = 0.5 * np.real(grid.integrate(V(grid.nodes) * dens))
     nl = 0.5 * np.real(grid.integrate(f.antiderivative(dens)))
@@ -172,12 +166,8 @@ def evolve_nls(
     def snapshot(t, u):
         full = grid.unfold(u)
         mass = float(np.real(grid.integrate(np.abs(full) ** 2)))
-        en = hamiltonian(grid, V, f, full, d2=d2)
-        wn = float(np.sqrt(np.real(grid.integrate(((1 + np.abs(grid.nodes)) * np.abs(full)) ** 2))))
-        states.append(EvolutionState(
-            t=float(t), psi=full, mass=mass, energy=en,
-            weighted_norm=wn, parity_defect=grid.parity_defect(full),
-        ))
+        states.append(EvolutionState(t=float(t), psi=full, mass=mass,
+                                     energy=hamiltonian(grid, V, f, full, d2)))
 
     psi = psi0[grid.half()]
     snapshot(0.0, psi)
@@ -288,7 +278,7 @@ def modulation_decompose(
     if g.parity_defect(psi) > 1e-8 * max(1.0, float(np.max(np.abs(psi)))):
         raise ValueError("input must be even (odd perturbations rejected)")
     prof = family.profile(lam_guess)
-    gamma = float(np.angle(g.inner(prof.phi.astype(complex), psi)))
+    gamma = float(np.angle(g.inner(prof.phi, psi)))
     lam, reanchor = float(lam_guess), True
 
     for _ in range(DECOMPOSE_MAX_ITER):
@@ -332,14 +322,13 @@ def modulation_decompose(
     rnorm = g.norm(R)
     if rnorm > TUBE_RADIUS * np.sqrt(prof.mass):
         raise ValueError("outside tube")
-    w = g.weight(nu)
     return ModulationState(
         t=float(t), lam=lam, gamma=float(np.mod(gamma, 2 * np.pi)),
         fluctuation=R,
-        ortho_phi=float(np.real(g.inner(R, prof.phi.astype(complex)))),
-        ortho_phi_lam=float(np.imag(g.inner(R, prof.phi_lam.astype(complex)))),
+        ortho_phi=float(np.real(g.inner(R, prof.phi))),
+        ortho_phi_lam=float(np.imag(g.inner(R, prof.phi_lam))),
         r_norm2=float(rnorm),
-        r_weighted=float(np.sqrt(np.real(g.integrate(np.abs(w * R) ** 2)))),
+        r_weighted=g.norm(g.weight(nu) * R),
         r_sup=float(np.max(np.abs(R))),
         nu=nu,
     )
@@ -374,12 +363,11 @@ def modulation_rhs(state: ModulationState, family: SolitonFamily):
     phi_lam = prof.phi_lam
     phi_ll = prof.phi_lamlam
     R = state.fluctuation
-    pairing = np.real(g.inner(phi_lam.astype(complex), phi.astype(complex)))
+    pairing = g.inner(phi_lam, phi)                 # real, as both profiles are
+    r_lam = np.real(g.inner(R, phi_lam))
     m = np.array([
-        [pairing - np.real(g.inner(R, phi_lam.astype(complex))),
-         np.imag(g.inner(R, phi.astype(complex)))],
-        [np.imag(g.inner(R, phi_ll.astype(complex))),
-         pairing + np.real(g.inner(R, phi_lam.astype(complex)))],
+        [pairing - r_lam, np.imag(g.inner(R, phi))],
+        [np.imag(g.inner(R, phi_ll)), pairing + r_lam],
     ])
     if np.linalg.cond(m) > COND_LIMIT:
         raise ValueError("modulation matrix singular")
@@ -421,7 +409,7 @@ def frozen_frame_decompose(series, family: SolitonFamily):
     prof1 = family.profile(lam1)
     phi1 = prof1.phi
     phi1_lam = prof1.phi_lam
-    c1 = np.real(g.inner(phi1_lam.astype(complex), phi1.astype(complex)))
+    c1 = g.inner(phi1_lam, phi1)                   # real, as are the ip_* below
 
     # Delta1(t) = lam1 (t - T) - int_T^t lam ds + gamma1 - gamma(t)
     int_lam = cumulative_trapezoid(lams, ts, initial=0.0)
@@ -431,22 +419,22 @@ def frozen_frame_decompose(series, family: SolitonFamily):
     out = {"t": ts, "k1": [], "k2": [], "h": [], "system_residual": [], "delta1": delta1}
     for j, s in enumerate(series):
         gT = np.exp(-1j * delta1[j]) * s.fluctuation
-        k1 = float(np.real(g.inner(phi1_lam.astype(complex), np.imag(gT).astype(complex)))) / c1
-        k2 = float(np.real(g.inner(phi1.astype(complex), np.real(gT).astype(complex)))) / c1
+        k1 = float(g.inner(phi1_lam, gT.imag)) / c1
+        k2 = float(g.inner(phi1, gT.real)) / c1
         h = gT - 1j * k1 * phi1 - k2 * phi1_lam
         # residual of the constraint-derived 2x2 system tying (k1, k2) to h:
         # Re<R, phi(t)> and Im<R, phi_lam(t)> with R = e^{i Delta1} g
         prof_t = family.profile(s.lam)
         sin_d, cos_d = np.sin(delta1[j]), np.cos(delta1[j])
-        ip_11 = np.real(g.inner(phi1.astype(complex), prof_t.phi.astype(complex)))
-        ip_l1 = np.real(g.inner(phi1_lam.astype(complex), prof_t.phi.astype(complex)))
-        ip_1l = np.real(g.inner(prof_t.phi_lam.astype(complex), phi1.astype(complex)))
-        ip_ll = np.real(g.inner(phi1_lam.astype(complex), prof_t.phi_lam.astype(complex)))
+        ip_11 = g.inner(phi1, prof_t.phi)
+        ip_l1 = g.inner(phi1_lam, prof_t.phi)
+        ip_1l = g.inner(prof_t.phi_lam, phi1)
+        ip_ll = g.inner(phi1_lam, prof_t.phi_lam)
         eh = np.exp(1j * delta1[j]) * h
         r1 = (-sin_d * ip_11 * k1 + cos_d * ip_l1 * k2
-              + float(np.real(g.inner(eh, prof_t.phi.astype(complex)))))
+              + float(np.real(g.inner(eh, prof_t.phi))))
         r2 = (-cos_d * ip_1l * k1 - sin_d * ip_ll * k2
-              + float(np.imag(g.inner(eh, prof_t.phi_lam.astype(complex)))))
+              + float(np.imag(g.inner(eh, prof_t.phi_lam))))
         scale = max(abs(k1) + abs(k2), g.norm(h) / max(abs(c1), 1e-300), 1e-300)
         out["k1"].append(k1)
         out["k2"].append(k2)

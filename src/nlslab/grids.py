@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import fft as sp_fft
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
@@ -30,7 +31,6 @@ __all__ = [
     "PotentialSpec",
     "AssumptionReport",
     "make_grid",
-    "eval_nonlinearity",
     "validate_assumptions",
     "fit_exponential_decay",
     "band_solver",
@@ -78,8 +78,10 @@ class Grid:
         return self.dx * np.sum(values, axis=-1)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """<u, v> = integral of conj(u) * v."""
-        return self.dx * np.sum(np.conj(u) * v, axis=-1)
+        """<u, v> = integral of conj(u) * v, summed over every axis: of two
+        fields, or of two stacked pairs [2, N] (the sum of the component
+        pairings)."""
+        return self.dx * np.sum(np.conj(u) * v)
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(np.real(self.inner(u, u))))
@@ -255,7 +257,10 @@ def make_grid(L: float, N: int) -> Grid:
 
 @dataclass(frozen=True)
 class PolynomialNonlinearity:
-    """f(s) = sum_m c_m s^m, m = 1..p (no constant term, so f(0) = 0)."""
+    """f(s) = sum_m c_m s^m, m = 1..p (no constant term, so f(0) = 0).
+
+    f, f' and the primitive F2 are each one Horner polynomial (polyval).
+    """
 
     coefficients: tuple
 
@@ -272,31 +277,16 @@ class PolynomialNonlinearity:
         return len(self.coefficients)
 
     def f(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for m, c in enumerate(self.coefficients, start=1):
-            out = out + c * s**m
-        return out
+        return polyval(np.asarray(s, dtype=float), (0.0,) + self.coefficients)
 
     def fprime(self, s):
-        out = np.zeros_like(np.asarray(s, dtype=float))
-        for m, c in enumerate(self.coefficients, start=1):
-            out = out + m * c * np.asarray(s, dtype=float) ** (m - 1)
-        return out
+        return polyval(np.asarray(s, dtype=float),
+                       [m * c for m, c in enumerate(self.coefficients, start=1)])
 
     def antiderivative(self, s):
         """F2(s) = integral_0^s f(xi) dxi."""
-        out = np.zeros_like(np.asarray(s, dtype=float))
-        for m, c in enumerate(self.coefficients, start=1):
-            out = out + c * np.asarray(s, dtype=float) ** (m + 1) / (m + 1)
-        return out
-
-
-def eval_nonlinearity(f: PolynomialNonlinearity, s: float):
-    """Pointwise (f(s), f'(s)); s is |psi|^2 and must be nonnegative."""
-    if np.any(np.asarray(s) < 0):
-        raise ValueError("s = |psi|^2 must be nonnegative")
-    return f.f(s), f.fprime(s)
+        return polyval(np.asarray(s, dtype=float),     # c_m s^(m+1) / (m+1), k = m + 1
+                       [0.0, 0.0] + [c / k for k, c in enumerate(self.coefficients, start=2)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +368,6 @@ class AssumptionReport:
     decay_rate: float           # fitted alpha in |V(x)| <= c exp(-alpha |x|)
     decay_prefactor: float
     lambda_admissible: bool     # lambda above inf V_h
-    growth_bound_ok: bool       # |f'| <= c(1+s^p) surrogate: polynomial, trivially true
     subquadratic: bool          # degree <= 2 proxy for the well-posedness growth condition
 
     def passes(self) -> bool:
@@ -440,6 +429,5 @@ def validate_assumptions(
         decay_rate=float(alpha),
         decay_prefactor=float(cpre),
         lambda_admissible=admissible,
-        growth_bound_ok=True,
         subquadratic=bool(f.degree <= 2),
     )

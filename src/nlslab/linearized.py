@@ -82,19 +82,6 @@ class LinearizedSystem:
         bot = -(-g.spectral_d2(v1) + (lam + self.V2) * v1)
         return np.stack([top, bot])
 
-    def apply_H(self, u: np.ndarray) -> np.ndarray:
-        """H = H0 + W acting on a stacked pair [u1, u2]."""
-        u1, u2 = u
-        g, b = self.grid, self.beta
-        v3, v4 = self.V3, self.V4
-        top = -g.spectral_d2(u1) + b * u1 + 0.5 * (v3 * u1 - 1j * v4 * u2)
-        bot = g.spectral_d2(u2) - b * u2 + 0.5 * (-1j * v4 * u1 - v3 * u2)
-        return np.stack([top, bot])
-
-    def ess_spectrum_H(self):
-        """Essential spectrum of H: two rays from the thresholds."""
-        return ((-np.inf, -self.beta), (self.beta, np.inf))
-
     # -- the FD4 discretization ----------------------------------------------
 
     def fd_band(self, frame: str) -> np.ndarray:
@@ -257,13 +244,10 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
     xi = np.real(pair[0])
     eta = 1j * np.imag(pair[1])
     cand = np.stack([xi.astype(complex), eta])
-    nrm = np.sqrt(np.real(g.inner(cand[0], cand[0]) + g.inner(cand[1], cand[1])))
-    cand = cand / nrm
+    cand = cand / g.norm(cand)
     lv = sys.apply_L(cand)
-    mu = g.inner(cand[0], lv[0]) + g.inner(cand[1], lv[1])
-    resid = np.sqrt(np.real(g.inner(lv[0] - mu * cand[0], lv[0] - mu * cand[0])
-                            + g.inner(lv[1] - mu * cand[1], lv[1] - mu * cand[1])))
-    return cand, complex(mu), float(resid)
+    mu = g.inner(cand, lv)
+    return cand, complex(mu), g.norm(lv - mu * cand)
 
 
 class _ParityBlock(NamedTuple):
@@ -459,23 +443,21 @@ def discrete_spectrum(
     )
 
 
-def _apply_J(pair: np.ndarray) -> np.ndarray:
-    """J = [[0, 1], [-1, 0]] componentwise."""
-    return np.stack([pair[1], -pair[0]])
-
-
 @dataclass
 class SpectralProjector:
     """Biorthogonal projector onto the discrete modes, and its complement.
 
-    P_d f = Xi T^{-1} (<eta_i, f>)_i with eta_i = J xi_i; the adjoint
-    generalized eigenvectors of L* are exactly the J-images of the kets
-    here (all four tagged eigenvalues lie on the imaginary axis).
+    kets [n, 2, N] are the tagged modes xi_i of L (DiscreteSpectrum.tagged)
+    and bras [n, 2, N] the adjoint vectors eta_i = J xi_i, J = [[0, 1],
+    [-1, 0]]: the generalized eigenvectors of L* are exactly these
+    J-images (all four tagged eigenvalues lie on the imaginary axis).
+    In the L frame P_d f = sum_i xi_i (G^-1 <eta, f>)_i, with the Gram
+    matrix G_ij = <eta_i, xi_j>.
     """
 
     system: LinearizedSystem
-    kets: list
-    bras: list
+    kets: np.ndarray
+    bras: np.ndarray
     gram: np.ndarray
     gram_inv: np.ndarray = field(init=False)
     condition: float = field(init=False)
@@ -493,35 +475,20 @@ class SpectralProjector:
     def apply(self, f: np.ndarray) -> np.ndarray:
         """P_d f in the L frame (stacked pair)."""
         g = self.system.grid
-        coeffs = np.array([
-            g.inner(b[0], f[0]) + g.inner(b[1], f[1]) for b in self.bras
-        ])
-        weights = self.gram_inv @ coeffs
-        out = np.zeros_like(np.asarray(f, dtype=complex))
-        for w, k in zip(weights, self.kets):
-            out = out + w * k
-        return out
-
-    def apply_complement(self, f: np.ndarray) -> np.ndarray:
-        return np.asarray(f, dtype=complex) - self.apply(f)
-
-    # H-frame versions (u = T* v)
-    def apply_H(self, u: np.ndarray) -> np.ndarray:
-        return self.system.to_H_frame(self.apply(self.system.to_L_frame(u)))
+        coeffs = g.dx * np.tensordot(self.bras.conj(), f, axes=2)
+        return np.tensordot(self.gram_inv @ coeffs, self.kets, axes=1)
 
     def apply_complement_H(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=complex) - self.apply_H(u)
+        """(1 - P_d) u in the H frame, u = T* v."""
+        sys = self.system
+        return np.asarray(u, dtype=complex) - sys.to_H_frame(self.apply(sys.to_L_frame(u)))
 
 
 def build_projector(spec: DiscreteSpectrum) -> SpectralProjector:
-    kets = [np.asarray(k, dtype=complex) for k in spec.tagged()]
-    bras = [_apply_J(k) for k in kets]
+    kets = np.array(spec.tagged(), dtype=complex)
+    bras = np.stack([kets[:, 1], -kets[:, 0]], axis=1)           # J xi
     g = spec.system.grid
-    n = len(kets)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = g.inner(bras[i][0], kets[j][0]) + g.inner(bras[i][1], kets[j][1])
+    gram = g.dx * np.tensordot(bras.conj(), kets, axes=([1, 2], [1, 2]))
     return SpectralProjector(system=spec.system, kets=kets, bras=bras, gram=gram)
 
 

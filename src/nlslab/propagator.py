@@ -8,19 +8,21 @@ the continuum modes:
 
 with e% = sigma3 e, plus the mirrored negative branch, which is obtained
 from the positive one by the antilinear symmetry f -> sigma1 conj(f)
-(sigma1 H sigma1 = -conj(H)).  Only the rows e(., k) are stored: the
-mirror rows e(-., k) are their grid reflections except at node 0, a
-rank-one patch, so one evolve makes one pass over the table for all
-coefficients and one for the sums.  The k integral has one rule at every
-t: the coefficient spline in k times the chirp is integrated exactly
-through seven closed-form moments per table interval (Filon-type; Iserles
-and Norsett, Proc. R. Soc. A 461, 2005), and the weights return to the
-table nodes through the adjoint of the spline construction.  At t = 0
-the chirp is constant, the rule integrates the spline itself, and the two
-branches sum to 1 - P_d, which is the sharpest global consistency check
-of the whole construction.  A Crank-Nicolson integrator for i u_t = H u
-provides the independent time-stepping oracle, and the weighted decay
-estimates
+(sigma1 H sigma1 = -conj(H)).  Every evolve sums both branches.  Only
+the rows e(., k) are stored: the mirror rows e(-., k) are their grid
+reflections except at node 0, a rank-one patch, so one evolve makes one
+pass over the table for all coefficients and one for the sums.  The k
+integral has one rule at every t: the coefficient spline in k times the
+chirp is integrated exactly through seven closed-form moments per table
+interval (Filon-type; Iserles and Norsett, Proc. R. Soc. A 461, 2005),
+and the weights return to the table nodes through the adjoint of the
+spline construction.  At t = 0 the chirp is constant, the rule
+integrates the spline itself, and the two branches sum to 1 - P_d, which
+is the sharpest global consistency check of the whole construction.  The
+flow is computed in the H frame only: the L-frame flow of the paper is
+e^(tL) = T e^(itH) T* (LinearizedSystem.to_H_frame / to_L_frame).  A
+Crank-Nicolson integrator for i u_t = H u provides the independent
+time-stepping oracle, and the weighted decay estimates
 
     || rho_nu U(t) Pess h ||_2  <~  (1+t)^(-3/2)
     || U(t) Pess h ||_inf       <~  t^(-1/2)
@@ -47,7 +49,6 @@ __all__ = [
     "PropagatorPlan",
     "DecayReport",
     "build_plan",
-    "evolve_spectral",
     "evolve_direct",
     "verify_decay",
     "positivity_check",
@@ -141,15 +142,12 @@ def _chirp_moments(theta: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def pair_norm(grid, u) -> float:
-    return float(np.sqrt(np.real(grid.inner(u[0], u[0]) + grid.inner(u[1], u[1]))))
+    return grid.norm(u)
 
 
 def weighted_pair_norm(grid, u, nu: float) -> float:
-    return pair_norm(grid, grid.weight(nu) * u)
-
-
-def sup_pair_norm(u) -> float:
-    return float(np.max(np.abs(u)))
+    """||rho_nu u||_2 of a field or a stacked pair: the one weighted norm."""
+    return grid.norm(grid.weight(nu) * u)
 
 
 @dataclass
@@ -176,18 +174,19 @@ class PropagatorPlan:
         mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), tab.a * np.exp(-mu * g.L)], axis=1)
         self._d0 = mirror0 - self._e[:, :, 0]
 
-    def evolve(self, f: np.ndarray, t: float, branch: str = "both", stride: int = 1) -> np.ndarray:
-        """e^(-itH) Pess f from one coefficient and one synthesis pass over e.
+    def evolve(self, f: np.ndarray, t: float, stride: int = 1) -> np.ndarray:
+        """e^(-itH) Pess f, both branches, from one coefficient and one
+        synthesis pass over e.
 
-        branch "plus" or "minus" keeps one branch; stride > 1 uses every
-        stride-th table row.  The mirror rows are R e (R: x -> -x) plus the
-        node-0 patch _d0, so for u = f and, for the negative branch,
-        u = sigma1 conj f, with g = conj(sigma3 u),
+        stride > 1 uses every stride-th table row.  The mirror rows are
+        R e (R: x -> -x) plus the node-0 patch _d0, so for u = f (positive
+        branch) and u = sigma1 conj f (negative branch), with
+        g = conj(sigma3 u),
 
             <e%(., k), u> = dx conj(e . g),   <e%(-., k), u> = dx conj(e . R g)
 
         plus the patch on the second.  One GEMM of e against the columns
-        [g, R g] of every u gives all coefficients; each column gets its
+        [g, R g] of both u gives all coefficients; each column gets its
         phase and quadrature weights, and one GEMM of the weight rows
         against e gives the sums A, B (and C, D):
 
@@ -202,15 +201,9 @@ class PropagatorPlan:
         e = self._e[::stride].reshape(-1, 2 * g.N)
         d0 = self._d0[::stride]
         ridx = self._ridx
-        flips = {"both": (False, True), "plus": (False,), "minus": (True,)}.get(branch)
-        if flips is None:
-            raise ValueError("branch must be 'both', 'plus' or 'minus'")
-        cols = []
-        for flip in flips:
-            # g = conj(sigma3 u); for u = sigma1 conj f that is (f1, -f0)
-            gu = np.stack([f[1], -f[0]]) if flip else np.conj(np.stack([f[0], -f[1]]))
-            cols += [gu.reshape(-1), gu[:, ridx].reshape(-1)]
-        x = np.stack(cols, axis=1)                              # [2N, ncol]
+        # g = conj(sigma3 u) of u = f, and of u = sigma1 conj f, which is (f1, -f0)
+        gs = (np.conj(np.stack([f[0], -f[1]])), np.stack([f[1], -f[0]]))
+        x = np.stack([c.reshape(-1) for gu in gs for c in (gu, gu[:, ridx])], axis=1)  # [2N, 4]
         y = e @ x
         y[:, 1::2] += d0 @ x[[0, g.N], 1::2]
         coef = g.dx * np.conj(y)                                # [nk, ncol]
@@ -218,12 +211,9 @@ class PropagatorPlan:
         w = self._weights(coef, t, stride)                      # [ncol, nk]
         sums = (w @ e).reshape(-1, 2, g.N)
         patch = w[1::2] @ d0
-        out = np.zeros((2, g.N), dtype=complex)
-        for p, flip in enumerate(flips):
-            v = sums[2 * p] + sums[2 * p + 1][:, ridx]
-            v[:, 0] += patch[p]
-            out += np.conj(v[::-1]) if flip else v
-        return out / (2.0 * np.pi)
+        v = sums[0::2] + sums[1::2][..., ridx]                 # A + R B, C + R D
+        v[:, :, 0] += patch
+        return (v[0] + np.conj(v[1, ::-1])) / (2.0 * np.pi)
 
     def _weights(self, coef: np.ndarray, t: float, stride: int) -> np.ndarray:
         """Quadrature weight rows [ncol, nk] for the coefficient columns at t.
@@ -272,35 +262,6 @@ def build_plan(sys: LinearizedSystem, table: GeneralizedEigenTable,
     return PropagatorPlan(system=sys, table=table, projector=projector)
 
 
-def evolve_spectral(plan: PropagatorPlan, f: np.ndarray, t: float,
-                    frame: str = "H") -> np.ndarray:
-    """e^(-itH) Pess f (H frame), or the conjugated L-frame flow e^(tL)."""
-    if frame == "H":
-        return plan.evolve(np.asarray(f, dtype=complex), t)
-    if frame != "L":
-        raise ValueError("frame must be 'H' or 'L'")
-    sys = plan.system
-    u = sys.to_H_frame(np.asarray(f, dtype=complex))
-    return sys.to_L_frame(plan.evolve(u, -t))
-
-
-def _crank_nicolson(band: np.ndarray, pair: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """y(t) of y' = A y for a stacked pair, in equal Crank-Nicolson steps of at most dt.
-
-    A is a band on interleaved pairs (LinearizedSystem.fd_band).  With
-    B = (t / n_steps) A / 2 a step is (1 - B)^-1 (1 + B) y = 2 (1 - B)^-1 y - y,
-    one solve from one band LU.
-    """
-    n_steps = max(1, int(np.ceil(abs(t) / dt)))
-    lhs = -0.5 * (t / n_steps) * band
-    lhs[5] += 1.0
-    solve = band_solver(lhs, 5, 5)
-    y = np.asarray(pair, dtype=complex).T.ravel()
-    for _ in range(n_steps):
-        y = solve(2.0 * y) - y
-    return np.ascontiguousarray(y.reshape(-1, 2).T)
-
-
 def evolve_direct(
     sys: LinearizedSystem,
     f: np.ndarray,
@@ -308,23 +269,29 @@ def evolve_direct(
     dt: Optional[float] = None,
     check_boundary: bool = True,
 ) -> np.ndarray:
-    """Crank-Nicolson oracle for i u_t = H u with Dirichlet truncation."""
+    """Crank-Nicolson oracle for i u_t = H u with Dirichlet truncation.
+
+    H is the FD4 band on interleaved pairs (LinearizedSystem.fd_band).  In
+    equal steps of at most dt, with B = -i (t / n_steps) H / 2, a step is
+    (1 - B)^-1 (1 + B) u = 2 (1 - B)^-1 u - u, one solve from one band LU.
+    """
     g = sys.grid
     if dt is None:
         dt = 0.01 / sys.beta
-    out = _crank_nicolson(-1j * sys.fd_band("H"), f, t, dt)
+    n_steps = max(1, int(np.ceil(abs(t) / dt)))
+    lhs = 0.5j * (t / n_steps) * sys.fd_band("H")
+    lhs[5] += 1.0
+    solve = band_solver(lhs, 5, 5)
+    y = np.asarray(f, dtype=complex).T.ravel()
+    for _ in range(n_steps):
+        y = solve(2.0 * y) - y
+    out = np.ascontiguousarray(y.reshape(-1, 2).T)
     if check_boundary:
         dens = np.abs(out[0]) ** 2 + np.abs(out[1]) ** 2
         outer = np.abs(g.nodes) > 0.9 * g.L
         if np.sum(dens[outer]) > 1e-6 * max(np.sum(dens), 1e-300):
             raise ValueError("boundary contamination")
     return out
-
-
-def evolve_L_direct(sys: LinearizedSystem, v: np.ndarray, t: float,
-                    dt: float = 5e-4) -> np.ndarray:
-    """Crank-Nicolson for v_t = L v (the untransformed frame)."""
-    return _crank_nicolson(sys.fd_band("L"), v, t, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +396,7 @@ def verify_decay(
                     u = evolved[i, t] = plan.evolve(h, t)
                 dens = np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2
                 edge[j] = max(edge[j], np.sum(dens[outer]) / max(np.sum(dens), 1e-300))
-                val = weighted_pair_norm(g, u, nu) if est in ("E1", "E2") else sup_pair_norm(u)
+                val = weighted_pair_norm(g, u, nu) if est in ("E1", "E2") else np.max(np.abs(u))
                 norms[j] = max(norms[j], val / ref)
         xfit = np.log(1.0 + times) if est != "E4" else np.log(times)
         slope, intercept = np.polyfit(xfit, np.log(norms), 1)
@@ -470,7 +437,6 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
         epct = np.stack([e[0], -e[1]])
         epct_flip = g.reflect(epct)
         for i in live:
-            fp = g.dx * np.sum(np.conj(epct) * flist[i])
-            fm = g.dx * np.sum(np.conj(epct_flip) * flist[i])
+            fp, fm = g.inner(epct, flist[i]), g.inner(epct_flip, flist[i])
             out[i] = float((abs(fp) ** 2 + abs(fm) ** 2) / (4.0 * np.pi * k))
     return out[0] if single else out

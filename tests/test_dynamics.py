@@ -63,7 +63,7 @@ def test_conservation(dyn_family, dyn_grid):
     for st in states[1:]:
         assert abs(st.mass - m0) / m0 < 1e-8 * max(st.t, 1.0)
         assert abs(st.energy - e0) / abs(e0) < 1e-8 * max(st.t, 1.0)
-        assert st.parity_defect < 1e-9
+        assert dyn_grid.parity_defect(st.psi) < 1e-9
 
 
 def test_weighted_norm_growth(dyn_family, dyn_grid):
@@ -72,7 +72,7 @@ def test_weighted_norm_growth(dyn_family, dyn_grid):
     states = evolve_nls(psi0, dyn_family.potential, dyn_family.nonlinearity,
                         dyn_grid, T=20.0, dt=0.005, sample_every=400)
     ts = np.array([st.t for st in states[1:]])
-    wn = np.array([st.weighted_norm for st in states[1:]])
+    wn = np.array([dyn_grid.norm((1.0 + np.abs(dyn_grid.nodes)) * st.psi) for st in states[1:]])
     # at most linear growth of ||(1+|x|) psi||
     slope = np.polyfit(np.log(ts + 1.0), np.log(wn), 1)[0]
     assert slope <= 1.1
@@ -149,7 +149,7 @@ def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
     weight = np.where(np.arange(c) > 0, 2.0, 1.0)       # x = 0 once, x > 0 for +-x
     for st, psi in zip(states, ref):
         assert g.norm(st.psi - psi) < 1e-10 * g.norm(psi)
-        assert st.parity_defect == 0.0
+        assert g.parity_defect(st.psi) == 0.0
         half_mass = g.dx * np.sum(weight * np.abs(st.psi[c:]) ** 2)
         assert abs(half_mass - st.mass) < 1e-14 * st.mass
 
@@ -184,7 +184,7 @@ def test_zero_datum_stays_zero(dyn_family, dyn_grid):
     assert len(states) == 3
     for st in states:
         assert not np.any(st.psi)
-        assert st.mass == st.energy == st.weighted_norm == 0.0
+        assert st.mass == st.energy == 0.0
 
 
 def _exact_profile_newton(psi, lam_guess, family):
@@ -320,6 +320,9 @@ def test_decompose_small_bump(dyn_family, dyn_grid):
     assert abs(ms.ortho_phi) < 1e-10
     assert abs(ms.ortho_phi_lam) < 1e-10
     assert ms.r_norm2 == pytest.approx(dyn_grid.norm(bump), rel=0.3)
+    # ||rho_nu R||_2 against its node sum, rho_nu = (1 + |x|)^(-nu)
+    rho_r = (1.0 + np.abs(dyn_grid.nodes)) ** (-ms.nu) * np.abs(ms.fluctuation)
+    assert ms.r_weighted == pytest.approx(np.sqrt(dyn_grid.dx * np.sum(rho_r**2)), rel=1e-12)
 
 
 def test_reconstruction_identity(dyn_family, dyn_grid):
@@ -427,14 +430,16 @@ def test_frozen_frame_split(dyn_family, dyn_grid, short_series):
 def test_hamiltonian_matches_quadrature(dyn_grid, dyn_family):
     prof = dyn_family.profile(2.0)
     psi = prof.phi.astype(complex)
-    h_spec = hamiltonian(dyn_grid, dyn_family.potential, dyn_family.nonlinearity, psi)
-    # 4th-order central difference quotient; np.gradient (2nd order) is
-    # off by ~2e-3 relative at this dx, while the spectral value is
-    # converged and this reference agrees with it to 7e-6
+    h_band = hamiltonian(dyn_grid, dyn_family.potential, dyn_family.nonlinearity, psi,
+                         dyn_grid.fd_d2_band())
+    # the band energy -<psi, d2 psi>/2 against a 4th-order central
+    # difference quotient of psi_x; np.gradient (2nd order) is off by ~2e-3
+    # relative at this dx, while the band value agrees with this
+    # reference to 6e-6 (the spectral kinetic term to 7e-6)
     dpsi = (8.0 * (np.roll(psi, -1) - np.roll(psi, 1))
             - (np.roll(psi, -2) - np.roll(psi, 2))) / (12.0 * dyn_grid.dx)
     dens = np.abs(psi) ** 2
     h_ref = (0.5 * np.real(dyn_grid.integrate(np.abs(dpsi) ** 2))
              + 0.5 * np.real(dyn_grid.integrate(dyn_family.potential(dyn_grid.nodes) * dens))
              - 0.5 * np.real(dyn_grid.integrate(dyn_family.nonlinearity.antiderivative(dens))))
-    assert h_spec == pytest.approx(h_ref, rel=1e-3)
+    assert h_band == pytest.approx(h_ref, rel=1e-3)

