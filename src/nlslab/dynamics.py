@@ -46,14 +46,15 @@ __all__ = [
 
 # Fixed-point solve of each implicit step, relative to max(1, max|psi|).
 # The iteration starts from the trajectory extrapolated through the last
-# accepted steps (cubic once four exist, _EXTRAPOLATION) in the frame that
-# turns with the phase of the last step, O(dt^4) from the fixed point,
-# and contracts by ~1e-2 per iteration down to a roundoff floor, which
-# lies between 1e-14 and 1e-8 on the default stability datum; below
-# FP_FLOOR an update that stops shrinking is that floor, and further
-# iterations only resample it.  Each iteration is one band solve: per
-# step on that datum, 2.9 up to t = 2 and 3.5 up to t = 60 (4.0 for both
-# without the frame, 7 when started from psi_n).
+# accepted steps (quintic once six exist, _EXTRAPOLATION) in the frame that
+# turns with the phase of the last step, and runs down to a roundoff
+# floor, which lies between 1e-14 and 1e-8 on the default stability datum;
+# below FP_FLOOR an update that stops shrinking is that floor, and further
+# iterations only resample it.  On that datum the first update is ~3e-9
+# and the second ~3e-7 of it, below FP_TOL on most steps (from the cubic
+# start, ~8e-9 and ~3e-5 of it, which takes a third).  Each iteration is
+# one band solve: per step on that datum, 2.1 up to t = 2 and 2.8 up to
+# t = 60 (2.9 and 3.5 from the cubic start, 7 when started from psi_n).
 FP_TOL = 1e-13
 FP_FLOOR = 1e-6
 FP_MAX = 30
@@ -62,9 +63,10 @@ DECOMPOSE_TOL = 1e-12     # constraint residual of the decomposition Newton, rel
 DECOMPOSE_MAX_ITER = 40
 TUBE_RADIUS = 0.5         # ||R|| bound of the decomposition, relative to ||phi||
 COND_LIMIT = 1e8          # condition number of the 2x2 modulation matrix
-# weights of the constant, linear, quadratic and cubic extrapolation
-# through the last 1-4 accepted steps, newest first
-_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+# row p: the weights of the degree-p extrapolation through the last p + 1
+# accepted steps, newest first
+_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
+                  (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -97,18 +99,20 @@ def _step_quotient(f: PolynomialNonlinearity, s: np.ndarray):
     With F2(s) = sum_m c_m s^(m+1)/(m+1) it is the polynomial sum_j a_j s+^j
     in s+, with a_j = sum_(m >= j) c_m/(m+1) s^(m-j) (a_0 = sum_m c_m/(m+1)
     s^m).  The a_j are formed here once, by a_j = c_j/(j+1) + s a_(j+1),
-    and each call evaluates the polynomial by Horner's rule: division-free,
-    no cancellation, and f(s) at s+ = s.
+    and each call evaluates the polynomial by Horner's rule, into out when
+    it is given: division-free, no cancellation, and f(s) at s+ = s.
     """
     a = [f.coefficients[-1] / (f.degree + 1)]                     # a_p
     for m in range(f.degree - 1, 0, -1):
         a.append(f.coefficients[m - 1] / (m + 1) + s * a[-1])     # a_m
     a.append(s * a[-1])                                           # a_0
 
-    def quotient(s_new):
-        q = a[0]
-        for a_j in a[1:]:
-            q = a_j + s_new * q
+    def quotient(s_new, out=None):
+        q = np.multiply(s_new, a[0], out=out)
+        q += a[1]
+        for a_j in a[2:]:
+            q *= s_new
+            q += a_j
         return q
 
     return quotient
@@ -131,14 +135,17 @@ def evolve_nls(
     A = (i dt/2)(-d2 + V) the step is psi+ = (1 + A)^-1 [(1 - A) psi + b],
     b the nonlinear term, which is (1 + A)^-1 (2 psi + b) - psi: one
     band LU of 1 + A serves every solve.  The implicit step is solved by
-    fixed-point iteration on b, started from the cubic extrapolation
-    4 r psi_n - 6 r^2 psi_(n-1) + 4 r^3 psi_(n-2) - r^4 psi_(n-3) of the
-    last accepted steps (constant, linear, quadratic while fewer exist),
-    taken in the frame that turns like the trajectory: r is the phase of
-    <psi_(n-1), psi_n> (1 at the first step and for a zero datum).  b
-    uses the difference quotient of the primitive as a polynomial in
-    |psi+|^2 whose coefficients are formed once per step from |psi_n|^2
-    (_step_quotient).
+    fixed-point iteration on b, started from the quintic extrapolation
+    sum_k w_k r^(k+1) psi_(n-k), w = (6, -15, 20, -15, 6, -1), of the last
+    six accepted steps (the lower rows of _EXTRAPOLATION while fewer
+    exist), taken in the frame that turns like the trajectory: r is the
+    phase of <psi_(n-1), psi_n> (1 at the first step and for a zero
+    datum).  On the default stability datum a step takes 2.1 band solves
+    up to t = 2 and 2.8 up to t = 60.  b uses the difference quotient of
+    the primitive as a polynomial in |psi+|^2 whose coefficients are
+    formed once per step from |psi_n|^2 (_step_quotient).  The iteration
+    runs in one workspace per run, for |psi+|^2, the quotient and the
+    right side; each accepted step is a fresh array from the band solve.
     Iterating to the roundoff floor keeps the scheme's exact invariants at
     roundoff level, whatever the start.  Raises when FP_MAX iterations do
     not reach that floor, and for dt <= 0 or T < 0.
@@ -176,18 +183,32 @@ def evolve_nls(
     escale = max(abs(energy0), 1.0)
 
     recent = deque([psi], maxlen=len(_EXTRAPOLATION))   # accepted steps, newest first
+    # one workspace per run; every accepted psi is a fresh solve output, so
+    # neither the snapshots nor the deque share memory with it
+    base, start, rhs = (np.empty_like(psi) for _ in range(3))
+    mod2, chi = np.empty(psi.shape), np.empty(psi.shape)
     for step in range(1, n_steps + 1):
-        base = 2.0 * psi
-        quotient = _step_quotient(f, np.abs(psi) ** 2)
+        np.multiply(psi, 2.0, out=base)
+        quotient = _step_quotient(f, np.square(np.abs(psi, out=mod2), out=mod2))
         # the phase turned by the last step; np.angle(0) = 0, so rot = 1 at zero
         rot = np.exp(1j * np.angle(np.vdot(recent[1], psi))) if len(recent) > 1 else 1.0
-        new = sum(w * rot ** (k + 1) * u
-                  for k, (w, u) in enumerate(zip(_EXTRAPOLATION[len(recent) - 1], recent)))
+        weights = _EXTRAPOLATION[len(recent) - 1]
+        new = np.multiply(weights[0] * rot, psi, out=start)
+        for k in range(1, len(weights)):
+            new += np.multiply(weights[k] * rot ** (k + 1), recent[k], out=rhs)
         prev = np.inf
         for _ in range(FP_MAX):
-            chi = quotient(np.abs(new) ** 2)
-            cand = solve(base + 0.5j * dt * chi * (new + psi)) - psi
-            delta = np.max(np.abs(cand - new)) / max(1.0, np.max(np.abs(cand)))
+            quotient(np.square(np.abs(new, out=mod2), out=mod2), out=chi)
+            chi *= 0.5 * dt
+            np.add(new, psi, out=rhs)
+            rhs *= chi
+            rhs *= 1j
+            rhs += base
+            cand = solve(rhs)
+            cand -= psi
+            diff = np.subtract(cand, new, out=new)        # new is not read again
+            delta = np.max(np.abs(diff, out=mod2))
+            delta /= max(1.0, np.max(np.abs(cand, out=mod2)))
             new = cand
             if delta < FP_TOL or (delta >= prev and delta < FP_FLOOR):
                 break

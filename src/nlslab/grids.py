@@ -32,6 +32,7 @@ __all__ = [
     "AssumptionReport",
     "make_grid",
     "validate_assumptions",
+    "soliton_root",
     "fit_exponential_decay",
     "band_solver",
     "band_matvec",
@@ -393,6 +394,20 @@ def _smallest_positive_root(f: PolynomialNonlinearity, lam: float) -> float:
     return float(np.sqrt(positive[0]))
 
 
+def soliton_root(f: PolynomialNonlinearity, V: PotentialSpec, lam: float) -> float:
+    """The smallest positive root of the effective potential, after the two
+    raising checks of validate_assumptions.
+
+    Raises ValueError("no positive root") when there is none, and
+    ValueError("degenerate minimum") when the base potential curvature at
+    the origin is not positive.
+    """
+    root = _smallest_positive_root(f, lam)
+    if V.family != "zero" and V.second_derivative_at_zero() <= 0:
+        raise ValueError("degenerate minimum")
+    return root
+
+
 def validate_assumptions(
     f: PolynomialNonlinearity,
     V: PotentialSpec,
@@ -409,13 +424,11 @@ def validate_assumptions(
     opposite directions and are reported side by side rather than merged.
     """
     grid = grid or make_grid(40.0, 2048)
-    root = _smallest_positive_root(f, lam)
+    root = soliton_root(f, V, lam)
     s0 = root * root
     # U_phi(root) = 2*root*(f(s0) - lam)
     slope_positive = bool(f.f(s0) - lam > 0)
     vpp0 = V.second_derivative_at_zero()
-    if V.family != "zero" and vpp0 <= 0:
-        raise ValueError("degenerate minimum")
     vh = V(grid.nodes)
     alpha, cpre = fit_exponential_decay(grid.nodes, V.base(grid.nodes))
     if V.family == "zero":

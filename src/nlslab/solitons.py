@@ -28,6 +28,7 @@ The mass scan N(lam) provides the orbital-stability index dN/dlam.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -39,7 +40,7 @@ from .grids import (
     PotentialSpec,
     band_solver,
     fit_exponential_decay,
-    validate_assumptions,
+    soliton_root,
 )
 
 __all__ = [
@@ -57,6 +58,9 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 TARGET_TOL = 5e-13
 NEWTON_MAX_ITER = 60
+# profiles a SolitonFamily keeps; a stability run reads only lam0 and the
+# profiles it solved last
+FAMILY_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def solve_soliton(
     lose positivity.  The tail rate is fitted on 1e-13 < phi < 1e-3 max
     phi, where phi is resolved and in its tail.
     """
-    report = validate_assumptions(f, V, lam, grid)
+    root = soliton_root(f, V, lam)
     x = grid.even_nodes
     lam_v = lam + V(x)
     lam_eff = lam + V.v0()
@@ -125,7 +129,7 @@ def solve_soliton(
         # which does not overflow cosh on wide boxes
         a = m_dom * np.sqrt(lam_eff) * x
         log_cosh = a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
-        phi = report.root * np.exp(-log_cosh / m_dom)
+        phi = root * np.exp(-log_cosh / m_dom)
     else:
         phi = grid.even_half(np.asarray(initial_guess, dtype=float))
 
@@ -276,7 +280,10 @@ class SolitonFamily:
     phi, phi_lam and phi_lamlam are even, so the cache keeps each as its
     N/2 + 1 samples at Grid.even_nodes and rebuilds it with
     Grid.even_full.  Every call returns fresh arrays, bitwise equal to the
-    solved ones; the cache never evicts.
+    solved ones.  The cache keeps the FAMILY_CACHE_SIZE most recently used
+    profiles: a hit moves its entry to the end and a miss past the cap
+    evicts the least recently used one, so a lambda queried on every run
+    stays cached.
     """
 
     _FIELDS = ("phi", "phi_lam", "phi_lamlam")
@@ -285,7 +292,7 @@ class SolitonFamily:
         self.potential = V
         self.nonlinearity = f
         self.grid = grid
-        self._cache: dict = {}
+        self._cache: OrderedDict = OrderedDict()
 
     def _mapped(self, prof: SolitonProfile, fn) -> SolitonProfile:
         return replace(prof, **{name: fn(getattr(prof, name)) for name in self._FIELDS})
@@ -294,6 +301,7 @@ class SolitonFamily:
         key = round(float(lam), 12)
         hit = self._cache.get(key)
         if hit is not None:
+            self._cache.move_to_end(key)
             return self._mapped(hit, self.grid.even_full)
         seed = None
         if self._cache:
@@ -303,6 +311,8 @@ class SolitonFamily:
         prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid, initial_guess=seed)
         prof = solve_dlambda(prof)
         self._cache[key] = self._mapped(prof, self.grid.even_half)
+        if len(self._cache) > FAMILY_CACHE_SIZE:
+            self._cache.popitem(last=False)
         return prof
 
 

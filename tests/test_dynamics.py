@@ -124,18 +124,22 @@ def _full_grid_cn(psi0, V, f, grid, T, dt, sample_every):
     return out
 
 
-def _half_grid_cn(psi0, V, f, grid, T, dt):
+def _half_grid_cn(psi0, V, f, grid, T, dt, sample_every):
     """The even-sector step of evolve_nls with every iteration started
-    from psi: final state on the full grid."""
+    from psi: the states at t = 0 and every sample_every steps, on the
+    full grid."""
     lin = -grid.fd_d2_band()
     lin[2] += V(grid.nodes)
     lhs = 0.5j * dt * grid.fold(lin)
     lhs[2] += 1.0
     solve = band_solver(lhs, 2, 2)
     psi = psi0[grid.half()]
-    for _ in range(int(round(T / dt))):
+    out = [grid.unfold(psi)]
+    for step in range(1, int(round(T / dt)) + 1):
         psi = _fixed_point_from_psi(lambda b: solve(2.0 * psi + b) - psi, psi, f, dt)
-    return grid.unfold(psi)
+        if step % sample_every == 0:
+            out.append(grid.unfold(psi))
+    return out
 
 
 def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
@@ -154,13 +158,18 @@ def test_even_sector_matches_full_grid(dyn_family, dyn_grid):
         assert abs(half_mass - st.mass) < 1e-14 * st.mass
 
 
+def _theorem_datum(grid):
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    prof = solve_soliton(2.0, V, THEOREM_F, grid)
+    return V, np.exp(0.3j) * (prof.phi + 0.01 * default_bump(grid, 2.0))
+
+
 def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
     # each fixed-point iteration is one band solve; started from psi a step
-    # takes 7, from the extrapolated trajectory 4.06 here, and from that
-    # extrapolation in the frame turning with the last step's phase 3.45
-    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
-    prof = solve_soliton(2.0, V, THEOREM_F, dyn_grid)
-    psi0 = np.exp(0.3j) * (prof.phi + 0.01 * default_bump(dyn_grid, 2.0))
+    # takes 7, from the cubic extrapolation of the trajectory 4.06 here, from
+    # that extrapolation in the frame turning with the last step's phase
+    # 3.45, and from the quintic one in that frame 2.67
+    V, psi0 = _theorem_datum(dyn_grid)
     solves = []
 
     def counting_solver(*args):
@@ -171,9 +180,30 @@ def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
     T, dt = 0.4, 0.004
     psi = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=100)[-1].psi
     monkeypatch.undo()
-    assert len(solves) / round(T / dt) <= 3.5
-    ref = _half_grid_cn(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt)
+    assert len(solves) / round(T / dt) <= 2.9
+    ref = _half_grid_cn(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=100)[-1]
     assert dyn_grid.norm(psi - ref) < 1e-12 * dyn_grid.norm(ref)
+
+
+def test_every_sample_matches_steps_started_from_psi(dyn_grid):
+    # the in-place workspace of evolve_nls must not leak into the samples
+    # or the extrapolation history: every sample, not only the last
+    V, psi0 = _theorem_datum(dyn_grid)
+    states = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=2.0, dt=0.004, sample_every=25)
+    ref = _half_grid_cn(psi0, V, THEOREM_F, dyn_grid, T=2.0, dt=0.004, sample_every=25)
+    assert len(states) == len(ref) == 21
+    for st, psi in zip(states, ref):
+        assert dyn_grid.norm(st.psi - psi) < 1e-12 * dyn_grid.norm(psi), st.t
+
+
+def test_extrapolation_rows_are_exact_on_polynomials():
+    # row p, newest first at t = 0, -1, ..., -p, predicts t = 1 exactly for
+    # every polynomial of degree <= p, and not for t^(p + 1)
+    for p, row in enumerate(dynamics._EXTRAPOLATION):
+        assert len(row) == p + 1
+        for d in range(p + 2):
+            predicted = sum(Fraction(w) * Fraction(-k) ** d for k, w in enumerate(row))
+            assert (predicted == 1) == (d <= p), (p, d)
 
 
 def test_zero_datum_stays_zero(dyn_family, dyn_grid):

@@ -9,9 +9,9 @@ from scipy.sparse.linalg import splu
 
 from nlslab import solitons
 from nlslab.grids import Grid, PolynomialNonlinearity, PotentialSpec, make_grid
-from nlslab.solitons import (SolitonFamily, SolitonProfile, _lplus_diag, _lplus_solver,
-                             power_law_standing_wave, solve_dlambda, solve_soliton,
-                             stability_scan)
+from nlslab.solitons import (FAMILY_CACHE_SIZE, SolitonFamily, SolitonProfile, _lplus_diag,
+                             _lplus_solver, power_law_standing_wave, solve_dlambda,
+                             solve_soliton, stability_scan)
 
 
 def shooting_oracle(lam, f, x_max=25.0, tol=1e-12):
@@ -347,6 +347,28 @@ def test_cache_hit_is_not_mutated_through_a_returned_profile(trap, cubic):
     again = family.profile(2.0)
     for name in PROFILE_FIELDS:
         assert np.array_equal(getattr(again, name), want[name])
+
+
+def test_family_cache_evicts_the_least_recently_used(monkeypatch, trap, cubic):
+    family = SolitonFamily(trap, cubic, make_grid(30.0, 512))
+    lam0 = 2.0
+    family.profile(lam0)
+    calls = []
+    solve = solitons.solve_soliton
+    monkeypatch.setattr(solitons, "solve_soliton", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    lams = lam0 + 0.005 * np.arange(1, 2 * FAMILY_CACHE_SIZE + 1)
+    first = family.profile(lams[0])
+    for lam in lams[1:]:
+        family.profile(lam)
+        family.profile(lam0)                  # the hot lambda, as in a stability run
+    assert len(calls) == lams.size             # every lam0 query was a hit
+    assert len(family._cache) == FAMILY_CACHE_SIZE
+    assert round(lam0, 12) in family._cache and round(lams[0], 12) not in family._cache
+    again = family.profile(lams[0])            # evicted, so solved again
+    assert len(calls) == lams.size + 1
+    for name in PROFILE_FIELDS:
+        want = getattr(first, name)
+        assert np.max(np.abs(getattr(again, name) - want)) < 1e-12 * np.max(np.abs(want)), name
 
 
 def test_power_law_standing_wave_forms():
