@@ -74,13 +74,9 @@ class ExperimentConfig:
         key = "nonlinearity_theorem" if theorem else "nonlinearity"
         return PolynomialNonlinearity(tuple(self.raw["model"][key]))
 
-    def potential(self, h: Optional[float] = None) -> PotentialSpec:
+    def potential(self) -> PotentialSpec:
         m = self.raw["model"]
-        return PotentialSpec(
-            m["potential_family"],
-            m["h"] if h is None else h,
-            dict(m["potential_params"]),
-        )
+        return PotentialSpec(m["potential_family"], m["h"], dict(m["potential_params"]))
 
     def grid(self):
         g = self.raw["grid"]

@@ -51,10 +51,9 @@ __all__ = [
 # floor, which lies between 1e-14 and 1e-8 on the default stability datum;
 # below FP_FLOOR an update that stops shrinking is that floor, and further
 # iterations only resample it.  On that datum the first update is ~3e-9
-# and the second ~3e-7 of it, below FP_TOL on most steps (from the cubic
-# start, ~8e-9 and ~3e-5 of it, which takes a third).  Each iteration is
-# one band solve: per step on that datum, 2.1 up to t = 2 and 2.8 up to
-# t = 60 (2.9 and 3.5 from the cubic start, 7 when started from psi_n).
+# and the second ~3e-7 of it, below FP_TOL on most steps.  Each iteration
+# is one band solve: per step on that datum, 2.1 up to t = 2 and 2.8 up
+# to t = 60.
 FP_TOL = 1e-13
 FP_FLOOR = 1e-6
 FP_MAX = 30
@@ -269,7 +268,6 @@ class ModulationState:
     ortho_phi_lam: float          # Im<R, phi_lam>   (must vanish)
     r_norm2: float
     r_weighted: float             # ||rho_nu R||_2
-    r_sup: float
     nu: float
 
     def reconstruct(self, family: SolitonFamily) -> np.ndarray:
@@ -350,7 +348,6 @@ def modulation_decompose(
         ortho_phi_lam=float(np.imag(g.inner(R, prof.phi_lam))),
         r_norm2=float(rnorm),
         r_weighted=g.norm(g.weight(nu) * R),
-        r_sup=float(np.max(np.abs(R))),
         nu=nu,
     )
 
@@ -491,7 +488,6 @@ class StabilityReport:
     gamma: np.ndarray
     rate_sum: np.ndarray          # |lam_dot| + |gamma_dot| from the 2x2 system
     r_weighted: np.ndarray        # ||rho_nu R||_2
-    r_sup: np.ndarray
     mass_drift: np.ndarray
     energy_drift: np.ndarray
     ortho_residuals: np.ndarray   # max of the two constraint residuals / ||R||
@@ -546,7 +542,7 @@ def stability_experiment(
     states = evolve_nls(psi0, V, f, g, T=T, dt=dt, sample_every=sample_every)
 
     times, lams, gammas, rates = [], [], [], []
-    rws, rsups, orthos = [], [], []
+    rws, orthos = [], []
     mdrift, edrift = [], []
     mass0, energy0 = states[0].mass, states[0].energy
     lam_guess = lam0
@@ -559,7 +555,6 @@ def stability_experiment(
         gammas.append(ms.gamma)
         rates.append(abs(ld) + abs(gd))
         rws.append(ms.r_weighted)
-        rsups.append(ms.r_sup)
         orthos.append(max(abs(ms.ortho_phi), abs(ms.ortho_phi_lam)) / max(ms.r_norm2, 1e-300))
         mdrift.append(abs(st.mass - mass0) / max(abs(mass0), 1e-300))
         edrift.append(abs(st.energy - energy0) / max(abs(energy0), 1.0))
@@ -587,7 +582,7 @@ def stability_experiment(
 
     return StabilityReport(
         times=times, lam=lams, gamma=np.array(gammas), rate_sum=rates,
-        r_weighted=rws, r_sup=np.array(rsups),
+        r_weighted=rws,
         mass_drift=np.array(mdrift), energy_drift=np.array(edrift),
         ortho_residuals=np.array(orthos),
         weighted_exponent=w_exp, rate_exponent=r_exp,

@@ -7,8 +7,8 @@ the periodic spectral derivative; the banded finite-difference operator,
 in band storage with a one-factor band LU, serves the time steppers,
 Newton solves and dense eigensolves, and Grid.fold / Grid.unfold carry
 it and its fields to the even or odd sector on the half grid x >= 0.
-Even fields also live on the closed half grid x = 0, ..., L (Grid.even_*),
-with a DCT-I spectral derivative and the band of Grid.even_fold.
+On that half grid Grid.even_d2 is the spectral derivative of even
+fields, a real DCT-I.
 
 All containers are immutable after construction, all operations are
 pure and there is no module-level mutable state, so they can be used
@@ -109,10 +109,10 @@ class Grid:
         even or odd, with the mass of u under the node weights 1 at x = 0
         and 2 elsewhere.
         """
-        idx = self.half(sign)
+        lo = self.half(sign)[0]
         full = np.zeros(u.shape[:-1] + (self.point_count,), dtype=u.dtype)
-        full[..., idx] = u
-        full[..., self.point_count - idx] = sign * u   # the mirror nodes; x = 0 is its own
+        full[..., lo:] = u
+        full[..., self.point_count - lo:0:-1] = sign * u   # the mirror nodes; x = 0 is its own
         return full
 
     def fold(self, ab: np.ndarray, sign: float = 1.0) -> np.ndarray:
@@ -132,47 +132,6 @@ class Grid:
             out[:5 - 2 * n, c + n - lo] += sign * ab[2 * n:, c - n]
         return out
 
-    # -- the even sector on the closed half grid x = 0, dx, ..., L -----------
-
-    @property
-    def even_nodes(self) -> np.ndarray:
-        """Nodes x = 0, dx, ..., L of even_half; x = L is the grid's x = -L."""
-        return self.dx * np.arange(self.point_count // 2 + 1)
-
-    def even_half(self, u: np.ndarray) -> np.ndarray:
-        """Values of the field u (last axis) at even_nodes."""
-        c = self.point_count // 2
-        return np.concatenate((u[..., c:], u[..., :1]), axis=-1)
-
-    def even_full(self, h: np.ndarray) -> np.ndarray:
-        """The even field with values h at even_nodes: even_half inverted on even fields."""
-        return np.concatenate((h[..., :0:-1], h[..., :-1]), axis=-1)
-
-    def even_integrate(self, h: np.ndarray):
-        """integrate(even_full(h)): trapezoid weights dx at x = 0 and L, 2 dx elsewhere."""
-        return self.dx * (2.0 * np.sum(h, axis=-1) - h[..., 0] - h[..., -1])
-
-    def even_norm(self, h: np.ndarray) -> float:
-        """norm(even_full(h)) of a real field h."""
-        return float(np.sqrt(self.even_integrate(h**2)))
-
-    def even_d2(self, h: np.ndarray) -> np.ndarray:
-        """spectral_d2 of even_full(h) at even_nodes, in real arithmetic: the
-        periodic extension of an even field is the DCT-I sequence of h, whose
-        mode m has wavenumber pi m / L."""
-        m = np.arange(h.shape[-1])
-        return sp_fft.idct(-(np.pi * m / self.half_width) ** 2 * sp_fft.dct(h, 1), 1)
-
-    def even_fold(self, ab: np.ndarray) -> np.ndarray:
-        """fold(ab) on even_nodes: the (2, 2) band of ab on even fields, whose
-        row x = L is the row x = -L of ab mirrored (no entry across the wall)."""
-        m = self.point_count // 2
-        out = np.zeros((5, m + 1), dtype=ab.dtype)
-        out[:, :m] = self.fold(ab)
-        for k in range(3):                         # entry (-L, -L + k dx) onto (L, L - k dx)
-            out[2 + k, m - k] = ab[2 - k, k]
-        return out
-
     # -- derivatives --------------------------------------------------------
 
     def spectral_d1(self, u: np.ndarray) -> np.ndarray:
@@ -180,6 +139,14 @@ class Grid:
 
     def spectral_d2(self, u: np.ndarray) -> np.ndarray:
         return np.fft.ifft(-(self.wavenumbers**2) * np.fft.fft(u))
+
+    def even_d2(self, h: np.ndarray) -> np.ndarray:
+        """spectral_d2 of unfold(h) at half(), in real arithmetic, for the N/2
+        samples h: the periodic extension of the even field is the DCT-I
+        sequence of h and its value 0 at x = L (unfold's x = -L), whose
+        mode m has wavenumber pi m / L."""
+        k = np.pi * np.arange(h.size + 1) / self.half_width
+        return sp_fft.idct(-k**2 * sp_fft.dct(np.append(h, 0.0), 1), 1)[:-1]
 
     def fd_d2_band(self) -> np.ndarray:
         """Banded second-derivative matrix, Dirichlet truncation at +-L.

@@ -403,7 +403,7 @@ def discrete_spectrum(
         raise ValueError("tag failure")
 
     # zero cluster: within a band well separated from the trapping pair
-    pred = feshbach_predict(getattr(prof.potential, "h", 0.0),
+    pred = feshbach_predict(prof.potential.h,
                             prof.potential.second_derivative_at_zero())
     eps_pred = float(np.max(np.abs(pred.imag)))
     zero_cluster = np.abs(even_vals) < max(1e-3, 0.25 * eps_pred)

@@ -462,24 +462,17 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     D11(0, s W0) = W(psi1, psi1(-.)) at the threshold, whose slope in s
     at 0 equals minus the integral of the (1,1) entry of W, i.e.
     -(1/2) int (V3).  The raw integral of V3 is also reported.  The
-    nonzero couplings are the rows of one k = 0 march with a per-row
-    coupling scale; couplings that leave the field potential-free get
-    the free data det D(0) = D11(0) = 0.
+    couplings are the rows of one k = 0 march with a per-row coupling
+    scale; the row s = 0 is the free one, with det D(0) = D11(0) = 0.
     """
     svals = np.asarray(sorted(float(s) for s in s_values))
     if np.max(np.abs(svals)) > 0.5 + 1e-12:
         raise ValueError("scan couplings must satisfy |s| <= 0.5")
-    sup = float(np.max(np.abs(sys0.V3)) + np.max(np.abs(sys0.V4)))
-    live = (np.abs(svals) >= 1e-14) & (np.abs(svals) * sup >= FREE_FIELD_SUP)
-    dets = np.zeros(svals.size, dtype=complex)
-    wlems = np.zeros(svals.size, dtype=complex)
-    margins = np.zeros(svals.size)
-    if np.any(live):
-        _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(
-            sys0, np.zeros(np.count_nonzero(live)), svals[live])
-        dets[live] = d11 * d22 - d12 * d21
-        wlems[live] = d11
-        margins[live] = np.abs(dets[live]) / np.maximum(np.abs(d22) ** 2, 1e-300)
+    _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(
+        sys0, np.zeros(svals.size), svals)
+    dets = d11 * d22 - d12 * d21
+    wlems = d11
+    margins = np.abs(dets) / np.maximum(np.abs(d22) ** 2, 1e-300)
     int_v3 = float(np.real(sys0.grid.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan

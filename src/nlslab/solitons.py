@@ -4,17 +4,18 @@ The standing-wave profile phi > 0 solves
 
     -phi'' + (lam + V_h(x)) phi - f(phi^2) phi = 0
 
-on the grid.  V_h and phi are even, so the solve runs on the N/2 + 1
-samples x = 0, dx, ..., L of the even sector (Grid.even_half), and
-profiles are returned on the full grid.  The solver is a damped Newton
-iteration whose residual is evaluated spectrally (the DCT-I Laplacian
-Grid.even_d2, tails are far below truncation) and whose linear solves
-use a banded 4th-order finite-difference Jacobian as a defect-correction
+on the grid.  V_h and phi are even, so the solve runs on the N/2
+samples x = 0, dx, ..., L - dx of the even half grid (Grid.half), the
+one that dynamics.evolve_nls steps on, and profiles are returned on the
+full grid by Grid.unfold.  The solver is a damped Newton iteration whose
+residual is evaluated spectrally (the DCT-I Laplacian Grid.even_d2,
+tails are far below truncation) and whose linear solves use a banded
+4th-order finite-difference Jacobian as a defect-correction
 preconditioner.  That combination converges to the continuum profile to
 ~1e-12 while keeping every linear solve O(N).  The FD4 Jacobian is the
-band Grid.fd_d2_band folded onto the half grid (Grid.even_fold, laid out
-once per solve); each Newton step adds its diagonal and takes one LAPACK
-band LU (grids.band_solver).
+band Grid.fd_d2_band folded onto the half grid (Grid.fold, laid out once
+per solve); each Newton step adds its diagonal and takes one LAPACK band
+LU (grids.band_solver).
 
 The frequency derivatives come from one banded factor of L_plus: with
 G(phi) = f(phi^2) phi, differentiating the profile equation in lam gives
@@ -80,7 +81,7 @@ class SolitonProfile:
 
 
 def _residual(grid: Grid, lam_v, f, phi):
-    """The profile equation at even_nodes; lam_v = lam + V_h there."""
+    """The profile equation at Grid.half(); lam_v = lam + V_h there."""
     return -grid.even_d2(phi) + lam_v * phi - f.f(phi**2) * phi
 
 
@@ -95,6 +96,12 @@ def _lplus_solver(neg_d2: np.ndarray, diag: np.ndarray):
     ab = neg_d2.copy()
     ab[2] += diag
     return band_solver(ab, 2, 2)
+
+
+def _positive(phi):
+    """phi with each entry <= 0 (roundoff in the underflowed tail, and the
+    node x = -L, which Grid.unfold sets to 0) raised to 1e-250."""
+    return np.where(phi > 0, phi, 1e-250)
 
 
 def solve_soliton(
@@ -114,7 +121,8 @@ def solve_soliton(
     phi, where phi is resolved and in its tail.
     """
     root = soliton_root(f, V, lam)
-    x = grid.even_nodes
+    half = grid.half()
+    x = grid.nodes[half]
     lam_v = lam + V(x)
     lam_eff = lam + V.v0()
     if initial_guess is None:
@@ -131,11 +139,11 @@ def solve_soliton(
         log_cosh = a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
         phi = root * np.exp(-log_cosh / m_dom)
     else:
-        phi = grid.even_half(np.asarray(initial_guess, dtype=float))
+        phi = np.asarray(initial_guess, dtype=float)[half]
 
     res = _residual(grid, lam_v, f, phi)
     res_sup = float(np.max(np.abs(res)))
-    neg_d2 = grid.even_fold(-grid.fd_d2_band())
+    neg_d2 = grid.fold(-grid.fd_d2_band())
     stalled = 0
     for _ in range(NEWTON_MAX_ITER):
         if res_sup < TARGET_TOL or (stalled >= 2 and res_sup < RESIDUAL_TOL):
@@ -163,34 +171,40 @@ def solve_soliton(
 
     if np.min(phi) < -1e-11 * np.max(phi):
         raise ValueError("positivity lost")
-    phi = np.where(phi > 0, phi, 1e-250)
-    tail = (x > 0) & (phi < 1e-3 * np.max(phi))
+    phi = _positive(grid.unfold(phi))
+    tail = (grid.nodes > 0) & (phi < 1e-3 * np.max(phi))
     return SolitonProfile(
         lam=float(lam),
         potential=V,
         nonlinearity=f,
         grid=grid,
-        phi=grid.even_full(phi),
+        phi=phi,
         phi_lam=None,
         residual_sup=res_sup,
-        mass=float(grid.even_integrate(phi**2)),
-        tail_rate=fit_exponential_decay(x[tail], phi[tail])[0],
+        mass=float(grid.integrate(phi**2)),
+        tail_rate=fit_exponential_decay(grid.nodes[tail], phi[tail])[0],
     )
 
 
+def _even_norm(grid: Grid, h):
+    """Grid.norm of the even field with the half-grid samples h."""
+    return grid.norm(grid.unfold(h))
+
+
 def _defect_solve(grid: Grid, solve, diag, rhs):
-    """Spectral L_plus u = rhs at even_nodes by defect correction on the banded solve."""
+    """Spectral L_plus u = rhs at Grid.half() by defect correction on the banded solve."""
 
     def lplus_apply(u):
         return -grid.even_d2(u) + diag * u
 
+    scale = _even_norm(grid, rhs)
     u = solve(rhs)
     for _ in range(12):
         defect = rhs - lplus_apply(u)
-        if grid.even_norm(defect) < 1e-11 * max(grid.even_norm(rhs), 1e-300):
+        if _even_norm(grid, defect) < 1e-11 * max(scale, 1e-300):
             break
         u = u + solve(defect)
-    rel = grid.even_norm(lplus_apply(u) - rhs) / grid.even_norm(rhs)
+    rel = _even_norm(grid, lplus_apply(u) - rhs) / scale
     if rel > 1e-8:
         raise ValueError(f"derivative solve did not converge (rel {rel:.2e})")
     return u
@@ -207,12 +221,13 @@ def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
     if profile.residual_sup > 10 * RESIDUAL_TOL:
         raise ValueError("profile residual too large for derivative solve")
     grid, f = profile.grid, profile.nonlinearity
-    phi = grid.even_half(profile.phi)
-    diag = _lplus_diag(profile.lam + profile.potential(grid.even_nodes), f, phi)
-    solve = _lplus_solver(grid.even_fold(-grid.fd_d2_band()), diag)
+    half = grid.half()
+    phi = profile.phi[half]
+    diag = _lplus_diag(profile.lam + profile.potential(grid.nodes[half]), f, phi)
+    solve = _lplus_solver(grid.fold(-grid.fd_d2_band()), diag)
     # crude singularity guard: inverse power step on a random probe
     probe = np.random.default_rng(0).standard_normal(phi.size)
-    grow = grid.even_norm(solve(probe)) / max(grid.even_norm(probe), 1e-300)
+    grow = _even_norm(grid, solve(probe)) / max(_even_norm(grid, probe), 1e-300)
     if grow > 1e10:
         raise ValueError("L_plus singular")
 
@@ -221,7 +236,7 @@ def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
     g2 = phi * np.polynomial.polynomial.polyval(
         phi**2, [2 * m * (2 * m + 1) * c for m, c in enumerate(f.coefficients, start=1)])
     phi_lamlam = _defect_solve(grid, solve, diag, -2.0 * phi_lam + g2 * phi_lam**2)
-    return replace(profile, phi_lam=grid.even_full(phi_lam), phi_lamlam=grid.even_full(phi_lamlam))
+    return replace(profile, phi_lam=grid.unfold(phi_lam), phi_lamlam=grid.unfold(phi_lamlam))
 
 
 @dataclass(frozen=True)
@@ -278,12 +293,12 @@ class SolitonFamily:
     lam - its lambda), so a query costs a couple of banded solves.
 
     phi, phi_lam and phi_lamlam are even, so the cache keeps each as its
-    N/2 + 1 samples at Grid.even_nodes and rebuilds it with
-    Grid.even_full.  Every call returns fresh arrays, bitwise equal to the
-    solved ones.  The cache keeps the FAMILY_CACHE_SIZE most recently used
-    profiles: a hit moves its entry to the end and a miss past the cap
-    evicts the least recently used one, so a lambda queried on every run
-    stays cached.
+    N/2 samples at Grid.half() and rebuilds it with Grid.unfold, and phi
+    with the positivity floor that solve_soliton gives x = -L.  Every call
+    returns fresh arrays, bitwise equal to the solved ones.  The cache
+    keeps the FAMILY_CACHE_SIZE most recently used profiles: a hit moves
+    its entry to the end and a miss past the cap evicts the least recently
+    used one, so a lambda queried on every run stays cached.
     """
 
     _FIELDS = ("phi", "phi_lam", "phi_lamlam")
@@ -302,15 +317,16 @@ class SolitonFamily:
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
-            return self._mapped(hit, self.grid.even_full)
+            full = self._mapped(hit, self.grid.unfold)
+            return replace(full, phi=_positive(full.phi))
         seed = None
         if self._cache:
             near = self._cache[min(self._cache, key=lambda k: abs(k - lam))]
             d = lam - near.lam
-            seed = self.grid.even_full(near.phi + d * near.phi_lam + 0.5 * d * d * near.phi_lamlam)
+            seed = self.grid.unfold(near.phi + d * near.phi_lam + 0.5 * d * d * near.phi_lamlam)
         prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid, initial_guess=seed)
         prof = solve_dlambda(prof)
-        self._cache[key] = self._mapped(prof, self.grid.even_half)
+        self._cache[key] = self._mapped(prof, lambda u: u[self.grid.half()])
         if len(self._cache) > FAMILY_CACHE_SIZE:
             self._cache.popitem(last=False)
         return prof

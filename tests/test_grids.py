@@ -239,47 +239,18 @@ def test_fold_and_unfold_match_the_sparse_composition(L, N, sign):
     assert full[0] == 0.0 and np.array_equal(g.reflect(full)[1:], sign * full[1:])
 
 
-def _even_field(g, rng):
-    """A random exactly even field on g, with its value at x = -L."""
-    return g.even_full(rng.standard_normal(g.N // 2 + 1))
-
-
 @pytest.mark.parametrize("L, N", [(5.0, 32), (200.0, 8192)])
 def test_even_d2_is_spectral_d2_on_even_fields(L, N):
-    """The DCT-I second derivative on x = 0, ..., L is spectral_d2 of the
-    even field: the same operator, to roundoff, on smooth and rough data."""
+    """The DCT-I second derivative on the half grid is spectral_d2 of the
+    unfolded even field: the same operator, to roundoff, on smooth and
+    rough data."""
     g = make_grid(L, N)
+    half = g.half()
     rng = np.random.default_rng(3)
-    for u in (g.even_full(np.exp(-g.even_nodes**2)), _even_field(g, rng)):
-        want = np.real(g.spectral_d2(u))
-        got = g.even_d2(g.even_half(u))
-        assert np.max(np.abs(got - g.even_half(want))) <= 1e-12 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("L, N", [(5.0, 32), (200.0, 8192)])
-def test_even_half_and_full_round_trip(L, N):
-    g = make_grid(L, N)
-    u = _even_field(g, np.random.default_rng(4))
-    h = g.even_half(u)
-    assert h.size == g.N // 2 + 1 and h[0] == u[g.N // 2] and h[-1] == u[0]
-    assert np.array_equal(g.even_full(h), u)            # the node x = -L too
-    assert np.array_equal(g.reflect(u), u)
-    assert np.array_equal(g.even_nodes, np.abs(g.even_half(g.nodes)))
-    assert g.even_integrate(h) == pytest.approx(g.integrate(u), rel=1e-13)
-
-
-@pytest.mark.parametrize("L, N", [(5.0, 32), (30.0, 1024)])
-def test_even_fold_is_the_band_on_even_fields(L, N):
-    """even_fold(ab) h is the full band applied to the even field
-    even_full(h), read at x = 0, ..., L: row L is the row -L."""
-    g = make_grid(L, N)
-    rng = np.random.default_rng(8)
-    ab = -g.fd_d2_band()
-    ab[2] += rng.standard_normal(g.N)
-    h = rng.standard_normal(g.N // 2 + 1)
-    want = g.even_half(_dense_from_band(ab, 2, 2) @ g.even_full(h))
-    got = _dense_from_band(g.even_fold(ab), 2, 2) @ h
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for h in (np.exp(-g.nodes[half]**2), rng.standard_normal(g.N // 2)):
+        want = np.real(g.spectral_d2(g.unfold(h)))
+        got = g.even_d2(h)
+        assert np.max(np.abs(got - want[half])) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 5, 5), (complex, 1, 3)])

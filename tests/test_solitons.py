@@ -136,6 +136,33 @@ def test_dlambda_defining_equation(default_profile):
     assert g.norm(lplus + phi) < 1e-8 * g.norm(phi)
 
 
+def test_defect_correction_has_no_growing_mode(monkeypatch, cfg, trap):
+    """Raw defect corrections of L_plus phi_lam = -phi on the dynamics grid
+    stay at their roundoff floor: no mode of the banded FD4 L_plus against
+    the spectral one (Grid.even_d2) grows, as one at a closed wall row
+    x = L did, by 1.1-1.7x per correction.
+
+    The banded factor (_lplus_solver), the diagonal (_lplus_diag) and the
+    right side -phi are the ones solve_dlambda passes to _defect_solve,
+    so the corrections run on the samples the solver uses.
+    """
+    g, f, lam = cfg.dynamics_grid(), cfg.nonlinearity(theorem=True), 2.0
+    calls = []
+    monkeypatch.setattr(solitons, "_defect_solve", lambda *args: calls.append(args) or args[-1])
+    solve_dlambda(solve_soliton(lam, trap, f, g))
+    grid, solve, diag, rhs = calls[0]
+
+    def defect(u):
+        return rhs - (-grid.even_d2(u) + diag * u)
+
+    u = solve(rhs)
+    rel = []
+    for _ in range(14):
+        u = u + solve(defect(u))
+        rel.append(np.linalg.norm(defect(u)) / np.linalg.norm(rhs))
+    assert rel[-1] <= 2.0 * rel[4], rel
+
+
 @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 0.0, 0.2, -0.05)],
                          ids=["cubic", "degree4"])
 def test_dlamlam_equation_and_finite_difference(coefficients):
@@ -252,10 +279,10 @@ def _sparse_band(ab):
 def test_singular_lplus_reported():
     """With f = 0 and no trap, L_plus = -d2 + lam, singular to roundoff
     when lam is the eigenvalue nearest zero of the FD4 d2 that the guard
-    factors: the band on the even half grid (Grid.even_fold), whose
+    factors: the band on the even half grid (Grid.fold), whose
     eigenvectors the random probe excites."""
     g = make_grid(20.0, 256)
-    half = _sparse_band(g.even_fold(g.fd_d2_band())).toarray()
+    half = _sparse_band(g.fold(g.fd_d2_band())).toarray()
     lam = float(np.max(np.linalg.eigvals(half).real))
     prof = SolitonProfile(lam=lam, potential=PotentialSpec("zero", 0.0),
                           nonlinearity=PolynomialNonlinearity((0.0,)), grid=g,
@@ -319,10 +346,10 @@ def test_half_grid_cache_returns_the_solved_profiles(trap, cubic):
         assert (got.lam, got.mass, got.residual_sup, got.tail_rate) == \
                (want.lam, want.mass, want.residual_sup, want.tail_rate)
     assert family._cache.keys() == ref._cache.keys()
-    # each cached profile keeps N/2 + 1 of the N nodes of its three fields
+    # each cached profile keeps N/2 of the N nodes of its three fields
     full = sum(getattr(p, name).nbytes for p in ref._cache.values() for name in PROFILE_FIELDS)
     held = sum(getattr(p, name).nbytes for p in family._cache.values() for name in PROFILE_FIELDS)
-    assert held == full * (g.N // 2 + 1) // g.N
+    assert held == full // 2
 
 
 def test_family_miss_stays_on_the_half_grid(monkeypatch, trap, cubic):
