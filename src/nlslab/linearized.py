@@ -18,9 +18,10 @@ imaginary eigenvalues +-i eps1 created by the trapping potential, with
 eps1 ~ h sqrt(2 V''(0)) from the four-dimensional reduced eigenvalue
 problem.  The trap and the profile are even, so L commutes with x -> -x,
 and discrete_spectrum finds the four per parity block of a
-mirror-symmetric coarse FD4 L.  The biorthogonal projector P_d onto their
-span (adjoint vectors are J xi, J = [[0,1],[-1,0]]) defines
-P_ess = 1 - P_d.
+mirror-symmetric coarse FD4 L, each by one symmetric-definite eigensolve
+(definite since the soliton is orbitally stable, dN/dlam > 0).  The
+biorthogonal projector P_d onto their span (adjoint vectors are J xi,
+J = [[0,1],[-1,0]]) defines P_ess = 1 - P_d.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh
 
 from .grids import Grid, band_solver, make_grid
 from .solitons import SolitonProfile
@@ -262,12 +264,8 @@ class _ParityBlock(NamedTuple):
 
 def _band_dense(ab: np.ndarray) -> np.ndarray:
     """The dense matrix of a (2, 2) band in the storage of grids.band_solver."""
-    n = ab.shape[1]
-    out = np.zeros((n, n), dtype=ab.dtype)
-    for k in range(-2, 3):                         # the diagonal (i, i + k)
-        i = np.arange(max(0, -k), min(n, n - k))
-        out[i, i + k] = ab[2 - k, i + k]
-    return out
+    n = ab.shape[1]                                # row 2 - k: the diagonal (i, i + k)
+    return sum(np.diag(ab[2 - k, max(k, 0):n + min(k, 0)], k) for k in range(-2, 3))
 
 
 def _parity_blocks(coarse: LinearizedSystem):
@@ -277,8 +275,8 @@ def _parity_blocks(coarse: LinearizedSystem):
     those of a mirror-symmetric operator on the n - 1 nodes x_1 .. x_{n-1}
     (node -L dropped, 3-point rows at the two nodes next to each wall).
     Grid.fold folds the 5-point stencil at x = 0 into the even block on
-    n/2 nodes and the odd block on n/2 - 1 nodes, exactly; the odd solve
-    symmetrizes its wall rows itself (_symmetric_eig).
+    n/2 nodes and the odd block on n/2 - 1 nodes, exactly; _pencil_eig
+    symmetrizes the wall rows of either.
     """
     cg = coarse.grid
     band = coarse.fd_band("L").real               # Lminus and -Lplus as (2, 2) bands
@@ -292,15 +290,15 @@ def _parity_blocks(coarse: LinearizedSystem):
     return blocks
 
 
-def _pair_spectrum(nu: np.ndarray, x: np.ndarray, lplus):
-    """Eigenpairs of L = [[0, lminus], [-lplus, 0]] from those (nu, x) of lminus lplus.
+def _pair_spectrum(nu: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Eigenpairs of L = [[0, lminus], [-lplus, 0]] from lminus lplus x = nu x, y = lplus x.
 
     L squares to -diag(lminus lplus, lplus lminus), so nu gives the
     eigenvalues +-mu, mu = sqrt(-nu) on the principal branch.  The
-    eigenvector of +-mu is (x, -+lplus x / mu); it is formed as
-    (mu x, -+lplus x), which stays finite at mu = 0, and only for the
-    columns asked for.  Returns vals = [mu, -mu] and a function mapping
-    indices into vals to unit eigenvectors [2m, k].
+    eigenvector of +-mu is (x, -+y / mu); it is formed as (mu x, -+y),
+    which stays finite at mu = 0, and only for the columns asked for.
+    Returns vals = [mu, -mu] and a function mapping indices into vals to
+    unit eigenvectors [2m, k].
     """
     mu = np.sqrt(-nu.astype(complex))
     n = mu.size
@@ -308,35 +306,38 @@ def _pair_spectrum(nu: np.ndarray, x: np.ndarray, lplus):
     def vectors(idx):
         idx = np.asarray(idx, dtype=int)
         cols, sign = idx % n, np.where(idx < n, 1.0, -1.0)
-        v = np.concatenate([x[:, cols] * mu[cols], -sign * (lplus @ x[:, cols])])
+        v = np.concatenate([x[:, cols] * mu[cols], -sign * y[:, cols]])
         return v / np.linalg.norm(v, axis=0)
 
     return np.concatenate([mu, -mu]), vectors
 
 
-def _reduced_eig(lminus, lplus):
-    """_pair_spectrum from one dense eig of lminus lplus, which is not symmetric.
+def _pencil_eig(blk: _ParityBlock, shift: float):
+    """_pair_spectrum of one parity block, from one symmetric-definite eigh.
 
-    The even block has no symmetric route: its FD4 lminus has the discrete
-    near-kernel phi, a small negative eigenvalue.
+    D A D^-1, D = diag(sqrt(weight)), of either FD4 block is symmetric but
+    at the wall, where a 3-point row sits next to a 5-point row that reads
+    it; A -> (A + A^T)/2 there moves only modes that reach the wall.  Then
+    lplus lminus y = nu y is lminus y = theta C y, C = lminus - shift P
+    with P = lplus^-1 (one band LU), nu = shift theta / (theta - 1) and
+    x = P y.  C is positive definite exactly when shift lies between the
+    zero cluster and the rest of the block's nu; on the even block that
+    needs dN/dlam > 0, i.e. <phi, Lplus^-1 phi> < 0 (Weinstein), which
+    makes C positive along phi, the near-kernel of lminus.  Otherwise a
+    ValueError names the cause.
     """
-    nu, x = np.linalg.eig(lminus @ lplus)
-    return _pair_spectrum(nu, x, lplus)
-
-
-def _symmetric_eig(lminus, lplus):
-    """_pair_spectrum of the odd block, by Cholesky and eigh.
-
-    Its node weights are uniform, so its FD4 rows are symmetric but at the
-    wall, where a 3-point row sits next to a 5-point row that reads it.
-    A -> (A + A^T)/2 symmetrizes them there, which moves only modes that
-    reach the wall.  lminus is positive definite (its ground state phi is
-    even); with lminus = C C^T, C^T lplus C z = nu z gives real nu, x = C z.
-    """
+    d = np.sqrt(blk.weight)
+    lminus, lplus = (d[:, None] * a / d for a in (blk.lminus, blk.lplus))
     lminus, lplus = (0.5 * (a + a.T) for a in (lminus, lplus))
-    chol = np.linalg.cholesky(lminus)
-    nu, z = np.linalg.eigh(chol.T @ lplus @ chol)
-    return _pair_spectrum(nu, chol @ z, lplus)
+    band = np.array([np.pad(np.diagonal(lplus, k), (max(k, 0), max(-k, 0)))
+                     for k in range(2, -3, -1)])
+    p = band_solver(band, 2, 2)(np.eye(d.size))
+    try:
+        theta, y = eigh(lminus, lminus - shift * p, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{'even' if blk.sign > 0 else 'odd'} pencil not definite at c = "
+                         f"{shift:.3g}: dN/dlam <= 0, or a mode inside the zero cluster") from None
+    return _pair_spectrum(shift * theta / (theta - 1.0), p @ y / d[:, None], y / d[:, None])
 
 
 def _localized(w: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: float):
@@ -355,20 +356,23 @@ def discrete_spectrum(
     Only O(1) discrete modes matter, so the dense solves run on n coarse
     nodes, the largest even divisor of N from 16 up to coarse_points, on
     the mirror-symmetric FD4 L of _parity_blocks: an even block of order
-    n/2 and an odd block of order n/2 - 1, each solved through the
-    Hamiltonian reduction: the even block by _reduced_eig, the odd block,
-    its wall rows symmetrized, by _symmetric_eig.  That operator differs
-    from the FD4 L on all n nodes (LinearizedSystem.fd_band) only next to
-    the walls, where every gap mode has decayed like e^(-sqrt(beta)|x|).
+    n/2 and an odd block of order n/2 - 1, each through the Hamiltonian
+    reduction as one symmetric-definite pencil (_pencil_eig, wall rows
+    symmetrized).  Its shift is r^2 for the zero-cluster radius
+    r = max(1e-3, eps_pred / 4), above the zero cluster and below the
+    trapping pair and the continuum (nu >= beta^2); dN/dlam > 0 makes the
+    even pencil definite.  That operator differs from the FD4 L on all n
+    nodes (LinearizedSystem.fd_band) only next to the walls, where every
+    gap mode has decayed like e^(-sqrt(beta)|x|).
     Gap eigenvalues are recognized by eigenvector localization (over 95%
     of the mass in |x| < 0.4 L) rather than by a distance margin, so
     weakly bound states just inside the thresholds are still reported
     (they break the four-mode structure and matter downstream).  The zero
     cluster is counted in the even block; the gauge modes are taken from
     the profile (they are exact).  The trapping pair is the odd gap eigenvalue with
-    Im > 0 closest to the reduced-matrix prediction, its conjugate partner
-    is matched in the odd block, and its vector, unfolded by odd
-    reflection, is refined on the fine grid by shifted inverse iteration.
+    Im > 0 closest to the reduced-matrix prediction, and its vector,
+    unfolded by odd reflection, is refined on the fine grid by shifted
+    inverse iteration.
     """
     prof = sys.profile
     if prof is None or prof.phi_lam is None:
@@ -379,10 +383,15 @@ def discrete_spectrum(
         raise ValueError(f"coarse_points: no even divisor of N = {g.N} from 16 to {coarse_points}")
     coarse = sys.coarsen(divisors[-1])
     beta, half = sys.beta, coarse.grid.L
-    blocks = _parity_blocks(coarse)
+    # the zero-cluster radius, well inside the trapping pair; its square
+    # shifts both pencils
+    pred = feshbach_predict(prof.potential.h,
+                            prof.potential.second_derivative_at_zero())
+    eps_pred = float(np.max(np.abs(pred.imag)))
+    radius = max(1e-3, 0.25 * eps_pred)
     gap, embedded = [], []
-    for blk, solve in zip(blocks, (_reduced_eig, _symmetric_eig)):
-        vals, vectors = solve(blk.lminus, blk.lplus)
+    for blk in _parity_blocks(coarse):
+        vals, vectors = _pencil_eig(blk, radius ** 2)
         in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
                           & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
         vecs = vectors(in_gap)
@@ -402,11 +411,7 @@ def discrete_spectrum(
     if even_vals.size + odd_vals.size < 4:
         raise ValueError("tag failure")
 
-    # zero cluster: within a band well separated from the trapping pair
-    pred = feshbach_predict(prof.potential.h,
-                            prof.potential.second_derivative_at_zero())
-    eps_pred = float(np.max(np.abs(pred.imag)))
-    zero_cluster = np.abs(even_vals) < max(1e-3, 0.25 * eps_pred)
+    zero_cluster = np.abs(even_vals) < radius
 
     # trapping pair: the odd gap eigenvalue closest to +i eps_pred
     upper = odd_vals.imag > 0
@@ -414,26 +419,20 @@ def discrete_spectrum(
         raise ValueError("tag failure")
     j = int(np.argmin(np.where(upper, np.abs(odd_vals - 1j * eps_pred), np.inf)))
     mu0 = odd_vals[j]
-    pair0 = coarse.grid.unfold(odd_vecs[:, j].reshape(2, -1), blocks[1].sign)
+    pair0 = coarse.grid.unfold(odd_vecs[:, j].reshape(2, -1), -1.0)
     up = CubicSpline(coarse.grid.nodes, pair0, axis=1)(g.nodes)
     odd_plus, mu_ref, resid = _refine_odd_mode(sys, up, mu0)
     eps1 = float(abs(mu_ref.imag))
     odd_minus = np.conj(odd_plus)  # L real: conjugate pair, (xi1, -eta1)
 
-    phi = prof.phi.astype(complex)
-    phi_lam = prof.phi_lam.astype(complex)
-    zero_mode = np.stack([np.zeros_like(phi), phi])
-    zero_assoc = np.stack([phi_lam, np.zeros_like(phi)])
-
-    # the tagged pair and its conjugate partner
-    tagged = np.abs(odd_vals - np.conj(mu0)) < 1e-8 + 1e-6 * abs(mu0)
-    tagged[j] = True
+    zero = np.zeros(g.N, dtype=complex)
+    tagged = np.isin(odd_vals, (mu0, -mu0))      # the pair +-mu0 of one nu
     return DiscreteSpectrum(
         system=sys,
         eigenvalues=np.concatenate([even_vals, odd_vals]),
         eps1=eps1,
-        zero_mode=zero_mode,
-        zero_assoc=zero_assoc,
+        zero_mode=np.stack([zero, prof.phi]),
+        zero_assoc=np.stack([prof.phi_lam, zero]),
         odd_plus=odd_plus,
         odd_minus=odd_minus,
         zero_cluster_size=int(np.count_nonzero(zero_cluster)),

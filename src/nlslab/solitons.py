@@ -117,8 +117,9 @@ def solve_soliton(
     of the effective potential, lam_eff = lam + V(0), unless one is
     passed in (continuation; an even field).  Newton runs on the even
     half grid, and a step is halved (up to 30 times) whenever it would
-    lose positivity.  The tail rate is fitted on 1e-13 < phi < 1e-3 max
-    phi, where phi is resolved and in its tail.
+    lose positivity.  The tail rate is fitted on 1e-9 < phi / max phi <
+    1e-3, in the tail and far above phi's ~1e-16 roundoff: 1e-16 seed
+    perturbations move it by ~1e-10 there (~1e-6 with a 1e-13 floor).
     """
     root = soliton_root(f, V, lam)
     half = grid.half()
@@ -182,7 +183,7 @@ def solve_soliton(
         phi_lam=None,
         residual_sup=res_sup,
         mass=float(grid.integrate(phi**2)),
-        tail_rate=fit_exponential_decay(grid.nodes[tail], phi[tail])[0],
+        tail_rate=fit_exponential_decay(grid.nodes[tail], phi[tail], floor=1e-9 * np.max(phi))[0],
     )
 
 

@@ -1,6 +1,8 @@
 """Hygiene: every name a package module imports is used or re-exported,
 imports sit at module level, every private module-level name is read, no
-module imports scipy.sparse (the FD4 operator has one form, the band),
+module imports scipy.sparse (the FD4 operator has one form, the band) or
+calls a general dense eigensolver (numpy.linalg.eig, scipy.linalg.eig:
+both parity blocks of the linearization are symmetric-definite pencils),
 every exported name is bound, and the public names that only tests read
 are exactly the listed ones."""
 
@@ -165,6 +167,34 @@ def sparse_imports(source: str) -> list:
     return sorted(lines)
 
 
+def general_eig_calls(source: str) -> list:
+    """Lines of calls to numpy.linalg.eig or scipy.linalg.eig, under any
+    import alias."""
+    tree = ast.parse(source)
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                # "import a.b" binds a; "import a.b as c" binds c to a.b
+                bound = a.asname or a.name.split(".")[0]
+                alias[bound] = a.name if a.asname else bound
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            alias.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    lines = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name):
+            name = ".".join([alias.get(func.id, func.id)] + parts[::-1])
+            if name in ("numpy.linalg.eig", "scipy.linalg.eig"):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_checker_flags_an_unused_name():
     src = "import os\nfrom x import a, b as c\nfrom y import d\n__all__ = ['d']\nprint(a)\n"
     assert unused_imports(src) == [(1, "os"), (2, "c")]
@@ -189,6 +219,15 @@ def test_checker_flags_a_sparse_import():
            "from scipy.linalg import solve_banded\nfrom scipy import linalg\n"
            "from .sparse import x\n")
     assert sparse_imports(src) == [2, 3, 4]
+
+
+def test_checker_flags_a_general_eig_call():
+    src = ("import numpy as np\nimport numpy\nimport scipy.linalg as sl\nfrom scipy import linalg\n"
+           "from numpy.linalg import eig as e\nimport scipy.linalg\n"
+           "np.linalg.eig(a)\nnumpy.linalg.eig(a)\nsl.eig(a)\nlinalg.eig(a, b)\ne(a)\n"
+           "scipy.linalg.eig(a)\n"
+           "np.linalg.eigvals(a)\nnp.linalg.eigh(a)\nsl.eigh(a, b)\nx.eig(a)\neig(a)\n")
+    assert general_eig_calls(src) == [7, 8, 9, 10, 11, 12]
 
 
 def test_checker_flags_a_stale_export():
@@ -226,6 +265,11 @@ def test_test_only_public_names_are_listed():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_sparse_imports(path):
     assert sparse_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_general_eig_calls(path):
+    assert general_eig_calls(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

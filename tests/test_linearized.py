@@ -5,10 +5,10 @@ import pytest
 from scipy import sparse
 
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
-from nlslab.linearized import (LinearizedSystem, T_MAT, assemble_L,
-                               build_projector, contour_projector,
+from nlslab.linearized import (LinearizedSystem, T_MAT, _parity_blocks, _pencil_eig,
+                               assemble_L, build_projector, contour_projector,
                                discrete_spectrum, feshbach_predict)
-from nlslab.solitons import solve_dlambda, solve_soliton
+from nlslab.solitons import solve_dlambda, solve_soliton, stability_scan
 
 
 def pair_norm(g, u):
@@ -85,68 +85,66 @@ def _gap(vals, beta):
                     & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
 
 
-def test_reduced_eigensolve_matches_dense(default_system):
-    """Eigenvalues +-sqrt(-nu) of Lminus Lplus are those of the dense block L."""
-    from nlslab.linearized import _parity_blocks, _reduced_eig
+def _shift(profile):
+    """The zero-cluster radius squared that discrete_spectrum passes to _pencil_eig."""
+    pot = profile.potential
+    eps_pred = np.max(np.abs(feshbach_predict(pot.h, pot.second_derivative_at_zero()).imag))
+    return max(1e-3, 0.25 * eps_pred) ** 2
 
+
+def _block_L(lminus, lplus):
+    zero = np.zeros_like(lminus)
+    return np.block([[zero, lminus], [-lplus, zero]])
+
+
+def test_reduced_eigensolve_matches_dense(default_system, default_profile):
+    """The pencil route's eigenpairs +-sqrt(-nu) are those of the dense
+    wall-symmetrized block L, on both parity blocks.
+
+    The oracle scales each block by D = diag(sqrt(weight)), symmetrizes it
+    by A -> (A + A^T)/2 and takes np.linalg.eigvals of the 2m x 2m block L;
+    the pencil's vectors, on the block's nodes, carry over by D.
+    """
     coarse = default_system.coarsen(256)
     for blk in _parity_blocks(coarse):
-        lminus, lplus = blk.lminus, blk.lplus
-        zero = np.zeros_like(lminus)
-        lmat = np.block([[zero, lminus], [-lplus, zero]])
-        vals, vectors = _reduced_eig(blk.lminus, blk.lplus)
+        d = np.sqrt(blk.weight)
+        scaled = [d[:, None] * a / d for a in (blk.lminus, blk.lplus)]
+        lmat = _block_L(*(0.5 * (a + a.T) for a in scaled))
+        vals, vectors = _pencil_eig(blk, _shift(default_profile))
         dense = np.linalg.eigvals(lmat)
         # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
         a = 1j * np.sort_complex(-1j * vals)
         b = 1j * np.sort_complex(-1j * dense)
         assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
         # the even gap holds the zero cluster (the Jordan block, split by the
-        # FD4 grid), whose vectors come from the small-mu end of
-        # (mu x, -+Lplus x); the odd gap holds the trapping pair
-        gap = _gap(vals, coarse.beta)
-        assert gap.size == 2
-        vecs = vectors(gap)
+        # FD4 grid), whose vectors come from the small-mu end of (mu x, -+y);
+        # the odd gap holds the trapping pair
+        assert _gap(vals, coarse.beta).size == 2
+        vecs = np.tile(d, 2)[:, None] * vectors(np.arange(vals.size))
         assert np.all(np.isfinite(vecs))
-        for mu, v in zip(vals[gap], vecs.T):
-            assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
+        resid = np.linalg.norm(lmat @ vecs - vals * vecs, axis=0)
+        assert np.all(resid <= 1e-8 * np.linalg.norm(vecs, axis=0))
 
 
-def test_symmetric_odd_solve_matches_dense(default_system):
-    """The Cholesky + eigh route gives the spectrum of the wall-symmetrized odd block L.
-
-    np.linalg.cholesky reads one triangle and does not check symmetry, so
-    the reference symmetrizes on its own; the gap pair must agree with the
-    unsymmetrized block's eig, since the gap modes have decayed at the wall.
-    """
-    from nlslab.linearized import _parity_blocks, _reduced_eig, _symmetric_eig
-
+def test_wall_symmetrization_keeps_the_gap_modes(default_system, default_profile):
+    """Symmetrizing the wall rows moves only modes that reach the wall: the
+    pencil's gap pairs are those of the unsymmetrized block L (eigvals)."""
     coarse = default_system.coarsen(256)
-    odd = _parity_blocks(coarse)[1]
-    lminus, lplus = odd.lminus, odd.lplus
-    assert np.max(np.abs(lminus - lminus.T)) > 0.1   # the wall rows
-    lminus, lplus = 0.5 * (lminus + lminus.T), 0.5 * (lplus + lplus.T)
-    zero = np.zeros_like(lminus)
-    lmat = np.block([[zero, lminus], [-lplus, zero]])
-    vals, vectors = _symmetric_eig(odd.lminus, odd.lplus)
-    dense = np.linalg.eigvals(lmat)
-    a = 1j * np.sort_complex(-1j * vals)
-    b = 1j * np.sort_complex(-1j * dense)
-    assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
-    gap = _gap(vals, coarse.beta)
-    assert gap.size == 2
-    for mu, v in zip(vals[gap], vectors(gap).T):
-        assert np.linalg.norm(lmat @ v - mu * v) <= 1e-8 * np.linalg.norm(v)
-    ref, _ = _reduced_eig(odd.lminus, odd.lplus)
-    ref_gap = ref[_gap(ref, coarse.beta)]
-    assert ref_gap.size == 2
-    for mu in vals[gap]:
-        assert np.min(np.abs(ref_gap - mu)) < 1e-10
+    for blk in _parity_blocks(coarse):
+        d = np.sqrt(blk.weight)
+        scaled = d[:, None] * blk.lminus / d
+        assert np.max(np.abs(scaled - scaled.T)) > 0.1   # the wall rows
+        ref = np.linalg.eigvals(_block_L(blk.lminus, blk.lplus))
+        ref_gap = ref[_gap(ref, coarse.beta)]
+        vals, _ = _pencil_eig(blk, _shift(default_profile))
+        gap = vals[_gap(vals, coarse.beta)]
+        assert gap.size == ref_gap.size == 2
+        for mu in gap:
+            assert np.min(np.abs(ref_gap - mu)) < 1e-10
 
 
 def test_parity_blocks_match_symmetric_operator(default_system, default_profile):
     """The even and odd blocks together are the FD4 L on the n - 1 nodes x_1 .. x_{n-1}."""
-    from nlslab.linearized import _parity_blocks, _reduced_eig
-
     coarse = default_system.coarsen(256)
     n, beta = coarse.grid.N, coarse.beta
     # Dirichlet FD4 on the mirror-symmetric nodes: 5-point rows, 3-point
@@ -162,14 +160,13 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
     d2 /= coarse.grid.dx ** 2
     lminus = -d2 + np.diag(beta + coarse.V1[1:])
     lplus = -d2 + np.diag(beta + coarse.V2[1:])
-    zero = np.zeros((m, m))
-    lmat = np.block([[zero, lminus], [-lplus, zero]])
+    lmat = _block_L(lminus, lplus)
     dense = np.linalg.eigvals(lmat)
 
     blocks = _parity_blocks(coarse)
     assert [blk.x.size for blk in blocks] == [n // 2, n // 2 - 1]
-    spectra = [_reduced_eig(blk.lminus, blk.lplus) for blk in blocks]
-    vals = np.concatenate([v for v, _ in spectra])
+    even, odd = (np.linalg.eigvals(_block_L(blk.lminus, blk.lplus)) for blk in blocks)
+    vals = np.concatenate([even, odd])
     a = 1j * np.sort_complex(-1j * vals)
     b = 1j * np.sort_complex(-1j * dense)
     assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(1.0, np.abs(b)))
@@ -177,13 +174,15 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
 
     pot = default_profile.potential
     eps_pred = np.max(np.abs(feshbach_predict(pot.h, pot.second_derivative_at_zero()).imag))
-    (even, _), (odd, _) = spectra
     even_gap, odd_gap = even[_gap(even, beta)], odd[_gap(odd, beta)]
     # zero cluster from the even block, the +-i eps pair from the odd block
     assert even_gap.size == 2 and np.all(np.abs(even_gap) < 0.25 * eps_pred)
     assert odd_gap.size == 2 and np.all(np.abs(odd_gap) > 0.5 * eps_pred)
     assert abs(np.sum(odd_gap)) < 1e-8 and np.max(np.abs(odd_gap.real)) < 1e-8
-    for blk, (v, vectors) in zip(blocks, spectra):
+    # the gap vectors of the pencil route, unfolded, are eigenvectors of the
+    # operator on the n - 1 nodes
+    for blk in blocks:
+        v, vectors = _pencil_eig(blk, _shift(default_profile))
         gap = _gap(v, beta)
         vecs = vectors(gap)
         # unfold onto the n coarse nodes and drop node -L from each component
@@ -194,6 +193,27 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
         assert np.allclose(np.sum(np.abs(full) ** 2, axis=0), mass, rtol=1e-13, atol=0)
         for mu, w in zip(v[gap], full.T):
             assert np.linalg.norm(lmat @ w - mu * w) <= 1e-8 * np.linalg.norm(w)
+
+
+def test_unstable_soliton_is_named(default_system):
+    """Past the stable window the even pencil is not definite, and
+    discrete_spectrum says why instead of dropping the real pair.
+
+    The septic nonlinearity is L2-supercritical: on the default trap
+    stability_scan finds dN/dlam < 0 from lam = 0.8 to 1.6.  A shift past
+    beta^2 puts continuum modes inside the zero cluster of either block.
+    """
+    g = make_grid(30.0, 1024)
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    f = PolynomialNonlinearity((0.0, 0.0, 1.0))
+    scan = stability_scan([0.8, 1.0, 1.2, 1.4, 1.6], V, f, g)
+    assert not scan.admissible_contains(1.2) and scan.dmass[2] < 0
+    prof = solve_dlambda(solve_soliton(1.2, V, f, g))
+    with pytest.raises(ValueError, match=r"even pencil not definite .*: dN/dlam <= 0"):
+        discrete_spectrum(assemble_L(prof), coarse_points=512)
+    for blk in _parity_blocks(default_system.coarsen(256)):
+        with pytest.raises(ValueError, match="a mode inside the zero cluster"):
+            _pencil_eig(blk, 1.1 * default_system.beta ** 2)
 
 
 def test_feshbach_predict_values():

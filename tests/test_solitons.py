@@ -98,11 +98,29 @@ def test_tail_rate(free_soliton):
 
 @pytest.mark.parametrize("which", ["grid", "dynamics_grid"])
 def test_default_tail_rate_is_resolved(cfg, trap, which):
-    """On both default grids all of x > L/2 is below the 1e-13 floor; the
-    fit reads the resolved tail instead, where V_h -> 0: rate sqrt(lam)."""
+    """On both default grids all of x > L/2 is below the fit's floor (1e-9
+    max phi); the fit reads the resolved tail instead, where V_h -> 0:
+    rate sqrt(lam)."""
     prof = solve_soliton(cfg.lam, trap, cfg.nonlinearity(which == "dynamics_grid"),
                          getattr(cfg, which)())
     assert abs(prof.tail_rate - np.sqrt(cfg.lam)) < 1e-2
+
+
+@pytest.mark.parametrize("L, N", [(30.0, 1024), (60.0, 3072), (200.0, 8192)])
+def test_tail_rate_is_above_roundoff(cfg, trap, L, N):
+    """Re-solving from seeds perturbed by 1e-16 relative moves tail_rate by
+    less than 1.3e-8, 100x below the 1.3e-6 it moved while the fit read phi
+    down to 1e-13, near its roundoff."""
+    g = make_grid(L, N)
+    rng = np.random.default_rng(7)
+    for theorem in (False, True):
+        f = cfg.nonlinearity(theorem)
+        prof = solve_soliton(cfg.lam, trap, f, g)
+        rates = [prof.tail_rate] + [
+            solve_soliton(cfg.lam, trap, f, g,
+                          initial_guess=prof.phi * (1 + 1e-16 * rng.standard_normal(N))).tail_rate
+            for _ in range(4)]
+        assert np.ptp(rates) < 1.3e-8
 
 
 def test_dlambda_values(free_soliton):
