@@ -27,7 +27,7 @@ from .grids import make_grid, validate_assumptions
 from .linearized import assemble_L, build_projector, discrete_spectrum, feshbach_predict
 from .propagator import build_plan, evolve_direct, verify_decay, weighted_pair_norm, pair_norm
 from .scattering import (default_k_grid, dump_table, eigentable_build,
-                         resonance_scan, resonance_test)
+                         ek_growth_report, resonance_scan, resonance_test)
 from .solitons import SolitonFamily, solve_dlambda, solve_soliton, stability_scan
 from .dynamics import stability_experiment
 
@@ -188,7 +188,10 @@ class StageRunner:
         spread = float(np.max(tab.wronskian_spread))
         e0 = float(np.max(np.abs(tab.e[tab.k == 0.0]))) if np.any(tab.k == 0) else 0.0
         dump_table(tab, self.path("eigentable.bin"), self.path("eigentable_sidecar.json"))
-        ok = unit < 1e-6 and orth < 1e-6 and spread < 1e-7 and e0 < 1e-8
+        # the paper's growth bounds: sup_k |d^n/dk^n (e/k)| grows like (1 + |x|)^(n + 1)
+        growth = ek_growth_report(self.system())["exponents"]
+        growth_ok = all(n + 0.7 <= growth[n] <= n + 1.3 for n in growth)
+        ok = unit < 1e-6 and orth < 1e-6 and spread < 1e-7 and e0 < 1e-8 and growth_ok
         summary = {
             "k_count": int(tab.k.size),
             "unitarity_defect": unit,
@@ -196,6 +199,8 @@ class StageRunner:
             "wronskian_spread": spread,
             "threshold_mode_sup": e0,
             "resonance_margin": tab.resonance_margin,
+            "growth_exponents": {str(n): v for n, v in growth.items()},
+            "growth_in_band": bool(growth_ok),
             "pass": bool(ok),
         }
         _write_json(self.path("eigentable_summary.json"), summary)

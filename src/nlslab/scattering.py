@@ -37,9 +37,11 @@ forms are exact to machine precision).  A grid step is a few sixth-order
 Magnus steps, each sampling W at its three Gauss-Legendre nodes through
 the trigonometric interpolant.  The free part of the generator is
 constant and is taken exactly inside the exponential, so the step size
-is set by dx and the variation of W, not by k.  The 4x4 transfer matrices
-do not depend on the state: they are built vectorized for a chunk of grid
-steps at a time and shared by all columns of a row.
+is set by dx and the variation of W, not by k.  The generator is formed
+from 2x2 blocks in closed form.  The 4x4 transfer matrices do not depend
+on the state: they are built vectorized for batches of (grid step, row)
+pairs and shared by all columns of a row, and each run of steps between
+two purges is applied through its running products.
 
 psi1, eta and phi1 are columns of one leftward march, which stops at
 x = -8 for every k: all Wronskian samples lie in |x| <= 5.5, so the
@@ -92,7 +94,9 @@ EK_DELTA = 2e-3          # k step of the (e/k) stencils and of its k -> 0 limit
 
 
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
-_CHUNK = 32              # grid steps per batch of transfer matrices
+_BATCH = 2048            # (grid step, k row) pairs per batch of transfer matrices:
+                         # 8 steps of a TABLE_BLOCK or a whole one-row march, each
+                         # [..., 4, 4] temporary ~0.5 MB at 2 Magnus steps per step
 _REAL = np.array([1.0, 1.0, 1j, 1j])  # y -> real frame, where A is real
 
 
@@ -141,54 +145,91 @@ def _w_shifted(sys: LinearizedSystem, offsets: np.ndarray):
             np.fft.irfft(np.fft.rfft(sys.V4) * phase, n=g.N))
 
 
-def _coupling(w, b):
-    """Batch [..., 4, 4] of the W part of the generator in the real frame."""
-    out = np.zeros(w.shape + (4, 4))
-    out[..., 1, 0] = out[..., 3, 2] = w
-    out[..., 1, 2] = out[..., 3, 0] = b
-    return out
+def _sym(a, b):
+    """Batch [..., 2, 2] of the symmetric blocks [[a, b], [b, a]]."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, a], axis=-1)], axis=-2)
 
 
-def _comm(x, y):
-    return x @ y - y @ x
+def _t(x):
+    return np.swapaxes(x, -1, -2)
+
+
+def _omega(h, p, q, r):
+    """Sixth-order Magnus generator [..., 4, 4] in the march's row layout.
+
+    In the basis (u, u') of the two components u = (xi1, i xi2) the
+    generator is [[0, I], [M, 0]] with M a symmetric 2x2 matrix, so the
+    three Gauss-node moments are a1 = h [[0, I], [p, 0]] (p = M at the
+    middle node) and a2 = [[0, 0], [q, 0]], a3 = [[0, 0], [r, 0]], whose
+    coupling blocks q and r already carry their factors of h.  Then
+    [a1, a2] = h diag(q, -q), and the commutator form of the scheme,
+
+        a1 + a3/12 + [-20 a1 - a3 + [a1, a2],
+                      a2 - [a1, 2 a3 + [a1, a2]] / 60] / 240,
+
+    reduces to the 2x2 blocks below, for any symmetric p, q and r.  The
+    coupling-only products qq, rr and rq are taken at the shape of q and
+    r, so when these carry no per-row scale all rows share them.
+    """
+    qq, rr, rq = q @ q, r @ r, r @ q
+    pq, pr = p @ q, p @ r
+    sq = (pq + _t(pq)) @ q
+    o11 = (-(h / 12.0) * q + (h**2 / 7200.0) * rq) + h**3 * (pq / 720.0 + _t(pq) / 240.0)
+    om = np.empty(o11.shape[:-2] + (2, 2, 2, 2))   # [..., a, d, b, e]: row 2a + d, column 2b + e
+    om[..., :, 0, :, 0] = o11
+    om[..., :, 1, :, 1] = -_t(o11)
+    om[..., :, 0, :, 1] = (h**3 / 3600.0) * qq - (h**2 / 180.0) * r
+    om[..., 0, 0, 0, 1] += h
+    om[..., 1, 0, 1, 1] += h
+    om[..., :, 1, :, 0] = (h * p + (r / 12.0 + h * (rr / 3600.0 - qq / 120.0))
+                           + (h**2 / 360.0) * (pr + _t(pr)) + (h**3 / 14400.0) * (sq + _t(sq)))
+    return om.reshape(o11.shape[:-2] + (4, 4))
 
 
 def _expm(om, d):
     """exp of a batch [..., nk, 4, 4], balanced by diag(d[q]) per row q.
 
-    Taylor-8 by Horner on D om D^-1, scaled by 2^-s into 1-norm
-    EXPM_THETA (truncation below 1e-16) and squared back.
+    Taylor-8 on x = D om D^-1, scaled by 2^-s into 1-norm EXPM_THETA
+    (truncation below 1e-16) and squared back.  The polynomial is taken
+    by Paterson-Stockmeyer as P0(x) + x^4 P1(x), with P0 of degree 3 and
+    P1 of degree 4 in x: 4 products instead of Horner's 8.
     """
-    x = om * d[:, :, None] / d[:, None, :]
+    x = om * (d[:, :, None] / d[:, None, :])
     theta = float(np.max(np.sum(np.abs(x), axis=-2)))
     s = max(0, int(np.ceil(np.log2(max(theta, 1e-300) / EXPM_THETA))))
-    x = x / 2.0**s
-    eye = np.eye(4)
-    e = eye + x / 8.0
-    for n in range(7, 0, -1):
-        e = eye + (x @ e) / n
+    x *= 2.0**-s
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    diag = np.arange(4)
+    p1 = x4 / 40320.0 + x3 / 5040.0 + x2 / 720.0 + x / 120.0
+    p1[..., diag, diag] += 1.0 / 24.0
+    e = x4 @ p1
+    e += x3 / 6.0 + x2 / 2.0 + x
+    e[..., diag, diag] += 1.0
     for _ in range(s):
         e = e @ e
-    return e * d[:, None, :] / d[:, :, None]
+    return e * (d[:, None, :] / d[:, :, None])
 
 
 def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
              sign: int, scale=None):
-    """Yield the transfer matrices [nk, 4, 4] of n_main grid steps from node j0.
+    """Transfer matrices [n_main, nk, 4, 4] of n_main grid steps from node j0.
 
     Row q carries y' = A y, the (H - beta - k_q^2) system in the real frame
     y -> diag(1, 1, i, i) y, where A is real; W is scaled by scale[q] when
-    a per-row coupling scale is given.  The i-th matrix takes y from node
+    a per-row coupling scale is given.  Matrix i takes y from node
     j0 + sign i to j0 + sign (i + 1).  A column marched in a rescaled frame
     z = e^(-g x) y takes the same matrix times the scalar e^(-g sign dx),
     so one matrix per row serves all its columns.
 
     A grid step is m = ceil(dx / MAGNUS_H) sixth-order Magnus steps on the
     three Gauss-Legendre nodes (Blanes, Casas, Oteo and Ros, Phys. Rep.
-    470, 2009).  The matrices exp(Omega) do not depend on the state, so
-    they are built vectorized for _CHUNK grid steps at a time.  Omega lies
-    in the Lie algebra that keeps the sigma3 Wronskian, so the step keeps
-    it to roundoff.
+    470, 2009), with the generator in the closed 2x2-block form of _omega.
+    The matrices exp(Omega) do not depend on the state, so they are built
+    vectorized for batches of about _BATCH (grid step, row) pairs.  Omega
+    lies in the Lie algebra that keeps the sigma3 Wronskian, so the step
+    keeps it to roundoff.
     """
     g = sys.grid
     nk = ks.size
@@ -200,29 +241,27 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     v3, v4 = _w_shifted(sys, sign * (np.arange(m)[:, None] + _GAUSS).ravel() / m)
     w11 = (0.5 * v3).reshape(m, 3, g.N)
     w12 = (-0.5 * v4).reshape(m, 3, g.N)
-    row = np.ones(nk) if scale is None else np.asarray(scale, dtype=float)
-    free = np.zeros((nk, 4, 4))
-    free[:, 0, 1] = free[:, 2, 3] = 1.0
-    free[:, 1, 0] = -ks**2
-    free[:, 3, 2] = mus**2
+    row = np.ones(1) if scale is None else np.asarray(scale, dtype=float)
+    free = np.zeros((nk, 2, 2))
+    free[:, 0, 0] = -ks**2
+    free[:, 1, 1] = mus**2
     bal = np.ones((nk, 4))
     bal[:, 1] = bal[:, 3] = 1.0 / np.sqrt(mus**2 + 1.0)
-    for i0 in range(0, n_main, _CHUNK):
-        nodes = j0 + sign * np.arange(i0, min(i0 + _CHUNK, n_main))
-        # coupling at the Gauss nodes: [step, p, c, row, 4, 4]
-        cw = _coupling(w11[:, :, nodes].transpose(2, 0, 1)[..., None] * row,
-                       w12[:, :, nodes].transpose(2, 0, 1)[..., None] * row)
-        a1 = h * (free + cw[:, :, 1])
-        a2 = (np.sqrt(15.0) / 3.0) * h * (cw[:, :, 2] - cw[:, :, 0])
-        a3 = (10.0 / 3.0) * h * (cw[:, :, 2] - 2.0 * cw[:, :, 1] + cw[:, :, 0])
-        c12 = _comm(a1, a2)
-        om = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c12,
-                                    a2 - _comm(a1, 2.0 * a3 + c12) / 60.0) / 240.0
-        e = _expm(om, bal)
+    out = np.empty((n_main, nk, 4, 4))
+    step = max(1, _BATCH // nk)
+    for i0 in range(0, n_main, step):
+        nodes = j0 + sign * np.arange(i0, min(i0 + step, n_main))
+        # W at the Gauss nodes, [step, p, c, row, 2, 2]
+        w = _sym(w11[:, :, nodes].transpose(2, 0, 1)[..., None] * row,
+                 w12[:, :, nodes].transpose(2, 0, 1)[..., None] * row)
+        q = (np.sqrt(15.0) / 3.0) * h * (w[:, :, 2] - w[:, :, 0])
+        r = (10.0 / 3.0) * h * (w[:, :, 2] - 2.0 * w[:, :, 1] + w[:, :, 0])
+        e = _expm(_omega(h, free + w[:, :, 1], q, r), bal)
         t = e[:, 0]
         for p in range(1, m):
             t = e[:, p] @ t
-        yield from t
+        out[i0 : i0 + nodes.size] = t
+    return out
 
 
 def _free_forms(kinds, ks: np.ndarray, mus: np.ndarray):
@@ -261,7 +300,14 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     last point where |W| reaches W_FLOOR.  The grid steps apply the
     Magnus transfer matrices of _stepper, which depend on the step and W
     alone, not on the span: where a march starts and where its purges fall
-    moves the result only at roundoff.  Returns full-grid rows
+    moves the result only at roundoff.
+
+    The purges split the march into blocks of purge_every grid steps.
+    Inside each block the transfer matrices are replaced, in place, by
+    their running products from the block's first step, one batched
+    product per offset for all blocks at once; then one pass over the
+    blocks carries the state from each purge to the next and writes the
+    block's rows into the returned array.  Returns full-grid rows
     [nk, ncol, 4, N] (components xi1, xi1', xi2, xi2'), reconciled to a
     single representative per purged column and zero left of the window,
     plus the window mask [N].
@@ -277,46 +323,54 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
     n_main = j_hi - j_lo
     A, B, gg = _free_forms(kinds, ks, mus)
-    frame = np.exp(gg * g.dx)[..., None]
-
-    z = (A + nodes[j_hi] * B) * _REAL
-    out = np.zeros((nk, ncol, 4, n_main + 1), dtype=complex)
-    out[..., n_main] = z
     purge_every = max(1, int(round(PURGE_SPACING / g.dx)))
-    ledger = {}  # slot -> purge coefficients [nk, ncol - 1]
-    for i, t in enumerate(_stepper(sys, ks, j_hi, n_main, -1, scale)):
-        z = (z @ t.transpose(0, 2, 1)) * frame
-        slot = n_main - 1 - i
-        if (i + 1) % purge_every == 0 or i == n_main - 1:
-            c = z[:, :-1, 2] / z[:, -1:, 2]
-            z[:, :-1] = z[:, :-1] - c[..., None] * z[:, -1:]
-            ledger[slot] = c
-        out[..., slot] = z
-    out *= np.conj(_REAL)[:, None]
-    if not np.all(np.isfinite(out)):
-        raise ValueError("Jost march overflow")
 
-    # ledger pass: express every stored value in the final representative.
-    # Stored values at/above a purge point already include it, so the
-    # running sum S collects events after applying the correction at their
-    # own slot, and decays going up in x; past the edge it corrects the
-    # free forms, where the rescaled phi1 is the constant A[:, -1]
-    decay = np.exp((gg[:, :-1] - gg[:, -1:]) * (-g.dx))  # E(-dx), |.| < 1
-    S = np.zeros((nk, ncol - 1), dtype=complex)
-    for slot in range(n_main + 1):
-        out[:, :-1, :, slot] = out[:, :-1, :, slot] - S[..., None] * out[:, -1:, :, slot]
-        if slot in ledger:
-            S = S + ledger[slot]
-        S = S * decay
-    xf = nodes[j_hi + 1:]
-    tail = A[..., None] + B[..., None] * xf
-    s_tail = S[..., None] * decay[..., None] ** np.arange(xf.size)  # [nk, ncol - 1, nf]
-    tail[:, :-1] -= s_tail[:, :, None] * A[:, -1:, :, None]
+    t = _stepper(sys, ks, j_hi, n_main, -1, scale)
+    for o in range(1, min(purge_every, n_main)):
+        np.matmul(t[o::purge_every], t[o - 1 : -1 : purge_every], out=t[o::purge_every])
 
+    # step i lands on node j_hi - 1 - i; the rows of a block are its start
+    # state times the running products, in the rescaled frame of each column
+    frame = np.exp(gg[None, ..., None] * g.dx * np.arange(1, purge_every + 1)[:, None, None, None])
     y = np.zeros((nk, ncol, 4, g.N), dtype=complex)
-    y[..., j_lo : j_hi + 1] = out
-    y[..., j_hi + 1:] = tail
-    y[..., j_lo:] *= np.exp(gg[..., None, None] * nodes[j_lo:])
+    z = (A + nodes[j_hi] * B) * _REAL
+    y[..., j_hi] = z * np.conj(_REAL)
+    purges = []  # (node, purge coefficients [nk, ncol - 1]), leftward
+    for i0 in range(0, n_main, purge_every):
+        n = min(purge_every, n_main - i0)
+        # real products times the complex state taken as (re, im) pairs
+        rows = np.matmul(t[i0 : i0 + n, :, None],
+                         z.view(float).reshape(nk, ncol, 4, 2)).view(complex)[..., 0]
+        rows *= frame[:n]
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("Jost march overflow")
+        c = rows[-1, :, :-1, 2] / rows[-1, :, -1:, 2]
+        rows[-1, :, :-1] -= c[..., None] * rows[-1, :, -1:]
+        z = rows[-1]
+        j = j_hi - i0 - n
+        y[..., j : j_hi - i0] = (rows[::-1] * np.conj(_REAL)).transpose(1, 2, 3, 0)
+        purges.append((j, c))
+    del t
+    np.multiply(B[..., None], nodes[j_hi + 1:], out=y[..., j_hi + 1:])
+    y[..., j_hi + 1:] += A[..., None]
+
+    # ledger pass: express every stored value in the final representative,
+    # then take it out of its rescaled frame.  A node at or right of a purge
+    # already includes it, so node j carries S(j) = sum over purges at p < j
+    # of c_p E^(j - p), E = e^((g_col - g_phi1)(-dx)), |E| < 1.  Between two
+    # purges S falls geometrically, so each interval takes it in closed
+    # form; right of the window it corrects the free forms, where the
+    # rescaled phi1 is the constant A[:, -1]
+    decay = np.exp((gg[:, :-1] - gg[:, -1:]) * (-g.dx))[..., None]
+    ends = [j for j, _c in purges[-2::-1]] + [g.N - 1]
+    s = np.zeros((nk, ncol - 1, 1), dtype=complex)
+    y[..., j_lo] *= np.exp(gg * nodes[j_lo])[..., None]
+    for (j, c), end in zip(purges[::-1], ends):
+        span = slice(j + 1, end + 1)
+        run = (s + c[..., None]) * decay ** np.arange(1, end - j + 1)   # S over the span
+        y[:, :-1, :, span] -= run[:, :, None] * y[:, -1:, :, span]
+        y[..., span] *= np.exp(gg[..., None, None] * nodes[span])
+        s = run[..., -1:]
     return y, np.arange(g.N) >= j_lo
 
 
@@ -700,8 +754,8 @@ def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
     s_over_k = 2j * a22[0] / det
     a_over_k = -2j * a12[0] / det
     out = s_over_k * fp[0, (0, 2)] + a_over_k * fh[0, (0, 2)]
-    lo = e_over_k(sys, EK_DELTA)
-    hi = e_over_k(sys, 2 * EK_DELTA)
+    ks = np.array([EK_DELTA, 2 * EK_DELTA])
+    lo, hi = _mode_block(sys, ks)[0] / ks[:, None, None]
     left = g.nodes < 0
     out[:, left] = 2.0 * lo[:, left] - hi[:, left]
     return out

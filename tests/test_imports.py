@@ -30,8 +30,6 @@ TEST_ONLY = {
     "propagator.positivity_check": "the paper's spectral-jump form, not yet in the CLI",
     "propagator.PropagatorPlan.quadrature_converged":
         "the table-halving check; its test checks the production evolve at two strides",
-    "scattering.ek_growth_report":
-        "the paper's growth bounds on the generalized eigenfunctions, not yet in the CLI",
     "scattering.WronskianMatrix.symmetry_defect":
         "the d12 = d21 symmetry of the production Wronskian matrix",
     "scattering.load_table": "reads back the CLI's eigentable.bin artifact format",

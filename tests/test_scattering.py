@@ -4,7 +4,9 @@ The Jost checks read the rows production serves: the columns of one
 leftward `_march_left` (psi1, eta, phi1), as `_pair_rows` returns them.
 psi2 and the mirrored solutions are pairings of those rows (`_s3conj`,
 `_mirror`), and every Wronskian is `_wr` with `_cmedian`.  The
-eighth-order ODE residual and the tail-rate fit are helpers of this file.
+eighth-order ODE residual and the tail-rate fit are helpers of this file,
+and so are the references of the march kernel: the commutator form of the
+Magnus generator and the stepwise march.
 """
 
 import json
@@ -13,15 +15,17 @@ import os
 import numpy as np
 import pytest
 
-from nlslab.grids import fit_exponential_decay
-from nlslab.linearized import LinearizedSystem
-from nlslab.scattering import (_cmedian, _march_left, _mirror, _pair_rows,
-                               _s3conj, _sample_indices, _w_edge, _wr,
+from nlslab.grids import fit_exponential_decay, make_grid
+from nlslab.linearized import LinearizedSystem, assemble_L
+from nlslab.scattering import (MARCH_STOP, PURGE_SPACING, _cmedian, _free_forms,
+                               _march_left, _mirror, _omega, _pair_rows,
+                               _s3conj, _sample_indices, _stepper, _w_edge, _wr,
                                default_k_grid, dump_table, e_over_k,
                                eigentable_build, ek_growth_report,
                                generalized_eigenfunction, load_table,
                                resonance_scan, resonance_test,
                                wronskian_matrix)
+from nlslab.solitons import solve_dlambda, solve_soliton
 
 _D2_EIGHTH = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
                        8 / 5, -1 / 5, 8 / 315, -1 / 560])
@@ -129,6 +133,137 @@ def test_jost_k_smoothness(default_system):
     five = (v[-2 * d] - 8 * v[-d] + 8 * v[d] - v[2 * d]) / (12 * d)
     three = (v[d] - v[-d]) / (2 * d)
     assert abs(five - three) < 1e-5 * max(abs(five), 1.0)
+
+
+def _layout(uu, uv, vu, vv):
+    """4x4 matrices in the march's row layout (xi1, xi1', xi2, xi2') from
+    their 2x2 blocks: u the value rows (0, 2), v the derivative rows (1, 3)."""
+    out = np.zeros(np.broadcast_shapes(uu.shape, uv.shape, vu.shape, vv.shape)[:-2] + (4, 4))
+    val, der = np.array([0, 2]), np.array([1, 3])
+    out[..., val[:, None], val] = uu
+    out[..., val[:, None], der] = uv
+    out[..., der[:, None], val] = vu
+    out[..., der[:, None], der] = vv
+    return out
+
+
+def _commutator_omega(h, p, q, r):
+    """The sixth-order Magnus generator in its commutator form (Blanes,
+    Casas, Oteo and Ros, Phys. Rep. 470, 2009) on the full 4x4 moments
+    a1 = h [[0, I], [p, 0]], a2 = [[0, 0], [q, 0]], a3 = [[0, 0], [r, 0]]."""
+    def comm(x, y):
+        return x @ y - y @ x
+
+    zero = np.zeros((2, 2))
+    a1 = _layout(zero, h * np.eye(2), h * p, zero)
+    a2 = _layout(zero, zero, q, zero)
+    a3 = _layout(zero, zero, r, zero)
+    c12 = comm(a1, a2)
+    return a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c12,
+                                 a2 - comm(a1, 2.0 * a3 + c12) / 60.0) / 240.0
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_closed_form_generator_matches_commutators(per_row):
+    """The closed 2x2-block generator equals the commutator form on random
+    symmetric blocks: q and r shared by all rows of a step, or scaled per
+    row as a coupling scan scales them.  p carries the k-dependent free part
+    diag(-k^2, k^2 + 2 beta) of a bench-size block."""
+    rng = np.random.default_rng(7)
+
+    def sym(*shape):
+        x = rng.standard_normal(shape + (2, 2))
+        return x + np.swapaxes(x, -1, -2)
+
+    h, nk = -0.0293, 6
+    ks = np.linspace(0.0, 8.0, nk)
+    free = np.zeros((nk, 2, 2))
+    free[:, 0, 0], free[:, 1, 1] = -ks**2, ks**2 + 4.0
+    scale = rng.uniform(-0.5, 0.5, (nk, 1, 1)) if per_row else np.ones((1, 1, 1))
+    w, q, r = sym(5, 2, 1), h * sym(5, 2, 1), h * sym(5, 2, 1)
+    p = free + scale * w
+    want = _commutator_omega(h, p, scale * q, scale * r)
+    got = _omega(h, p, scale * q, scale * r)
+    assert got.shape == want.shape == (5, 2, nk, 4, 4)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _stepwise_march(sys_, ks, kinds):
+    """Reference march: one grid step at a time on the transfer matrices of
+    _stepper, a purge every PURGE_SPACING, then a ledger pass node by node.
+    Returns full-grid rows [nk, ncol, 4, N]."""
+    g = sys_.grid
+    nodes = g.nodes
+    real = np.array([1.0, 1.0, 1j, 1j])
+    j_hi = min(int(np.searchsorted(nodes, min(_w_edge(sys_), nodes[-1]))), g.N - 1)
+    j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
+    n = j_hi - j_lo
+    A, B, gg = _free_forms(kinds, ks, np.sqrt(ks**2 + 2.0 * sys_.beta))
+    every = max(1, int(round(PURGE_SPACING / g.dx)))
+    z = (A + nodes[j_hi] * B) * real
+    out = np.zeros(z.shape + (n + 1,), dtype=complex)
+    out[..., n] = z
+    ledger = {}
+    for i, t in enumerate(_stepper(sys_, ks, j_hi, n, -1)):
+        z = (z @ np.swapaxes(t, -1, -2)) * np.exp(gg * g.dx)[..., None]
+        if (i + 1) % every == 0 or i == n - 1:
+            c = z[:, :-1, 2] / z[:, -1:, 2]
+            z[:, :-1] -= c[..., None] * z[:, -1:]
+            ledger[n - 1 - i] = c
+        out[..., n - 1 - i] = z
+    y = np.zeros(z.shape + (g.N,), dtype=complex)
+    y[..., j_lo : j_hi + 1] = out * np.conj(real)[:, None]
+    y[..., j_hi + 1:] = A[..., None] + B[..., None] * nodes[j_hi + 1:]
+    decay = np.exp((gg[:, :-1] - gg[:, -1:]) * (-g.dx))
+    S = np.zeros(decay.shape, dtype=complex)
+    for j in range(j_lo, g.N):
+        y[:, :-1, :, j] -= S[..., None] * y[:, -1:, :, j]
+        S = (S + ledger.get(j - j_lo, 0.0)) * decay
+    y[..., j_lo:] *= np.exp(gg[..., None, None] * nodes[j_lo:])
+    return y
+
+
+@pytest.fixture(scope="module")
+def bench_system(cfg):
+    """The default model on the benchmark's L = 30, N = 1024 grid."""
+    g = make_grid(30.0, 1024)
+    return assemble_L(solve_dlambda(solve_soliton(cfg.lam, cfg.potential(),
+                                                  cfg.nonlinearity(), g)))
+
+
+@pytest.mark.parametrize("case", ["threshold", "block"])
+def test_block_march_matches_stepwise_march(default_system, bench_system, case):
+    """The march by purge blocks (running products, one pass over the
+    blocks, a closed-form ledger per purge interval) against the stepwise
+    recurrence on the same transfer matrices: the three k = 0 columns on
+    the default system, and a 256-row block spanning the bench table's
+    k range, to 1e-12 of each row's sup."""
+    if case == "threshold":
+        sys_, ks, kinds = default_system, np.zeros(1), ("psi1", "eta", "phi1")
+    else:
+        sys_, ks, kinds = bench_system, np.linspace(0.01, 8.0, 256), ("psi1", "phi1")
+    got, valid = _march_left(sys_, ks, kinds)
+    want = _stepwise_march(sys_, ks, kinds)
+    assert np.array_equal(valid, np.any(want != 0.0, axis=(0, 1, 2)))
+    gap = np.max(np.abs(got - want), axis=(2, 3)) / np.max(np.abs(want), axis=(2, 3))
+    assert np.max(gap) <= 1e-12, np.max(gap)
+
+
+def test_march_peak_memory(bench_system):
+    """One march of the bench table's first 256-row block allocates at
+    most 67.0 MB at its peak (traced), which is what the stepwise march
+    with a separate window array took; the returned rows are 33.6 MB."""
+    import tracemalloc
+
+    ks = default_k_grid(8.0)[1:257]
+    tracemalloc.start()
+    try:
+        y, _valid = _march_left(bench_system, ks, ("psi1", "phi1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.nbytes == 256 * 2 * 4 * 1024 * 16
+    assert peak <= 67.0e6, peak / 1e6
 
 
 def test_three_column_march_matches_two_column_marches(default_system):
