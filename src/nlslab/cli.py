@@ -182,11 +182,10 @@ class StageRunner:
 
     def stage_eigentable(self):
         tab = self.table()
-        pos = tab.k > 0
-        unit = float(np.max(tab.unitarity_defect()[pos]))
-        orth = float(np.max(tab.orthogonality_defect()[pos]))
+        unit = float(np.max(tab.unitarity_defect()))
+        orth = float(np.max(tab.orthogonality_defect()))
         spread = float(np.max(tab.wronskian_spread))
-        e0 = float(np.max(np.abs(tab.e[tab.k == 0.0]))) if np.any(tab.k == 0) else 0.0
+        e0 = float(np.max(np.abs(tab.e[0])))     # the k = 0 row
         dump_table(tab, self.path("eigentable.bin"), self.path("eigentable_sidecar.json"))
         # the paper's growth bounds: sup_k |d^n/dk^n (e/k)| grows like (1 + |x|)^(n + 1)
         growth = ek_growth_report(self.system())["exponents"]

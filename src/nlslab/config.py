@@ -146,6 +146,8 @@ def _validate(raw: dict):
         raise ValueError("scattering.k_max: must be positive")
     if any(abs(float(s)) > 0.5 for s in sc["scan_couplings"]):
         raise ValueError("scattering.scan_couplings: |s| must be at most 0.5")
+    if len({float(s) for s in sc["scan_couplings"] if abs(float(s)) <= 0.1 + 1e-12}) < 2:
+        raise ValueError("scattering.scan_couplings: the slope fit needs two distinct |s| <= 0.1")
     for t in p["times"]:
         if t < 0:
             raise ValueError("propagator.times: must be nonnegative")

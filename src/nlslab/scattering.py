@@ -31,6 +31,13 @@ xi.  Pairing the left expansion of e with psi1 and phi1 gives
 D (r, b) = -(W(psi1, psi2(-.)), W(phi1, psi2(-.))), so r and b follow
 from D by Cramer's rule.
 
+Every k >= 0 and every system take the one path _pair_rows -> _sr_coeffs
+-> _assemble_e.  At k = 0 psi2 = psi1, so for a non-resonant system the
+general formulas give s = a = b = 0, r = -1 and e(., 0) = 0 exactly.  A
+potential-free system is marched like any other (the march reproduces
+e = e^(ikx) and D(0) = (0, 0, 0, 2 mu)); only its reference table, whose
+resonant k = 0 mode (1, 0) is not a limit of the 2ik factor, is closed-form.
+
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
 from the point where the potentials fall below 1e-17 (outside, the free
 forms are exact to machine precision).  A grid step is a few sixth-order
@@ -89,6 +96,7 @@ MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W; meets
                          # a 1e-8 march error ~100x over (s to ~1e-10, flat in k)
 EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
 FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
+RESONANT_MARGIN = 1e-6   # |det D(0)| / |D22(0)|^2 below this reads threshold-resonant
 TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
 EK_DELTA = 2e-3          # k step of the (e/k) stencils and of its k -> 0 limit
 
@@ -100,13 +108,10 @@ _BATCH = 2048            # (grid step, k row) pairs per batch of transfer matric
 _REAL = np.array([1.0, 1.0, 1j, 1j])  # y -> real frame, where A is real
 
 
-def _km(sys: LinearizedSystem, lam: float):
-    beta = sys.beta
-    if lam < beta - 1e-12:
+def _wavenumber(sys: LinearizedSystem, lam: float) -> float:
+    if lam < sys.beta - 1e-12:
         raise ValueError("lam below the threshold")
-    k = np.sqrt(max(lam - beta, 0.0))
-    mu = np.sqrt(lam + beta)
-    return k, mu
+    return np.sqrt(max(lam - sys.beta, 0.0))
 
 
 def _w_edge(sys: LinearizedSystem) -> float:
@@ -484,10 +489,13 @@ def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     return ypsi, yphi, samples, _dmatrix_from_pair(ypsi, yphi, samples)
 
 
+def _margin(det, d22):
+    """Resonance margin |det D| / |D22|^2 of D, per k."""
+    return np.abs(det) / np.maximum(np.abs(d22) ** 2, 1e-300)
+
+
 def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
-    k, mu = _km(sys, lam)
-    if _is_free(sys):
-        return WronskianMatrix(k=k, d11=2j * k, d12=0.0, d21=0.0, d22=2.0 * mu, spread=0.0)
+    k = _wavenumber(sys, lam)
     _psi, _phi, _samples, (d11, d12, d21, d22, spread) = _pair_rows(sys, np.array([k]))
     return WronskianMatrix(
         k=k, d11=complex(d11[0]), d12=complex(d12[0]), d21=complex(d21[0]),
@@ -498,14 +506,12 @@ def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
 def resonance_test(sys: LinearizedSystem) -> dict:
     """Threshold-resonance verdict from det D(0) against |D22(0)|^2."""
     d = wronskian_matrix(sys, sys.beta)
-    scale = max(abs(d.d22) ** 2, 1e-300)
-    margin = abs(d.det) / scale
+    margin = float(_margin(d.det, d.d22))
     return {
-        "resonant": bool(margin < 1e-6),
+        "resonant": bool(margin < RESONANT_MARGIN),
         "detD0": complex(d.det),
-        "margin": float(margin),
+        "margin": margin,
         "d22": complex(d.d22),
-        "matrix": d,
     }
 
 
@@ -526,7 +532,7 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
         sys0, np.zeros(svals.size), svals)
     dets = d11 * d22 - d12 * d21
     wlems = d11
-    margins = np.abs(dets) / np.maximum(np.abs(d22) ** 2, 1e-300)
+    margins = _margin(dets, d22)
     int_v3 = float(np.real(sys0.grid.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan
@@ -555,9 +561,13 @@ def _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples):
     e = psi2(-x) + r psi1(-x) + b phi1(-x), paired with psi1 and phi1,
     gives W(psi1, e) = W(phi1, e) = 0 (both are Jost solutions at
     +infinity, so W(psi1, phi1) = 0), that is D (r, b) = -(c1, c2) with
-    c1 = W(psi1, psi2(-.)) and c2 = W(phi1, psi2(-.)).
+    c1 = W(psi1, psi2(-.)) and c2 = W(phi1, psi2(-.)).  Raises when D
+    is near-singular at some k.
     """
     det = d11 * d22 - d12 * d21
+    singular = _margin(det, d22) < 1e-8
+    if np.any(singular):
+        raise ValueError(f"near-singular D: resonant at k = {ks[singular][0]:.6g}")
     s = 2j * ks * d22 / det
     a = -2j * ks * d12 / det
     pair = np.stack([ypsi[..., samples], yphi[..., samples]], axis=1)
@@ -623,38 +633,29 @@ def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
     return e
 
 
-def _mode_block(sys: LinearizedSystem, ks: np.ndarray):
-    """Continuum modes of a block of k > 0 from one Jost march.
+def _mode_block(sys: LinearizedSystem, ks: np.ndarray, rows):
+    """Continuum modes of a block of k >= 0 from its _pair_rows(sys, ks).
 
-    Returns (e [nk, 2, N], s, r, a, (d11, d12, d21, d22, spread)); raises
-    when D is near-singular at some k of the block.
+    Returns (e [nk, 2, N], s, r, a); raises when D is near-singular at
+    some k of the block.  A k = 0 row is an ordinary row: the 2ik factor
+    gives it s = a = 0, r = -1 and e = 0 exactly.
     """
-    ypsi, yphi, samples, dmat = _pair_rows(sys, ks)
-    d11, d12, d21, d22, _spread = dmat
-    det = d11 * d22 - d12 * d21
-    if np.any(np.abs(det) < 1e-8 * np.maximum(np.abs(d22) ** 2, 1e-300)):
-        raise ValueError("near-singular D inside the k grid")
+    ypsi, yphi, samples, (d11, d12, d21, d22, _spread) = rows
     s, a, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples)
-    return _assemble_e(sys.grid, ypsi, yphi, s, a, b, r, ks, sys.beta), s, r, a, dmat
+    return _assemble_e(sys.grid, ypsi, yphi, s, a, b, r, ks, sys.beta), s, r, a
 
 
 def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
     """Continuum mode and coefficients at one spectral point.
 
-    Returns (e_values [2, N], s, r).  Uses the analytic 2ik factor, so
-    the construction is regular through k = 0 and e(., 0) = 0 whenever
-    the system is non-resonant.
+    Returns (e_values [2, N], s, r) from a one-row march.  Uses the
+    analytic 2ik factor, so the construction is regular through k = 0:
+    there e(., 0) = 0, s = 0 and r = -1 for a non-resonant system, and a
+    resonant one raises.  A potential-free system takes the same march,
+    which gives e = e^(ikx) (1, 0), s = 1 and r = 0 to roundoff.
     """
-    k, mu = _km(sys, lam)
-    if _is_free(sys):
-        g = sys.grid
-        e = np.zeros((2, g.N), dtype=complex)
-        e[0] = np.exp(1j * k * g.nodes)
-        return e, 1.0 + 0.0j, 0.0 + 0.0j
-    if k == 0.0:
-        # e(., 0) = 0 for a non-resonant system (analytic 2ik factor)
-        return np.zeros((2, sys.grid.N), dtype=complex), 0.0 + 0.0j, -1.0 + 0.0j
-    e, s, r, _a, _dmat = _mode_block(sys, np.array([k]))
+    ks = np.array([_wavenumber(sys, lam)])
+    e, s, r, _a = _mode_block(sys, ks, _pair_rows(sys, ks))
     return e[0], complex(s[0]), complex(r[0])
 
 
@@ -686,9 +687,19 @@ def eigentable_build(
     sys: LinearizedSystem,
     k_grid: Optional[np.ndarray] = None,
 ) -> GeneralizedEigenTable:
-    """Build e(x, k), s(k), r(k) over the k grid in blocks of TABLE_BLOCK rows."""
+    """Build e(x, k), s(k), r(k) over the k grid in blocks of TABLE_BLOCK rows.
+
+    The grid starts at k = 0.  That row is marched in the first block like
+    any other and gives the threshold verdict: a margin
+    |det D(0)| / |D22(0)|^2 below RESONANT_MARGIN raises, and otherwise
+    is the table's resonance_margin.  A potential-free system gets its
+    closed-form reference table instead, whose resonant k = 0 mode (1, 0)
+    is not a limit of the 2ik factor.
+    """
     g = sys.grid
     ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
+    if ks[0] != 0.0:
+        raise ValueError("the k grid must start at k = 0")
     if _is_free(sys):
         e = np.zeros((ks.size, 2, g.N), dtype=complex)
         e[:, 0, :] = np.exp(1j * ks[:, None] * g.nodes[None, :])
@@ -703,62 +714,48 @@ def eigentable_build(
             resonance_margin=0.0, free_reference=True,
         )
 
-    res = resonance_test(sys)
-    if res["resonant"]:
-        raise ValueError("near-singular D: system is threshold-resonant")
-
     nk = ks.size
     e = np.zeros((nk, 2, g.N), dtype=complex)
-    s = np.zeros(nk, dtype=complex)
-    r = np.zeros(nk, dtype=complex)
-    a = np.zeros(nk, dtype=complex)
-    d11 = np.zeros(nk, dtype=complex)
-    d12 = np.zeros(nk, dtype=complex)
-    d21 = np.zeros(nk, dtype=complex)
-    d22 = np.zeros(nk, dtype=complex)
+    s, r, a, d11, d12, d21, d22 = np.zeros((7, nk), dtype=complex)
     spread = np.zeros(nk)
-
-    pos = np.where(ks > 0)[0]
-    for start in range(0, pos.size, TABLE_BLOCK):
-        sel = pos[start : start + TABLE_BLOCK]
-        e[sel], s[sel], r[sel], a[sel], dmat = _mode_block(sys, ks[sel])
-        d11[sel], d12[sel], d21[sel], d22[sel], spread[sel] = dmat
-    # k = 0: D from the resonance test, r = -1, and s = a = 0, so that
-    # e(., 0) = 0 for a non-resonant system (analytic 2ik factor)
-    d, zero = res["matrix"], ks == 0
-    d11[zero], d12[zero], d21[zero], d22[zero] = d.d11, d.d12, d.d21, d.d22
-    r[zero] = -1.0
+    for start in range(0, nk, TABLE_BLOCK):
+        sel = slice(start, start + TABLE_BLOCK)
+        rows = _pair_rows(sys, ks[sel])
+        d11[sel], d12[sel], d21[sel], d22[sel], spread[sel] = rows[3]
+        detD = d11 * d22 - d12 * d21
+        if _margin(detD[0], d22[0]) < RESONANT_MARGIN:    # the k = 0 row
+            raise ValueError("near-singular D: system is threshold-resonant")
+        e[sel], s[sel], r[sel], a[sel] = _mode_block(sys, ks[sel], rows)
     return GeneralizedEigenTable(
         system=sys, k=ks, e=e, s=s, r=r, a=a,
-        detD=d11 * d22 - d12 * d21, d11=d11, d12=d12, d21=d21, d22=d22,
-        wronskian_spread=spread, resonant=bool(res["resonant"]),
-        resonance_margin=float(res["margin"]),
+        detD=detD, d11=d11, d12=d12, d21=d21, d22=d22,
+        wronskian_spread=spread, resonant=False,
+        resonance_margin=float(_margin(detD[0], d22[0])),
     )
 
 
-def e_over_k(sys: LinearizedSystem, k: float) -> np.ndarray:
-    """(e/k)(x) through the analytic factor, regular at k = 0 (k >= 0)."""
-    g = sys.grid
-    if _is_free(sys):
-        out = np.zeros((2, g.N), dtype=complex)
-        if k > 0:
-            out[0] = np.exp(1j * k * g.nodes) / k
-        return out
-    if k > 0:
-        return _mode_block(sys, np.array([k]))[0][0] / k
-    # right half from the analytic factor; the left half as the k -> 0
-    # limit of the reflection expansion (the raw right representation
-    # cancels exponentially large terms for x < 0)
-    fp, fh, _samples, (a11, a12, a21, a22, _sp) = _pair_rows(sys, np.zeros(1))
-    det = (a11 * a22 - a12 * a21)[0]
-    s_over_k = 2j * a22[0] / det
-    a_over_k = -2j * a12[0] / det
-    out = s_over_k * fp[0, (0, 2)] + a_over_k * fh[0, (0, 2)]
-    ks = np.array([EK_DELTA, 2 * EK_DELTA])
-    lo, hi = _mode_block(sys, ks)[0] / ks[:, None, None]
-    left = g.nodes < 0
-    out[:, left] = 2.0 * lo[:, left] - hi[:, left]
-    return out
+def e_over_k(sys: LinearizedSystem, ks) -> np.ndarray:
+    """(e/k)(x, k) rows [nk, 2, N] for k >= 0, regular at k = 0, from one march.
+
+    Each k > 0 row is e/k.  At k = 0 the right half (x >= 0) is the
+    analytic factor (s/k) psi1 + (a/k) phi1, with s/k = 2i D22 / det D
+    and a/k = -2i D12 / det D.  Its left half is the k -> 0 limit of the
+    reflection expansion (the raw right representation cancels
+    exponentially large terms for x < 0): the Richardson value
+    2 (e/k)(delta) - (e/k)(2 delta) of two rows at delta = EK_DELTA and
+    2 delta that ride along in the march.
+    """
+    kk = np.concatenate([np.asarray(ks, dtype=float), [EK_DELTA, 2.0 * EK_DELTA]])
+    rows = _pair_rows(sys, kk)
+    ypsi, yphi, _samples, (d11, d12, d21, d22, _spread) = rows
+    det = d11 * d22 - d12 * d21
+    with np.errstate(invalid="ignore"):            # 0/0 on the k = 0 rows
+        out = _mode_block(sys, kk, rows)[0] / kk[:, None, None]
+    zero = kk == 0.0
+    right = ((2j * d22 / det)[zero, None, None] * ypsi[zero][:, (0, 2)]
+             + (-2j * d12 / det)[zero, None, None] * yphi[zero][:, (0, 2)])
+    out[zero] = np.where(sys.grid.nodes < 0, 2.0 * out[-2] - out[-1], right)
+    return out[:-2]
 
 
 _FD5_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -770,20 +767,18 @@ def ek_growth_report(sys: LinearizedSystem):
     """Spatial-growth fits of sup_k |d^n/dk^n (e/k)| for n = 0, 1, 2.
 
     The k-derivatives are 5-point central stencils of step EK_DELTA on the
-    analytic (e/k) rows (never a division of sampled e by k near the
-    threshold: the k = 0 row uses the closed analytic factor).  For each
-    |x| on 14 geometric nodes in [2, 0.45 L] the sup runs over GROWTH_K
-    and both signs of x; the returned exponents are log-log fits against
-    (1 + |x|) and should sit near n + 1.
+    (e/k) rows of e_over_k, one march with the k = 0 row (never a division
+    of sampled e by k at the threshold: that row uses the analytic factor).
+    For each |x| on 14 geometric nodes in [2, 0.45 L] the sup runs over
+    GROWTH_K and both signs of x; the returned exponents are log-log fits
+    against (1 + |x|) and should sit near n + 1.
     """
     g = sys.grid
     stencil = np.arange(-2, 3) * EK_DELTA
-    ks = np.unique(np.concatenate([(k + stencil) for k in GROWTH_K]))
-    rows = _mode_block(sys, ks)[0] / ks[:, None, None]
-    row0 = e_over_k(sys, 0.0)
+    ks = np.unique(np.concatenate([[0.0]] + [(k + stencil) for k in GROWTH_K]))
+    rows = e_over_k(sys, ks)
 
-    sup = {0: np.zeros(g.N), 1: np.zeros(g.N), 2: np.zeros(g.N)}
-    sup[0] = np.maximum(sup[0], np.max(np.abs(row0), axis=0))
+    sup = {0: np.max(np.abs(rows[0]), axis=0), 1: np.zeros(g.N), 2: np.zeros(g.N)}
     for k in GROWTH_K:
         idx = np.array([int(np.argmin(np.abs(ks - (k + s)))) for s in stencil])
         block = rows[idx]

@@ -23,6 +23,7 @@ def test_unknown_key_rejected(tmp_path):
     ({"scan_couplings": [0.0, 0.7]}, "scattering.scan_couplings"),
     ({"k_max": -1.0}, "scattering.k_max"),
     ({"k_max": 0.0}, "scattering.k_max"),
+    ({"scan_couplings": [0.2, 0.3]}, "scattering.scan_couplings"),
 ])
 def test_bad_scattering_values_rejected(tmp_path, block, match):
     with pytest.raises(ValueError, match=match):

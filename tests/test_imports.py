@@ -3,10 +3,12 @@ imports sit at module level, every private module-level name is read, no
 module imports scipy.sparse (the FD4 operator has one form, the band) or
 calls a general dense eigensolver (numpy.linalg.eig, scipy.linalg.eig:
 both parity blocks of the linearization are symmetric-definite pencils),
-every exported name is bound, and the public names that only tests read
-are exactly the listed ones."""
+every exported name is bound, the public names that only tests read
+are exactly the listed ones, and every function the benchmark's tracer
+wraps by name exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -36,6 +38,15 @@ TEST_ONLY = {
     "solitons.power_law_standing_wave":
         "the paper's printed closed form, not yet in the CLI",
 }
+
+
+def traced_names(source: str) -> list:
+    """The (module, owner class or None, attribute) entries of TRACED."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def exported_names(tree) -> list:
@@ -282,3 +293,15 @@ def test_imports_at_module_level(path):
 
 def test_no_dead_private_names():
     assert dead_private_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_traced_names_resolve():
+    """bench/tracing.py wraps its TRACED functions by name: each one must
+    exist in nlslab, or a traced benchmark run breaks."""
+    traced = traced_names((REPO / "bench" / "tracing.py").read_text())
+    assert traced
+    for module, owner, attr in traced:
+        obj = importlib.import_module(f"nlslab.{module}")
+        if owner is not None:
+            obj = getattr(obj, owner)
+        assert callable(getattr(obj, attr, None)), (module, owner, attr)

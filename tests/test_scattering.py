@@ -15,9 +15,10 @@ import os
 import numpy as np
 import pytest
 
+from nlslab import scattering
 from nlslab.grids import fit_exponential_decay, make_grid
 from nlslab.linearized import LinearizedSystem, assemble_L
-from nlslab.scattering import (MARCH_STOP, PURGE_SPACING, _cmedian, _free_forms,
+from nlslab.scattering import (MARCH_STOP, PURGE_SPACING, TABLE_BLOCK, _cmedian, _free_forms,
                                _march_left, _mirror, _omega, _pair_rows,
                                _s3conj, _sample_indices, _stepper, _w_edge, _wr,
                                default_k_grid, dump_table, e_over_k,
@@ -354,10 +355,18 @@ def test_wronskian_matrix_matches_block_march(default_system, k):
 
 
 def test_free_field_resonant(free_system):
+    """The free system is marched like any other: D(0) = (0, 0, 0, 2 mu)."""
     rt = resonance_test(free_system)
     assert rt["resonant"]
     assert abs(rt["detD0"]) < 1e-10
     assert abs(abs(rt["d22"]) - 2 * np.sqrt(2 * free_system.beta)) < 1e-8
+    d = wronskian_matrix(free_system, free_system.beta)
+    assert (d.d11, d.d12, d.d21) == (0.0, 0.0, 0.0)
+    mu = np.sqrt(2 * free_system.beta)
+    assert abs(d.d22 - 2.0 * mu) < 1e-13 * 2.0 * mu
+    # so its threshold mode is not a limit of the 2ik factor
+    with pytest.raises(ValueError, match="resonant at k = 0"):
+        generalized_eigenfunction(free_system, free_system.beta)
 
 
 def test_default_system_not_resonant(default_system):
@@ -539,10 +548,13 @@ def test_threshold_mode_vanishes(default_system):
 
 
 def test_free_field_mode_reference(free_system):
+    """The march reproduces the free closed form e = e^(ikx) (1, 0)."""
     g = free_system.grid
-    e, s, r = generalized_eigenfunction(free_system, free_system.beta + 1.0)
-    assert s == pytest.approx(1.0) and r == pytest.approx(0.0)
-    assert np.max(np.abs(e[0] - np.exp(1j * g.nodes))) < 1e-12
+    for k in (0.5, 1.0, 2.0):
+        e, s, r = generalized_eigenfunction(free_system, free_system.beta + k * k)
+        assert s == pytest.approx(1.0) and r == pytest.approx(0.0)
+        assert np.max(np.abs(e[0] - np.exp(1j * k * g.nodes))) < 1e-12
+        assert np.max(np.abs(e[1])) < 1e-12
     tab = eigentable_build(free_system, np.array([0.0, 0.5, 1.0]))
     assert tab.free_reference and tab.resonant
 
@@ -553,9 +565,14 @@ def test_table_invariants(default_table):
     assert np.max(tab.unitarity_defect()[pos]) < 1e-6
     assert np.max(tab.orthogonality_defect()[pos]) < 1e-6
     assert np.max(tab.wronskian_spread) < 1e-7
-    assert np.max(np.abs(tab.e[tab.k == 0.0])) < 1e-8
     scale = np.maximum(np.abs(tab.d11), np.abs(tab.d22))
     assert np.max(np.abs(tab.d12 - tab.d21) / np.maximum(scale, 1e-300)) < 1e-7
+    # the k = 0 row is an ordinary marched row, exact through the 2ik factor
+    assert tab.k[0] == 0.0
+    assert np.all(tab.e[0] == 0.0)
+    assert (tab.s[0], tab.a[0], tab.r[0]) == (0.0, 0.0, -1.0)
+    margin = resonance_test(tab.system)["margin"]
+    assert abs(tab.resonance_margin - margin) <= 1e-12 * margin
 
 
 def test_reflection_consistency(default_system, default_table):
@@ -596,14 +613,41 @@ def test_growth_report_exponents(default_system):
 
 
 def test_e_over_k_regular_at_zero(default_system):
-    row0 = e_over_k(default_system, 0.0)
+    row0, row_small = e_over_k(default_system, [0.0, 4e-3])
     g = default_system.grid
     interior = np.abs(g.nodes) < 0.5 * g.L
     assert np.all(np.isfinite(row0[:, interior]))
     # consistent with the small-k limit of the sampled rows
-    row_small = e_over_k(default_system, 4e-3)
     dev = np.max(np.abs(row0 - row_small)[:, interior])
     assert dev < 0.05 * max(np.max(np.abs(row0[:, interior])), 1.0)
+
+
+def test_march_counts(bench_system, monkeypatch):
+    """Every k >= 0 is a row of the one march path: a table takes one
+    march per TABLE_BLOCK rows, k = 0 included, and the growth report and
+    e/k at k = 0 one march each."""
+    calls = []
+    march = scattering._march_left
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_march_left", counted)
+    ks = default_k_grid(1.0)
+    assert ks[0] == 0.0 and TABLE_BLOCK < ks.size - 1 < 2 * TABLE_BLOCK
+    eigentable_build(bench_system, ks)
+    assert len(calls) == int(np.ceil(ks.size / TABLE_BLOCK))
+    for run in (lambda: ek_growth_report(bench_system),
+                lambda: e_over_k(bench_system, [0.0])):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_table_k_grid_starts_at_zero(default_system):
+    with pytest.raises(ValueError, match="start at k = 0"):
+        eigentable_build(default_system, np.array([0.5, 1.0]))
 
 
 def test_table_dump_roundtrip(default_table, tmp_path):
