@@ -9,7 +9,6 @@ the distinguished solutions are fixed by their behavior at +infinity:
     phi1 ~ (0, e^(-mu x))     decaying closed channel
     psi1 ~ (e^(ikx), 0)       outgoing oscillatory
     psi2 ~ (e^(-ikx), 0)      incoming oscillatory (= sigma3 conj psi1)
-    eta  ~ (x, 0)             threshold (k = 0) linear solution
 
 The 2x2 Wronskian matrix D(k) built from [psi1, phi1] against their
 reflections (phi2(x) = phi1(-x) decays at -infinity) encodes the
@@ -22,7 +21,7 @@ mode
 obeys |s|^2 + |r|^2 = 1 with the reflection coefficient r(k) from the
 left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
 
-Only psi1, eta and phi1 are marched.  psi2 and the mirrored solutions
+Only psi1 and phi1 are marched.  psi2 and the mirrored solutions
 are never stored: they exist only as pairings of the march rows, taken
 through the two symmetries of the even system: _mirror (x -> -x,
 derivative rows negated) and _s3conj (sigma3 conjugation), applied to
@@ -47,22 +46,21 @@ constant and is taken exactly inside the exponential, so the step size
 is set by dx and the variation of W, not by k.  The generator is formed
 from 2x2 blocks in closed form.  The 4x4 transfer matrices do not depend
 on the state: they are built vectorized for batches of (grid step, row)
-pairs and shared by all columns of a row, and each run of steps between
-two purges is applied through its running products.
+pairs and shared by psi1 and phi1, and each run of steps between two
+purges is applied through its running products.
 
-psi1, eta and phi1 are columns of one leftward march, which stops at
+psi1 and phi1 are the two columns of one leftward march, which stops at
 x = -8 for every k: all Wronskian samples lie in |x| <= 5.5, so the
 reflected values they read sit at x >= -5.5, and the continuum modes are
 assembled from values at x >= 0 alone.  Left of -8 the marched solutions
-are zero and flagged invalid.  The rows of a march may carry a per-row
-coupling scale (W -> s W), so a coupling scan at k = 0 is one march.
-The closed channel grows like e^(mu |x|) under leftward marching, so
-psi-type solutions (eta is psi1's twin at k = 0, same rate) are "purged"
-every unit of x: a multiple of phi1 is subtracted to zero the closed
-channel.  Since psi1 is only defined modulo phi1 and every deliverable
-(D entries computed from one representative, s, r, e) is invariant under
-that shift, purging is exact bookkeeping, and a final ledger pass maps
-all stored values to a single representative.
+are zero.  The rows of a march may carry a per-row coupling scale
+(W -> s W), so a coupling scan at k = 0 is one march.  The closed
+channel grows like e^(mu |x|) under leftward marching, so psi1 is
+"purged" every unit of x: a multiple of phi1 is subtracted to zero the
+closed channel.  Since psi1 is only defined modulo phi1 and every
+deliverable (D entries computed from one representative, s, r, e) is
+invariant under that shift, purging is exact bookkeeping, and a final
+ledger pass maps all stored values to a single representative.
 """
 
 from __future__ import annotations
@@ -226,7 +224,7 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     a per-row coupling scale is given.  Matrix i takes y from node
     j0 + sign i to j0 + sign (i + 1).  A column marched in a rescaled frame
     z = e^(-g x) y takes the same matrix times the scalar e^(-g sign dx),
-    so one matrix per row serves all its columns.
+    so one matrix per row serves both psi1 and phi1.
 
     A grid step is m = ceil(dx / MAGNUS_H) sixth-order Magnus steps on the
     three Gauss-Legendre nodes (Blanes, Casas, Oteo and Ros, Phys. Rep.
@@ -269,65 +267,45 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     return out
 
 
-def _free_forms(kinds, ks: np.ndarray, mus: np.ndarray):
-    """Free forms of the named solutions in their rescaled frames.
+def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
+    """March psi1 and phi1 leftward from the potential edge to MARCH_STOP.
 
-    Column c is y = e^(gg[:, c] x) (A[:, c] + x B[:, c]) wherever W
-    vanishes: psi1 (1, ik, 0, 0) at rate ik, eta (x, 1, 0, 0) at rate 0
-    (k = 0 only) and phi1 (0, 0, 1, -mu) at rate -mu.
-    """
-    shape = (ks.size, len(kinds))
-    A = np.zeros(shape + (4,), dtype=complex)
-    B = np.zeros(shape + (4,), dtype=complex)
-    gg = np.zeros(shape, dtype=complex)
-    for c, kind in enumerate(kinds):
-        if kind == "psi1":
-            A[:, c, 0] = 1.0
-            A[:, c, 1] = 1j * ks
-            gg[:, c] = 1j * ks
-        elif kind == "eta":
-            A[:, c, 1] = 1.0
-            B[:, c, 0] = 1.0
-        else:
-            A[:, c, 2] = 1.0
-            A[:, c, 3] = -mus
-            gg[:, c] = -mus
-    return A, B, gg
-
-
-def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
-    """March Jost solutions leftward from the potential edge to MARCH_STOP.
-
-    kinds names the columns, "psi1" and/or "eta" (k = 0 only) followed by
-    "phi1", against which the others are purged.  An optional per-row
-    coupling scale [nk] marches row q for the system with W -> scale[q] W
-    in the same kernel.  Every march starts at _w_edge(sys), 2 past the
-    last point where |W| reaches W_FLOOR.  The grid steps apply the
-    Magnus transfer matrices of _stepper, which depend on the step and W
-    alone, not on the span: where a march starts and where its purges fall
-    moves the result only at roundoff.
+    psi1 is purged against phi1.  An optional per-row coupling scale [nk]
+    marches row q for the system with W -> scale[q] W in the same kernel.
+    Every march starts at _w_edge(sys), 2 past the last point where |W|
+    reaches W_FLOOR.  The grid steps apply the Magnus transfer matrices of
+    _stepper, which depend on the step and W alone, not on the span: where
+    a march starts and where its purges fall moves the result only at
+    roundoff.
 
     The purges split the march into blocks of purge_every grid steps.
     Inside each block the transfer matrices are replaced, in place, by
     their running products from the block's first step, one batched
     product per offset for all blocks at once; then one pass over the
     blocks carries the state from each purge to the next and writes the
-    block's rows into the returned array.  Returns full-grid rows
-    [nk, ncol, 4, N] (components xi1, xi1', xi2, xi2'), reconciled to a
-    single representative per purged column and zero left of the window,
-    plus the window mask [N].
+    block's rows into the returned arrays.  Returns the full-grid rows
+    (psi1, phi1), each [nk, 4, N] (components xi1, xi1', xi2, xi2'), with
+    psi1 reconciled to a single representative and both zero left of
+    MARCH_STOP.
     """
     g = sys.grid
     nodes = g.nodes
     ks = np.asarray(ks, dtype=float)
     mus = np.sqrt(ks**2 + 2.0 * sys.beta)
-    nk, ncol = ks.size, len(kinds)
+    nk = ks.size
 
     edge = _w_edge(sys)
     j_hi = min(int(np.searchsorted(nodes, min(edge, nodes[-1]))), g.N - 1)
     j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
     n_main = j_hi - j_lo
-    A, B, gg = _free_forms(kinds, ks, mus)
+    # where W vanishes the columns are y = e^(gg x) a: psi1 (1, ik, 0, 0) at
+    # rate ik and phi1 (0, 0, 1, -mu) at rate -mu
+    a = np.zeros((nk, 2, 4), dtype=complex)
+    a[:, 0, 0] = 1.0
+    a[:, 0, 1] = 1j * ks
+    a[:, 1, 2] = 1.0
+    a[:, 1, 3] = -mus
+    gg = np.stack([1j * ks, -mus], axis=1)
     purge_every = max(1, int(round(PURGE_SPACING / g.dx)))
 
     t = _stepper(sys, ks, j_hi, n_main, -1, scale)
@@ -337,46 +315,43 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
     # step i lands on node j_hi - 1 - i; the rows of a block are its start
     # state times the running products, in the rescaled frame of each column
     frame = np.exp(gg[None, ..., None] * g.dx * np.arange(1, purge_every + 1)[:, None, None, None])
-    y = np.zeros((nk, ncol, 4, g.N), dtype=complex)
-    z = (A + nodes[j_hi] * B) * _REAL
-    y[..., j_hi] = z * np.conj(_REAL)
-    purges = []  # (node, purge coefficients [nk, ncol - 1]), leftward
+    y = np.zeros((nk, 2, 4, g.N), dtype=complex)
+    y[..., j_hi:] = a[..., None]
+    z = a * _REAL
+    purges = []  # (node, purge coefficient [nk]), leftward
     for i0 in range(0, n_main, purge_every):
         n = min(purge_every, n_main - i0)
         # real products times the complex state taken as (re, im) pairs
         rows = np.matmul(t[i0 : i0 + n, :, None],
-                         z.view(float).reshape(nk, ncol, 4, 2)).view(complex)[..., 0]
+                         z.view(float).reshape(nk, 2, 4, 2)).view(complex)[..., 0]
         rows *= frame[:n]
         if not np.all(np.isfinite(rows)):
             raise ValueError("Jost march overflow")
-        c = rows[-1, :, :-1, 2] / rows[-1, :, -1:, 2]
-        rows[-1, :, :-1] -= c[..., None] * rows[-1, :, -1:]
+        c = rows[-1, :, 0, 2] / rows[-1, :, 1, 2]
+        rows[-1, :, 0] -= c[:, None] * rows[-1, :, 1]
         z = rows[-1]
         j = j_hi - i0 - n
         y[..., j : j_hi - i0] = (rows[::-1] * np.conj(_REAL)).transpose(1, 2, 3, 0)
         purges.append((j, c))
     del t
-    np.multiply(B[..., None], nodes[j_hi + 1:], out=y[..., j_hi + 1:])
-    y[..., j_hi + 1:] += A[..., None]
 
-    # ledger pass: express every stored value in the final representative,
-    # then take it out of its rescaled frame.  A node at or right of a purge
-    # already includes it, so node j carries S(j) = sum over purges at p < j
-    # of c_p E^(j - p), E = e^((g_col - g_phi1)(-dx)), |E| < 1.  Between two
-    # purges S falls geometrically, so each interval takes it in closed
-    # form; right of the window it corrects the free forms, where the
-    # rescaled phi1 is the constant A[:, -1]
-    decay = np.exp((gg[:, :-1] - gg[:, -1:]) * (-g.dx))[..., None]
+    # ledger pass: express every stored psi1 value in the final
+    # representative, then take both columns out of their rescaled frames.
+    # A node at or right of a purge already includes it, so node j carries
+    # S(j) = sum over purges at p < j of c_p E^(j - p), E = e^((ik + mu)(-dx)),
+    # |E| < 1.  Between two purges S falls geometrically, so each interval
+    # takes it in closed form; right of the edge it corrects the free forms
+    decay = np.exp((gg[:, :1] - gg[:, 1:]) * (-g.dx))
     ends = [j for j, _c in purges[-2::-1]] + [g.N - 1]
-    s = np.zeros((nk, ncol - 1, 1), dtype=complex)
+    s = np.zeros((nk, 1), dtype=complex)
     y[..., j_lo] *= np.exp(gg * nodes[j_lo])[..., None]
     for (j, c), end in zip(purges[::-1], ends):
         span = slice(j + 1, end + 1)
-        run = (s + c[..., None]) * decay ** np.arange(1, end - j + 1)   # S over the span
-        y[:, :-1, :, span] -= run[:, :, None] * y[:, -1:, :, span]
+        run = (s + c[:, None]) * decay ** np.arange(1, end - j + 1)   # S over the span
+        y[:, 0, :, span] -= run[:, None] * y[:, 1, :, span]
         y[..., span] *= np.exp(gg[..., None, None] * nodes[span])
-        s = run[..., -1:]
-    return y, np.arange(g.N) >= j_lo
+        s = run[:, -1:]
+    return y[:, 0], y[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +359,8 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, kinds, scale=None):
 # ---------------------------------------------------------------------------
 
 
-def _sample_indices(grid: Grid, mu: float = 1.0, count: int = 16):
-    """Interior sample nodes for Wronskian evaluation.
+def _sample_indices(grid: Grid, mu: float = 1.0):
+    """Up to 16 interior sample nodes for Wronskian evaluation.
 
     The window shrinks like 1/mu: beyond x ~ 8/mu the closed-channel
     factors differ by e^(2 mu x) and the cross products hit the
@@ -393,7 +368,7 @@ def _sample_indices(grid: Grid, mu: float = 1.0, count: int = 16):
     """
     hi = min(5.5, max(0.9, 8.0 / max(mu, 1.0)))
     lo = max(grid.dx, 0.08 * hi)
-    xs = np.linspace(lo, hi, count)
+    xs = np.linspace(lo, hi, 16)
     return np.unique(np.searchsorted(grid.nodes, xs))
 
 
@@ -453,11 +428,6 @@ class WronskianMatrix:
     def det(self) -> complex:
         return self.d11 * self.d22 - self.d12 * self.d21
 
-    @property
-    def symmetry_defect(self) -> float:
-        scale = max(abs(self.d12), abs(self.d21), abs(self.d22), 1e-300)
-        return abs(self.d12 - self.d21) / scale
-
 
 def _dmatrix_from_pair(ypsi, yphi, idx_samples):
     """D entries W(X, Y(-.)), X, Y in [psi1, phi1], from blocks [nk, 4, N].
@@ -482,10 +452,9 @@ def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     (psi1 rows, phi1 rows, Wronskian sample indices for the block's
     largest mu, (d11, d12, d21, d22, spread)).
     """
-    y, _valid = _march_left(sys, ks, ("psi1", "phi1"), scale)
+    ypsi, yphi = _march_left(sys, ks, scale)
     mu_max = float(np.sqrt(np.max(ks) ** 2 + 2.0 * sys.beta))
     samples = _sample_indices(sys.grid, mu_max)
-    ypsi, yphi = y[:, 0], y[:, 1]
     return ypsi, yphi, samples, _dmatrix_from_pair(ypsi, yphi, samples)
 
 
@@ -531,17 +500,16 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(
         sys0, np.zeros(svals.size), svals)
     dets = d11 * d22 - d12 * d21
-    wlems = d11
     margins = _margin(dets, d22)
     int_v3 = float(np.real(sys0.grid.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan
     if np.count_nonzero(small) >= 2:
-        slope = np.polyfit(svals[small], np.real(wlems)[small], 1)[0]
+        slope = np.polyfit(svals[small], np.real(d11)[small], 1)[0]
     return {
         "s": svals,
         "detD0": dets,
-        "wronskian_lemma": wlems,
+        "wronskian_lemma": d11,
         "margins": margins,
         "slope": float(np.real(slope)),
         "int_v3": int_v3,
@@ -595,9 +563,8 @@ class GeneralizedEigenTable:
     d21: np.ndarray
     d22: np.ndarray
     wronskian_spread: np.ndarray
-    resonant: bool
+    resonant: bool             # only the free reference table: a resonant system raises
     resonance_margin: float
-    free_reference: bool = False
 
     def unitarity_defect(self) -> np.ndarray:
         return np.abs(np.abs(self.s) ** 2 + np.abs(self.r) ** 2 - 1.0)
@@ -711,7 +678,7 @@ def eigentable_build(
             d11=2j * ks, d12=zeros, d21=zeros,
             d22=2.0 * np.sqrt(ks**2 + 2 * sys.beta) * ones,
             wronskian_spread=np.zeros(ks.size), resonant=True,
-            resonance_margin=0.0, free_reference=True,
+            resonance_margin=0.0,
         )
 
     nk = ks.size

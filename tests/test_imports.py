@@ -4,8 +4,8 @@ module imports scipy.sparse (the FD4 operator has one form, the band) or
 calls a general dense eigensolver (numpy.linalg.eig, scipy.linalg.eig:
 both parity blocks of the linearization are symmetric-definite pencils),
 every exported name is bound, the public names that only tests read
-are exactly the listed ones, and every function the benchmark's tracer
-wraps by name exists."""
+are exactly the listed ones, every defaulted parameter is passed by some
+call, and every function the benchmark's tracer wraps by name exists."""
 
 import ast
 import importlib
@@ -17,6 +17,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "nlslab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((REPO / "bench").glob("*.py"))
+CALLERS = sorted(p for d in ("src", "bench", "tests") for p in (REPO / d).rglob("*.py"))
 
 # Public names that nothing in the package, its CLI or the benchmark reads,
 # only tests, each with why it stays.  A listed name that gains a reader
@@ -32,8 +33,6 @@ TEST_ONLY = {
     "propagator.positivity_check": "the paper's spectral-jump form, not yet in the CLI",
     "propagator.PropagatorPlan.quadrature_converged":
         "the table-halving check; its test checks the production evolve at two strides",
-    "scattering.WronskianMatrix.symmetry_defect":
-        "the d12 = d21 symmetry of the production Wronskian matrix",
     "scattering.load_table": "reads back the CLI's eigentable.bin artifact format",
     "solitons.power_law_standing_wave":
         "the paper's printed closed form, not yet in the CLI",
@@ -161,6 +160,43 @@ def unread_public_names(sources: dict, readers: dict) -> list:
     return sorted(unread)
 
 
+def unpassed_defaults(sources: dict, callers: dict) -> list:
+    """"module.function.parameter" of the defaulted parameters of sources'
+    functions that no call in callers passes.
+
+    Calls match by function name alone.  A call passes a parameter by its
+    keyword, or by position when it has more positional arguments than the
+    parameters before it; a leading self or cls counts as one of those and
+    is not written in the call.  Starred arguments are not expanded.
+    """
+    passed = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.setdefault(name, []).append(
+                    (len(node.args), {kw.arg for kw in node.keywords}))
+    unpassed = []
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(sub): f"{node.name}.{sub.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for sub in node.body
+                   if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            offset = int(bool(args) and args[0].arg in ("self", "cls"))
+            params = [(a.arg, i) for i, a in enumerate(args)][len(args) - len(fn.args.defaults):]
+            params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                       if d is not None]
+            unpassed += [f"{mod}.{methods.get(id(fn), fn.name)}.{arg}" for arg, pos in params
+                         if not any(arg in kws or (pos is not None and n + offset > pos)
+                                    for n, kws in passed.get(fn.name, []))]
+    return sorted(unpassed)
+
+
 def sparse_imports(source: str) -> list:
     """Lines of imports of scipy.sparse or of anything under it."""
     lines = set()
@@ -258,6 +294,20 @@ def test_checker_flags_an_unread_public_name():
     assert unread_public_names(sources, {"r": reader}) == ["a.K.m"]
 
 
+def test_checker_flags_an_unpassed_default():
+    sources = {
+        "a": ("def f(x, y=1, z=2, *, w=3, v=4):\n    return x\n\n"
+              "class K:\n    def m(self, p, q=0, r=1):\n        return p\n\n"
+              "    def n(self, s=0):\n        def inner(u=1):\n            return u\n"
+              "        return inner()\n"),
+    }
+    calls = "f(0, 1, v=2)\nf(*xs)\nK().m(0, 1)\nK().n(**opts)\n"
+    assert unpassed_defaults(sources, {"c": calls}) == [
+        "a.K.m.r", "a.K.n.s", "a.f.w", "a.f.z", "a.inner.u"]
+    assert unpassed_defaults(sources, {"c": calls + "K().n(0)\nf(0, z=1, w=2)\n"}) == [
+        "a.K.m.r", "a.inner.u"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_stale_exports(path):
     assert stale_exports(path.read_text()) == []
@@ -293,6 +343,13 @@ def test_imports_at_module_level(path):
 
 def test_no_dead_private_names():
     assert dead_private_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_defaulted_parameters_are_passed():
+    """A default that no call in the package, the benchmark or the tests
+    overrides is a constant: write it as one."""
+    callers = {str(p.relative_to(REPO)): p.read_text() for p in CALLERS}
+    assert unpassed_defaults({p.stem: p.read_text() for p in MODULES}, callers) == []
 
 
 def test_traced_names_resolve():
