@@ -167,11 +167,10 @@ class PropagatorPlan:
         # the mirror row e(-., k) is e(., k)[..., ridx] except at node 0:
         # x = -L maps to +L, which the periodic flip wraps back to -L.
         # e(x, k) is not periodic; the mirror there is the exact free-region
-        # value s e^{ikL} (1,0) + a (0, e^{-mu L}), and _d0 [nk, 2] is that
-        # value minus e(-L, k), a rank-one patch at node 0
+        # value s e^{ikL} (1, 0) of the right representation s psi1, and
+        # _d0 [nk, 2] is that value minus e(-L, k), a rank-one patch at node 0
         self._ridx = (g.N - np.arange(g.N)) % g.N
-        mu = np.sqrt(k**2 + 2.0 * self.system.beta)
-        mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), tab.a * np.exp(-mu * g.L)], axis=1)
+        mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), np.zeros(k.size)], axis=1)
         self._d0 = mirror0 - self._e[:, :, 0]
 
     def evolve(self, f: np.ndarray, t: float, stride: int = 1) -> np.ndarray:

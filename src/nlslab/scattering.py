@@ -19,7 +19,9 @@ mode
     e(x, k) = s(k) [psi1(x,k) - (D12/D22) phi1(x, mu)]
 
 obeys |s|^2 + |r|^2 = 1 with the reflection coefficient r(k) from the
-left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
+left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).  psi1 is only
+defined modulo phi1, and the program fixes it in the gauge
+D12 = W(psi1, phi1(-.)) = 0, where e = s psi1.
 
 Only psi1 and phi1 are marched.  psi2 and the mirrored solutions
 are never stored: they exist only as pairings of the march rows, taken
@@ -32,7 +34,7 @@ from D by Cramer's rule.
 
 Every k >= 0 and every system take the one path _pair_rows -> _sr_coeffs
 -> _assemble_e.  At k = 0 psi2 = psi1, so for a non-resonant system the
-general formulas give s = a = b = 0, r = -1 and e(., 0) = 0 exactly.  A
+general formulas give s = b = 0, r = -1 and e(., 0) = 0 exactly.  A
 potential-free system is marched like any other (the march reproduces
 e = e^(ikx) and D(0) = (0, 0, 0, 2 mu)); only its reference table, whose
 resonant k = 0 mode (1, 0) is not a limit of the 2ik factor, is closed-form.
@@ -44,23 +46,27 @@ Magnus steps, each sampling W at its three Gauss-Legendre nodes through
 the trigonometric interpolant.  The free part of the generator is
 constant and is taken exactly inside the exponential, so the step size
 is set by dx and the variation of W, not by k.  The generator is formed
-from 2x2 blocks in closed form.  The 4x4 transfer matrices do not depend
-on the state: they are built vectorized for batches of (grid step, row)
-pairs and shared by psi1 and phi1, and each run of steps between two
-purges is applied through its running products.
+from 2x2 blocks in closed form and is affine in k^2, so one generator
+and its k^2 part per grid step, shared by every k row, give the rows'
+generators.  The 4x4 transfer matrices do not depend on the state: they
+are built vectorized for batches of (grid step, row) pairs and shared by
+psi1 and phi1, and each run of steps between two purges is applied
+through its running products.
 
-psi1 and phi1 are the two columns of one leftward march, which stops at
-x = -8 for every k: all Wronskian samples lie in |x| <= 5.5, so the
-reflected values they read sit at x >= -5.5, and the continuum modes are
-assembled from values at x >= 0 alone.  Left of -8 the marched solutions
-are zero.  The rows of a march may carry a per-row coupling scale
-(W -> s W), so a coupling scan at k = 0 is one march.  The closed
-channel grows like e^(mu |x|) under leftward marching, so psi1 is
-"purged" every unit of x: a multiple of phi1 is subtracted to zero the
-closed channel.  Since psi1 is only defined modulo phi1 and every
-deliverable (D entries computed from one representative, s, r, e) is
-invariant under that shift, purging is exact bookkeeping, and a final
-ledger pass maps all stored values to a single representative.
+psi1 and phi1 are the two columns of one leftward march of a k block.
+Its Wronskian samples lie in 0 < x <= R, R = 8/mu clipped to [0.9, 5.5]
+(mu the block's largest), so the reflected values they read sit at
+x >= -R, and the continuum modes are assembled from values at x >= 0
+alone: the march stops one node past the mirror of the farthest sample,
+and left of that it is zero.  The rows of a march may carry a per-row
+coupling scale (W -> s W), so a coupling scan at k = 0 is one march.
+The closed channel grows like e^(mu |x|) under leftward marching, so
+psi1 is "purged" every unit of x: a multiple of phi1 is subtracted to
+zero the closed channel.  Since psi1 is only defined modulo phi1,
+purging is exact bookkeeping: a final ledger pass maps all stored values
+to a single representative, and _pair_rows moves that into the gauge
+D12 = 0, which depends neither on the purges nor on where the march
+stopped.
 """
 
 from __future__ import annotations
@@ -89,7 +95,6 @@ __all__ = [
 
 W_FLOOR = 1e-17          # potential tail threshold: free forms beyond
 PURGE_SPACING = 1.0      # x-distance between closed-channel purges
-MARCH_STOP = -8.0        # every leftward march ends here (see above)
 MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W; meets
                          # a 1e-8 march error ~100x over (s to ~1e-10, flat in k)
 EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
@@ -104,6 +109,7 @@ _BATCH = 2048            # (grid step, k row) pairs per batch of transfer matric
                          # 8 steps of a TABLE_BLOCK or a whole one-row march, each
                          # [..., 4, 4] temporary ~0.5 MB at 2 Magnus steps per step
 _REAL = np.array([1.0, 1.0, 1j, 1j])  # y -> real frame, where A is real
+_K2 = np.diag([-1.0, 1.0])              # d p / d(k^2) of the generator's middle block
 
 
 def _wavenumber(sys: LinearizedSystem, lam: float) -> float:
@@ -157,6 +163,26 @@ def _t(x):
     return np.swapaxes(x, -1, -2)
 
 
+def _omega_p(h, p, q, r):
+    """The blocks (o11, o21) of _omega's part linear in p (its o12 has none)."""
+    pq, pr = p @ q, p @ r
+    sq = (pq + _t(pq)) @ q
+    return (h**3 * (pq / 720.0 + _t(pq) / 240.0),
+            h * p + (h**2 / 360.0) * (pr + _t(pr)) + (h**3 / 14400.0) * (sq + _t(sq)))
+
+
+def _layout(o11, o12, o21):
+    """[..., 4, 4] in the march's row layout of the generator whose 2x2
+    blocks in the basis (u, u') are [[o11, o12], [o21, -o11^T]]."""
+    shape = np.broadcast_shapes(o11.shape, o12.shape, o21.shape)[:-2]
+    om = np.empty(shape + (2, 2, 2, 2))   # [..., a, d, b, e]: row 2a + d, column 2b + e
+    om[..., :, 0, :, 0] = o11
+    om[..., :, 1, :, 1] = -_t(o11)
+    om[..., :, 0, :, 1] = o12
+    om[..., :, 1, :, 0] = o21
+    return om.reshape(shape + (4, 4))
+
+
 def _omega(h, p, q, r):
     """Sixth-order Magnus generator [..., 4, 4] in the march's row layout.
 
@@ -170,49 +196,62 @@ def _omega(h, p, q, r):
         a1 + a3/12 + [-20 a1 - a3 + [a1, a2],
                       a2 - [a1, 2 a3 + [a1, a2]] / 60] / 240,
 
-    reduces to the 2x2 blocks below, for any symmetric p, q and r.  The
-    coupling-only products qq, rr and rq are taken at the shape of q and
-    r, so when these carry no per-row scale all rows share them.
+    reduces to the 2x2 blocks below, for any symmetric p, q and r.  No
+    product of two p appears, so the generator is affine in p: _omega_p
+    is its linear part.
     """
     qq, rr, rq = q @ q, r @ r, r @ q
-    pq, pr = p @ q, p @ r
-    sq = (pq + _t(pq)) @ q
-    o11 = (-(h / 12.0) * q + (h**2 / 7200.0) * rq) + h**3 * (pq / 720.0 + _t(pq) / 240.0)
-    om = np.empty(o11.shape[:-2] + (2, 2, 2, 2))   # [..., a, d, b, e]: row 2a + d, column 2b + e
-    om[..., :, 0, :, 0] = o11
-    om[..., :, 1, :, 1] = -_t(o11)
-    om[..., :, 0, :, 1] = (h**3 / 3600.0) * qq - (h**2 / 180.0) * r
-    om[..., 0, 0, 0, 1] += h
-    om[..., 1, 0, 1, 1] += h
-    om[..., :, 1, :, 0] = (h * p + (r / 12.0 + h * (rr / 3600.0 - qq / 120.0))
-                           + (h**2 / 360.0) * (pr + _t(pr)) + (h**3 / 14400.0) * (sq + _t(sq)))
-    return om.reshape(o11.shape[:-2] + (4, 4))
+    l11, l21 = _omega_p(h, p, q, r)
+    return _layout((-(h / 12.0) * q + (h**2 / 7200.0) * rq) + l11,
+                   (h**3 / 3600.0) * qq - (h**2 / 180.0) * r + h * np.eye(2),
+                   (r / 12.0 + h * (rr / 3600.0 - qq / 120.0)) + l21)
 
 
-def _expm(om, d):
-    """exp of a batch [..., nk, 4, 4], balanced by diag(d[q]) per row q.
+def _omega_parts(h, p0, q, r):
+    """(Omega0, Omega1) with _omega(h, p0 + k^2 diag(-1, 1), q, r) = Omega0 + k^2 Omega1.
 
-    Taylor-8 on x = D om D^-1, scaled by 2^-s into 1-norm EXPM_THETA
-    (truncation below 1e-16) and squared back.  The polynomial is taken
-    by Paterson-Stockmeyer as P0(x) + x^4 P1(x), with P0 of degree 3 and
-    P1 of degree 4 in x: 4 products instead of Horner's 8.
+    Omega0 is _omega at p0 and Omega1 the linear part at diag(-1, 1), both
+    at the shape of p0, q and r, so every k row of a grid step shares them.
     """
-    x = om * (d[:, :, None] / d[:, None, :])
-    theta = float(np.max(np.sum(np.abs(x), axis=-2)))
+    l11, l21 = _omega_p(h, _K2, q, r)
+    return _omega(h, p0, q, r), _layout(l11, np.zeros((2, 2)), l21)
+
+
+def _expm(x):
+    """exp of a batch [..., 4, 4], overwriting x.
+
+    Taylor-8 on x scaled by 2^-s into 1-norm EXPM_THETA (truncation below
+    1e-16) and squared back.  The polynomial is taken by Paterson-Stockmeyer
+    as P0(x) + x^4 P1(x), with P0 of degree 3 and P1 of degree 4 in x: 4
+    products instead of Horner's 8.  Terms and squarings are formed in
+    place.
+    """
+    a = np.abs(x)
+    theta = float(np.max(a[..., 0, :] + a[..., 1, :] + a[..., 2, :] + a[..., 3, :]))
     s = max(0, int(np.ceil(np.log2(max(theta, 1e-300) / EXPM_THETA))))
     x *= 2.0**-s
     x2 = x @ x
     x3 = x2 @ x
     x4 = x2 @ x2
     diag = np.arange(4)
-    p1 = x4 / 40320.0 + x3 / 5040.0 + x2 / 720.0 + x / 120.0
-    p1[..., diag, diag] += 1.0 / 24.0
-    e = x4 @ p1
-    e += x3 / 6.0 + x2 / 2.0 + x
+    # P1 = x^4/8! + x^3/7! + x^2/6! + x/5! + 1/4! = ((((x^4/8 + x^3)/7 + x^2)/6 + x)/5 + 1)/24
+    p1 = x4 / 8.0
+    for term, n in ((x3, 7.0), (x2, 6.0), (x, 5.0)):
+        p1 += term
+        p1 /= n
+    p1[..., diag, diag] += 1.0
+    p1 /= 24.0
+    e = np.matmul(x4, p1, out=a)
+    x3 /= 6.0
+    e += x3
+    x2 /= 2.0
+    e += x2
+    e += x
     e[..., diag, diag] += 1.0
     for _ in range(s):
-        e = e @ e
-    return e * (d[:, None, :] / d[:, :, None])
+        np.matmul(e, e, out=x2)
+        e, x2 = x2, e
+    return e
 
 
 def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
@@ -229,7 +268,13 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     A grid step is m = ceil(dx / MAGNUS_H) sixth-order Magnus steps on the
     three Gauss-Legendre nodes (Blanes, Casas, Oteo and Ros, Phys. Rep.
     470, 2009), with the generator in the closed 2x2-block form of _omega.
-    The matrices exp(Omega) do not depend on the state, so they are built
+    Its middle-node block is p = W + diag(0, 2 beta) + k^2 diag(-1, 1), so
+    the generator of row q is Omega0 + k_q^2 Omega1 (_omega_parts), built
+    once per grid step at the shape W has: one for all rows, or one per row
+    under a coupling scale.  Each row is balanced by D = diag(d[q]) before
+    the exponential and taken back once per grid step, after the product
+    of its Magnus steps: D^-1 exp(D Omega_m D^-1) ... exp(D Omega_1 D^-1) D.
+    The exponentials do not depend on the state, so they are formed
     vectorized for batches of about _BATCH (grid step, row) pairs.  Omega
     lies in the Lie algebra that keeps the sigma3 Wronskian, so the step
     keeps it to roundoff.
@@ -242,41 +287,44 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     # W at Gauss node c of Magnus step p of the grid step leaving node j:
     # x_j + sign (p + c) dx / m, as rows [p, c] of node-indexed samples
     v3, v4 = _w_shifted(sys, sign * (np.arange(m)[:, None] + _GAUSS).ravel() / m)
-    w11 = (0.5 * v3).reshape(m, 3, g.N)
-    w12 = (-0.5 * v4).reshape(m, 3, g.N)
+    nodes = j0 + sign * np.arange(n_main)
     row = np.ones(1) if scale is None else np.asarray(scale, dtype=float)
-    free = np.zeros((nk, 2, 2))
-    free[:, 0, 0] = -ks**2
-    free[:, 1, 1] = mus**2
-    bal = np.ones((nk, 4))
-    bal[:, 1] = bal[:, 3] = 1.0 / np.sqrt(mus**2 + 1.0)
+    # W at the Gauss nodes, [step, p, c, row, 2, 2]
+    w = _sym((0.5 * v3).reshape(m, 3, g.N)[:, :, nodes].transpose(2, 0, 1)[..., None] * row,
+             (-0.5 * v4).reshape(m, 3, g.N)[:, :, nodes].transpose(2, 0, 1)[..., None] * row)
+    q = (np.sqrt(15.0) / 3.0) * h * (w[:, :, 2] - w[:, :, 0])
+    r = (10.0 / 3.0) * h * (w[:, :, 2] - 2.0 * w[:, :, 1] + w[:, :, 0])
+    om0, om1 = _omega_parts(h, w[:, :, 1] + np.diag([0.0, 2.0 * sys.beta]), q, r)
+    d = np.ones((nk, 4))
+    d[:, 1] = d[:, 3] = 1.0 / np.sqrt(mus**2 + 1.0)
+    bal = d[:, :, None] / d[:, None, :]          # D Omega D^-1 = Omega * bal
+    k2bal = ks[:, None, None] ** 2 * bal
     out = np.empty((n_main, nk, 4, 4))
     step = max(1, _BATCH // nk)
     for i0 in range(0, n_main, step):
-        nodes = j0 + sign * np.arange(i0, min(i0 + step, n_main))
-        # W at the Gauss nodes, [step, p, c, row, 2, 2]
-        w = _sym(w11[:, :, nodes].transpose(2, 0, 1)[..., None] * row,
-                 w12[:, :, nodes].transpose(2, 0, 1)[..., None] * row)
-        q = (np.sqrt(15.0) / 3.0) * h * (w[:, :, 2] - w[:, :, 0])
-        r = (10.0 / 3.0) * h * (w[:, :, 2] - 2.0 * w[:, :, 1] + w[:, :, 0])
-        e = _expm(_omega(h, free + w[:, :, 1], q, r), bal)
+        i1 = min(i0 + step, n_main)
+        x = om0[i0:i1] * bal
+        x += om1[i0:i1] * k2bal
+        e = _expm(x)
         t = e[:, 0]
         for p in range(1, m):
             t = e[:, p] @ t
-        out[i0 : i0 + nodes.size] = t
+        np.multiply(t, _t(bal), out=out[i0:i1])
     return out
 
 
 def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
-    """March psi1 and phi1 leftward from the potential edge to MARCH_STOP.
+    """March psi1 and phi1 leftward from the potential edge to the block's reach.
 
     psi1 is purged against phi1.  An optional per-row coupling scale [nk]
     marches row q for the system with W -> scale[q] W in the same kernel.
     Every march starts at _w_edge(sys), 2 past the last point where |W|
-    reaches W_FLOOR.  The grid steps apply the Magnus transfer matrices of
-    _stepper, which depend on the step and W alone, not on the span: where
-    a march starts and where its purges fall moves the result only at
-    roundoff.
+    reaches W_FLOOR, and stops one node past the mirror of the farthest
+    Wronskian sample of the block (_block_samples).
+    The grid steps apply the Magnus transfer matrices of _stepper, which
+    depend on the step and W alone, not on the span: where a march starts
+    moves the result only at roundoff, and where it stops moves psi1 only
+    by a multiple of phi1, which _pair_rows' gauge takes out.
 
     The purges split the march into blocks of purge_every grid steps.
     Inside each block the transfer matrices are replaced, in place, by
@@ -285,8 +333,8 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     blocks carries the state from each purge to the next and writes the
     block's rows into the returned arrays.  Returns the full-grid rows
     (psi1, phi1), each [nk, 4, N] (components xi1, xi1', xi2, xi2'), with
-    psi1 reconciled to a single representative and both zero left of
-    MARCH_STOP.
+    psi1 reconciled to a single representative and both zero left of the
+    stop.
     """
     g = sys.grid
     nodes = g.nodes
@@ -296,7 +344,7 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
 
     edge = _w_edge(sys)
     j_hi = min(int(np.searchsorted(nodes, min(edge, nodes[-1]))), g.N - 1)
-    j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
+    j_lo = min(g.N - 1 - int(_block_samples(sys, ks)[-1]), max(0, j_hi - 1))
     n_main = j_hi - j_lo
     # where W vanishes the columns are y = e^(gg x) a: psi1 (1, ik, 0, 0) at
     # rate ik and phi1 (0, 0, 1, -mu) at rate -mu
@@ -341,13 +389,13 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     # S(j) = sum over purges at p < j of c_p E^(j - p), E = e^((ik + mu)(-dx)),
     # |E| < 1.  Between two purges S falls geometrically, so each interval
     # takes it in closed form; right of the edge it corrects the free forms
-    decay = np.exp((gg[:, :1] - gg[:, 1:]) * (-g.dx))
+    rate = (gg[:, :1] - gg[:, 1:]) * (-g.dx)        # log E
     ends = [j for j, _c in purges[-2::-1]] + [g.N - 1]
     s = np.zeros((nk, 1), dtype=complex)
     y[..., j_lo] *= np.exp(gg * nodes[j_lo])[..., None]
     for (j, c), end in zip(purges[::-1], ends):
         span = slice(j + 1, end + 1)
-        run = (s + c[:, None]) * decay ** np.arange(1, end - j + 1)   # S over the span
+        run = (s + c[:, None]) * np.exp(rate * np.arange(1, end - j + 1))   # S over the span
         y[:, 0, :, span] -= run[:, None] * y[:, 1, :, span]
         y[..., span] *= np.exp(gg[..., None, None] * nodes[span])
         s = run[:, -1:]
@@ -359,17 +407,26 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
 # ---------------------------------------------------------------------------
 
 
-def _sample_indices(grid: Grid, mu: float = 1.0):
+def _sample_indices(grid: Grid, mu: float):
     """Up to 16 interior sample nodes for Wronskian evaluation.
 
-    The window shrinks like 1/mu: beyond x ~ 8/mu the closed-channel
-    factors differ by e^(2 mu x) and the cross products hit the
-    cancellation floor of the stored values.
+    The window reaches x = 8/mu, clipped to [0.9, 5.5]: beyond x ~ 8/mu
+    the closed-channel factors differ by e^(2 mu x) and the cross products
+    hit the cancellation floor of the stored values.
     """
     hi = min(5.5, max(0.9, 8.0 / max(mu, 1.0)))
     lo = max(grid.dx, 0.08 * hi)
     xs = np.linspace(lo, hi, 16)
     return np.unique(np.searchsorted(grid.nodes, xs))
+
+
+def _block_samples(sys: LinearizedSystem, ks: np.ndarray):
+    """The Wronskian sample nodes of a k block, set by its largest mu.
+
+    The one reach rule: _pair_rows pairs at these nodes, and _march_left
+    stops one node past the mirror of the last.
+    """
+    return _sample_indices(sys.grid, float(np.sqrt(np.max(ks) ** 2 + 2.0 * sys.beta)))
 
 
 _DERIV_SIGN = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
@@ -417,12 +474,10 @@ def _cmedian(w):
 class WronskianMatrix:
     """2x2 Wronskian matrix of [psi1, phi1] against their reflections."""
 
-    k: float
     d11: complex
     d12: complex
     d21: complex
     d22: complex
-    spread: float  # worst relative cross-point scatter among the entries
 
     @property
     def det(self) -> complex:
@@ -432,7 +487,7 @@ class WronskianMatrix:
 def _dmatrix_from_pair(ypsi, yphi, idx_samples):
     """D entries W(X, Y(-.)), X, Y in [psi1, phi1], from blocks [nk, 4, N].
 
-    idx_samples must come from _sample_indices with the block's largest mu.
+    idx_samples must come from _block_samples.
     """
     pair = np.stack([ypsi[..., idx_samples], yphi[..., idx_samples]], axis=1)
     mirrored = np.stack([_mirror(ypsi, idx_samples), _mirror(yphi, idx_samples)], axis=1)
@@ -448,14 +503,23 @@ def _dmatrix_from_pair(ypsi, yphi, idx_samples):
 def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     """psi1 and phi1 rows [nk, 4, N] of a k block, with their D entries.
 
-    scale is _march_left's optional per-row coupling scale.  Returns
-    (psi1 rows, phi1 rows, Wronskian sample indices for the block's
-    largest mu, (d11, d12, d21, d22, spread)).
+    psi1 is only defined modulo phi1.  The rows fix it in the gauge
+    W(psi1, phi1(-.)) = 0: the marched psi1 less (D12/D22) phi1, so D12 = 0
+    by construction and psi1 no longer depends on where the march stopped.
+    The other entries are paired from the gauged rows, as _sr_coeffs pairs
+    them, so that at k = 0 both pairings agree bit for bit.  scale is
+    _march_left's optional per-row coupling scale.  Returns (psi1 rows,
+    phi1 rows, Wronskian sample indices for the block's largest mu,
+    (d11, d12, d21, d22, spread)).
     """
     ypsi, yphi = _march_left(sys, ks, scale)
-    mu_max = float(np.sqrt(np.max(ks) ** 2 + 2.0 * sys.beta))
-    samples = _sample_indices(sys.grid, mu_max)
-    return ypsi, yphi, samples, _dmatrix_from_pair(ypsi, yphi, samples)
+    samples = _block_samples(sys, ks)
+    _d11, d12, _d21, d22, _spread = _dmatrix_from_pair(ypsi, yphi, samples)
+    c = (d12 / d22)[:, None]
+    for row in range(4):                # row by row: no block-sized temporary
+        ypsi[:, row] -= c * yphi[:, row]
+    d11, _d12, d21, d22, spread = _dmatrix_from_pair(ypsi, yphi, samples)
+    return ypsi, yphi, samples, (d11, np.zeros_like(d11), d21, d22, spread)
 
 
 def _margin(det, d22):
@@ -464,12 +528,10 @@ def _margin(det, d22):
 
 
 def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
-    k = _wavenumber(sys, lam)
-    _psi, _phi, _samples, (d11, d12, d21, d22, spread) = _pair_rows(sys, np.array([k]))
-    return WronskianMatrix(
-        k=k, d11=complex(d11[0]), d12=complex(d12[0]), d21=complex(d21[0]),
-        d22=complex(d22[0]), spread=float(spread[0]),
-    )
+    ks = np.array([_wavenumber(sys, lam)])
+    _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(sys, ks)
+    return WronskianMatrix(d11=complex(d11[0]), d12=complex(d12[0]),
+                           d21=complex(d21[0]), d22=complex(d22[0]))
 
 
 def resonance_test(sys: LinearizedSystem) -> dict:
@@ -523,28 +585,31 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
 
 
 def _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples):
-    """Transmission s, phi1 admixture a, reflection r and weight b per k.
+    """Transmission s, reflection r and weight b per k.
 
-    The right representation is e = s psi1 + a phi1.  Its left expansion
-    e = psi2(-x) + r psi1(-x) + b phi1(-x), paired with psi1 and phi1,
-    gives W(psi1, e) = W(phi1, e) = 0 (both are Jost solutions at
-    +infinity, so W(psi1, phi1) = 0), that is D (r, b) = -(c1, c2) with
-    c1 = W(psi1, psi2(-.)) and c2 = W(phi1, psi2(-.)).  Raises when D
-    is near-singular at some k.
+    The right representation is e = s psi1, with psi1 in the gauge of
+    _pair_rows (D12 = 0, so psi1 carries no phi1 admixture).  Its left
+    expansion e = psi2(-x) + r psi1(-x) + b phi1(-x), paired with psi1
+    and phi1, gives W(psi1, e) = W(phi1, e) = 0 (both are Jost solutions
+    at +infinity, so W(psi1, phi1) = 0), that is D (r, b) = -(c1, c2) with
+    c1 = W(psi1, psi2(-.)) and c2 = W(phi1, psi2(-.)).  Cramer's rule is
+    taken about (r, b) = (-1, 0), so the differences c1 - D11 and c2 - D21
+    carry it: at k = 0, psi2 = psi1 makes both exactly 0, and r = -1,
+    b = 0 exactly whatever value det D takes.  Raises when D is
+    near-singular at some k.
     """
     det = d11 * d22 - d12 * d21
     singular = _margin(det, d22) < 1e-8
     if np.any(singular):
         raise ValueError(f"near-singular D: resonant at k = {ks[singular][0]:.6g}")
     s = 2j * ks * d22 / det
-    a = -2j * ks * d12 / det
     pair = np.stack([ypsi[..., samples], yphi[..., samples]], axis=1)
     psi2_m = _s3conj(_mirror(ypsi, samples))
     c = _cmedian(_wr(pair, psi2_m[:, None]))
-    c1, c2 = c[:, 0], c[:, 1]
-    r = (d12 * c2 - d22 * c1) / det
-    b = (d21 * c1 - d11 * c2) / det
-    return s, a, r, b
+    dc1, dc2 = c[:, 0] - d11, c[:, 1] - d21
+    r = -1.0 + (d12 * dc2 - d22 * dc1) / det
+    b = (d21 * dc1 - d11 * dc2) / det
+    return s, r, b
 
 
 @dataclass(frozen=True)
@@ -556,7 +621,6 @@ class GeneralizedEigenTable:
     e: np.ndarray              # [nk, 2, N]
     s: np.ndarray              # transmission
     r: np.ndarray              # reflection
-    a: np.ndarray              # phi1 admixture of the right representation
     detD: np.ndarray
     d11: np.ndarray
     d12: np.ndarray
@@ -573,8 +637,8 @@ class GeneralizedEigenTable:
         return np.abs(np.real(np.conj(self.s) * self.r))
 
 
-def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
-    """Right representation for x >= 0, left expansion for x < 0.
+def _assemble_e(g: Grid, ypsi, yphi, s, b, r, ks, beta):
+    """Right representation s psi1 for x >= 0, left expansion for x < 0.
 
     Each component of each half is written straight from the value rows
     (0 and 2) of the march blocks; the left half reads them at -x.
@@ -584,7 +648,7 @@ def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
     mirror = (n - np.arange(half)) % n
     e = np.zeros((ypsi.shape[0], 2, n), dtype=complex)
     for comp, row in enumerate((0, 2)):
-        e[:, comp, half:] = s[:, None] * ypsi[:, row, half:] + a[:, None] * yphi[:, row, half:]
+        e[:, comp, half:] = s[:, None] * ypsi[:, row, half:]
         vpsi = ypsi[:, row, mirror]
         left = np.conj(vpsi)
         if comp:
@@ -603,13 +667,13 @@ def _assemble_e(g: Grid, ypsi, yphi, s, a, b, r, ks, beta):
 def _mode_block(sys: LinearizedSystem, ks: np.ndarray, rows):
     """Continuum modes of a block of k >= 0 from its _pair_rows(sys, ks).
 
-    Returns (e [nk, 2, N], s, r, a); raises when D is near-singular at
-    some k of the block.  A k = 0 row is an ordinary row: the 2ik factor
-    gives it s = a = 0, r = -1 and e = 0 exactly.
+    Returns (e [nk, 2, N], s, r); raises when D is near-singular at some
+    k of the block.  A k = 0 row is an ordinary row: the 2ik factor gives
+    it s = 0, and psi2 = psi1 gives r = -1 and e = 0 exactly.
     """
     ypsi, yphi, samples, (d11, d12, d21, d22, _spread) = rows
-    s, a, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples)
-    return _assemble_e(sys.grid, ypsi, yphi, s, a, b, r, ks, sys.beta), s, r, a
+    s, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples)
+    return _assemble_e(sys.grid, ypsi, yphi, s, b, r, ks, sys.beta), s, r
 
 
 def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
@@ -622,7 +686,7 @@ def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
     which gives e = e^(ikx) (1, 0), s = 1 and r = 0 to roundoff.
     """
     ks = np.array([_wavenumber(sys, lam)])
-    e, s, r, _a = _mode_block(sys, ks, _pair_rows(sys, ks))
+    e, s, r = _mode_block(sys, ks, _pair_rows(sys, ks))
     return e[0], complex(s[0]), complex(r[0])
 
 
@@ -673,7 +737,7 @@ def eigentable_build(
         ones = np.ones(ks.size, dtype=complex)
         zeros = np.zeros(ks.size, dtype=complex)
         return GeneralizedEigenTable(
-            system=sys, k=ks, e=e, s=ones, r=zeros, a=zeros,
+            system=sys, k=ks, e=e, s=ones, r=zeros,
             detD=4j * ks * np.sqrt(ks**2 + 2 * sys.beta),
             d11=2j * ks, d12=zeros, d21=zeros,
             d22=2.0 * np.sqrt(ks**2 + 2 * sys.beta) * ones,
@@ -683,7 +747,7 @@ def eigentable_build(
 
     nk = ks.size
     e = np.zeros((nk, 2, g.N), dtype=complex)
-    s, r, a, d11, d12, d21, d22 = np.zeros((7, nk), dtype=complex)
+    s, r, d11, d12, d21, d22 = np.zeros((6, nk), dtype=complex)
     spread = np.zeros(nk)
     for start in range(0, nk, TABLE_BLOCK):
         sel = slice(start, start + TABLE_BLOCK)
@@ -692,9 +756,9 @@ def eigentable_build(
         detD = d11 * d22 - d12 * d21
         if _margin(detD[0], d22[0]) < RESONANT_MARGIN:    # the k = 0 row
             raise ValueError("near-singular D: system is threshold-resonant")
-        e[sel], s[sel], r[sel], a[sel] = _mode_block(sys, ks[sel], rows)
+        e[sel], s[sel], r[sel] = _mode_block(sys, ks[sel], rows)
     return GeneralizedEigenTable(
-        system=sys, k=ks, e=e, s=s, r=r, a=a,
+        system=sys, k=ks, e=e, s=s, r=r,
         detD=detD, d11=d11, d12=d12, d21=d21, d22=d22,
         wronskian_spread=spread, resonant=False,
         resonance_margin=float(_margin(detD[0], d22[0])),
@@ -705,22 +769,20 @@ def e_over_k(sys: LinearizedSystem, ks) -> np.ndarray:
     """(e/k)(x, k) rows [nk, 2, N] for k >= 0, regular at k = 0, from one march.
 
     Each k > 0 row is e/k.  At k = 0 the right half (x >= 0) is the
-    analytic factor (s/k) psi1 + (a/k) phi1, with s/k = 2i D22 / det D
-    and a/k = -2i D12 / det D.  Its left half is the k -> 0 limit of the
-    reflection expansion (the raw right representation cancels
-    exponentially large terms for x < 0): the Richardson value
-    2 (e/k)(delta) - (e/k)(2 delta) of two rows at delta = EK_DELTA and
-    2 delta that ride along in the march.
+    analytic factor (s/k) psi1, with s/k = 2i D22 / det D.  Its left half
+    is the k -> 0 limit of the reflection expansion (the raw right
+    representation cancels exponentially large terms for x < 0): the
+    Richardson value 2 (e/k)(delta) - (e/k)(2 delta) of two rows at
+    delta = EK_DELTA and 2 delta that ride along in the march.
     """
     kk = np.concatenate([np.asarray(ks, dtype=float), [EK_DELTA, 2.0 * EK_DELTA]])
     rows = _pair_rows(sys, kk)
-    ypsi, yphi, _samples, (d11, d12, d21, d22, _spread) = rows
+    ypsi, _yphi, _samples, (d11, d12, d21, d22, _spread) = rows
     det = d11 * d22 - d12 * d21
     with np.errstate(invalid="ignore"):            # 0/0 on the k = 0 rows
         out = _mode_block(sys, kk, rows)[0] / kk[:, None, None]
     zero = kk == 0.0
-    right = ((2j * d22 / det)[zero, None, None] * ypsi[zero][:, (0, 2)]
-             + (-2j * d12 / det)[zero, None, None] * yphi[zero][:, (0, 2)])
+    right = (2j * d22 / det)[zero, None, None] * ypsi[zero][:, (0, 2)]
     out[zero] = np.where(sys.grid.nodes < 0, 2.0 * out[-2] - out[-1], right)
     return out[:-2]
 

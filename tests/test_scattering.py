@@ -1,14 +1,16 @@
 """Jost rows, Wronskian matrix, resonances, continuum modes.
 
 The Jost checks read the rows production serves: the (psi1, phi1) rows
-of one leftward `_march_left`, as `_pair_rows` returns them.  psi2 and
-the mirrored solutions are pairings of those rows (`_s3conj`, `_mirror`),
-and every Wronskian is `_wr` with `_cmedian`.  The eighth-order ODE
-residual and the tail-rate fit are helpers of this file, and so are the
-references of the march kernel: the commutator form of the Magnus
-generator and the stepwise march.  The stepwise march also carries the
-k = 0 linear solution eta, which the program never marches, for the
-checks that need a threshold solution growing linearly at -infinity.
+of one leftward `_march_left`, as `_pair_rows` returns them with psi1 in
+the gauge D12 = 0.  psi2 and the mirrored solutions are pairings of those
+rows (`_s3conj`, `_mirror`), and every Wronskian is `_wr` with `_cmedian`.
+The eighth-order ODE residual and the tail-rate fit are helpers of this
+file, and so are the references of the march kernel: the commutator form
+of the Magnus generator and the stepwise march.  The stepwise march also
+carries the k = 0 linear solution eta, which the program never marches,
+for the checks that need a threshold solution growing linearly at
+-infinity, and it can march past the program's reach, to x = -8, for the
+checks that read the rows far left of the Wronskian window.
 """
 
 import json
@@ -20,10 +22,11 @@ import pytest
 from nlslab import scattering
 from nlslab.grids import fit_exponential_decay, make_grid
 from nlslab.linearized import LinearizedSystem, assemble_L
-from nlslab.scattering import (MARCH_STOP, PURGE_SPACING, TABLE_BLOCK, _cmedian,
-                               _march_left, _mirror, _omega, _pair_rows,
-                               _s3conj, _sample_indices, _stepper, _w_edge, _wr,
-                               default_k_grid, dump_table, e_over_k,
+from nlslab.scattering import (PURGE_SPACING, TABLE_BLOCK, _cmedian, _expm,
+                               _march_left, _mirror, _omega, _omega_parts,
+                               _pair_rows, _s3conj, _sample_indices, _sr_coeffs,
+                               _stepper, _w_edge, _wr, default_k_grid,
+                               dump_table, e_over_k,
                                eigentable_build, ek_growth_report,
                                generalized_eigenfunction, load_table,
                                resonance_scan, resonance_test,
@@ -171,7 +174,9 @@ def test_closed_form_generator_matches_commutators(per_row):
     """The closed 2x2-block generator equals the commutator form on random
     symmetric blocks: q and r shared by all rows of a step, or scaled per
     row as a coupling scan scales them.  p carries the k-dependent free part
-    diag(-k^2, k^2 + 2 beta) of a bench-size block."""
+    diag(-k^2, k^2 + 2 beta) of a bench-size block.  Rows built from the
+    shared parts as Omega0 + k^2 Omega1, as the stepper builds them, match
+    too, and at k = 0 they are _omega at p0 bit for bit."""
     rng = np.random.default_rng(7)
 
     def sym(*shape):
@@ -189,6 +194,44 @@ def test_closed_form_generator_matches_commutators(per_row):
     got = _omega(h, p, scale * q, scale * r)
     assert got.shape == want.shape == (5, 2, nk, 4, 4)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    p0 = scale * w + np.diag([0.0, 4.0])
+    om0, om1 = _omega_parts(h, p0, scale * q, scale * r)
+    rows = om0 + ks[:, None, None] ** 2 * om1
+    assert rows.shape == want.shape
+    assert np.max(np.abs(rows - want)) <= 1e-14 * np.max(np.abs(want))
+    at_p0 = np.broadcast_to(_omega(h, p0, scale * q, scale * r), rows.shape)
+    assert np.array_equal(rows[:, :, ks == 0.0], at_p0[:, :, ks == 0.0])
+
+
+def test_expm_matches_scipy(bench_system, monkeypatch):
+    """_expm against scipy.linalg.expm on the balanced generators of a bench
+    stepper batch: one Magnus step at the potential's centre for 256 rows
+    over k in [0, 8], which takes s = 3 squarings, and the same rows scaled
+    by 1/2 to 1/8, which take s = 2, 1 and 0."""
+    from scipy.linalg import expm
+
+    batches = []
+    expm_ = scattering._expm
+
+    def captured(x):
+        batches.append(x.copy())
+        return expm_(x)
+
+    monkeypatch.setattr(scattering, "_expm", captured)
+    g = bench_system.grid
+    _stepper(bench_system, np.linspace(0.0, 8.0, 256), g.N // 2 + 4, 8, -1)
+    assert len(batches) == 1
+    x = batches[0][0, 0]
+    squarings = []
+    for scale in (1.0, 0.5, 0.25, 0.125):
+        batch = scale * x
+        theta = np.max(np.sum(np.abs(batch), axis=-2))
+        squarings.append(max(0, int(np.ceil(np.log2(theta * 16.0)))))
+        want = np.stack([expm(m) for m in batch])
+        got = _expm(batch.copy())
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), scale
+    assert squarings == [3, 2, 1, 0], squarings
 
 
 def _free_forms(kinds, ks, mus):
@@ -217,17 +260,24 @@ def _free_forms(kinds, ks, mus):
     return A, B, gg
 
 
-def _stepwise_march(sys_, ks, kinds):
+def _stepwise_march(sys_, ks, kinds, stop=None):
     """Reference march of the named columns, "psi1" and/or "eta" (k = 0
     only) followed by "phi1", against which the others are purged: one grid
     step at a time on the transfer matrices of _stepper, a purge every
-    PURGE_SPACING, then a ledger pass node by node.  Returns full-grid rows
-    [nk, ncol, 4, N], zero left of MARCH_STOP."""
+    PURGE_SPACING, then a ledger pass node by node.  It stops where
+    _march_left does, one node past the mirror of the farthest Wronskian
+    sample at the largest mu, or at the first node x >= stop when a stop is
+    given.  Returns full-grid rows [nk, ncol, 4, N], zero left of the stop."""
     g = sys_.grid
     nodes = g.nodes
     real = np.array([1.0, 1.0, 1j, 1j])
     j_hi = min(int(np.searchsorted(nodes, min(_w_edge(sys_), nodes[-1]))), g.N - 1)
-    j_lo = min(int(np.searchsorted(nodes, MARCH_STOP)), max(0, j_hi - 1))
+    if stop is None:
+        mu_max = np.sqrt(np.max(ks) ** 2 + 2.0 * sys_.beta)
+        j_lo = g.N - 1 - int(_sample_indices(g, mu_max)[-1])
+    else:
+        j_lo = int(np.searchsorted(nodes, stop))
+    j_lo = min(j_lo, max(0, j_hi - 1))
     n = j_hi - j_lo
     A, B, gg = _free_forms(kinds, ks, np.sqrt(ks**2 + 2.0 * sys_.beta))
     every = max(1, int(round(PURGE_SPACING / g.dx)))
@@ -281,6 +331,24 @@ def test_block_march_matches_stepwise_march(default_system, bench_system, case):
     assert np.max(gap) <= 1e-12, np.max(gap)
 
 
+def test_march_steps_per_block(bench_system, monkeypatch):
+    """Each block of the bench table marches from the potential edge to one
+    node past the mirror of its farthest Wronskian sample, which falls with
+    the block's largest mu: 357, 343, 323 and 311 grid steps."""
+    steps = []
+    stepper = scattering._stepper
+
+    def counted(sys_, ks, j0, n_main, sign, scale=None):
+        steps.append(n_main)
+        return stepper(sys_, ks, j0, n_main, sign, scale)
+
+    monkeypatch.setattr(scattering, "_stepper", counted)
+    ks = default_k_grid(8.0)
+    eigentable_build(bench_system, ks)
+    assert ks.size == 996
+    assert steps == [357, 343, 323, 311]
+
+
 def test_march_peak_memory(bench_system):
     """One march of the bench table's first 256-row block allocates at
     most 67.0 MB at its peak (traced), which is what the stepwise march
@@ -319,15 +387,16 @@ def test_sigma3_conjugation_symmetry(default_system):
 
 
 def test_wronskian_matrix_properties(default_system):
-    lam = default_system.beta + 1.0
-    d = wronskian_matrix(default_system, lam)
-    assert d.spread < 1e-7
+    k = 1.0
+    d = wronskian_matrix(default_system, default_system.beta + k * k)
+    spread = _pair_rows(default_system, np.array([k]))[3][4]
+    assert spread[0] < 1e-7
     # D is symmetric: d12 = d21
     assert abs(d.d12 - d.d21) / max(abs(d.d12), abs(d.d21), abs(d.d22)) < 1e-8
     # transmission normalization identity: 2ik s1 = D11 - D12^2/D22
-    s = 2j * d.k * d.d22 / d.det
+    s = 2j * k * d.d22 / d.det
     s1 = 1.0 / s
-    lhs = 2j * d.k * s1
+    lhs = 2j * k * s1
     rhs = d.d11 - d.d12**2 / d.d22
     assert abs(lhs - rhs) < 1e-6 * abs(rhs)
 
@@ -493,10 +562,6 @@ def test_resonance_flip_by_bisection(default_system):
     threshold combination psi1 - (D12/D22) phi1 stays bounded on the
     left (its linear-growth coefficient collapses).
     """
-    def dmat(s):
-        return wronskian_matrix(_scaled_system(default_system, s),
-                                default_system.beta)
-
     def det0(svals):
         # one k = 0 march whose rows carry the couplings svals
         _psi, _phi, _samples, (d11, d12, d21, d22, _sp) = _pair_rows(
@@ -529,17 +594,18 @@ def test_resonance_flip_by_bisection(default_system):
     # psi1 - (D12/D22) phi1 over the left-normalized solutions through
     # Wronskian pairings (exact invariants, no far-field cancellation);
     # boundedness at -infinity means a vanishing coefficient b of the
-    # linear-growth member eta(-x), which the reference march carries
+    # linear-growth member eta(-x), which the reference march carries to
+    # x = -8, past the Wronskian window; D12 and D22 are its own pairings
     def growth_coefficient(s):
-        d = dmat(s)
         g = default_system.grid
         idx = np.unique(np.searchsorted(g.nodes, np.linspace(0.8, 5.0, 12)))
         rows = _stepwise_march(_scaled_system(default_system, s), np.zeros(1),
-                               ("psi1", "eta", "phi1"))
+                               ("psi1", "eta", "phi1"), stop=-8.0)
         psi1, _eta, phi1 = rows[0]
         left = _mirror(rows[0], idx)     # psi1(-x), eta(-x), phi1(-x)
         mat = _cmedian(_wr(left[None, :], left[:, None]))  # [j, i] = W(left_i, left_j)
-        cand = (psi1 - d.d12 / d.d22 * phi1)[:, idx]
+        d12, d22 = _cmedian(_wr(np.stack([psi1, phi1])[:, :, idx], left[2]))
+        cand = (psi1 - d12 / d22 * phi1)[:, idx]
         rhs = _cmedian(_wr(cand, left))
         coef, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         return abs(coef[1]), float(np.max(np.abs(coef)))
@@ -585,27 +651,57 @@ def test_table_invariants(default_table):
     assert np.max(tab.wronskian_spread) < 1e-7
     scale = np.maximum(np.abs(tab.d11), np.abs(tab.d22))
     assert np.max(np.abs(tab.d12 - tab.d21) / np.maximum(scale, 1e-300)) < 1e-7
+    # psi1 is in the gauge D12 = 0, so e = s psi1 carries no phi1 admixture
+    assert np.all(tab.d12 == 0.0)
     # the k = 0 row is an ordinary marched row, exact through the 2ik factor
     assert tab.k[0] == 0.0
     assert np.all(tab.e[0] == 0.0)
-    assert (tab.s[0], tab.a[0], tab.r[0]) == (0.0, 0.0, -1.0)
+    assert (tab.s[0], tab.d12[0], tab.r[0]) == (0.0, 0.0, -1.0)
     margin = resonance_test(tab.system)["margin"]
     assert abs(tab.resonance_margin - margin) <= 1e-12 * margin
 
 
+def test_threshold_row_exact_for_any_det():
+    """At k = 0 psi2 = psi1, so the pairings c1, c2 of _sr_coeffs equal D11
+    and D21 bit for bit, and r = -1, b = 0 and s = 0 exactly, whatever
+    value det D takes.  numpy's complex division gives
+    (-x + 0j) / (x + 0j) != -1 for some x; the D entries here are paired
+    from k = 0 rows (first component real, second imaginary) and D22 is
+    picked so that det D is such an x, where -det/det, the quotient the
+    plain Cramer form takes, misses -1."""
+    rng = np.random.default_rng(5)
+    n, samples = 64, np.arange(8, 24)
+    ypsi = rng.standard_normal((1, 4, n)) * np.array([1.0, 1.0, 1j, 1j])[:, None]
+    yphi = rng.standard_normal((1, 4, n)) + 1j * rng.standard_normal((1, 4, n))
+    d11 = _cmedian(_wr(ypsi[..., samples], _mirror(ypsi, samples)))
+    d21 = _cmedian(_wr(yphi[..., samples], _mirror(ypsi, samples)))
+    d12 = np.zeros(1, dtype=complex)
+    plain = [d22 for d22 in np.linspace(1.0, 3.0, 401).astype(complex)
+             if (d12 * d21 - d22 * d11) / (d11 * d22 - d12 * d21) != -1.0]
+    assert plain, "no det D on the list misses -1 under the plain Cramer form"
+    d22 = np.array([plain[0]])
+    s, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, np.zeros(1), samples)
+    assert (s[0], r[0], b[0]) == (0.0, -1.0, 0.0)
+
+
 def test_reflection_consistency(default_system, default_table):
     """Left-side values rebuilt from the reflection expansion match the
-    right representation continued across the origin."""
+    right representation continued across the origin.  The production
+    march stops at the Wronskian window, so the continuation is the
+    stepwise reference marched on to x = -8, with s and the phi1
+    admixture a of its own gauge taken from its own D."""
     g = default_system.grid
     tab = default_table
     for kq in (0.5, 1.0, 2.0):
         i = int(np.argmin(np.abs(tab.k - kq)))
         k = tab.k[i]
-        ypsi, yphi, _samples, _d = _pair_rows(default_system, np.array([k]))
-        fp, fh = ypsi[0], yphi[0]
-        det = tab.detD[i]
-        s = 2j * k * tab.d22[i] / det
-        a = -2j * k * tab.d12[i] / det
+        fp, fh = _stepwise_march(default_system, np.array([k]), ("psi1", "phi1"), stop=-8.0)[0]
+        idx = _sample_indices(g, np.sqrt(k * k + 2.0 * default_system.beta))
+        (d11, d12), (d21, d22) = [[complex(_cmedian(_wr(x[:, idx], _mirror(y, idx))))
+                                   for y in (fp, fh)] for x in (fp, fh)]
+        det = d11 * d22 - d12 * d21
+        s = 2j * k * d22 / det
+        a = -2j * k * d12 / det
         sel = (g.nodes > -5.0) & (g.nodes < -0.2)
         right_rep = s * fp[(0, 2), :][:, sel] + a * fh[(0, 2), :][:, sel]
         assert np.max(np.abs(right_rep - tab.e[i][:, sel])) < 1e-6
