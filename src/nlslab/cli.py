@@ -296,7 +296,7 @@ class StageRunner:
                 fam, lam0=cfg.lam, gamma0=d["gamma0"], delta=d["delta"], T=T,
                 dt=d["dt"], nu=d["nu"], sample_dt=d["sample_dt"],
                 fit_window=(d["fit_lo"], min(d["fit_hi"], T)),
-                bump_width=d["bump_width"], mode=mode,
+                bump_width=d["bump_width"],
                 admissible_interval=scan.admissible if mode == "theorem" else None,
             )
             for row in rep.series_rows():

@@ -497,8 +497,6 @@ class StabilityReport:
     lam_last_quarter_variation: float
     admissible: Optional[bool]
     envelope_decreasing: bool
-    nu: float
-    mode: str                     # "theorem" or "qualitative"
 
     def series_rows(self):
         for j in range(self.times.size):
@@ -530,7 +528,8 @@ def stability_experiment(
     The trajectory is re-decomposed at every sample time (orthogonality is
     enforced by construction rather than integrated), the modulation
     right side supplies |lam_dot| + |gamma_dot|, and weighted norms of
-    the fluctuation are fitted on the stated window.
+    the fluctuation are fitted on the stated window.  mode ("theorem" or
+    "qualitative") names the run for its caller; the run does not read it.
     """
     g = family.grid
     V, f = family.potential, family.nonlinearity
@@ -588,5 +587,4 @@ def stability_experiment(
         weighted_exponent=w_exp, rate_exponent=r_exp,
         lam_inf=lam_inf, lam_last_quarter_variation=lam_var,
         admissible=admissible, envelope_decreasing=env_dec,
-        nu=nu, mode=mode,
     )

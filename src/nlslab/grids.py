@@ -331,10 +331,8 @@ class AssumptionReport:
 
     root: float                 # smallest positive root of the effective potential
     root_slope_positive: bool   # sign of U_phi at the root
-    vpp0: float                 # curvature of the base potential at 0
-    nondegenerate_minimum: bool
+    nondegenerate_minimum: bool  # positive curvature of the base potential at 0
     decay_rate: float           # fitted alpha in |V(x)| <= c exp(-alpha |x|)
-    decay_prefactor: float
     lambda_admissible: bool     # lambda above inf V_h
     subquadratic: bool          # degree <= 2 proxy for the well-posedness growth condition
 
@@ -397,17 +395,15 @@ def validate_assumptions(
     slope_positive = bool(f.f(s0) - lam > 0)
     vpp0 = V.second_derivative_at_zero()
     vh = V(grid.nodes)
-    alpha, cpre = fit_exponential_decay(grid.nodes, V.base(grid.nodes))
+    alpha = fit_exponential_decay(grid.nodes, V.base(grid.nodes))[0]
     if V.family == "zero":
-        alpha, cpre = np.inf, 0.0
+        alpha = np.inf
     admissible = bool(lam > np.min(vh))
     return AssumptionReport(
         root=root,
         root_slope_positive=slope_positive,
-        vpp0=vpp0,
         nondegenerate_minimum=bool(vpp0 > 0) if V.family != "zero" else False,
         decay_rate=float(alpha),
-        decay_prefactor=float(cpre),
         lambda_admissible=admissible,
         subquadratic=bool(f.degree <= 2),
     )

@@ -9,12 +9,13 @@ the continuum modes:
 with e% = sigma3 e, plus the mirrored negative branch, which is obtained
 from the positive one by the antilinear symmetry f -> sigma1 conj(f)
 (sigma1 H sigma1 = -conj(H)).  Every evolve sums both branches.  Only
-the rows e(., k) are stored: the mirror rows e(-., k) are their grid
-reflections except at node 0, a rank-one patch, so one evolve makes one
-pass over the table for all coefficients and one for the sums.  The k
-integral has one rule at every t: the coefficient spline in k times the
-chirp is integrated exactly through seven closed-form moments per table
-interval (Filon-type; Iserles and Norsett, Proc. R. Soc. A 461, 2005),
+the rows e(., k) are stored, on the closed node set -L + j dx, j = 0..N,
+where x -> -x is the index reversal: the mirror rows e(-., k) are the
+reversed rows, so one evolve makes one pass over the table for all
+coefficients and one for the sums.  The k integral has one rule at
+every t: the coefficient spline in k times the chirp is integrated
+exactly through seven closed-form moments per table interval
+(Filon-type; Iserles and Norsett, Proc. R. Soc. A 461, 2005),
 and the weights return to the table nodes through the adjoint of the
 spline construction.  At t = 0 the chirp is constant, the rule
 integrates the spline itself, and the two branches sum to 1 - P_d, which
@@ -159,60 +160,47 @@ class PropagatorPlan:
     projector: Optional[SpectralProjector]
 
     def __post_init__(self):
-        tab = self.table
-        k = tab.k
-        g = self.system.grid
-        # mode rows e(., k), C-ordered  [nk, 2, N]
-        self._e = np.ascontiguousarray(tab.e)
-        # the mirror row e(-., k) is e(., k)[..., ridx] except at node 0:
-        # x = -L maps to +L, which the periodic flip wraps back to -L.
-        # e(x, k) is not periodic; the mirror there is the exact free-region
-        # value s e^{ikL} (1, 0) of the right representation s psi1, and
-        # _d0 [nk, 2] is that value minus e(-L, k), a rank-one patch at node 0
-        self._ridx = (g.N - np.arange(g.N)) % g.N
-        mirror0 = np.stack([tab.s * np.exp(1j * k * g.L), np.zeros(k.size)], axis=1)
-        self._d0 = mirror0 - self._e[:, :, 0]
+        # mode rows e(., k) on the closed node set, C-ordered  [nk, 2, N + 1]
+        self._e = np.ascontiguousarray(self.table.e)
 
     def evolve(self, f: np.ndarray, t: float, stride: int = 1) -> np.ndarray:
         """e^(-itH) Pess f, both branches, from one coefficient and one
         synthesis pass over e.
 
-        stride > 1 uses every stride-th table row.  The mirror rows are
-        R e (R: x -> -x) plus the node-0 patch _d0, so for u = f (positive
-        branch) and u = sigma1 conj f (negative branch), with
-        g = conj(sigma3 u),
+        stride > 1 uses every stride-th table row.  The input columns are
+        padded with one zero at x = +L onto the table's closed node set,
+        where the mirror rows are R e (R: x -> -x, the index reversal).  So
+        for u = f (positive branch) and u = sigma1 conj f (negative
+        branch), with g = conj(sigma3 u),
 
-            <e%(., k), u> = dx conj(e . g),   <e%(-., k), u> = dx conj(e . R g)
+            <e%(., k), u> = dx conj(e . g),   <e%(-., k), u> = dx conj(e . R g).
 
-        plus the patch on the second.  One GEMM of e against the columns
-        [g, R g] of both u gives all coefficients; each column gets its
-        phase and quadrature weights, and one GEMM of the weight rows
-        against e gives the sums A, B (and C, D):
+        One GEMM of e against the columns [g, R g] of both u gives all
+        coefficients; each column gets its phase and quadrature weights,
+        and one GEMM of the weight rows against e gives the sums A, B (and
+        C, D):
 
             e^(-itH) Pess f = [(A + R B) + sigma1 conj(C + R D)] / 2 pi,
 
-        with the patch added at node 0 of R B and R D.  The weights are the
-        exact integral of the coefficient spline times the chirp, formed
-        from chirp moments and pulled back onto the table nodes (_weights).
+        returned on the grid's N nodes.  The weights are the exact integral
+        of the coefficient spline times the chirp, formed from chirp
+        moments and pulled back onto the table nodes (_weights).
         """
         f = np.asarray(f, dtype=complex)
         g = self.system.grid
-        e = self._e[::stride].reshape(-1, 2 * g.N)
-        d0 = self._d0[::stride]
-        ridx = self._ridx
+        n = g.N + 1
+        e = self._e[::stride].reshape(-1, 2 * n)
         # g = conj(sigma3 u) of u = f, and of u = sigma1 conj f, which is (f1, -f0)
-        gs = (np.conj(np.stack([f[0], -f[1]])), np.stack([f[1], -f[0]]))
-        x = np.stack([c.reshape(-1) for gu in gs for c in (gu, gu[:, ridx])], axis=1)  # [2N, 4]
-        y = e @ x
-        y[:, 1::2] += d0 @ x[[0, g.N], 1::2]
-        coef = g.dx * np.conj(y)                                # [nk, ncol]
+        gs = np.zeros((2, 2, n), dtype=complex)
+        gs[0, :, :-1] = np.conj(np.stack([f[0], -f[1]]))
+        gs[1, :, :-1] = np.stack([f[1], -f[0]])
+        x = np.stack([gs, gs[..., ::-1]], axis=1).reshape(4, 2 * n).T  # [2(N + 1), 4]
+        coef = g.dx * np.conj(e @ x)                            # [nk, ncol]
 
         w = self._weights(coef, t, stride)                      # [ncol, nk]
-        sums = (w @ e).reshape(-1, 2, g.N)
-        patch = w[1::2] @ d0
-        v = sums[0::2] + sums[1::2][..., ridx]                 # A + R B, C + R D
-        v[:, :, 0] += patch
-        return (v[0] + np.conj(v[1, ::-1])) / (2.0 * np.pi)
+        sums = (w @ e).reshape(-1, 2, n)
+        v = sums[0::2] + sums[1::2, :, ::-1]                    # A + R B, C + R D
+        return (v[0] + np.conj(v[1, ::-1]))[:, :-1] / (2.0 * np.pi)
 
     def _weights(self, coef: np.ndarray, t: float, stride: int) -> np.ndarray:
         """Quadrature weight rows [ncol, nk] for the coefficient columns at t.
@@ -317,7 +305,6 @@ class DecayReport:
     fitted_exponent: float
     fitted_constant: float
     passes: bool
-    nu: float
 
     def fitted_curve(self) -> np.ndarray:
         return self.fitted_constant * (1.0 + self.times) ** self.fitted_exponent
@@ -405,7 +392,6 @@ def verify_decay(
             fitted_exponent=float(slope),
             fitted_constant=float(np.exp(intercept)),
             passes=bool(slope <= ESTIMATE_EXPONENTS[est] + ESTIMATE_TOL[est]),
-            nu=nu,
         ))
     return reports[0] if single else reports
 
@@ -431,9 +417,8 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
     live = [i for i, gf in enumerate(flist) if float(np.max(np.abs(gf))) != 0.0]
     if live:
         e, s, r = generalized_eigenfunction(sys, lam)
-        epct = np.stack([e[0], -e[1]])
-        epct_flip = g.reflect(epct)
+        epct = np.stack([e[0], -e[1]])                  # on the closed node set
         for i in live:
-            fp, fm = g.inner(epct, flist[i]), g.inner(epct_flip, flist[i])
+            fp, fm = g.inner(epct[:, :-1], flist[i]), g.inner(epct[:, :0:-1], flist[i])
             out[i] = float((abs(fp) ** 2 + abs(fm) ** 2) / (4.0 * np.pi * k))
     return out[0] if single else out

@@ -12,31 +12,33 @@ the distinguished solutions are fixed by their behavior at +infinity:
 
 The 2x2 Wronskian matrix D(k) built from [psi1, phi1] against their
 reflections (phi2(x) = phi1(-x) decays at -infinity) encodes the
-scattering data: det D(0) = 0 is the threshold-resonance criterion,
-s(k) = 2ik D22/det D is the transmission coefficient, and the continuum
-mode
+scattering data.  psi1 is only defined modulo phi1, and the program fixes
+it in the gauge D12 = W(psi1, phi1(-.)) = 0.  The system is even, so D is
+symmetric and D21 = D12 = 0 too: D = diag(D11, D22), with
+D11 = W(psi1, psi1(-.)) the Lemma Wronskian.  So det D(0) = D11(0) D22(0)
+vanishes exactly when D11(0) does, the threshold-resonance criterion,
+s(k) = 2ik / D11 is the transmission coefficient, and the continuum mode
 
-    e(x, k) = s(k) [psi1(x,k) - (D12/D22) phi1(x, mu)]
+    e(x, k) = s(k) psi1(x, k)
 
 obeys |s|^2 + |r|^2 = 1 with the reflection coefficient r(k) from the
-left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).  psi1 is only
-defined modulo phi1, and the program fixes it in the gauge
-D12 = W(psi1, phi1(-.)) = 0, where e = s psi1.
+left-side expansion e = psi2(-x) + r psi1(-x) + b phi2(x).
 
 Only psi1 and phi1 are marched.  psi2 and the mirrored solutions
 are never stored: they exist only as pairings of the march rows, taken
 through the two symmetries of the even system: _mirror (x -> -x,
 derivative rows negated) and _s3conj (sigma3 conjugation), applied to
 the march's row layout (xi1, xi1', xi2, xi2') of the two components of
-xi.  Pairing the left expansion of e with psi1 and phi1 gives
-D (r, b) = -(W(psi1, psi2(-.)), W(phi1, psi2(-.))), so r and b follow
-from D by Cramer's rule.
+xi.  Pairing the left expansion of e with psi1 and phi1 gives r and b,
+one diagonal entry of D each.  The rows, and the table e, live on the
+closed node set -L + j dx, j = 0..N: the grid's N nodes and x = +L, where
+x -> -x is the index reversal, node 0 (x = -L) included.
 
 Every k >= 0 and every system take the one path _pair_rows -> _sr_coeffs
 -> _assemble_e.  At k = 0 psi2 = psi1, so for a non-resonant system the
 general formulas give s = b = 0, r = -1 and e(., 0) = 0 exactly.  A
 potential-free system is marched like any other (the march reproduces
-e = e^(ikx) and D(0) = (0, 0, 0, 2 mu)); only its reference table, whose
+e = e^(ikx) and D(0) = diag(0, 2 mu)); only its reference table, whose
 resonant k = 0 mode (1, 0) is not a limit of the 2ik factor, is closed-form.
 
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
@@ -99,7 +101,7 @@ MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W; meets
                          # a 1e-8 march error ~100x over (s to ~1e-10, flat in k)
 EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
 FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
-RESONANT_MARGIN = 1e-6   # |det D(0)| / |D22(0)|^2 below this reads threshold-resonant
+RESONANT_MARGIN = 1e-6   # |D11(0) / D22(0)| below this reads threshold-resonant
 TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
 EK_DELTA = 2e-3          # k step of the (e/k) stencils and of its k -> 0 limit
 
@@ -207,14 +209,14 @@ def _omega(h, p, q, r):
                    (r / 12.0 + h * (rr / 3600.0 - qq / 120.0)) + l21)
 
 
-def _omega_parts(h, p0, q, r):
-    """(Omega0, Omega1) with _omega(h, p0 + k^2 diag(-1, 1), q, r) = Omega0 + k^2 Omega1.
+def _omega_k2(h, q, r):
+    """Omega1 with _omega(h, p0 + k^2 diag(-1, 1), q, r) = _omega(h, p0, q, r) + k^2 Omega1.
 
-    Omega0 is _omega at p0 and Omega1 the linear part at diag(-1, 1), both
-    at the shape of p0, q and r, so every k row of a grid step shares them.
+    Omega1 is the linear part at diag(-1, 1), at the shape of q and r, so
+    every k row of a grid step shares it with _omega at p0.
     """
     l11, l21 = _omega_p(h, _K2, q, r)
-    return _omega(h, p0, q, r), _layout(l11, np.zeros((2, 2)), l21)
+    return _layout(l11, np.zeros((2, 2)), l21)
 
 
 def _expm(x):
@@ -269,11 +271,13 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     three Gauss-Legendre nodes (Blanes, Casas, Oteo and Ros, Phys. Rep.
     470, 2009), with the generator in the closed 2x2-block form of _omega.
     Its middle-node block is p = W + diag(0, 2 beta) + k^2 diag(-1, 1), so
-    the generator of row q is Omega0 + k_q^2 Omega1 (_omega_parts), built
-    once per grid step at the shape W has: one for all rows, or one per row
-    under a coupling scale.  Each row is balanced by D = diag(d[q]) before
-    the exponential and taken back once per grid step, after the product
-    of its Magnus steps: D^-1 exp(D Omega_m D^-1) ... exp(D Omega_1 D^-1) D.
+    the generator of row q is Omega0 + k_q^2 Omega1 (_omega at p0 and
+    _omega_k2), built once per grid step at the shape W has: one for all
+    rows, or one per row under a coupling scale.  A march whose rows all
+    sit at k = 0 (the threshold data) takes Omega0 alone.  Each row is
+    balanced by D = diag(d[q]) before the exponential and taken back once
+    per grid step, after the product of its Magnus steps:
+    D^-1 exp(D Omega_m D^-1) ... exp(D Omega_1 D^-1) D.
     The exponentials do not depend on the state, so they are formed
     vectorized for batches of about _BATCH (grid step, row) pairs.  Omega
     lies in the Lie algebra that keeps the sigma3 Wronskian, so the step
@@ -294,7 +298,8 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
              (-0.5 * v4).reshape(m, 3, g.N)[:, :, nodes].transpose(2, 0, 1)[..., None] * row)
     q = (np.sqrt(15.0) / 3.0) * h * (w[:, :, 2] - w[:, :, 0])
     r = (10.0 / 3.0) * h * (w[:, :, 2] - 2.0 * w[:, :, 1] + w[:, :, 0])
-    om0, om1 = _omega_parts(h, w[:, :, 1] + np.diag([0.0, 2.0 * sys.beta]), q, r)
+    om0 = _omega(h, w[:, :, 1] + np.diag([0.0, 2.0 * sys.beta]), q, r)
+    om1 = _omega_k2(h, q, r) if np.any(ks) else None
     d = np.ones((nk, 4))
     d[:, 1] = d[:, 3] = 1.0 / np.sqrt(mus**2 + 1.0)
     bal = d[:, :, None] / d[:, None, :]          # D Omega D^-1 = Omega * bal
@@ -304,7 +309,8 @@ def _stepper(sys: LinearizedSystem, ks: np.ndarray, j0: int, n_main: int,
     for i0 in range(0, n_main, step):
         i1 = min(i0 + step, n_main)
         x = om0[i0:i1] * bal
-        x += om1[i0:i1] * k2bal
+        if om1 is not None:
+            x += om1[i0:i1] * k2bal
         e = _expm(x)
         t = e[:, 0]
         for p in range(1, m):
@@ -331,19 +337,20 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     their running products from the block's first step, one batched
     product per offset for all blocks at once; then one pass over the
     blocks carries the state from each purge to the next and writes the
-    block's rows into the returned arrays.  Returns the full-grid rows
-    (psi1, phi1), each [nk, 4, N] (components xi1, xi1', xi2, xi2'), with
+    block's rows into the returned arrays.  Returns the rows (psi1, phi1),
+    each [nk, 4, N + 1] (components xi1, xi1', xi2, xi2') on the closed
+    node set -L + j dx, j = 0..N, whose free tail reaches x = +L, with
     psi1 reconciled to a single representative and both zero left of the
     stop.
     """
     g = sys.grid
-    nodes = g.nodes
+    nodes = -g.L + g.dx * np.arange(g.N + 1)
     ks = np.asarray(ks, dtype=float)
     mus = np.sqrt(ks**2 + 2.0 * sys.beta)
     nk = ks.size
 
     edge = _w_edge(sys)
-    j_hi = min(int(np.searchsorted(nodes, min(edge, nodes[-1]))), g.N - 1)
+    j_hi = min(int(np.searchsorted(nodes, edge)), g.N - 1)
     j_lo = min(g.N - 1 - int(_block_samples(sys, ks)[-1]), max(0, j_hi - 1))
     n_main = j_hi - j_lo
     # where W vanishes the columns are y = e^(gg x) a: psi1 (1, ik, 0, 0) at
@@ -363,7 +370,7 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     # step i lands on node j_hi - 1 - i; the rows of a block are its start
     # state times the running products, in the rescaled frame of each column
     frame = np.exp(gg[None, ..., None] * g.dx * np.arange(1, purge_every + 1)[:, None, None, None])
-    y = np.zeros((nk, 2, 4, g.N), dtype=complex)
+    y = np.zeros((nk, 2, 4, g.N + 1), dtype=complex)
     y[..., j_hi:] = a[..., None]
     z = a * _REAL
     purges = []  # (node, purge coefficient [nk]), leftward
@@ -390,7 +397,7 @@ def _march_left(sys: LinearizedSystem, ks: np.ndarray, scale=None):
     # |E| < 1.  Between two purges S falls geometrically, so each interval
     # takes it in closed form; right of the edge it corrects the free forms
     rate = (gg[:, :1] - gg[:, 1:]) * (-g.dx)        # log E
-    ends = [j for j, _c in purges[-2::-1]] + [g.N - 1]
+    ends = [j for j, _c in purges[-2::-1]] + [g.N]
     s = np.zeros((nk, 1), dtype=complex)
     y[..., j_lo] *= np.exp(gg * nodes[j_lo])[..., None]
     for (j, c), end in zip(purges[::-1], ends):
@@ -433,13 +440,12 @@ _DERIV_SIGN = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
 
 
 def _mirror(y, idx):
-    """Rows [..., 4, N] of x -> y(-x) at the nodes idx.
+    """Rows [..., 4, N + 1] of x -> y(-x) at the nodes idx.
 
-    Gathers y at -x and negates the derivative rows.  Node 0 (x = -L)
-    maps onto itself: +L is not a grid node.
+    Gathers y at -x, which on the closed node set is the reversed index,
+    and negates the derivative rows.
     """
-    n = y.shape[-1]
-    return y[..., (n - np.asarray(idx)) % n] * _DERIV_SIGN
+    return y[..., y.shape[-1] - 1 - np.asarray(idx)] * _DERIV_SIGN
 
 
 def _s3conj(y):
@@ -472,72 +478,70 @@ def _cmedian(w):
 
 @dataclass(frozen=True)
 class WronskianMatrix:
-    """2x2 Wronskian matrix of [psi1, phi1] against their reflections."""
+    """The diagonal Wronskian matrix of [psi1, phi1] against their
+    reflections, with psi1 in the gauge D12 = 0."""
 
     d11: complex
-    d12: complex
-    d21: complex
     d22: complex
 
     @property
     def det(self) -> complex:
-        return self.d11 * self.d22 - self.d12 * self.d21
+        return self.d11 * self.d22
 
 
-def _dmatrix_from_pair(ypsi, yphi, idx_samples):
-    """D entries W(X, Y(-.)), X, Y in [psi1, phi1], from blocks [nk, 4, N].
-
-    idx_samples must come from _block_samples.
-    """
-    pair = np.stack([ypsi[..., idx_samples], yphi[..., idx_samples]], axis=1)
-    mirrored = np.stack([_mirror(ypsi, idx_samples), _mirror(yphi, idx_samples)], axis=1)
+def _dmatrix(ypsi, yphi, samples):
+    """D entries W(X, Y(-.)), X, Y in [psi1, phi1], [nk, 2, 2], and their
+    cross-point spread, from rows [nk, 4, N + 1] at the samples of
+    _block_samples."""
+    pair = np.stack([ypsi[..., samples], yphi[..., samples]], axis=1)
+    mirrored = np.stack([_mirror(ypsi, samples), _mirror(yphi, samples)], axis=1)
     w = _wr(pair[:, :, None], mirrored[:, None])    # [nk, 2, 2, samples]
     d = _cmedian(w)
     # cross-point scatter relative to the dominant matrix entry, so that
-    # structural zeros (d12 for even potentials) do not read as drift
+    # the off-diagonal zeros do not read as drift
     scale = np.maximum(np.max(np.abs(d), axis=(1, 2)), 1e-300)
-    spread = np.max(np.std(w, axis=-1), axis=(1, 2)) / scale
-    return d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1], spread
+    return d, np.max(np.std(w, axis=-1), axis=(1, 2)) / scale
 
 
 def _pair_rows(sys: LinearizedSystem, ks: np.ndarray, scale=None):
-    """psi1 and phi1 rows [nk, 4, N] of a k block, with their D entries.
+    """psi1 and phi1 rows [nk, 4, N + 1] of a k block, with their D entries.
 
     psi1 is only defined modulo phi1.  The rows fix it in the gauge
     W(psi1, phi1(-.)) = 0: the marched psi1 less (D12/D22) phi1, so D12 = 0
     by construction and psi1 no longer depends on where the march stopped.
-    The other entries are paired from the gauged rows, as _sr_coeffs pairs
-    them, so that at k = 0 both pairings agree bit for bit.  scale is
-    _march_left's optional per-row coupling scale.  Returns (psi1 rows,
-    phi1 rows, Wronskian sample indices for the block's largest mu,
-    (d11, d12, d21, d22, spread)).
+    The system is even, so D is symmetric and D21 = D12 = 0 too: D is the
+    diagonal (D11, D22), with D11 = W(psi1, psi1(-.)) the Lemma Wronskian.
+    The full 2x2 is paired again from the gauged rows for the spread, which
+    reads D21 as roundoff.  scale is _march_left's optional per-row
+    coupling scale.  Returns (psi1 rows, phi1 rows, Wronskian sample
+    indices for the block's largest mu, (d11, d22, spread)).
     """
     ypsi, yphi = _march_left(sys, ks, scale)
     samples = _block_samples(sys, ks)
-    _d11, d12, _d21, d22, _spread = _dmatrix_from_pair(ypsi, yphi, samples)
-    c = (d12 / d22)[:, None]
+    d, _spread = _dmatrix(ypsi, yphi, samples)
+    c = (d[:, 0, 1] / d[:, 1, 1])[:, None]
     for row in range(4):                # row by row: no block-sized temporary
         ypsi[:, row] -= c * yphi[:, row]
-    d11, _d12, d21, d22, spread = _dmatrix_from_pair(ypsi, yphi, samples)
-    return ypsi, yphi, samples, (d11, np.zeros_like(d11), d21, d22, spread)
+    d, spread = _dmatrix(ypsi, yphi, samples)
+    return ypsi, yphi, samples, (d[:, 0, 0], d[:, 1, 1], spread)
 
 
-def _margin(det, d22):
-    """Resonance margin |det D| / |D22|^2 of D, per k."""
-    return np.abs(det) / np.maximum(np.abs(d22) ** 2, 1e-300)
+def _margin(d11, d22):
+    """Resonance margin |det D| / |D22|^2 = |D11 / D22| of D, per k."""
+    return np.abs(d11) / np.maximum(np.abs(d22), 1e-300)
 
 
 def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
     ks = np.array([_wavenumber(sys, lam)])
-    _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(sys, ks)
-    return WronskianMatrix(d11=complex(d11[0]), d12=complex(d12[0]),
-                           d21=complex(d21[0]), d22=complex(d22[0]))
+    _psi, _phi, _samples, (d11, d22, _spread) = _pair_rows(sys, ks)
+    return WronskianMatrix(d11=complex(d11[0]), d22=complex(d22[0]))
 
 
 def resonance_test(sys: LinearizedSystem) -> dict:
-    """Threshold-resonance verdict from det D(0) against |D22(0)|^2."""
+    """Threshold-resonance verdict from |D11(0) / D22(0)| (det D(0) = 0
+    is D11(0) = 0)."""
     d = wronskian_matrix(sys, sys.beta)
-    margin = float(_margin(d.det, d.d22))
+    margin = float(_margin(d.d11, d.d22))
     return {
         "resonant": bool(margin < RESONANT_MARGIN),
         "detD0": complex(d.det),
@@ -559,10 +563,9 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     svals = np.asarray(sorted(float(s) for s in s_values))
     if np.max(np.abs(svals)) > 0.5 + 1e-12:
         raise ValueError("scan couplings must satisfy |s| <= 0.5")
-    _psi, _phi, _samples, (d11, d12, d21, d22, _spread) = _pair_rows(
-        sys0, np.zeros(svals.size), svals)
-    dets = d11 * d22 - d12 * d21
-    margins = _margin(dets, d22)
+    _psi, _phi, _samples, (d11, d22, _spread) = _pair_rows(sys0, np.zeros(svals.size), svals)
+    dets = d11 * d22
+    margins = _margin(d11, d22)
     int_v3 = float(np.real(sys0.grid.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan
@@ -584,48 +587,43 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples):
+def _sr_coeffs(ypsi, yphi, d11, d22, ks, samples):
     """Transmission s, reflection r and weight b per k.
 
-    The right representation is e = s psi1, with psi1 in the gauge of
-    _pair_rows (D12 = 0, so psi1 carries no phi1 admixture).  Its left
-    expansion e = psi2(-x) + r psi1(-x) + b phi1(-x), paired with psi1
-    and phi1, gives W(psi1, e) = W(phi1, e) = 0 (both are Jost solutions
-    at +infinity, so W(psi1, phi1) = 0), that is D (r, b) = -(c1, c2) with
-    c1 = W(psi1, psi2(-.)) and c2 = W(phi1, psi2(-.)).  Cramer's rule is
-    taken about (r, b) = (-1, 0), so the differences c1 - D11 and c2 - D21
-    carry it: at k = 0, psi2 = psi1 makes both exactly 0, and r = -1,
-    b = 0 exactly whatever value det D takes.  Raises when D is
-    near-singular at some k.
+    The right representation is e = s psi1, s = 2ik / D11, with psi1 in
+    the gauge of _pair_rows, where D = diag(D11, D22).  Its left expansion
+    e = psi2(-x) + r psi1(-x) + b phi1(-x), paired with psi1 and phi1,
+    gives W(psi1, e) = W(phi1, e) = 0 (both are Jost solutions at
+    +infinity, so W(psi1, phi1) = 0).  Taken about (r, b) = (-1, 0), that
+    is D (r + 1, b) = -(Delta1, Delta2), the pairings of psi1 and phi1
+    with the difference rows (psi2 - psi1)(-.), so r = -1 - Delta1 / D11
+    and b = -Delta2 / D22.  At k = 0, psi2 = psi1 bit for bit, the
+    difference rows are exactly 0, and s = 0, r = -1 and b = 0 exactly
+    whatever value D takes.  Raises when D is near-singular at some k.
     """
-    det = d11 * d22 - d12 * d21
-    singular = _margin(det, d22) < 1e-8
+    singular = _margin(d11, d22) < 1e-8
     if np.any(singular):
         raise ValueError(f"near-singular D: resonant at k = {ks[singular][0]:.6g}")
-    s = 2j * ks * d22 / det
     pair = np.stack([ypsi[..., samples], yphi[..., samples]], axis=1)
-    psi2_m = _s3conj(_mirror(ypsi, samples))
-    c = _cmedian(_wr(pair, psi2_m[:, None]))
-    dc1, dc2 = c[:, 0] - d11, c[:, 1] - d21
-    r = -1.0 + (d12 * dc2 - d22 * dc1) / det
-    b = (d21 * dc1 - d11 * dc2) / det
-    return s, r, b
+    psi1_m = _mirror(ypsi, samples)
+    delta = _cmedian(_wr(pair, (_s3conj(psi1_m) - psi1_m)[:, None]))
+    return 2j * ks / d11, -1.0 - delta[:, 0] / d11, -delta[:, 1] / d22
 
 
 @dataclass(frozen=True)
 class GeneralizedEigenTable:
-    """Continuum modes e(x, k) with scattering coefficients on a k grid."""
+    """Continuum modes e(x, k) with scattering coefficients on a k grid.
+
+    e holds each mode on the closed node set -L + j dx, j = 0..N, so that
+    its mirror e(-x, k) is the reversed row; the grid's fields are its
+    first N nodes.
+    """
 
     system: LinearizedSystem
     k: np.ndarray
-    e: np.ndarray              # [nk, 2, N]
+    e: np.ndarray              # [nk, 2, N + 1], on the nodes -L + j dx, j = 0..N
     s: np.ndarray              # transmission
     r: np.ndarray              # reflection
-    detD: np.ndarray
-    d11: np.ndarray
-    d12: np.ndarray
-    d21: np.ndarray
-    d22: np.ndarray
     wronskian_spread: np.ndarray
     resonant: bool             # only the free reference table: a resonant system raises
     resonance_margin: float
@@ -637,56 +635,49 @@ class GeneralizedEigenTable:
         return np.abs(np.real(np.conj(self.s) * self.r))
 
 
-def _assemble_e(g: Grid, ypsi, yphi, s, b, r, ks, beta):
+def _assemble_e(ypsi, yphi, s, b, r):
     """Right representation s psi1 for x >= 0, left expansion for x < 0.
 
     Each component of each half is written straight from the value rows
-    (0 and 2) of the march blocks; the left half reads them at -x.
+    (0 and 2) of the march rows [nk, 4, N + 1].  On their closed node set
+    x -> -x is the index reversal, so the left half reads the rows x > 0
+    reversed, down to node 0 (x = -L), which reads x = +L.
     """
-    n = g.N
-    half = int(np.count_nonzero(g.nodes < 0))    # the nodes x < 0 come first
-    mirror = (n - np.arange(half)) % n
-    e = np.zeros((ypsi.shape[0], 2, n), dtype=complex)
+    half = ypsi.shape[-1] // 2                     # index of x = 0
+    e = np.zeros((ypsi.shape[0], 2, ypsi.shape[-1]), dtype=complex)
     for comp, row in enumerate((0, 2)):
         e[:, comp, half:] = s[:, None] * ypsi[:, row, half:]
-        vpsi = ypsi[:, row, mirror]
+        vpsi = ypsi[:, row, :half:-1]
         left = np.conj(vpsi)
         if comp:
             left *= -1.0                           # sigma3 conj
-        e[:, comp, :half] = left + r[:, None] * vpsi + b[:, None] * yphi[:, row, mirror]
-    # node 0 sits at -L whose mirror +L is not a grid node (the periodic
-    # flip wraps back to -L); use the exact potential-free forms there
-    ks = np.asarray(ks, dtype=float)
-    mus = np.sqrt(ks**2 + 2.0 * beta)
-    osc = np.exp(1j * ks * g.L)
-    e[:, 0, 0] = np.conj(osc) + r * osc
-    e[:, 1, 0] = b * np.exp(-mus * g.L)
+        e[:, comp, :half] = left + r[:, None] * vpsi + b[:, None] * yphi[:, row, :half:-1]
     return e
 
 
-def _mode_block(sys: LinearizedSystem, ks: np.ndarray, rows):
+def _mode_block(ks: np.ndarray, rows):
     """Continuum modes of a block of k >= 0 from its _pair_rows(sys, ks).
 
-    Returns (e [nk, 2, N], s, r); raises when D is near-singular at some
-    k of the block.  A k = 0 row is an ordinary row: the 2ik factor gives
-    it s = 0, and psi2 = psi1 gives r = -1 and e = 0 exactly.
+    Returns (e [nk, 2, N + 1], s, r); raises when D is near-singular at
+    some k of the block.  A k = 0 row is an ordinary row: the 2ik factor
+    gives it s = 0, and psi2 = psi1 gives r = -1 and e = 0 exactly.
     """
-    ypsi, yphi, samples, (d11, d12, d21, d22, _spread) = rows
-    s, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, ks, samples)
-    return _assemble_e(sys.grid, ypsi, yphi, s, b, r, ks, sys.beta), s, r
+    ypsi, yphi, samples, (d11, d22, _spread) = rows
+    s, r, b = _sr_coeffs(ypsi, yphi, d11, d22, ks, samples)
+    return _assemble_e(ypsi, yphi, s, b, r), s, r
 
 
 def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
     """Continuum mode and coefficients at one spectral point.
 
-    Returns (e_values [2, N], s, r) from a one-row march.  Uses the
-    analytic 2ik factor, so the construction is regular through k = 0:
-    there e(., 0) = 0, s = 0 and r = -1 for a non-resonant system, and a
-    resonant one raises.  A potential-free system takes the same march,
+    Returns (e_values [2, N + 1] on the closed node set, s, r) from a
+    one-row march.  Uses the analytic 2ik factor, so the construction is
+    regular through k = 0: there e(., 0) = 0, s = 0 and r = -1 for a
+    non-resonant system, and a resonant one raises.  A potential-free system takes the same march,
     which gives e = e^(ikx) (1, 0), s = 1 and r = 0 to roundoff.
     """
     ks = np.array([_wavenumber(sys, lam)])
-    e, s, r = _mode_block(sys, ks, _pair_rows(sys, ks))
+    e, s, r = _mode_block(ks, _pair_rows(sys, ks))
     return e[0], complex(s[0]), complex(r[0])
 
 
@@ -722,7 +713,7 @@ def eigentable_build(
 
     The grid starts at k = 0.  That row is marched in the first block like
     any other and gives the threshold verdict: a margin
-    |det D(0)| / |D22(0)|^2 below RESONANT_MARGIN raises, and otherwise
+    |D11(0) / D22(0)| below RESONANT_MARGIN raises, and otherwise
     is the table's resonance_margin.  A potential-free system gets its
     closed-form reference table instead, whose resonant k = 0 mode (1, 0)
     is not a limit of the 2ik factor.
@@ -732,44 +723,39 @@ def eigentable_build(
     if ks[0] != 0.0:
         raise ValueError("the k grid must start at k = 0")
     if _is_free(sys):
-        e = np.zeros((ks.size, 2, g.N), dtype=complex)
-        e[:, 0, :] = np.exp(1j * ks[:, None] * g.nodes[None, :])
-        ones = np.ones(ks.size, dtype=complex)
-        zeros = np.zeros(ks.size, dtype=complex)
+        e = np.zeros((ks.size, 2, g.N + 1), dtype=complex)
+        e[:, 0, :] = np.exp(1j * ks[:, None] * (-g.L + g.dx * np.arange(g.N + 1)))
         return GeneralizedEigenTable(
-            system=sys, k=ks, e=e, s=ones, r=zeros,
-            detD=4j * ks * np.sqrt(ks**2 + 2 * sys.beta),
-            d11=2j * ks, d12=zeros, d21=zeros,
-            d22=2.0 * np.sqrt(ks**2 + 2 * sys.beta) * ones,
-            wronskian_spread=np.zeros(ks.size), resonant=True,
-            resonance_margin=0.0,
+            system=sys, k=ks, e=e, s=np.ones(ks.size, dtype=complex),
+            r=np.zeros(ks.size, dtype=complex), wronskian_spread=np.zeros(ks.size),
+            resonant=True, resonance_margin=0.0,
         )
 
     nk = ks.size
-    e = np.zeros((nk, 2, g.N), dtype=complex)
-    s, r, d11, d12, d21, d22 = np.zeros((6, nk), dtype=complex)
+    e = np.zeros((nk, 2, g.N + 1), dtype=complex)
+    s, r = np.zeros((2, nk), dtype=complex)
     spread = np.zeros(nk)
     for start in range(0, nk, TABLE_BLOCK):
         sel = slice(start, start + TABLE_BLOCK)
         rows = _pair_rows(sys, ks[sel])
-        d11[sel], d12[sel], d21[sel], d22[sel], spread[sel] = rows[3]
-        detD = d11 * d22 - d12 * d21
-        if _margin(detD[0], d22[0]) < RESONANT_MARGIN:    # the k = 0 row
-            raise ValueError("near-singular D: system is threshold-resonant")
-        e[sel], s[sel], r[sel] = _mode_block(sys, ks[sel], rows)
+        d11, d22, spread[sel] = rows[3]
+        if start == 0:                                   # the k = 0 row
+            margin = float(_margin(d11[0], d22[0]))
+            if margin < RESONANT_MARGIN:
+                raise ValueError("near-singular D: system is threshold-resonant")
+        e[sel], s[sel], r[sel] = _mode_block(ks[sel], rows)
     return GeneralizedEigenTable(
-        system=sys, k=ks, e=e, s=s, r=r,
-        detD=detD, d11=d11, d12=d12, d21=d21, d22=d22,
-        wronskian_spread=spread, resonant=False,
-        resonance_margin=float(_margin(detD[0], d22[0])),
+        system=sys, k=ks, e=e, s=s, r=r, wronskian_spread=spread,
+        resonant=False, resonance_margin=margin,
     )
 
 
 def e_over_k(sys: LinearizedSystem, ks) -> np.ndarray:
     """(e/k)(x, k) rows [nk, 2, N] for k >= 0, regular at k = 0, from one march.
 
-    Each k > 0 row is e/k.  At k = 0 the right half (x >= 0) is the
-    analytic factor (s/k) psi1, with s/k = 2i D22 / det D.  Its left half
+    Each k > 0 row is e/k, on the closed node set of the table.  At k = 0
+    the right half (x >= 0) is the analytic factor (s/k) psi1, with
+    s/k = 2i / D11.  Its left half
     is the k -> 0 limit of the reflection expansion (the raw right
     representation cancels exponentially large terms for x < 0): the
     Richardson value 2 (e/k)(delta) - (e/k)(2 delta) of two rows at
@@ -777,13 +763,13 @@ def e_over_k(sys: LinearizedSystem, ks) -> np.ndarray:
     """
     kk = np.concatenate([np.asarray(ks, dtype=float), [EK_DELTA, 2.0 * EK_DELTA]])
     rows = _pair_rows(sys, kk)
-    ypsi, _yphi, _samples, (d11, d12, d21, d22, _spread) = rows
-    det = d11 * d22 - d12 * d21
+    ypsi, d11 = rows[0], rows[3][0]
     with np.errstate(invalid="ignore"):            # 0/0 on the k = 0 rows
-        out = _mode_block(sys, kk, rows)[0] / kk[:, None, None]
+        out = _mode_block(kk, rows)[0] / kk[:, None, None]
     zero = kk == 0.0
-    right = (2j * d22 / det)[zero, None, None] * ypsi[zero][:, (0, 2)]
-    out[zero] = np.where(sys.grid.nodes < 0, 2.0 * out[-2] - out[-1], right)
+    right = (2j / d11)[zero, None, None] * ypsi[zero][:, (0, 2)]
+    left = np.arange(ypsi.shape[-1]) < sys.grid.N // 2   # the nodes x < 0
+    out[zero] = np.where(left, 2.0 * out[-2] - out[-1], right)
     return out[:-2]
 
 
@@ -807,7 +793,7 @@ def ek_growth_report(sys: LinearizedSystem):
     ks = np.unique(np.concatenate([[0.0]] + [(k + stencil) for k in GROWTH_K]))
     rows = e_over_k(sys, ks)
 
-    sup = {0: np.max(np.abs(rows[0]), axis=0), 1: np.zeros(g.N), 2: np.zeros(g.N)}
+    sup = {0: np.max(np.abs(rows[0]), axis=0), 1: np.zeros(g.N + 1), 2: np.zeros(g.N + 1)}
     for k in GROWTH_K:
         idx = np.array([int(np.argmin(np.abs(ks - (k + s)))) for s in stencil])
         block = rows[idx]
@@ -840,12 +826,14 @@ def ek_growth_report(sys: LinearizedSystem):
 
 def dump_table(table: GeneralizedEigenTable, path, sidecar_path=None):
     """Binary grid dump: int64 N, int64 k-count, float64 L, float64 k_max,
-    then the row-major complex mode table; JSON sidecar with s, r."""
+    then the row-major complex mode table on the grid's N nodes (x = +L
+    left out); JSON sidecar with s, r."""
     g = table.system.grid
     with open(path, "wb") as fh:
         np.array([g.N, table.k.size], dtype="<i8").tofile(fh)
         np.array([g.L, float(table.k[-1])], dtype="<f8").tofile(fh)
-        np.ascontiguousarray(table.e, dtype="<c16").tofile(fh)
+        for row in table.e:                # row by row: no table-sized copy
+            np.ascontiguousarray(row[:, :g.N], dtype="<c16").tofile(fh)
     if sidecar_path is not None:
         payload = {
             "k": table.k.tolist(),

@@ -3,9 +3,10 @@ imports sit at module level, every private module-level name is read, no
 module imports scipy.sparse (the FD4 operator has one form, the band) or
 calls a general dense eigensolver (numpy.linalg.eig, scipy.linalg.eig:
 both parity blocks of the linearization are symmetric-definite pencils),
-every exported name is bound, the public names that only tests read
-are exactly the listed ones, every defaulted parameter is passed by some
-call, and every function the benchmark's tracer wraps by name exists."""
+every exported name is bound, the public names and the dataclass fields
+that only tests read are exactly the listed ones, every defaulted
+parameter is passed by some call, and every function the benchmark's
+tracer wraps by name exists."""
 
 import ast
 import importlib
@@ -36,6 +37,20 @@ TEST_ONLY = {
     "scattering.load_table": "reads back the CLI's eigentable.bin artifact format",
     "solitons.power_law_standing_wave":
         "the paper's printed closed form, not yet in the CLI",
+}
+
+# Dataclass fields that no attribute read in the package, its CLI or the
+# benchmark names, each with why it stays.  As for TEST_ONLY: a listed
+# field that gains a reader leaves the list, and an unread field is listed
+# or goes.
+TEST_ONLY_FIELDS = {
+    "dynamics.ModulationState.nu":
+        "the weight exponent r_weighted was taken at; its test rebuilds r_weighted from it",
+    "grids.AssumptionReport.subquadratic":
+        "the well-posedness growth condition, reported beside passes() and not part "
+        "of it; its test checks that the theorem nonlinearity fails it",
+    "linearized.DiscreteSpectrum.eigenvalues":
+        "the localized coarse-grid gap eigenvalues, for the spectral-symmetry test",
 }
 
 
@@ -158,6 +173,28 @@ def unread_public_names(sources: dict, readers: dict) -> list:
         unread += [f"{mod}.{full}" for full, name, lo, hi in names
                    if not name.startswith("_") and not read_elsewhere(mod, name, lo, hi, reads)]
     return sorted(unread)
+
+
+def dataclass_fields(tree) -> list:
+    """(class, field) of the annotated fields of the module-level classes
+    with a dataclass decorator."""
+    return [(node.name, stmt.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def unread_fields(sources: dict, readers: dict) -> list:
+    """"module.Class.field" of the dataclass fields of sources that no
+    attribute read (".field", loaded) in sources or readers names.  Reads
+    match by name alone, so a read of the same name on another object
+    counts as read."""
+    attrs = {node.attr for source in {**sources, **readers}.values()
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{mod}.{cls}.{name}" for mod, source in sources.items()
+                  for cls, name in dataclass_fields(ast.parse(source)) if name not in attrs)
 
 
 def unpassed_defaults(sources: dict, callers: dict) -> list:
@@ -294,6 +331,20 @@ def test_checker_flags_an_unread_public_name():
     assert unread_public_names(sources, {"r": reader}) == ["a.K.m"]
 
 
+def test_checker_flags_an_unread_field():
+    sources = {
+        "a": ("from dataclasses import dataclass\n\n"
+              "@dataclass(frozen=True)\nclass R:\n    x: float\n    y: int = 0\n    z = 1\n\n"
+              "    def total(self):\n        return self.x\n\n"
+              "@dataclass\nclass S:\n    w: float\n\n    def __post_init__(self):\n"
+              "        self.w = 2.0\n\n"
+              "class T:\n    v: float\n"),
+    }
+    # a store is not a read, and only dataclasses have fields
+    assert unread_fields(sources, {}) == ["a.R.y", "a.S.w"]
+    assert unread_fields(sources, {"r": "def f(r, s):\n    return r.y + s.w\n"}) == []
+
+
 def test_checker_flags_an_unpassed_default():
     sources = {
         "a": ("def f(x, y=1, z=2, *, w=3, v=4):\n    return x\n\n"
@@ -319,6 +370,17 @@ def test_test_only_public_names_are_listed():
                                      {f"bench.{p.stem}": p.read_text() for p in BENCH}))
     assert sorted(unread - TEST_ONLY.keys()) == [], "read only by tests: list them or delete them"
     assert sorted(TEST_ONLY.keys() - unread) == [], "listed but read: remove them from TEST_ONLY"
+
+
+def test_test_only_fields_are_listed():
+    """The dataclass fields of the program that only tests read are exactly
+    TEST_ONLY_FIELDS."""
+    unread = set(unread_fields({p.stem: p.read_text() for p in MODULES},
+                               {f"bench.{p.stem}": p.read_text() for p in BENCH}))
+    assert sorted(unread - TEST_ONLY_FIELDS.keys()) == [], \
+        "read only by tests: list them or delete them"
+    assert sorted(TEST_ONLY_FIELDS.keys() - unread) == [], \
+        "listed but read: remove them from TEST_ONLY_FIELDS"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

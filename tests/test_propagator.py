@@ -57,28 +57,24 @@ def test_branch_decomposition(default_plan, default_projector, probe_maker):
 def test_one_pass_matches_mirror_rows(default_plan):
     """The one-pass evolve against explicit mirror rows e(-x, k).
 
-    The mirror rows are e[..., ridx], except at node 0 (x = -L), whose
-    mirror +L is off the grid and takes the exact free-region value
-    s e^{ikL} (1, 0) + a (0, e^{-mu L}).  The reference makes separate
-    coefficient and synthesis passes over e and the mirror rows, per
-    branch, with the negative branch as sigma1 conj of the positive branch
-    of sigma1 conj f, and sums the two; both use the plan's quadrature
-    weights.
+    The table holds e on the closed node set -L + j dx, j = 0..N, so the
+    mirror rows on the grid's N nodes are its plain reversal, node 0
+    (x = -L) reading x = +L.  The reference makes separate coefficient
+    and synthesis passes over e and the mirror rows, per branch, with the
+    negative branch as sigma1 conj of the positive branch of sigma1 conj f,
+    and sums the two; both use the plan's quadrature weights.
     """
     plan = default_plan
     tab = plan.table
     g = plan.system.grid
-    k = tab.k
-    mu = np.sqrt(k**2 + 2.0 * plan.system.beta)
-    a = -2j * k * tab.d12 / np.where(k > 0, tab.detD, 1.0)
-    mirror = tab.e[:, :, (g.N - np.arange(g.N)) % g.N]
-    mirror[:, :, 0] = np.stack([tab.s * np.exp(1j * k * g.L), a * np.exp(-mu * g.L)], axis=1)
+    grid_rows = tab.e[..., :g.N]
+    mirror = tab.e[..., :0:-1]
 
     def s1c(u):
         return np.conj(u[::-1])
 
     def reference(f, t, stride):
-        e = tab.e[::stride].reshape(-1, 2 * g.N)
+        e = grid_rows[::stride].reshape(-1, 2 * g.N)
         m = mirror[::stride].reshape(-1, 2 * g.N)
         inputs = [f, s1c(f)]
         # <sigma3 rows, u> = conj(rows . conj(sigma3 u))
@@ -96,6 +92,44 @@ def test_one_pass_matches_mirror_rows(default_plan):
             ref = reference(f, t, stride)
             out = plan.evolve(f, t, stride=stride)
             assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride)
+
+
+def test_node_zero_matches_free_region_patch(default_plan):
+    """evolve at x = -L on non-even data against a periodic mirror with a
+    rank-one patch at node 0.
+
+    On the grid's N nodes the periodic flip R (j -> -j mod N) maps -L onto
+    itself, so the mirror row there is patched with the free-region value
+    s e^{ikL} (1, 0) of the right representation s psi1: the patch
+    d0 = s e^{ikL} (1, 0) - e(-L, k) is added to the mirror coefficients
+    through g(-L) and to the mirror sums at node 0.  The closed table
+    reads that value at its node x = +L.
+    """
+    plan = default_plan
+    tab = plan.table
+    g = plan.system.grid
+    e = tab.e[..., :g.N].reshape(-1, 2 * g.N)
+    ridx = (g.N - np.arange(g.N)) % g.N
+    mirror0 = np.stack([tab.s * np.exp(1j * tab.k * g.L), np.zeros(tab.k.size)], axis=1)
+    d0 = mirror0 - tab.e[:, :, 0]
+
+    def patched(f, t):
+        gs = (np.conj(np.stack([f[0], -f[1]])), np.stack([f[1], -f[0]]))
+        x = np.stack([c.reshape(-1) for gu in gs for c in (gu, gu[:, ridx])], axis=1)
+        y = e @ x
+        y[:, 1::2] += d0 @ x[[0, g.N], 1::2]
+        w = plan._weights(g.dx * np.conj(y), t, 1)
+        sums = (w @ e).reshape(-1, 2, g.N)
+        v = sums[0::2] + sums[1::2][..., ridx]
+        v[:, :, 0] += w[1::2] @ d0
+        return (v[0] + np.conj(v[1, ::-1])) / (2.0 * np.pi)
+
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
+    for t in (0.0, 0.3, 30.0, 120.0):
+        ref = patched(f, t)
+        out = plan.evolve(f, t)
+        assert np.max(np.abs(out[:, 0] - ref[:, 0])) <= 1e-14 * np.max(np.abs(ref)), t
 
 
 def test_chirp_moments_match_mpmath():
@@ -222,9 +256,12 @@ def test_free_field_late_time_gaussian(free_plan, free_system):
 
     The error, 2.45e-5 / 1.76e-5 relative at t = 600 / 2000, is not the
     quadrature's: the exact chirp moments and a Simpson rule on a fine k
-    grid at a phase step of 0.25 give the same values.  At t = 0 the
-    probe is off by 5.3e-4, the k <= 10 cut of its spectrum; which shared
-    term sets the late-time error is not identified.
+    grid at a phase step of 0.25 give the same values.  Nor is it the
+    table's k = 0 row, the resonant mode (1, 0): zeroing that row raises
+    the error to 6.4e-2 / 1.2e-1.  The error is spread across the box
+    (1.57e-5 / 1.40e-5 at |x| < 55, largest next to the wall).  At t = 0
+    the probe is off by 5.3e-4, the k <= 10 cut of its spectrum; which
+    shared term sets the late-time error is not identified.
     """
     g = free_system.grid
     x = g.nodes

@@ -23,7 +23,7 @@ from nlslab import scattering
 from nlslab.grids import fit_exponential_decay, make_grid
 from nlslab.linearized import LinearizedSystem, assemble_L
 from nlslab.scattering import (PURGE_SPACING, TABLE_BLOCK, _cmedian, _expm,
-                               _march_left, _mirror, _omega, _omega_parts,
+                               _march_left, _mirror, _omega, _omega_k2,
                                _pair_rows, _s3conj, _sample_indices, _sr_coeffs,
                                _stepper, _w_edge, _wr, default_k_grid,
                                dump_table, e_over_k,
@@ -54,10 +54,12 @@ def _ode_residual(sys_, lam, values, valid):
     Relative to the weighted sup of xi, on the nodes of the valid window
     whose stencil stays inside it.  The weight e^(-alpha |x| / 4), with
     alpha the fitted decay rate of the potentials, keeps the growing
-    far-left values from setting the scale.
+    far-left values from setting the scale.  Rows on the closed node set
+    are read on the grid's N nodes.
     """
     g = sys_.grid
-    ok = valid.copy()
+    values = values[:, :g.N]
+    ok = valid[:g.N].copy()
     ok[:4] = False
     ok[-4:] = False
     d2 = np.zeros((2, g.N), dtype=complex)
@@ -86,7 +88,7 @@ def _tail_rate(sys_, kind, k, values):
     g = sys_.grid
     mu = np.sqrt(k**2 + 2.0 * sys_.beta)
     x = g.nodes
-    sel = (x > 1.0) & (x < max(min(_w_edge(sys_), 0.9 * g.L), 6.0))
+    sel = np.flatnonzero((x > 1.0) & (x < max(min(_w_edge(sys_), 0.9 * g.L), 6.0)))
     v, xs = values[:, sel], x[sel]
     if kind == "eta":
         rem = np.abs(v[0] - xs) + np.abs(v[1])
@@ -121,7 +123,7 @@ def test_jost_normalization_decay(default_system):
     g = default_system.grid
     # the correction lives on the potential support; past it only the
     # noise floor remains
-    sel = (g.nodes > 2.0) & (g.nodes < 12.0)
+    sel = np.flatnonzero((g.nodes > 2.0) & (g.nodes < 12.0))
     rem = np.abs(phi1[1, sel] * np.exp(mu * g.nodes[sel]) - 1.0)
     rem += np.abs(phi1[0, sel] * np.exp(mu * g.nodes[sel]))
     rate, _ = fit_exponential_decay(g.nodes[sel], rem + 1e-300, floor=1e-280)
@@ -176,7 +178,8 @@ def test_closed_form_generator_matches_commutators(per_row):
     row as a coupling scan scales them.  p carries the k-dependent free part
     diag(-k^2, k^2 + 2 beta) of a bench-size block.  Rows built from the
     shared parts as Omega0 + k^2 Omega1, as the stepper builds them, match
-    too, and at k = 0 they are _omega at p0 bit for bit."""
+    too, and at k = 0 they are _omega at p0 bit for bit, which is what a
+    march at the threshold takes alone."""
     rng = np.random.default_rng(7)
 
     def sym(*shape):
@@ -196,7 +199,7 @@ def test_closed_form_generator_matches_commutators(per_row):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     p0 = scale * w + np.diag([0.0, 4.0])
-    om0, om1 = _omega_parts(h, p0, scale * q, scale * r)
+    om0, om1 = _omega(h, p0, scale * q, scale * r), _omega_k2(h, scale * q, scale * r)
     rows = om0 + ks[:, None, None] ** 2 * om1
     assert rows.shape == want.shape
     assert np.max(np.abs(rows - want)) <= 1e-14 * np.max(np.abs(want))
@@ -267,11 +270,12 @@ def _stepwise_march(sys_, ks, kinds, stop=None):
     PURGE_SPACING, then a ledger pass node by node.  It stops where
     _march_left does, one node past the mirror of the farthest Wronskian
     sample at the largest mu, or at the first node x >= stop when a stop is
-    given.  Returns full-grid rows [nk, ncol, 4, N], zero left of the stop."""
+    given.  Returns rows [nk, ncol, 4, N + 1] on the closed node set, zero
+    left of the stop."""
     g = sys_.grid
-    nodes = g.nodes
+    nodes = -g.L + g.dx * np.arange(g.N + 1)
     real = np.array([1.0, 1.0, 1j, 1j])
-    j_hi = min(int(np.searchsorted(nodes, min(_w_edge(sys_), nodes[-1]))), g.N - 1)
+    j_hi = min(int(np.searchsorted(nodes, _w_edge(sys_))), g.N - 1)
     if stop is None:
         mu_max = np.sqrt(np.max(ks) ** 2 + 2.0 * sys_.beta)
         j_lo = g.N - 1 - int(_sample_indices(g, mu_max)[-1])
@@ -292,12 +296,12 @@ def _stepwise_march(sys_, ks, kinds, stop=None):
             z[:, :-1] -= c[..., None] * z[:, -1:]
             ledger[n - 1 - i] = c
         out[..., n - 1 - i] = z
-    y = np.zeros(z.shape + (g.N,), dtype=complex)
+    y = np.zeros(z.shape + (g.N + 1,), dtype=complex)
     y[..., j_lo : j_hi + 1] = out * np.conj(real)[:, None]
     y[..., j_hi + 1:] = A[..., None] + B[..., None] * nodes[j_hi + 1:]
     decay = np.exp((gg[:, :-1] - gg[:, -1:]) * (-g.dx))
     S = np.zeros(decay.shape, dtype=complex)
-    for j in range(j_lo, g.N):
+    for j in range(j_lo, g.N + 1):
         y[:, :-1, :, j] -= S[..., None] * y[:, -1:, :, j]
         S = (S + ledger.get(j - j_lo, 0.0)) * decay
     y[..., j_lo:] *= np.exp(gg[..., None, None] * nodes[j_lo:])
@@ -325,7 +329,7 @@ def test_block_march_matches_stepwise_march(default_system, bench_system, case):
         sys_, ks = bench_system, np.linspace(0.01, 8.0, 256)
     got = np.stack(_march_left(sys_, ks), axis=1)
     want = _stepwise_march(sys_, ks, ("psi1", "phi1"))
-    n = sys_.grid.N
+    n = sys_.grid.N + 1
     assert np.array_equal(_window(got.reshape(-1, n)), _window(want.reshape(-1, n)))
     gap = np.max(np.abs(got - want), axis=(2, 3)) / np.max(np.abs(want), axis=(2, 3))
     assert np.max(gap) <= 1e-12, np.max(gap)
@@ -349,6 +353,28 @@ def test_march_steps_per_block(bench_system, monkeypatch):
     assert steps == [357, 343, 323, 311]
 
 
+def test_threshold_march_skips_k2_part(bench_system, monkeypatch):
+    """A march whose rows all sit at k = 0 takes the generator without its
+    k^2 part, and its transfer matrices equal bit for bit the k = 0 row of
+    a march that also carries a k > 0 row (with k^2 = 0 times that part).
+    The second row's k is small enough that the batch's scaling for the
+    exponential stays the same."""
+    calls = []
+    omega_k2 = scattering._omega_k2
+
+    def counted(*args):
+        calls.append(1)
+        return omega_k2(*args)
+
+    monkeypatch.setattr(scattering, "_omega_k2", counted)
+    j0 = bench_system.grid.N // 2 + 4
+    alone = _stepper(bench_system, np.zeros(1), j0, 8, -1)
+    assert calls == []
+    both = _stepper(bench_system, np.array([0.0, 1e-9]), j0, 8, -1)
+    assert calls == [1]
+    assert np.array_equal(alone, both[:, :1])
+
+
 def test_march_peak_memory(bench_system):
     """One march of the bench table's first 256-row block allocates at
     most 67.0 MB at its peak (traced), which is what the stepwise march
@@ -362,7 +388,7 @@ def test_march_peak_memory(bench_system):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ypsi.nbytes + yphi.nbytes == 256 * 2 * 4 * 1024 * 16
+    assert ypsi.nbytes + yphi.nbytes == 256 * 2 * 4 * 1025 * 16
     assert peak <= 67.0e6, peak / 1e6
 
 
@@ -388,25 +414,29 @@ def test_sigma3_conjugation_symmetry(default_system):
 
 def test_wronskian_matrix_properties(default_system):
     k = 1.0
-    d = wronskian_matrix(default_system, default_system.beta + k * k)
-    spread = _pair_rows(default_system, np.array([k]))[3][4]
+    ypsi, yphi, samples, (_d11, _d22, spread) = _pair_rows(default_system, np.array([k]))
     assert spread[0] < 1e-7
-    # D is symmetric: d12 = d21
-    assert abs(d.d12 - d.d21) / max(abs(d.d12), abs(d.d21), abs(d.d22)) < 1e-8
-    # transmission normalization identity: 2ik s1 = D11 - D12^2/D22
-    s = 2j * k * d.d22 / d.det
-    s1 = 1.0 / s
-    lhs = 2j * k * s1
-    rhs = d.d11 - d.d12**2 / d.d22
-    assert abs(lhs - rhs) < 1e-6 * abs(rhs)
+
+    def pairing(x, y):
+        return complex(_cmedian(_wr(x[0][:, samples], _mirror(y[0], samples))))
+
+    # D is symmetric, so in the gauge D12 = 0 of psi1 the entry D21 vanishes too
+    d11, d21, d22 = pairing(ypsi, ypsi), pairing(yphi, ypsi), pairing(yphi, yphi)
+    assert abs(d21) / max(abs(d11), abs(d22)) < 1e-8
+    d = wronskian_matrix(default_system, default_system.beta + k * k)
+    assert (d.d11, d.d22) == (d11, d22)
+    # transmission normalization identity: 2ik / s = D11
+    _e, s, _r = generalized_eigenfunction(default_system, default_system.beta + k * k)
+    assert abs(2j * k / s - d11) < 1e-6 * abs(d11)
 
 
 @pytest.mark.parametrize("k", [0.5, 2.0])
 def test_wronskian_matrix_matches_jost_pairings(default_system, k):
     """The D entries equal the explicit pairings of the psi1 and phi1 rows
-    against their reflections.  W(psi1, phi1) vanishes: both are Jost
-    solutions at +infinity, which the Cramer form of (r, b) relies on.  A
-    row paired with itself gives zero."""
+    against their reflections, and the off-diagonal pairings vanish: D is
+    diagonal in the gauge of psi1.  W(psi1, phi1) vanishes: both are Jost
+    solutions at +infinity, which the form of (r, b) relies on.  A row
+    paired with itself gives zero."""
     mu = np.sqrt(k * k + 2.0 * default_system.beta)
     d = wronskian_matrix(default_system, default_system.beta + k * k)
     ypsi, yphi, _samples, _d = _pair_rows(default_system, np.array([k]))
@@ -416,9 +446,9 @@ def test_wronskian_matrix_matches_jost_pairings(default_system, k):
     def pairing(x, y):
         return complex(_cmedian(_wr(x[:, idx], y)))
 
-    entries = {("psi1", "psi1"): d.d11, ("psi1", "phi1"): d.d12,
-               ("phi1", "psi1"): d.d21, ("phi1", "phi1"): d.d22}
-    scale = max(abs(d.d11), abs(d.d12), abs(d.d21), abs(d.d22))
+    entries = {("psi1", "psi1"): d.d11, ("psi1", "phi1"): 0.0,
+               ("phi1", "psi1"): 0.0, ("phi1", "phi1"): d.d22}
+    scale = max(abs(d.d11), abs(d.d22))
     for (x, y), want in entries.items():
         got = pairing(rows[x], _mirror(rows[y], idx))
         assert abs(got - want) <= 1e-13 * scale, (x, y)
@@ -435,20 +465,20 @@ def test_wronskian_matrix_matches_block_march(default_system, k):
     ks = np.array([0.3, 0.5, 2.0, 4.0])
     block = _pair_rows(default_system, ks)[3]
     q = int(np.flatnonzero(ks == k)[0])
-    want = (d.d11, d.d12, d.d21, d.d22)
+    want = (d.d11, d.d22)
     scale = max(abs(w) for w in want)
-    for got, w in zip(block[:4], want):
+    for got, w in zip(block[:2], want):
         assert abs(got[q] - w) <= 1e-12 * scale
 
 
 def test_free_field_resonant(free_system):
-    """The free system is marched like any other: D(0) = (0, 0, 0, 2 mu)."""
+    """The free system is marched like any other: D(0) = diag(0, 2 mu)."""
     rt = resonance_test(free_system)
     assert rt["resonant"]
     assert abs(rt["detD0"]) < 1e-10
     assert abs(abs(rt["d22"]) - 2 * np.sqrt(2 * free_system.beta)) < 1e-8
     d = wronskian_matrix(free_system, free_system.beta)
-    assert (d.d11, d.d12, d.d21) == (0.0, 0.0, 0.0)
+    assert d.d11 == 0.0
     mu = np.sqrt(2 * free_system.beta)
     assert abs(d.d22 - 2.0 * mu) < 1e-13 * 2.0 * mu
     # so its threshold mode is not a limit of the 2ik factor
@@ -564,9 +594,9 @@ def test_resonance_flip_by_bisection(default_system):
     """
     def det0(svals):
         # one k = 0 march whose rows carry the couplings svals
-        _psi, _phi, _samples, (d11, d12, d21, d22, _sp) = _pair_rows(
+        _psi, _phi, _samples, (d11, d22, _sp) = _pair_rows(
             default_system, np.zeros(svals.size), svals)
-        return np.real(d11 * d22 - d12 * d21)
+        return np.real(d11 * d22)
 
     s_vals = np.linspace(0.05, 1.5, 8)
     dets = det0(s_vals)
@@ -637,7 +667,8 @@ def test_free_field_mode_reference(free_system):
     for k in (0.5, 1.0, 2.0):
         e, s, r = generalized_eigenfunction(free_system, free_system.beta + k * k)
         assert s == pytest.approx(1.0) and r == pytest.approx(0.0)
-        assert np.max(np.abs(e[0] - np.exp(1j * k * g.nodes))) < 1e-12
+        x = -g.L + g.dx * np.arange(g.N + 1)            # the closed node set
+        assert np.max(np.abs(e[0] - np.exp(1j * k * x))) < 1e-12
         assert np.max(np.abs(e[1])) < 1e-12
     tab = eigentable_build(free_system, np.array([0.0, 0.5, 1.0]))
     assert tab.resonant
@@ -649,38 +680,40 @@ def test_table_invariants(default_table):
     assert np.max(tab.unitarity_defect()[pos]) < 1e-6
     assert np.max(tab.orthogonality_defect()[pos]) < 1e-6
     assert np.max(tab.wronskian_spread) < 1e-7
-    scale = np.maximum(np.abs(tab.d11), np.abs(tab.d22))
-    assert np.max(np.abs(tab.d12 - tab.d21) / np.maximum(scale, 1e-300)) < 1e-7
-    # psi1 is in the gauge D12 = 0, so e = s psi1 carries no phi1 admixture
-    assert np.all(tab.d12 == 0.0)
+    # D is symmetric, so in the gauge D12 = 0 of psi1 (e = s psi1 carries no
+    # phi1 admixture) the entry D21 vanishes too: D is diagonal at every k
+    for start in range(0, tab.k.size, TABLE_BLOCK):
+        ypsi, yphi, samples, (d11, d22, _spread) = _pair_rows(
+            tab.system, tab.k[start:start + TABLE_BLOCK])
+        d21 = _cmedian(_wr(yphi[..., samples], _mirror(ypsi, samples)))
+        scale = np.maximum(np.abs(d11), np.abs(d22))
+        assert np.max(np.abs(d21) / np.maximum(scale, 1e-300)) < 1e-7
     # the k = 0 row is an ordinary marched row, exact through the 2ik factor
     assert tab.k[0] == 0.0
     assert np.all(tab.e[0] == 0.0)
-    assert (tab.s[0], tab.d12[0], tab.r[0]) == (0.0, 0.0, -1.0)
+    assert (tab.s[0], tab.r[0]) == (0.0, -1.0)
     margin = resonance_test(tab.system)["margin"]
     assert abs(tab.resonance_margin - margin) <= 1e-12 * margin
 
 
 def test_threshold_row_exact_for_any_det():
-    """At k = 0 psi2 = psi1, so the pairings c1, c2 of _sr_coeffs equal D11
-    and D21 bit for bit, and r = -1, b = 0 and s = 0 exactly, whatever
-    value det D takes.  numpy's complex division gives
-    (-x + 0j) / (x + 0j) != -1 for some x; the D entries here are paired
-    from k = 0 rows (first component real, second imaginary) and D22 is
-    picked so that det D is such an x, where -det/det, the quotient the
-    plain Cramer form takes, misses -1."""
+    """At k = 0 psi2 = psi1 bit for bit, so the difference rows
+    (psi2 - psi1)(-.) that _sr_coeffs pairs are exactly 0, and r = -1,
+    b = 0 and s = 0 exactly, whatever value D takes.  numpy's complex
+    division gives (-x + 0j) / (x + 0j) != -1 for some x; D11 here is
+    paired from k = 0 rows (first component real, second imaginary) and
+    D22 is picked so that det D = D11 D22 is such an x, where -det/det,
+    the quotient a Cramer form on c1 = W(psi1, psi2(-.)) takes, misses -1."""
     rng = np.random.default_rng(5)
     n, samples = 64, np.arange(8, 24)
     ypsi = rng.standard_normal((1, 4, n)) * np.array([1.0, 1.0, 1j, 1j])[:, None]
     yphi = rng.standard_normal((1, 4, n)) + 1j * rng.standard_normal((1, 4, n))
     d11 = _cmedian(_wr(ypsi[..., samples], _mirror(ypsi, samples)))
-    d21 = _cmedian(_wr(yphi[..., samples], _mirror(ypsi, samples)))
-    d12 = np.zeros(1, dtype=complex)
     plain = [d22 for d22 in np.linspace(1.0, 3.0, 401).astype(complex)
-             if (d12 * d21 - d22 * d11) / (d11 * d22 - d12 * d21) != -1.0]
+             if -(d11 * d22) / (d11 * d22) != -1.0]
     assert plain, "no det D on the list misses -1 under the plain Cramer form"
     d22 = np.array([plain[0]])
-    s, r, b = _sr_coeffs(ypsi, yphi, d11, d12, d21, d22, np.zeros(1), samples)
+    s, r, b = _sr_coeffs(ypsi, yphi, d11, d22, np.zeros(1), samples)
     assert (s[0], r[0], b[0]) == (0.0, -1.0, 0.0)
 
 
@@ -702,7 +735,7 @@ def test_reflection_consistency(default_system, default_table):
         det = d11 * d22 - d12 * d21
         s = 2j * k * d22 / det
         a = -2j * k * d12 / det
-        sel = (g.nodes > -5.0) & (g.nodes < -0.2)
+        sel = np.flatnonzero((g.nodes > -5.0) & (g.nodes < -0.2))
         right_rep = s * fp[(0, 2), :][:, sel] + a * fh[(0, 2), :][:, sel]
         assert np.max(np.abs(right_rep - tab.e[i][:, sel])) < 1e-6
 
@@ -713,11 +746,21 @@ def test_large_x_factorization(default_system, default_table):
     tab = default_table
     i = int(np.argmin(np.abs(tab.k - 1.0)))
     k = tab.k[i]
-    sel = (g.nodes > 15.0) & (g.nodes < 0.9 * g.L)
+    sel = np.flatnonzero((g.nodes > 15.0) & (g.nodes < 0.9 * g.L))
     rem = np.abs(tab.e[i][0, sel] - tab.s[i] * np.exp(1j * k * g.nodes[sel]))
     rem += np.abs(tab.e[i][1, sel])
     rate, _ = fit_exponential_decay(g.nodes[sel], rem + 1e-300, floor=1e-280)
     assert rate > 0.2
+
+
+def test_closed_table_reaches_plus_l(default_table):
+    """The table's last node is x = +L, the mirror of node 0, and carries
+    the free-region value s e^{ikL} (1, 0) of the right representation."""
+    tab = default_table
+    g = tab.system.grid
+    assert tab.e.shape[-1] == g.N + 1
+    want = np.stack([tab.s * np.exp(1j * tab.k * g.L), np.zeros(tab.k.size)], axis=1)
+    assert np.max(np.abs(tab.e[:, :, g.N] - want)) <= 1e-14
 
 
 def test_growth_report_exponents(default_system):
@@ -729,7 +772,7 @@ def test_growth_report_exponents(default_system):
 def test_e_over_k_regular_at_zero(default_system):
     row0, row_small = e_over_k(default_system, [0.0, 4e-3])
     g = default_system.grid
-    interior = np.abs(g.nodes) < 0.5 * g.L
+    interior = np.flatnonzero(np.abs(g.nodes) < 0.5 * g.L)
     assert np.all(np.isfinite(row0[:, interior]))
     # consistent with the small-k limit of the sampled rows
     dev = np.max(np.abs(row0 - row_small)[:, interior])
@@ -773,7 +816,7 @@ def test_table_dump_roundtrip(default_table, tmp_path):
     assert back["N"] == g.N
     assert back["k_count"] == default_table.k.size
     assert back["L"] == g.L
-    assert np.array_equal(back["e"], default_table.e)
+    assert np.array_equal(back["e"], default_table.e[..., :g.N])
     with open(sidecar) as fh:
         side = json.load(fh)
     assert np.allclose(side["s_re"], np.real(default_table.s))
