@@ -316,6 +316,8 @@ class StageRunner:
                 "lam_last_quarter_variation": rep.lam_last_quarter_variation,
                 "max_mass_drift": float(np.max(rep.mass_drift)),
                 "max_energy_drift": float(np.max(rep.energy_drift)),
+                "solves_per_step": rep.solves_per_step,
+                "floor_stops": rep.floor_stops,
                 "gates": gates,
                 "outside_theorem_hypotheses": mode != "theorem",
             }

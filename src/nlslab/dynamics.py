@@ -22,7 +22,6 @@ weighted norm is the decay observable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,16 +43,23 @@ __all__ = [
     "stability_experiment",
 ]
 
-# Fixed-point solve of each implicit step, relative to max(1, max|psi|).
-# The iteration starts from the trajectory extrapolated through the last
-# accepted steps (quintic once six exist, _EXTRAPOLATION) in the frame that
-# turns with the phase of the last step, and runs down to a roundoff
-# floor, which lies between 1e-14 and 1e-8 on the default stability datum;
-# below FP_FLOOR an update that stops shrinking is that floor, and further
-# iterations only resample it.  On that datum the first update is ~3e-9
-# and the second ~3e-7 of it, below FP_TOL on most steps.  Each iteration
-# is one band solve: per step on that datum, 2.1 up to t = 2 and 2.8 up
-# to t = 60.
+# Fixed-point solve of each implicit step.  With tau = dt/2, M = 1 + i tau
+# fold(-d2 + V) and b(u) = i tau Q(|u|^2, |psi|^2)(u + psi), the iteration
+# is u -> Phi(u) = M^-1 (2 psi + b(u)) - psi, and the update that would
+# follow cand = Phi(new) is exactly Phi(cand) - cand = M^-1 (b(cand) - b(new)).
+# In the sqrt(w)-scaled fold (node weights w = 1 at x = 0, 2 elsewhere)
+# M = 1 + i tau (S + K), S symmetric and K antisymmetric, nonzero only in
+# the 3-point wall rows, so ||M^-1|| <= 1/(1 - tau ||K||) (_skew_norm), and
+# that update is at most c ||sqrt(w) (b(cand) - b(new))||_2 in sup norm,
+# c = 1/(1 - tau ||K||).  A step accepts cand when this bound is below
+# FP_TOL max(1, max|cand|); below FP_FLOOR a bound that stops shrinking is
+# the roundoff floor, and cand is accepted there too.  b(cand) is the term
+# the next iteration needs, so the bound costs no solve.  The iteration
+# starts from the trajectory extrapolated through the last accepted steps
+# (quintic once six exist, _EXTRAPOLATION) in the frame that turns with the
+# phase of the last step.  Each iteration is one band solve: per step on
+# the default stability datum, 1.19 up to t = 2, 1.45 up to t = 20 and 2.3
+# up to t = 60.
 FP_TOL = 1e-13
 FP_FLOOR = 1e-6
 FP_MAX = 30
@@ -70,12 +76,18 @@ _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """One time slice of the nonlinear flow with conserved diagnostics."""
+    """One time slice of the nonlinear flow with conserved diagnostics.
+
+    solves and floor_stops count the band solves and the steps accepted at
+    the roundoff floor since the previous sample (0 at t = 0).
+    """
 
     t: float
     psi: np.ndarray
     mass: float
     energy: float
+    solves: int
+    floor_stops: int
 
 
 def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
@@ -90,6 +102,29 @@ def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
     pot = 0.5 * np.real(grid.integrate(V(grid.nodes) * dens))
     nl = 0.5 * np.real(grid.integrate(f.antiderivative(dens)))
     return float(kin + pot - nl)
+
+
+def _skew_norm(band: np.ndarray, w: np.ndarray) -> float:
+    """||K||_2 for K the antisymmetric part of W^(1/2) B W^(-1/2).
+
+    B is a real (2, 2) band in the storage of band_solver and W = diag(w).
+    K is formed entry by entry from the off-diagonals of B, and its norm is
+    that of the dense block on the nodes it touches.
+    """
+    s = np.sqrt(w)
+    entries = []                                  # (row, column, value) above the diagonal
+    for k in (1, 2):
+        i = np.arange(band.shape[1] - k)
+        # B[i, i + k] sits in row 2 - k, column i + k; B[i + k, i] in row 2 + k, column i
+        skew = 0.5 * (band[2 - k, k:] * s[i] / s[i + k] - band[2 + k, :-k] * s[i + k] / s[i])
+        nz = np.flatnonzero(skew)
+        entries += zip(i[nz], i[nz] + k, skew[nz])
+    nodes = sorted({j for row, col, _ in entries for j in (row, col)})
+    at = {j: m for m, j in enumerate(nodes)}
+    dense = np.zeros((len(nodes), len(nodes)))
+    for row, col, v in entries:
+        dense[at[row], at[col]], dense[at[col], at[row]] = v, -v
+    return float(np.linalg.norm(dense, 2)) if nodes else 0.0
 
 
 def _step_quotient(f: PolynomialNonlinearity, s: np.ndarray):
@@ -137,17 +172,20 @@ def evolve_nls(
     fixed-point iteration on b, started from the quintic extrapolation
     sum_k w_k r^(k+1) psi_(n-k), w = (6, -15, 20, -15, 6, -1), of the last
     six accepted steps (the lower rows of _EXTRAPOLATION while fewer
-    exist), taken in the frame that turns like the trajectory: r is the
-    phase of <psi_(n-1), psi_n> (1 at the first step and for a zero
-    datum).  On the default stability datum a step takes 2.1 band solves
-    up to t = 2 and 2.8 up to t = 60.  b uses the difference quotient of
-    the primitive as a polynomial in |psi+|^2 whose coefficients are
-    formed once per step from |psi_n|^2 (_step_quotient).  The iteration
-    runs in one workspace per run, for |psi+|^2, the quotient and the
-    right side; each accepted step is a fresh array from the band solve.
-    Iterating to the roundoff floor keeps the scheme's exact invariants at
-    roundoff level, whatever the start.  Raises when FP_MAX iterations do
-    not reach that floor, and for dt <= 0 or T < 0.
+    exist), one product with the [6, N/2] ring of accepted steps, taken in
+    the frame that turns like the trajectory: r is the phase of
+    <psi_(n-1), psi_n> (1 at the first step and for a zero datum).  The
+    iteration stops by a bound on its next update, not by a further solve
+    (the FP_* block): the term b(cand) of the bound is the one the next
+    iteration would solve with.  On the default stability datum a step
+    takes 1.19 band solves up to t = 2 and 2.3 up to t = 60.  b uses the
+    difference quotient of the primitive as a polynomial in |psi+|^2 whose
+    coefficients are formed once per step from |psi_n|^2 (_step_quotient),
+    the |psi+|^2 of the accepted solve.  Iterating to the roundoff floor
+    keeps the scheme's exact invariants at roundoff level, whatever the
+    start.  Each sample counts the band solves and floor stops since the
+    last.  Raises when FP_MAX iterations do not reach that floor, when
+    tau ||K|| >= 1 (the bound has no constant), and for dt <= 0 or T < 0.
     """
     if not dt > 0:
         raise ValueError("time step dt must be positive")
@@ -162,63 +200,89 @@ def evolve_nls(
     d2 = grid.fd_d2_band()
     lin = -d2
     lin[2] += V(grid.nodes)
-    lhs = 0.5j * dt * grid.fold(lin)
+    folded = grid.fold(lin)
+    tau = 0.5 * dt
+    node_weight = np.full(folded.shape[1], 2.0)
+    node_weight[0] = 1.0                                  # x = 0 is its own mirror
+    skew = tau * _skew_norm(folded, node_weight)
+    if skew >= 1.0:
+        raise ValueError(f"time step too large for the fixed-point bound: "
+                         f"tau ||K|| = {skew:.3g} >= 1")
+    c2 = 1.0 / (1.0 - skew) ** 2                          # the squared bound on ||M^-1||
+    lhs = 0.5j * dt * folded
     lhs[2] += 1.0
     solve = band_solver(lhs, 2, 2)
 
     n_steps = int(round(T / dt))
     states = []
 
-    def snapshot(t, u):
+    def snapshot(t, u, solves, floor_stops):
         full = grid.unfold(u)
         mass = float(np.real(grid.integrate(np.abs(full) ** 2)))
         states.append(EvolutionState(t=float(t), psi=full, mass=mass,
-                                     energy=hamiltonian(grid, V, f, full, d2)))
+                                     energy=hamiltonian(grid, V, f, full, d2),
+                                     solves=solves, floor_stops=floor_stops))
 
     psi = psi0[grid.half()]
-    snapshot(0.0, psi)
+    snapshot(0.0, psi, 0, 0)
     mass0 = states[0].mass
     energy0 = states[0].energy
     escale = max(abs(energy0), 1.0)
 
-    recent = deque([psi], maxlen=len(_EXTRAPOLATION))   # accepted steps, newest first
+    depth = len(_EXTRAPOLATION)
+    ring = np.zeros((depth, psi.size), dtype=complex)     # psi_n in row n % depth
+    ring[0] = psi
     # one workspace per run; every accepted psi is a fresh solve output, so
-    # neither the snapshots nor the deque share memory with it
-    base, start, rhs = (np.empty_like(psi) for _ in range(3))
-    mod2, chi = np.empty(psi.shape), np.empty(psi.shape)
+    # neither the snapshots nor the ring share memory with it
+    base, b_new, b_cand, rhs = (np.empty_like(psi) for _ in range(4))
+    mod2, chi = np.square(np.abs(psi)), np.empty(psi.shape)
+    coef = np.empty(depth, dtype=complex)
+    tol2, floor2 = FP_TOL**2, FP_FLOOR**2
+    solves = floor_stops = 0
+
+    def nonlinear_term(u, quotient, out):
+        """b(u) into out, and |u|^2 into mod2."""
+        q = quotient(np.square(np.abs(u, out=mod2), out=mod2), out=chi)
+        q *= tau
+        np.add(u, psi, out=out)
+        out *= q
+        out *= 1j
+        return out
+
     for step in range(1, n_steps + 1):
+        n = step - 1                                      # psi is psi_n
         np.multiply(psi, 2.0, out=base)
-        quotient = _step_quotient(f, np.square(np.abs(psi, out=mod2), out=mod2))
+        quotient = _step_quotient(f, mod2)
         # the phase turned by the last step; np.angle(0) = 0, so rot = 1 at zero
-        rot = np.exp(1j * np.angle(np.vdot(recent[1], psi))) if len(recent) > 1 else 1.0
-        weights = _EXTRAPOLATION[len(recent) - 1]
-        new = np.multiply(weights[0] * rot, psi, out=start)
-        for k in range(1, len(weights)):
-            new += np.multiply(weights[k] * rot ** (k + 1), recent[k], out=rhs)
+        rot = np.exp(1j * np.angle(np.vdot(ring[(n - 1) % depth], psi))) if n else 1.0
+        weights = _EXTRAPOLATION[min(n, depth - 1)]
+        coef[:] = 0.0
+        for k, w_k in enumerate(weights):
+            coef[(n - k) % depth] = w_k * rot ** (k + 1)
+        nonlinear_term(coef @ ring, quotient, b_new)
         prev = np.inf
-        for _ in range(FP_MAX):
-            quotient(np.square(np.abs(new, out=mod2), out=mod2), out=chi)
-            chi *= 0.5 * dt
-            np.add(new, psi, out=rhs)
-            rhs *= chi
-            rhs *= 1j
-            rhs += base
+        for it in range(1, FP_MAX + 1):
+            np.add(base, b_new, out=rhs)
             cand = solve(rhs)
             cand -= psi
-            diff = np.subtract(cand, new, out=new)        # new is not read again
-            delta = np.max(np.abs(diff, out=mod2))
-            delta /= max(1.0, np.max(np.abs(cand, out=mod2)))
-            new = cand
-            if delta < FP_TOL or (delta >= prev and delta < FP_FLOOR):
+            nonlinear_term(cand, quotient, b_cand)
+            r = np.subtract(b_cand, b_new, out=b_new)     # b_new is not read again
+            bound2 = c2 * (2.0 * np.vdot(r, r).real - abs(r[0]) ** 2)   # c^2 sum w |r|^2
+            bound2 /= max(1.0, np.max(mod2))
+            if bound2 < tol2 or (bound2 >= prev and bound2 < floor2):
+                floor_stops += bound2 >= tol2
                 break
-            prev = delta
+            prev = bound2
+            b_new, b_cand = b_cand, b_new
         else:
             raise ValueError(f"fixed-point iteration not settled after {FP_MAX} iterations")
-        psi = new
-        recent.appendleft(psi)
+        solves += it
+        psi = cand
+        ring[step % depth] = psi
         t = step * dt
         if step % sample_every == 0 or step == n_steps:
-            snapshot(t, psi)
+            snapshot(t, psi, solves, floor_stops)
+            solves = floor_stops = 0
             drift_n = abs(states[-1].mass - mass0) / max(mass0, 1e-300) / max(t, dt)
             drift_h = abs(states[-1].energy - energy0) / escale / max(t, dt)
             if drift_n > CONSERVATION_TOL or drift_h > CONSERVATION_TOL:
@@ -497,6 +561,8 @@ class StabilityReport:
     lam_last_quarter_variation: float
     admissible: Optional[bool]
     envelope_decreasing: bool
+    solves_per_step: float        # band solves of evolve_nls per time step
+    floor_stops: int              # steps accepted at the fixed-point roundoff floor
 
     def series_rows(self):
         for j in range(self.times.size):
@@ -539,6 +605,7 @@ def stability_experiment(
 
     sample_every = max(1, int(round(sample_dt / dt)))
     states = evolve_nls(psi0, V, f, g, T=T, dt=dt, sample_every=sample_every)
+    n_steps = max(1, int(round(T / dt)))
 
     times, lams, gammas, rates = [], [], [], []
     rws, orthos = [], []
@@ -587,4 +654,6 @@ def stability_experiment(
         weighted_exponent=w_exp, rate_exponent=r_exp,
         lam_inf=lam_inf, lam_last_quarter_variation=lam_var,
         admissible=admissible, envelope_decreasing=env_dec,
+        solves_per_step=sum(st.solves for st in states) / n_steps,
+        floor_stops=sum(st.floor_stops for st in states),
     )

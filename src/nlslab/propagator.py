@@ -168,10 +168,12 @@ class PropagatorPlan:
         synthesis pass over e.
 
         stride > 1 uses every stride-th table row.  The input columns are
-        padded with one zero at x = +L onto the table's closed node set,
-        where the mirror rows are R e (R: x -> -x, the index reversal).  So
+        carried onto the table's closed node set, where the mirror rows are
+        R e (R: x -> -x, the index reversal): x = +L takes the value at
+        x = -L, the grid's periodic image of it, and the inner products are
+        the closed trapezoid rule, weight 1/2 at x = -L and x = +L.  So
         for u = f (positive branch) and u = sigma1 conj f (negative
-        branch), with g = conj(sigma3 u),
+        branch), with g = conj(sigma3 u) times those weights,
 
             <e%(., k), u> = dx conj(e . g),   <e%(-., k), u> = dx conj(e . R g).
 
@@ -182,25 +184,31 @@ class PropagatorPlan:
 
             e^(-itH) Pess f = [(A + R B) + sigma1 conj(C + R D)] / 2 pi,
 
-        returned on the grid's N nodes.  The weights are the exact integral
-        of the coefficient spline times the chirp, formed from chirp
-        moments and pulled back onto the table nodes (_weights).
+        returned on the grid's N nodes, x = -L as the mean of the values at
+        x = -L and x = +L.  The trapezoid weights are symmetric under R, so
+        even input gives even output.  The quadrature weights are the exact
+        integral of the coefficient spline times the chirp, formed from
+        chirp moments and pulled back onto the table nodes (_weights).
         """
         f = np.asarray(f, dtype=complex)
         g = self.system.grid
         n = g.N + 1
         e = self._e[::stride].reshape(-1, 2 * n)
         # g = conj(sigma3 u) of u = f, and of u = sigma1 conj f, which is (f1, -f0)
-        gs = np.zeros((2, 2, n), dtype=complex)
+        gs = np.empty((2, 2, n), dtype=complex)
         gs[0, :, :-1] = np.conj(np.stack([f[0], -f[1]]))
         gs[1, :, :-1] = np.stack([f[1], -f[0]])
+        gs[..., -1] = gs[..., 0]                                # x = +L is x = -L
+        gs[..., [0, -1]] *= 0.5                                 # the closed trapezoid's ends
         x = np.stack([gs, gs[..., ::-1]], axis=1).reshape(4, 2 * n).T  # [2(N + 1), 4]
         coef = g.dx * np.conj(e @ x)                            # [nk, ncol]
 
         w = self._weights(coef, t, stride)                      # [ncol, nk]
         sums = (w @ e).reshape(-1, 2, n)
         v = sums[0::2] + sums[1::2, :, ::-1]                    # A + R B, C + R D
-        return (v[0] + np.conj(v[1, ::-1]))[:, :-1] / (2.0 * np.pi)
+        u = (v[0] + np.conj(v[1, ::-1])) / (2.0 * np.pi)
+        u[:, 0] = 0.5 * (u[:, 0] + u[:, -1])
+        return u[:, :-1]
 
     def _weights(self, coef: np.ndarray, t: float, stride: int) -> np.ndarray:
         """Quadrature weight rows [ncol, nk] for the coefficient columns at t.

@@ -192,14 +192,16 @@ def _even_norm(grid: Grid, h):
     return grid.norm(grid.unfold(h))
 
 
-def _defect_solve(grid: Grid, solve, diag, rhs):
-    """Spectral L_plus u = rhs at Grid.half() by defect correction on the banded solve."""
+def _defect_solve(grid: Grid, solve, diag, rhs, seed=None):
+    """Spectral L_plus u = rhs at Grid.half() by defect correction on the
+    banded solve, started from seed when one is given and from the banded
+    solution otherwise."""
 
     def lplus_apply(u):
         return -grid.even_d2(u) + diag * u
 
     scale = _even_norm(grid, rhs)
-    u = solve(rhs)
+    u = solve(rhs) if seed is None else seed
     for _ in range(12):
         defect = rhs - lplus_apply(u)
         if _even_norm(grid, defect) < 1e-11 * max(scale, 1e-300):
@@ -211,13 +213,14 @@ def _defect_solve(grid: Grid, solve, diag, rhs):
     return u
 
 
-def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
+def solve_dlambda(profile: SolitonProfile, seed=None) -> SolitonProfile:
     """Attach phi_lam and phi_lamlam, solved with one banded L_plus factor.
 
     L_plus phi_lam = -phi and L_plus phi_lamlam = -2 phi_lam + G''(phi)
     phi_lam^2 (G(phi) = f(phi^2) phi) by defect correction against the
-    spectral L_plus, on the even half grid; raises when the banded
-    L_plus is numerically singular (lambda at a bifurcation point).
+    spectral L_plus, on the even half grid, the first from seed (half-grid
+    samples of phi_lam) when one is given; raises when the banded L_plus
+    is numerically singular (lambda at a bifurcation point).
     """
     if profile.residual_sup > 10 * RESIDUAL_TOL:
         raise ValueError("profile residual too large for derivative solve")
@@ -232,7 +235,7 @@ def solve_dlambda(profile: SolitonProfile) -> SolitonProfile:
     if grow > 1e10:
         raise ValueError("L_plus singular")
 
-    phi_lam = _defect_solve(grid, solve, diag, -phi)
+    phi_lam = _defect_solve(grid, solve, diag, -phi, seed)
     # G''(phi) = 6 phi f'(phi^2) + 4 phi^3 f''(phi^2) = phi sum_m 2m(2m+1) c_m phi^(2m-2)
     g2 = phi * np.polynomial.polynomial.polyval(
         phi**2, [2 * m * (2 * m + 1) * c for m, c in enumerate(f.coefficients, start=1)])
@@ -291,7 +294,8 @@ class SolitonFamily:
     Used by the modulation machinery, which needs profiles at arbitrary
     lambda along a trajectory.  Newton restarts from the Taylor polynomial
     phi + d phi_lam + d^2/2 phi_lamlam of the nearest cached profile (d =
-    lam - its lambda), so a query costs a couple of banded solves.
+    lam - its lambda), and the phi_lam solve of solve_dlambda from that
+    model's phi_lam + d phi_lamlam, so a query costs a few banded solves.
 
     phi, phi_lam and phi_lamlam are even, so the cache keeps each as its
     N/2 samples at Grid.half() and rebuilds it with Grid.unfold, and phi
@@ -320,13 +324,14 @@ class SolitonFamily:
             self._cache.move_to_end(key)
             full = self._mapped(hit, self.grid.unfold)
             return replace(full, phi=_positive(full.phi))
-        seed = None
+        seed = seed_lam = None
         if self._cache:
             near = self._cache[min(self._cache, key=lambda k: abs(k - lam))]
             d = lam - near.lam
             seed = self.grid.unfold(near.phi + d * near.phi_lam + 0.5 * d * d * near.phi_lamlam)
+            seed_lam = near.phi_lam + d * near.phi_lamlam
         prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid, initial_guess=seed)
-        prof = solve_dlambda(prof)
+        prof = solve_dlambda(prof, seed=seed_lam)
         self._cache[key] = self._mapped(prof, lambda u: u[self.grid.half()])
         if len(self._cache) > FAMILY_CACHE_SIZE:
             self._cache.popitem(last=False)

@@ -10,6 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import splu
 
 from nlslab import dynamics, solitons
+from nlslab.config import load_config
 from nlslab.dynamics import (DECOMPOSE_MAX_ITER, DECOMPOSE_TOL, FP_FLOOR, FP_MAX,
                              FP_TOL, _step_quotient, default_bump, evolve_nls,
                              frozen_frame_decompose, hamiltonian,
@@ -165,10 +166,14 @@ def _theorem_datum(grid):
 
 
 def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
-    # each fixed-point iteration is one band solve; started from psi a step
-    # takes 7, from the cubic extrapolation of the trajectory 4.06 here, from
-    # that extrapolation in the frame turning with the last step's phase
-    # 3.45, and from the quintic one in that frame 2.67
+    # each fixed-point iteration is one band solve; stopped by a second
+    # solve's update, a step started from psi takes 7, from the cubic
+    # extrapolation of the trajectory 4.06 here, from that extrapolation in
+    # the frame turning with the last step's phase 3.45, and from the
+    # quintic one in that frame 2.67.  Stopped by the bound on the next
+    # update, the quintic start takes 1.94: the first 25 steps, which carry
+    # the start's transient, take 2 to 6 solves (3.1 on average), the last
+    # 25 one each
     V, psi0 = _theorem_datum(dyn_grid)
     solves = []
 
@@ -178,11 +183,117 @@ def test_extrapolated_start_cuts_solves(dyn_grid, monkeypatch):
 
     monkeypatch.setattr(dynamics, "band_solver", counting_solver)
     T, dt = 0.4, 0.004
-    psi = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=100)[-1].psi
+    states = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=25)
     monkeypatch.undo()
-    assert len(solves) / round(T / dt) <= 2.9
+    assert len(solves) / round(T / dt) <= 2.0
+    assert sum(st.solves for st in states) == len(solves)
+    assert [st.solves > 0 for st in states] == [False] + [True] * 4
     ref = _half_grid_cn(psi0, V, THEOREM_F, dyn_grid, T=T, dt=dt, sample_every=100)[-1]
-    assert dyn_grid.norm(psi - ref) < 1e-12 * dyn_grid.norm(ref)
+    assert dyn_grid.norm(states[-1].psi - ref) < 1e-12 * dyn_grid.norm(ref)
+
+
+def test_theorem_datum_takes_one_solve_per_step():
+    # the default stability datum on the dynamics grid, to t = 2: 1.19
+    # solves per step, read from the samples' counters
+    cfg = load_config()
+    grid, V, f = cfg.dynamics_grid(), cfg.potential(), cfg.nonlinearity(True)
+    d = cfg.block("dynamics")
+    prof = solve_soliton(cfg.lam, V, f, grid)
+    psi0 = np.exp(1j * d["gamma0"]) * (prof.phi + d["delta"] * default_bump(grid, d["bump_width"]))
+    states = evolve_nls(psi0, V, f, grid, T=2.0, dt=d["dt"], sample_every=125)
+    assert sum(st.solves for st in states) / round(2.0 / d["dt"]) <= 1.3
+    assert sum(st.floor_stops for st in states) == 0
+
+
+def _scaled_fold(grid, V):
+    """fold(-d2 + V) scaled to W^(1/2) fold W^(-1/2), w = 1 at x = 0 and 2
+    elsewhere, as a dense matrix, and its antisymmetric part K."""
+    lin = -grid.fd_d2_band()
+    lin[2] += V(grid.nodes)
+    band = grid.fold(lin)
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(-2, 3):                       # band row 2 - k holds offset k
+        j = np.arange(max(0, k), min(n, n + k))
+        dense[j - k, j] = band[2 - k, j]
+    root_w = np.sqrt(np.where(np.arange(n) > 0, 2.0, 1.0))
+    scaled = dense * root_w[:, None] / root_w
+    return scaled, 0.5 * (scaled - scaled.T)
+
+
+def _norm_k(skew):
+    """||K||_2 from the block of the rows and columns K touches."""
+    nodes = np.flatnonzero(np.any(skew != 0.0, axis=1))
+    return np.linalg.norm(skew[np.ix_(nodes, nodes)], 2)
+
+
+def test_bound_constant_dominates_inverse():
+    # in the sqrt(w)-scaled fold M = 1 + i tau (S + K), S symmetric; the
+    # antisymmetric K sits in the 3-point wall rows only (up to roundoff at
+    # the fold), and 1/(1 - tau ||K||) bounds ||M^-1||, checked densely on
+    # a small grid
+    grid = make_grid(6.0, 128)
+    V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
+    scaled, skew = _scaled_fold(grid, V)
+    n = scaled.shape[0]
+    rows = np.flatnonzero(np.any(np.abs(skew) > 1e-14 * np.max(np.abs(scaled)), axis=1))
+    assert rows.min() >= n - 4
+    norm_k = _norm_k(skew)
+    assert norm_k == pytest.approx(np.linalg.norm(skew, 2), rel=1e-14)
+    lin = -grid.fd_d2_band()
+    lin[2] += V(grid.nodes)
+    w = np.where(np.arange(n) > 0, 2.0, 1.0)
+    assert dynamics._skew_norm(grid.fold(lin), w) == pytest.approx(norm_k, rel=1e-12)
+    for dt in (0.002, 0.004, 0.008):
+        tau_k = 0.5 * dt * norm_k
+        assert tau_k < 1.0
+        inv = np.linalg.inv(np.eye(n) + 0.5j * dt * scaled)
+        assert np.linalg.norm(inv, 2) <= 1.0 / (1.0 - tau_k)
+
+
+def test_one_more_solve_moves_less_than_the_bound(dyn_grid, monkeypatch):
+    # at every accepted step, the update a further iteration would make,
+    # M^-1 (2 psi + b(psi+)) - psi - psi+, is no larger in sup norm than the
+    # bound c ||sqrt(w) (b(psi+) - b(new))||_2 by which the step stopped;
+    # b(new) is read back from the step's last right side
+    V, psi0 = _theorem_datum(dyn_grid)
+    rhs_log = []
+
+    def recording_solver(*args):
+        solve = band_solver(*args)
+        return lambda rhs: rhs_log.append(rhs.copy()) or solve(rhs)
+
+    monkeypatch.setattr(dynamics, "band_solver", recording_solver)
+    dt = 0.004
+    states = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=0.2, dt=dt, sample_every=1)
+    monkeypatch.undo()
+    _, skew = _scaled_fold(dyn_grid, V)
+    c = 1.0 / (1.0 - 0.5 * dt * _norm_k(skew))
+    root_w = np.sqrt(np.where(np.arange(skew.shape[0]) > 0, 2.0, 1.0))
+    lin = -dyn_grid.fd_d2_band()
+    lin[2] += V(dyn_grid.nodes)
+    lhs = 0.5j * dt * dyn_grid.fold(lin)
+    lhs[2] += 1.0
+    solve = band_solver(lhs, 2, 2)
+    half = dyn_grid.half()
+    last = np.cumsum([st.solves for st in states[1:]]) - 1
+    assert last[-1] + 1 == len(rhs_log)
+    for n, j in enumerate(last):
+        psi, new = states[n].psi[half], states[n + 1].psi[half]
+        b = 0.5j * dt * _h_quotient(THEOREM_F, np.abs(new) ** 2, np.abs(psi) ** 2) * (new + psi)
+        bound = c * np.linalg.norm(root_w * (2.0 * psi + b - rhs_log[j]))
+        move = np.max(np.abs(solve(2.0 * psi + b) - psi - new))
+        assert states[n + 1].floor_stops == 0
+        assert bound < FP_TOL * max(1.0, np.max(np.abs(new)))
+        assert move <= bound, n
+
+
+def test_bound_without_constant_raises(dyn_family):
+    # tau ||K|| grows like dt/dx^2: on this grid it passes 1 at dt = 0.01
+    grid = make_grid(20.0, 2048)
+    psi0 = np.exp(-grid.nodes**2).astype(complex)
+    with pytest.raises(ValueError, match="tau"):
+        evolve_nls(psi0, dyn_family.potential, THEOREM_F, grid, T=0.01, dt=0.01)
 
 
 def test_every_sample_matches_steps_started_from_psi(dyn_grid):
@@ -249,14 +360,24 @@ def test_decompose_solves_once_per_sample(dyn_grid, monkeypatch):
     V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
     family = SolitonFamily(V, THEOREM_F, dyn_grid)
     family.profile(2.0)
-    calls = []
+    calls, defect_solves = [], []
     solve = solitons.solve_soliton
     monkeypatch.setattr(solitons, "solve_soliton", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    defect_solve = solitons._defect_solve
+
+    def counting_defect_solve(grid, band_solve, *args):
+        return defect_solve(grid, lambda r: defect_solves.append(1) or band_solve(r), *args)
+
+    monkeypatch.setattr(solitons, "_defect_solve", counting_defect_solve)
     rep = stability_experiment(family, lam0=2.0, gamma0=0.4, delta=0.01, T=1.0, dt=0.005,
                                sample_dt=0.25, fit_window=(0.25, 1.0), bump_width=1.8)
     monkeypatch.undo()
     assert rep.times.size == 5
     assert len(calls) <= rep.times.size + 1
+    # the phi_lam solve of a profile miss starts from the cached profile's
+    # Taylor model: the two derivative solves of the 6 misses took 54 band
+    # solves when both started from the banded solution, 34 now
+    assert len(defect_solves) <= 6 * len(calls)
     # the same trajectory, decomposed sample by sample with exact profiles
     psi0 = np.exp(0.4j) * (family.profile(2.0).phi + 0.01 * default_bump(dyn_grid, 1.8))
     states = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=1.0, dt=0.005, sample_every=50)

@@ -166,9 +166,10 @@ def test_defect_correction_has_no_growing_mode(monkeypatch, cfg, trap):
     """
     g, f, lam = cfg.dynamics_grid(), cfg.nonlinearity(theorem=True), 2.0
     calls = []
-    monkeypatch.setattr(solitons, "_defect_solve", lambda *args: calls.append(args) or args[-1])
+    monkeypatch.setattr(solitons, "_defect_solve", lambda *args: calls.append(args) or args[3])
     solve_dlambda(solve_soliton(lam, trap, f, g))
-    grid, solve, diag, rhs = calls[0]
+    grid, solve, diag, rhs, seed = calls[0]
+    assert seed is None
 
     def defect(u):
         return rhs - (-grid.even_d2(u) + diag * u)
@@ -340,14 +341,15 @@ class _FullGridFamily(SolitonFamily):
     def profile(self, lam):
         key = round(float(lam), 12)
         if key not in self._cache:
-            seed = None
+            seed = seed_lam = None
             if self._cache:
                 near = self._cache[min(self._cache, key=lambda k: abs(k - lam))]
                 d = lam - near.lam
                 seed = near.phi + d * near.phi_lam + 0.5 * d * d * near.phi_lamlam
+                seed_lam = (near.phi_lam + d * near.phi_lamlam)[self.grid.half()]
             prof = solve_soliton(lam, self.potential, self.nonlinearity, self.grid,
                                  initial_guess=seed)
-            self._cache[key] = solve_dlambda(prof)
+            self._cache[key] = solve_dlambda(prof, seed=seed_lam)
         return self._cache[key]
 
 
