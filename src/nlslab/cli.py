@@ -318,6 +318,7 @@ class StageRunner:
                 "max_energy_drift": float(np.max(rep.energy_drift)),
                 "solves_per_step": rep.solves_per_step,
                 "floor_stops": rep.floor_stops,
+                "profile_misses": rep.profile_misses,
                 "gates": gates,
                 "outside_theorem_hypotheses": mode != "theorem",
             }

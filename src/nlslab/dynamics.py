@@ -563,6 +563,7 @@ class StabilityReport:
     envelope_decreasing: bool
     solves_per_step: float        # band solves of evolve_nls per time step
     floor_stops: int              # steps accepted at the fixed-point roundoff floor
+    profile_misses: int           # profiles the run's SolitonFamily solved
 
     def series_rows(self):
         for j in range(self.times.size):
@@ -594,11 +595,14 @@ def stability_experiment(
     The trajectory is re-decomposed at every sample time (orthogonality is
     enforced by construction rather than integrated), the modulation
     right side supplies |lam_dot| + |gamma_dot|, and weighted norms of
-    the fluctuation are fitted on the stated window.  mode ("theorem" or
-    "qualitative") names the run for its caller; the run does not read it.
+    the fluctuation are fitted on the stated window.  profile_misses
+    counts the profiles the family solved for this run (SolitonFamily.misses).
+    mode ("theorem" or "qualitative") names the run for its caller; the
+    run does not read it.
     """
     g = family.grid
     V, f = family.potential, family.nonlinearity
+    misses0 = family.misses
     prof0 = family.profile(lam0)
     chi0 = delta * default_bump(g, bump_width)
     psi0 = np.exp(1j * gamma0) * (prof0.phi + chi0)
@@ -656,4 +660,5 @@ def stability_experiment(
         admissible=admissible, envelope_decreasing=env_dec,
         solves_per_step=sum(st.solves for st in states) / n_steps,
         floor_stops=sum(st.floor_stops for st in states),
+        profile_misses=family.misses - misses0,
     )

@@ -19,8 +19,11 @@ eps1 ~ h sqrt(2 V''(0)) from the four-dimensional reduced eigenvalue
 problem.  The trap and the profile are even, so L commutes with x -> -x,
 and discrete_spectrum finds the four per parity block of a
 mirror-symmetric coarse FD4 L, each by one symmetric-definite eigensolve
-(definite since the soliton is orbitally stable, dN/dlam > 0).  The
-biorthogonal projector P_d onto their span (adjoint vectors are J xi,
+(definite since the soliton is orbitally stable, dN/dlam > 0).  Of the
+four tagged modes it keeps only the refined odd pair, as its two real
+components xi1 and Im eta1: the gauge pair is derived from the profile,
+and (xi1, -eta1) is the conjugate of (xi1, eta1).  The biorthogonal
+projector P_d onto their span (adjoint vectors are J xi,
 J = [[0,1],[-1,0]]) defines P_ess = 1 - P_d.
 """
 
@@ -171,19 +174,45 @@ def feshbach_predict(h: float, vpp0: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteSpectrum:
-    """Eigenvalues in the spectral gap and the four tagged modes."""
+    """Eigenvalues in the spectral gap and the four tagged modes.
+
+    It holds only what discrete_spectrum computes.  The tagged modes are
+    derived, each a fresh complex stacked pair on the fine grid: the gauge
+    pair from system.profile, and the odd pair from odd_pair, whose
+    components xi1 and Im eta1 are real.
+    """
 
     system: LinearizedSystem
     eigenvalues: np.ndarray       # localized coarse-grid gap eigenvalues, even block then odd
     eps1: float                   # small imaginary eigenvalue (positive branch)
-    zero_mode: np.ndarray         # (0, phi), stacked pair on the fine grid
-    zero_assoc: np.ndarray        # (phi_lam, 0)
-    odd_plus: np.ndarray          # (xi1, eta1), eigenvalue +i eps1
-    odd_minus: np.ndarray         # (xi1, -eta1), eigenvalue -i eps1
+    odd_pair: np.ndarray          # (xi1, Im eta1) of the refined odd pair, real [2, N]
     zero_cluster_size: int        # eigenvalue count in the zero cluster
     extra_interior: np.ndarray    # gap eigenvalues beyond the tagged four
     embedded_candidates: np.ndarray  # |Im mu| > beta with tiny real part
     odd_residual: float           # spectral residual of the refined odd pair
+
+    @property
+    def zero_mode(self) -> np.ndarray:
+        """(0, phi)."""
+        phi = self.system.profile.phi
+        return np.stack([np.zeros(phi.size, dtype=complex), phi])
+
+    @property
+    def zero_assoc(self) -> np.ndarray:
+        """(phi_lam, 0)."""
+        phi_lam = self.system.profile.phi_lam
+        return np.stack([phi_lam, np.zeros(phi_lam.size, dtype=complex)])
+
+    @property
+    def odd_plus(self) -> np.ndarray:
+        """(xi1, eta1), eigenvalue +i eps1."""
+        xi, zeta = self.odd_pair
+        return np.stack([xi.astype(complex), 1j * zeta])
+
+    @property
+    def odd_minus(self) -> np.ndarray:
+        """(xi1, -eta1), eigenvalue -i eps1: L is real, so the conjugate of odd_plus."""
+        return np.conj(self.odd_plus)
 
     def tagged(self):
         return [self.zero_mode, self.zero_assoc, self.odd_plus, self.odd_minus]
@@ -297,8 +326,9 @@ def _pair_spectrum(nu: np.ndarray, x: np.ndarray, y: np.ndarray):
     eigenvalues +-mu, mu = sqrt(-nu) on the principal branch.  The
     eigenvector of +-mu is (x, -+y / mu); it is formed as (mu x, -+y),
     which stays finite at mu = 0, and only for the columns asked for.
-    Returns vals = [mu, -mu] and a function mapping indices into vals to
-    unit eigenvectors [2m, k].
+    Both share the real pair density |nu| x^2 + y^2 of column j = index
+    mod m.  Returns vals = [mu, -mu], a function mapping indices into vals
+    to unit eigenvectors [2m, k], and the densities [m, m], unnormalized.
     """
     mu = np.sqrt(-nu.astype(complex))
     n = mu.size
@@ -309,7 +339,7 @@ def _pair_spectrum(nu: np.ndarray, x: np.ndarray, y: np.ndarray):
         v = np.concatenate([x[:, cols] * mu[cols], -sign * y[:, cols]])
         return v / np.linalg.norm(v, axis=0)
 
-    return np.concatenate([mu, -mu]), vectors
+    return np.concatenate([mu, -mu]), vectors, np.abs(nu) * x**2 + y**2
 
 
 def _pencil_eig(blk: _ParityBlock, shift: float):
@@ -340,10 +370,10 @@ def _pencil_eig(blk: _ParityBlock, shift: float):
     return _pair_spectrum(shift * theta / (theta - 1.0), p @ y / d[:, None], y / d[:, None])
 
 
-def _localized(w: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: float):
-    """Columns whose weighted pair density |w1|^2 + |w2|^2 puts more than frac on mask."""
-    n = mask.size
-    dens = weight[:, None] * (np.abs(w[:n]) ** 2 + np.abs(w[n:]) ** 2)
+def _localized(dens: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: float):
+    """Columns of the pair densities [m, k] that put more than frac of their
+    weighted mass on mask (a fraction, so the columns' scale drops out)."""
+    dens = weight[:, None] * dens
     return np.sum(dens[mask], axis=0) > frac * np.sum(dens, axis=0)
 
 
@@ -367,12 +397,16 @@ def discrete_spectrum(
     Gap eigenvalues are recognized by eigenvector localization (over 95%
     of the mass in |x| < 0.4 L) rather than by a distance margin, so
     weakly bound states just inside the thresholds are still reported
-    (they break the four-mode structure and matter downstream).  The zero
-    cluster is counted in the even block; the gauge modes are taken from
-    the profile (they are exact).  The trapping pair is the odd gap eigenvalue with
-    Im > 0 closest to the reduced-matrix prediction, and its vector,
-    unfolded by odd reflection, is refined on the fine grid by shifted
-    inverse iteration.
+    (they break the four-mode structure and matter downstream).  That
+    filter and the embedded scan's (99.5% in |x| < 0.5 L) read the real
+    pair densities of _pair_spectrum; only the odd gap columns, one of
+    which the tag reads, become complex unit vectors.  The zero cluster
+    is counted in the even block; the gauge modes are exact and derived
+    from the profile (DiscreteSpectrum.zero_mode, zero_assoc).  The
+    trapping pair is the odd gap eigenvalue with Im > 0 closest to the
+    reduced-matrix prediction, and its vector, unfolded by odd
+    reflection, is refined on the fine grid by shifted inverse iteration;
+    the spectrum keeps its real components.
     """
     prof = sys.profile
     if prof is None or prof.phi_lam is None:
@@ -391,23 +425,20 @@ def discrete_spectrum(
     radius = max(1e-3, 0.25 * eps_pred)
     gap, embedded = [], []
     for blk in _parity_blocks(coarse):
-        vals, vectors = _pencil_eig(blk, radius ** 2)
+        vals, vectors, dens = _pencil_eig(blk, radius ** 2)
+        m = dens.shape[1]
         in_gap = np.where((np.abs(vals.real) < 1e-4 * beta)
                           & (np.abs(vals.imag) < beta * (1 - 1e-4)))[0]
-        vecs = vectors(in_gap)
-        local = _localized(vecs, blk.weight, blk.x < 0.4 * half, 0.95)
-        gap.append((vals[in_gap[local]], vecs[:, local]))
+        local = in_gap[_localized(dens[:, in_gap % m], blk.weight, blk.x < 0.4 * half, 0.95)]
+        gap.append((vals[local], vectors, local))
         # embedded-eigenvalue scan (assumption check, not enforcement): a
         # discretized continuum mode fills the box, a genuine embedded mode
-        # is localized, so filter by interior mass fraction.  The vectors of
-        # +-mu share x and their density, so each x column is tested once.
+        # is localized, so filter by interior mass fraction
         cand = np.where((np.abs(vals.imag) > beta * (1 + 1e-6))
                         & (np.abs(vals.real) < 1e-6))[0]
-        column = cand % (vals.size // 2)
-        cols = np.unique(column)
-        local = cols[_localized(vectors(cols), blk.weight, blk.x < 0.5 * half, 0.995)]
-        embedded.append(vals[cand[np.isin(column, local)]])
-    (even_vals, _), (odd_vals, odd_vecs) = gap
+        embedded.append(vals[cand[_localized(dens[:, cand % m], blk.weight,
+                                             blk.x < 0.5 * half, 0.995)]])
+    (even_vals, _, _), (odd_vals, odd_vectors, odd_local) = gap
     if even_vals.size + odd_vals.size < 4:
         raise ValueError("tag failure")
 
@@ -419,22 +450,16 @@ def discrete_spectrum(
         raise ValueError("tag failure")
     j = int(np.argmin(np.where(upper, np.abs(odd_vals - 1j * eps_pred), np.inf)))
     mu0 = odd_vals[j]
-    pair0 = coarse.grid.unfold(odd_vecs[:, j].reshape(2, -1), -1.0)
+    pair0 = coarse.grid.unfold(odd_vectors(odd_local)[:, j].reshape(2, -1), -1.0)
     up = CubicSpline(coarse.grid.nodes, pair0, axis=1)(g.nodes)
     odd_plus, mu_ref, resid = _refine_odd_mode(sys, up, mu0)
-    eps1 = float(abs(mu_ref.imag))
-    odd_minus = np.conj(odd_plus)  # L real: conjugate pair, (xi1, -eta1)
 
-    zero = np.zeros(g.N, dtype=complex)
     tagged = np.isin(odd_vals, (mu0, -mu0))      # the pair +-mu0 of one nu
     return DiscreteSpectrum(
         system=sys,
         eigenvalues=np.concatenate([even_vals, odd_vals]),
-        eps1=eps1,
-        zero_mode=np.stack([zero, prof.phi]),
-        zero_assoc=np.stack([prof.phi_lam, zero]),
-        odd_plus=odd_plus,
-        odd_minus=odd_minus,
+        eps1=float(abs(mu_ref.imag)),
+        odd_pair=np.stack([odd_plus[0].real, odd_plus[1].imag]),
         zero_cluster_size=int(np.count_nonzero(zero_cluster)),
         extra_interior=np.concatenate([even_vals[~zero_cluster], odd_vals[~tagged]]),
         embedded_candidates=np.concatenate(embedded),

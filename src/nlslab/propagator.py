@@ -411,7 +411,11 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
     projections divided by 4 pi k, so nonnegativity checks the internal
     consistency of the construction.  Accepts one stacked pair or a list
     of them and returns a float or a list; the continuum mode at lam is
-    marched once per call (not at all when every field vanishes).
+    marched once per call (not at all when every field vanishes).  As in
+    PropagatorPlan.evolve, each field is carried onto the mode's closed
+    node set (x = +L takes the value at x = -L) and paired with e and its
+    mirror R e by the closed trapezoid rule, weight 1/2 at both ends; so
+    a field and its reflection give the same form.
     """
     sys = plan.system
     beta = sys.beta
@@ -427,6 +431,8 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
         e, s, r = generalized_eigenfunction(sys, lam)
         epct = np.stack([e[0], -e[1]])                  # on the closed node set
         for i in live:
-            fp, fm = g.inner(epct[:, :-1], flist[i]), g.inner(epct[:, :0:-1], flist[i])
+            fc = np.concatenate([flist[i], flist[i][:, :1]], axis=1)    # x = +L is x = -L
+            fc[:, [0, -1]] *= 0.5                                       # the closed trapezoid's ends
+            fp, fm = g.inner(epct, fc), g.inner(epct[:, ::-1], fc)
             out[i] = float((abs(fp) ** 2 + abs(fm) ** 2) / (4.0 * np.pi * k))
     return out[0] if single else out

@@ -374,6 +374,7 @@ def test_decompose_solves_once_per_sample(dyn_grid, monkeypatch):
     monkeypatch.undo()
     assert rep.times.size == 5
     assert len(calls) <= rep.times.size + 1
+    assert rep.profile_misses == len(calls)
     # the phi_lam solve of a profile miss starts from the cached profile's
     # Taylor model: the two derivative solves of the 6 misses took 54 band
     # solves when both started from the banded solution, 34 now

@@ -5,7 +5,8 @@ import pytest
 from scipy import sparse
 
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
-from nlslab.linearized import (LinearizedSystem, T_MAT, _parity_blocks, _pencil_eig,
+from nlslab import linearized
+from nlslab.linearized import (LinearizedSystem, T_MAT, _localized, _parity_blocks, _pencil_eig,
                                assemble_L, build_projector, contour_projector,
                                discrete_spectrum, feshbach_predict)
 from nlslab.solitons import solve_dlambda, solve_soliton, stability_scan
@@ -110,7 +111,7 @@ def test_reduced_eigensolve_matches_dense(default_system, default_profile):
         d = np.sqrt(blk.weight)
         scaled = [d[:, None] * a / d for a in (blk.lminus, blk.lplus)]
         lmat = _block_L(*(0.5 * (a + a.T) for a in scaled))
-        vals, vectors = _pencil_eig(blk, _shift(default_profile))
+        vals, vectors, _ = _pencil_eig(blk, _shift(default_profile))
         dense = np.linalg.eigvals(lmat)
         # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
         a = 1j * np.sort_complex(-1j * vals)
@@ -136,7 +137,7 @@ def test_wall_symmetrization_keeps_the_gap_modes(default_system, default_profile
         assert np.max(np.abs(scaled - scaled.T)) > 0.1   # the wall rows
         ref = np.linalg.eigvals(_block_L(blk.lminus, blk.lplus))
         ref_gap = ref[_gap(ref, coarse.beta)]
-        vals, _ = _pencil_eig(blk, _shift(default_profile))
+        vals, _, _ = _pencil_eig(blk, _shift(default_profile))
         gap = vals[_gap(vals, coarse.beta)]
         assert gap.size == ref_gap.size == 2
         for mu in gap:
@@ -182,7 +183,7 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
     # the gap vectors of the pencil route, unfolded, are eigenvectors of the
     # operator on the n - 1 nodes
     for blk in blocks:
-        v, vectors = _pencil_eig(blk, _shift(default_profile))
+        v, vectors, _ = _pencil_eig(blk, _shift(default_profile))
         gap = _gap(v, beta)
         vecs = vectors(gap)
         # unfold onto the n coarse nodes and drop node -L from each component
@@ -269,6 +270,60 @@ def test_even_modes_parity(default_spectrum, default_system):
     g = default_system.grid
     for mode in (default_spectrum.zero_mode, default_spectrum.zero_assoc):
         assert pair_norm(g, mode - g.reflect(mode)) < 1e-9 * max(pair_norm(g, mode), 1e-300)
+
+
+def _same_bits(a, b):
+    """Bitwise equality, signed zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_tagged_modes_are_derived_bitwise(default_system, cfg, monkeypatch):
+    """The derived tags equal the arrays they replace: the gauge pair
+    stacked from the profile, and the refined odd pair and its conjugate."""
+    refined = []
+    refine = linearized._refine_odd_mode
+    monkeypatch.setattr(linearized, "_refine_odd_mode",
+                        lambda *a: refined.append(refine(*a)) or refined[-1])
+    spec = discrete_spectrum(default_system, coarse_points=cfg.block("grid")["coarse_points"])
+    prof = default_system.profile
+    zero = np.zeros(default_system.grid.N, dtype=complex)
+    (odd_plus, _, _), = refined
+    for got, want in ((spec.zero_mode, np.stack([zero, prof.phi])),
+                      (spec.zero_assoc, np.stack([prof.phi_lam, zero])),
+                      (spec.odd_plus, odd_plus), (spec.odd_minus, np.conj(odd_plus))):
+        assert np.array_equal(got, want) and _same_bits(got, want)
+
+
+def test_spectrum_keeps_only_its_odd_pair(default_spectrum):
+    """Apart from its system, a spectrum holds the real odd pair [2, N] and
+    a few eigenvalues."""
+    import dataclasses
+
+    n = default_spectrum.system.grid.N
+    held = sum(v.nbytes for v in (getattr(default_spectrum, f.name)
+                                  for f in dataclasses.fields(default_spectrum))
+               if isinstance(v, np.ndarray))
+    assert default_spectrum.odd_pair.dtype == np.float64
+    assert held <= 2 * n * 8 + 1024
+
+
+def test_localization_filters_match_unit_vectors(default_system, default_profile, cfg):
+    """Both mode filters of discrete_spectrum decide on the real pair
+    densities as they would on the complex unit eigenvectors."""
+    coarse = default_system.coarsen(cfg.block("grid")["coarse_points"])
+    half = coarse.grid.L
+    for blk in _parity_blocks(coarse):
+        vals, vectors, dens = _pencil_eig(blk, _shift(default_profile))
+        m = blk.x.size
+        idx = np.arange(vals.size)
+        w = vectors(idx)
+        ref = blk.weight[:, None] * (np.abs(w[:m]) ** 2 + np.abs(w[m:]) ** 2)
+        for reach, frac in ((0.4, 0.95), (0.5, 0.995)):
+            mask = blk.x < reach * half
+            want = np.sum(ref[mask], axis=0) > frac * np.sum(ref, axis=0)
+            got = _localized(dens[:, idx % m], blk.weight, mask, frac)
+            assert np.array_equal(got, want)
+            assert 0 < np.count_nonzero(want) < vals.size
 
 
 def test_small_eigenvalue_tracks_reduced_matrix():

@@ -473,3 +473,15 @@ def test_positivity(default_plan, probe_maker):
                   for _ in range(5)]
         for form in positivity_check(default_plan, probes, lam):
             assert form >= -1e-7
+
+
+def test_positivity_form_is_reflection_invariant(default_plan):
+    """The form pairs a field with e and its mirror R e by the closed
+    trapezoid, so a field and its reflection give the same value; a field
+    whose x = -L value enters one pairing only does not."""
+    g = default_plan.system.grid
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
+    form, mirrored = positivity_check(default_plan, [f, g.reflect(f)],
+                                      default_plan.system.beta + 4.0)
+    assert abs(form - mirrored) <= 1e-13 * abs(form)

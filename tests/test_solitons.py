@@ -413,6 +413,7 @@ def test_family_cache_evicts_the_least_recently_used(monkeypatch, trap, cubic):
     assert round(lam0, 12) in family._cache and round(lams[0], 12) not in family._cache
     again = family.profile(lams[0])            # evicted, so solved again
     assert len(calls) == lams.size + 1
+    assert family.misses == len(calls) + 1     # and lam0's first solve
     for name in PROFILE_FIELDS:
         want = getattr(first, name)
         assert np.max(np.abs(getattr(again, name) - want)) < 1e-12 * np.max(np.abs(want)), name
