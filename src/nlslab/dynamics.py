@@ -571,7 +571,7 @@ class StabilityReport:
                    self.r_weighted[j], self.mass_drift[j], self.energy_drift[j])
 
 
-def default_bump(grid: Grid, width: float = 2.0):
+def default_bump(grid: Grid, width: float):
     """Even, smooth, localized perturbation shape of unit sup amplitude."""
     return np.exp(-((grid.nodes / width) ** 2))
 
@@ -579,14 +579,15 @@ def default_bump(grid: Grid, width: float = 2.0):
 def stability_experiment(
     family: SolitonFamily,
     lam0: float,
-    gamma0: float = 0.3,
-    delta: float = 1e-2,
-    T: float = 60.0,
-    dt: float = 4e-3,
+    *,
+    gamma0: float,
+    delta: float,
+    T: float,
+    dt: float,
+    sample_dt: float,
+    fit_window,
+    bump_width: float,
     nu: float = 4.0,
-    sample_dt: float = 1.0,
-    fit_window=(5.0, 60.0),
-    bump_width: float = 2.0,
     mode: str = "theorem",
     admissible_interval=None,
 ) -> StabilityReport:

@@ -377,10 +377,7 @@ def _localized(dens: np.ndarray, weight: np.ndarray, mask: np.ndarray, frac: flo
     return np.sum(dens[mask], axis=0) > frac * np.sum(dens, axis=0)
 
 
-def discrete_spectrum(
-    sys: LinearizedSystem,
-    coarse_points: int = 768,
-) -> DiscreteSpectrum:
+def discrete_spectrum(sys: LinearizedSystem, coarse_points: int) -> DiscreteSpectrum:
     """Reduced dense eigensolves per parity block plus fine-grid refinement.
 
     Only O(1) discrete modes matter, so the dense solves run on n coarse
@@ -516,23 +513,17 @@ def build_projector(spec: DiscreteSpectrum) -> SpectralProjector:
     return SpectralProjector(system=spec.system, kets=kets, bras=bras, gram=gram)
 
 
-def contour_projector(
-    sys: LinearizedSystem,
-    fields,
-    radius: float,
-) -> np.ndarray:
+def contour_projector(sys: LinearizedSystem, fields, radius: float) -> list:
     """Resolvent-quadrature oracle: (1/2 pi i) contour integral of (L-z)^{-1} f.
 
     Trapezoid with 128 nodes on the circle |z| = radius, which encloses
     the zero block and the trapping pair but stays inside the spectral
     gap.  The node count must beat the geometric convergence rate (radius
     against the distance to the nearest spectrum outside).
-    Accepts one stacked pair or a list of them (one factorization per
-    node either way).
+    Takes a list of stacked pairs and returns a list (one factorization
+    per node for all of them).
     """
-    single = not isinstance(fields, (list, tuple))
-    flist = [fields] if single else list(fields)
-    rhs = np.stack([np.asarray(f, dtype=complex) for f in flist], axis=1)   # [2, columns, N]
+    rhs = np.stack([np.asarray(f, dtype=complex) for f in fields], axis=1)   # [2, columns, N]
     acc = np.zeros_like(rhs)
     n_nodes = 128
     thetas = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
@@ -546,5 +537,4 @@ def contour_projector(
             x = x + solve(rhs - (sys.apply_L(x) - z * x))
         # dz/(2 pi i) = z dtheta / (2 pi)
         acc = acc - x * z / n_nodes
-    out = [acc[:, j] for j in range(len(flist))]
-    return out[0] if single else out
+    return [acc[:, j] for j in range(rhs.shape[1])]

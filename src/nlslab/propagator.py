@@ -251,7 +251,7 @@ class PropagatorPlan:
 
 
 def build_plan(sys: LinearizedSystem, table: GeneralizedEigenTable,
-               projector: Optional[SpectralProjector] = None) -> PropagatorPlan:
+               projector: Optional[SpectralProjector]) -> PropagatorPlan:
     return PropagatorPlan(system=sys, table=table, projector=projector)
 
 
@@ -259,18 +259,19 @@ def evolve_direct(
     sys: LinearizedSystem,
     f: np.ndarray,
     t: float,
-    dt: Optional[float] = None,
+    dt: float,
     check_boundary: bool = True,
 ) -> np.ndarray:
     """Crank-Nicolson oracle for i u_t = H u with Dirichlet truncation.
 
     H is the FD4 band on interleaved pairs (LinearizedSystem.fd_band).  In
-    equal steps of at most dt, with B = -i (t / n_steps) H / 2, a step is
-    (1 - B)^-1 (1 + B) u = 2 (1 - B)^-1 u - u, one solve from one band LU.
+    equal steps of at most dt > 0, with B = -i (t / n_steps) H / 2, a step
+    is (1 - B)^-1 (1 + B) u = 2 (1 - B)^-1 u - u, one solve from one band
+    LU.  t may be negative.
     """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     g = sys.grid
-    if dt is None:
-        dt = 0.01 / sys.beta
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     lhs = 0.5j * (t / n_steps) * sys.fd_band("H")
     lhs[5] += 1.0
@@ -409,9 +410,9 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
 
     In the continuum-mode representation the form is a sum of squared
     projections divided by 4 pi k, so nonnegativity checks the internal
-    consistency of the construction.  Accepts one stacked pair or a list
-    of them and returns a float or a list; the continuum mode at lam is
-    marched once per call (not at all when every field vanishes).  As in
+    consistency of the construction.  Takes a list of stacked pairs and
+    returns a list of forms; the continuum mode at lam is marched once per
+    call (not at all when every field vanishes).  As in
     PropagatorPlan.evolve, each field is carried onto the mode's closed
     node set (x = +L takes the value at x = -L) and paired with e and its
     mirror R e by the closed trapezoid rule, weight 1/2 at both ends; so
@@ -423,8 +424,7 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
         raise ValueError("lam must be interior to the branch")
     k = float(np.sqrt(lam - beta))
     g = sys.grid
-    single = not isinstance(gfields, (list, tuple))
-    flist = [np.asarray(f, dtype=complex) for f in ([gfields] if single else gfields)]
+    flist = [np.asarray(f, dtype=complex) for f in gfields]
     out = [0.0] * len(flist)
     live = [i for i, gf in enumerate(flist) if float(np.max(np.abs(gf))) != 0.0]
     if live:
@@ -435,4 +435,4 @@ def positivity_check(plan: PropagatorPlan, gfields, lam: float):
             fc[:, [0, -1]] *= 0.5                                       # the closed trapezoid's ends
             fp, fm = g.inner(epct, fc), g.inner(epct[:, ::-1], fc)
             out[i] = float((abs(fp) ** 2 + abs(fm) ** 2) / (4.0 * np.pi * k))
-    return out[0] if single else out
+    return out

@@ -36,10 +36,12 @@ x -> -x is the index reversal, node 0 (x = -L) included.
 
 Every k >= 0 and every system take the one path _pair_rows -> _sr_coeffs
 -> _assemble_e.  At k = 0 psi2 = psi1, so for a non-resonant system the
-general formulas give s = b = 0, r = -1 and e(., 0) = 0 exactly.  A
-potential-free system is marched like any other (the march reproduces
-e = e^(ikx) and D(0) = diag(0, 2 mu)); only its reference table, whose
-resonant k = 0 mode (1, 0) is not a limit of the 2ik factor, is closed-form.
+general formulas give s = b = 0, r = -1 and e(., 0) = 0 exactly.  One
+rule decides the threshold resonance: the margin |D11 / D22| against
+RESONANT_MARGIN, which resonance_test reports and _sr_coeffs enforces on
+every row.  A potential-free system is marched like any other (the march
+reproduces e = e^(ikx) and D(0) = diag(0, 2 mu)); it is threshold-resonant,
+so its k = 0 row raises like that of any resonant system.
 
 Numerics: each solution is marched in a rescaled frame z = e^(-gx) y
 from the point where the potentials fall below 1e-17 (outside, the free
@@ -75,7 +77,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,7 +84,6 @@ from .grids import Grid
 from .linearized import LinearizedSystem
 
 __all__ = [
-    "WronskianMatrix",
     "GeneralizedEigenTable",
     "wronskian_matrix",
     "resonance_test",
@@ -100,8 +100,7 @@ PURGE_SPACING = 1.0      # x-distance between closed-channel purges
 MAGNUS_H = 0.03          # largest Magnus step, set by the variation of W; meets
                          # a 1e-8 march error ~100x over (s to ~1e-10, flat in k)
 EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
-FREE_FIELD_SUP = 1e-15   # below this the system counts as potential-free
-RESONANT_MARGIN = 1e-6   # |D11(0) / D22(0)| below this reads threshold-resonant
+RESONANT_MARGIN = 1e-6   # |D11 / D22| below this reads near-singular D (resonant at k = 0)
 TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
 EK_DELTA = 2e-3          # k step of the (e/k) stencils and of its k -> 0 limit
 
@@ -131,10 +130,6 @@ def _w_edge(sys: LinearizedSystem) -> float:
     if beyond.size == 0:
         return 0.0
     return float(x[beyond[-1]] + 2.0)
-
-
-def _is_free(sys: LinearizedSystem) -> bool:
-    return float(np.max(np.abs(sys.V3)) + np.max(np.abs(sys.V4))) < FREE_FIELD_SUP
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +471,6 @@ def _cmedian(w):
     return np.median(w.real, axis=-1) + 1j * np.median(w.imag, axis=-1)
 
 
-@dataclass(frozen=True)
-class WronskianMatrix:
-    """The diagonal Wronskian matrix of [psi1, phi1] against their
-    reflections, with psi1 in the gauge D12 = 0."""
-
-    d11: complex
-    d22: complex
-
-    @property
-    def det(self) -> complex:
-        return self.d11 * self.d22
-
-
 def _dmatrix(ypsi, yphi, samples):
     """D entries W(X, Y(-.)), X, Y in [psi1, phi1], [nk, 2, 2], and their
     cross-point spread, from rows [nk, 4, N + 1] at the samples of
@@ -531,22 +513,24 @@ def _margin(d11, d22):
     return np.abs(d11) / np.maximum(np.abs(d22), 1e-300)
 
 
-def wronskian_matrix(sys: LinearizedSystem, lam: float) -> WronskianMatrix:
+def wronskian_matrix(sys: LinearizedSystem, lam: float):
+    """The diagonal (D11, D22) of D at one spectral point, psi1 in the
+    gauge D12 = 0."""
     ks = np.array([_wavenumber(sys, lam)])
     _psi, _phi, _samples, (d11, d22, _spread) = _pair_rows(sys, ks)
-    return WronskianMatrix(d11=complex(d11[0]), d22=complex(d22[0]))
+    return complex(d11[0]), complex(d22[0])
 
 
 def resonance_test(sys: LinearizedSystem) -> dict:
     """Threshold-resonance verdict from |D11(0) / D22(0)| (det D(0) = 0
-    is D11(0) = 0)."""
-    d = wronskian_matrix(sys, sys.beta)
-    margin = float(_margin(d.d11, d.d22))
+    is D11(0) = 0), by the rule that _sr_coeffs enforces."""
+    d11, d22 = wronskian_matrix(sys, sys.beta)
+    margin = float(_margin(d11, d22))
     return {
         "resonant": bool(margin < RESONANT_MARGIN),
-        "detD0": complex(d.det),
+        "detD0": d11 * d22,
         "margin": margin,
-        "d22": complex(d.d22),
+        "d22": d22,
     }
 
 
@@ -556,9 +540,9 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     Returns per-s det D(0, s W0) and the Lemma-style Wronskian
     D11(0, s W0) = W(psi1, psi1(-.)) at the threshold, whose slope in s
     at 0 equals minus the integral of the (1,1) entry of W, i.e.
-    -(1/2) int (V3).  The raw integral of V3 is also reported.  The
-    couplings are the rows of one k = 0 march with a per-row coupling
-    scale; the row s = 0 is the free one, with det D(0) = D11(0) = 0.
+    -(1/2) int (V3), reported as half_int_v3.  The couplings are the rows
+    of one k = 0 march with a per-row coupling scale; the row s = 0 is the
+    free one, with det D(0) = D11(0) = 0.
     """
     svals = np.asarray(sorted(float(s) for s in s_values))
     if np.max(np.abs(svals)) > 0.5 + 1e-12:
@@ -566,7 +550,6 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     _psi, _phi, _samples, (d11, d22, _spread) = _pair_rows(sys0, np.zeros(svals.size), svals)
     dets = d11 * d22
     margins = _margin(d11, d22)
-    int_v3 = float(np.real(sys0.grid.integrate(sys0.V3)))
     small = np.abs(svals) <= 0.1 + 1e-12
     slope = np.nan
     if np.count_nonzero(small) >= 2:
@@ -577,8 +560,7 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
         "wronskian_lemma": d11,
         "margins": margins,
         "slope": float(np.real(slope)),
-        "int_v3": int_v3,
-        "half_int_v3": 0.5 * int_v3,
+        "half_int_v3": 0.5 * float(np.real(sys0.grid.integrate(sys0.V3))),
     }
 
 
@@ -599,9 +581,10 @@ def _sr_coeffs(ypsi, yphi, d11, d22, ks, samples):
     with the difference rows (psi2 - psi1)(-.), so r = -1 - Delta1 / D11
     and b = -Delta2 / D22.  At k = 0, psi2 = psi1 bit for bit, the
     difference rows are exactly 0, and s = 0, r = -1 and b = 0 exactly
-    whatever value D takes.  Raises when D is near-singular at some k.
+    whatever value D takes.  Raises at a k where D is near-singular, by the
+    one threshold rule: a margin |D11 / D22| below RESONANT_MARGIN.
     """
-    singular = _margin(d11, d22) < 1e-8
+    singular = _margin(d11, d22) < RESONANT_MARGIN
     if np.any(singular):
         raise ValueError(f"near-singular D: resonant at k = {ks[singular][0]:.6g}")
     pair = np.stack([ypsi[..., samples], yphi[..., samples]], axis=1)
@@ -625,7 +608,6 @@ class GeneralizedEigenTable:
     s: np.ndarray              # transmission
     r: np.ndarray              # reflection
     wronskian_spread: np.ndarray
-    resonant: bool             # only the free reference table: a resonant system raises
     resonance_margin: float
 
     def unitarity_defect(self) -> np.ndarray:
@@ -673,21 +655,22 @@ def generalized_eigenfunction(sys: LinearizedSystem, lam: float):
     Returns (e_values [2, N + 1] on the closed node set, s, r) from a
     one-row march.  Uses the analytic 2ik factor, so the construction is
     regular through k = 0: there e(., 0) = 0, s = 0 and r = -1 for a
-    non-resonant system, and a resonant one raises.  A potential-free system takes the same march,
-    which gives e = e^(ikx) (1, 0), s = 1 and r = 0 to roundoff.
+    non-resonant system, and a resonant one raises.  A potential-free
+    system takes the same march, which gives e = e^(ikx) (1, 0), s = 1 and
+    r = 0 to roundoff at k > 0.
     """
     ks = np.array([_wavenumber(sys, lam)])
     e, s, r = _mode_block(ks, _pair_rows(sys, ks))
     return e[0], complex(s[0]), complex(r[0])
 
 
-def default_k_grid(k_max: float = 13.1) -> np.ndarray:
+def default_k_grid(k_max: float) -> np.ndarray:
     """Piecewise-uniform k grid, refined toward the threshold.
 
     The far tail matters: spectral coefficients of localized fields
     decay only like e^(-c k) with c set by the distance of the discrete
-    eigenvalues continued to the complex k plane, so the grid reaches
-    past k = 10 by default.
+    eigenvalues continued to the complex k plane, so the configured grid
+    reaches past k = 10.
     """
     blocks = [
         (0.0, 0.1, 0.002),
@@ -705,32 +688,18 @@ def default_k_grid(k_max: float = 13.1) -> np.ndarray:
     return out[out <= k_max + 1e-12]
 
 
-def eigentable_build(
-    sys: LinearizedSystem,
-    k_grid: Optional[np.ndarray] = None,
-) -> GeneralizedEigenTable:
+def eigentable_build(sys: LinearizedSystem, k_grid: np.ndarray) -> GeneralizedEigenTable:
     """Build e(x, k), s(k), r(k) over the k grid in blocks of TABLE_BLOCK rows.
 
     The grid starts at k = 0.  That row is marched in the first block like
-    any other and gives the threshold verdict: a margin
-    |D11(0) / D22(0)| below RESONANT_MARGIN raises, and otherwise
-    is the table's resonance_margin.  A potential-free system gets its
-    closed-form reference table instead, whose resonant k = 0 mode (1, 0)
-    is not a limit of the 2ik factor.
+    any other: its margin |D11(0) / D22(0)| is the table's
+    resonance_margin, and a threshold-resonant system raises there, in
+    _sr_coeffs, as every row does where D is near-singular.
     """
     g = sys.grid
-    ks = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
+    ks = np.asarray(k_grid, dtype=float)
     if ks[0] != 0.0:
         raise ValueError("the k grid must start at k = 0")
-    if _is_free(sys):
-        e = np.zeros((ks.size, 2, g.N + 1), dtype=complex)
-        e[:, 0, :] = np.exp(1j * ks[:, None] * (-g.L + g.dx * np.arange(g.N + 1)))
-        return GeneralizedEigenTable(
-            system=sys, k=ks, e=e, s=np.ones(ks.size, dtype=complex),
-            r=np.zeros(ks.size, dtype=complex), wronskian_spread=np.zeros(ks.size),
-            resonant=True, resonance_margin=0.0,
-        )
-
     nk = ks.size
     e = np.zeros((nk, 2, g.N + 1), dtype=complex)
     s, r = np.zeros((2, nk), dtype=complex)
@@ -741,12 +710,10 @@ def eigentable_build(
         d11, d22, spread[sel] = rows[3]
         if start == 0:                                   # the k = 0 row
             margin = float(_margin(d11[0], d22[0]))
-            if margin < RESONANT_MARGIN:
-                raise ValueError("near-singular D: system is threshold-resonant")
         e[sel], s[sel], r[sel] = _mode_block(ks[sel], rows)
     return GeneralizedEigenTable(
         system=sys, k=ks, e=e, s=s, r=r, wronskian_spread=spread,
-        resonant=False, resonance_margin=margin,
+        resonance_margin=margin,
     )
 
 
@@ -824,28 +791,26 @@ def ek_growth_report(sys: LinearizedSystem):
 # ---------------------------------------------------------------------------
 
 
-def dump_table(table: GeneralizedEigenTable, path, sidecar_path=None):
+def dump_table(table: GeneralizedEigenTable, path, sidecar_path):
     """Binary grid dump: int64 N, int64 k-count, float64 L, float64 k_max,
     then the row-major complex mode table on the grid's N nodes (x = +L
-    left out); JSON sidecar with s, r."""
+    left out); JSON sidecar with k, s, r and the resonance margin."""
     g = table.system.grid
     with open(path, "wb") as fh:
         np.array([g.N, table.k.size], dtype="<i8").tofile(fh)
         np.array([g.L, float(table.k[-1])], dtype="<f8").tofile(fh)
         for row in table.e:                # row by row: no table-sized copy
             np.ascontiguousarray(row[:, :g.N], dtype="<c16").tofile(fh)
-    if sidecar_path is not None:
-        payload = {
-            "k": table.k.tolist(),
-            "s_re": np.real(table.s).tolist(),
-            "s_im": np.imag(table.s).tolist(),
-            "r_re": np.real(table.r).tolist(),
-            "r_im": np.imag(table.r).tolist(),
-            "resonant": table.resonant,
-            "resonance_margin": table.resonance_margin,
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(payload, fh)
+    payload = {
+        "k": table.k.tolist(),
+        "s_re": np.real(table.s).tolist(),
+        "s_im": np.imag(table.s).tolist(),
+        "r_re": np.real(table.r).tolist(),
+        "r_im": np.imag(table.r).tolist(),
+        "resonance_margin": table.resonance_margin,
+    }
+    with open(sidecar_path, "w") as fh:
+        json.dump(payload, fh)
 
 
 def load_table(path):

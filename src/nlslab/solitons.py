@@ -262,19 +262,13 @@ def stability_scan(
     f: PolynomialNonlinearity,
     grid: Grid,
 ) -> StabilityScan:
+    """Mass N(lam) at each sample, each profile solved cold as by
+    solve_soliton, so a sample's mass does not depend on where the scan
+    starts; dN/dlam by centered differences at the interior samples."""
     lams = np.asarray(sorted(float(v) for v in lam_values))
     if np.any(np.diff(lams) <= 0):
         raise ValueError("lambda samples must be strictly increasing")
-    masses = []
-    prev = None
-    for lam in lams:
-        try:
-            prof = solve_soliton(lam, V, f, grid, initial_guess=prev)
-        except ValueError:
-            prof = solve_soliton(lam, V, f, grid)
-        masses.append(prof.mass)
-        prev = prof.phi
-    masses = np.array(masses)
+    masses = np.array([solve_soliton(lam, V, f, grid).mass for lam in lams])
     dmass = np.full_like(masses, np.nan)
     dmass[1:-1] = (masses[2:] - masses[:-2]) / (lams[2:] - lams[:-2])
     positive = np.where(dmass[1:-1] > 0)[0] + 1

@@ -8,7 +8,7 @@ from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
 from nlslab.linearized import (LinearizedSystem, assemble_L, build_projector,
                                discrete_spectrum)
 from nlslab.propagator import build_plan
-from nlslab.scattering import default_k_grid, eigentable_build
+from nlslab.scattering import GeneralizedEigenTable, default_k_grid, eigentable_build
 from nlslab.solitons import solve_dlambda, solve_soliton
 
 
@@ -54,6 +54,24 @@ def default_system(default_profile):
 def free_system(grid, cfg):
     return LinearizedSystem(grid=grid, beta=cfg.lam,
                             V1=np.zeros(grid.N), V2=np.zeros(grid.N))
+
+
+@pytest.fixture(scope="session")
+def free_table(free_system):
+    """The closed-form continuum modes e = e^(ikx) (1, 0), s = 1, r = 0 of
+    the free system on the closed node set, k = 0 included: the free
+    system is threshold-resonant, and its k = 0 mode (1, 0) is not a limit
+    of the 2ik factor, so eigentable_build refuses it.  The propagator
+    tests' reference table."""
+    g = free_system.grid
+    ks = np.linspace(0.0, 10.0, 2001)
+    e = np.zeros((ks.size, 2, g.N + 1), dtype=complex)
+    e[:, 0, :] = np.exp(1j * ks[:, None] * (-g.L + g.dx * np.arange(g.N + 1)))
+    return GeneralizedEigenTable(
+        system=free_system, k=ks, e=e, s=np.ones(ks.size, dtype=complex),
+        r=np.zeros(ks.size, dtype=complex), wronskian_spread=np.zeros(ks.size),
+        resonance_margin=0.0,
+    )
 
 
 @pytest.fixture(scope="session")

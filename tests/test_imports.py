@@ -5,8 +5,8 @@ calls a general dense eigensolver (numpy.linalg.eig, scipy.linalg.eig:
 both parity blocks of the linearization are symmetric-definite pencils),
 every exported name is bound, the public names and the dataclass fields
 that only tests read are exactly the listed ones, every defaulted
-parameter is passed by some call, and every function the benchmark's
-tracer wraps by name exists."""
+parameter is passed by some call and omitted by another, and every
+function the benchmark's tracer wraps by name exists."""
 
 import ast
 import importlib
@@ -197,9 +197,9 @@ def unread_fields(sources: dict, readers: dict) -> list:
                   for cls, name in dataclass_fields(ast.parse(source)) if name not in attrs)
 
 
-def unpassed_defaults(sources: dict, callers: dict) -> list:
-    """"module.function.parameter" of the defaulted parameters of sources'
-    functions that no call in callers passes.
+def default_uses(sources: dict, callers: dict) -> dict:
+    """"module.function.parameter" of each defaulted parameter of sources'
+    functions, mapped to whether each call in callers passes it.
 
     Calls match by function name alone.  A call passes a parameter by its
     keyword, or by position when it has more positional arguments than the
@@ -214,7 +214,7 @@ def unpassed_defaults(sources: dict, callers: dict) -> list:
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 passed.setdefault(name, []).append(
                     (len(node.args), {kw.arg for kw in node.keywords}))
-    unpassed = []
+    uses = {}
     for mod, source in sources.items():
         tree = ast.parse(source)
         methods = {id(sub): f"{node.name}.{sub.name}" for node in ast.walk(tree)
@@ -228,10 +228,24 @@ def unpassed_defaults(sources: dict, callers: dict) -> list:
             params = [(a.arg, i) for i, a in enumerate(args)][len(args) - len(fn.args.defaults):]
             params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                        if d is not None]
-            unpassed += [f"{mod}.{methods.get(id(fn), fn.name)}.{arg}" for arg, pos in params
-                         if not any(arg in kws or (pos is not None and n + offset > pos)
-                                    for n, kws in passed.get(fn.name, []))]
-    return sorted(unpassed)
+            for arg, pos in params:
+                uses[f"{mod}.{methods.get(id(fn), fn.name)}.{arg}"] = [
+                    arg in kws or (pos is not None and n + offset > pos)
+                    for n, kws in passed.get(fn.name, [])]
+    return uses
+
+
+def unpassed_defaults(sources: dict, callers: dict) -> list:
+    """The defaulted parameters (as default_uses names them) that no call passes."""
+    return sorted(name for name, calls in default_uses(sources, callers).items()
+                  if not any(calls))
+
+
+def always_passed_defaults(sources: dict, callers: dict) -> list:
+    """The defaulted parameters that no call omits, a function with no
+    call included."""
+    return sorted(name for name, calls in default_uses(sources, callers).items()
+                  if all(calls))
 
 
 def sparse_imports(source: str) -> list:
@@ -359,6 +373,20 @@ def test_checker_flags_an_unpassed_default():
         "a.K.m.r", "a.inner.u"]
 
 
+def test_checker_flags_an_always_passed_default():
+    sources = {
+        "a": ("def f(x, y=1, z=2, *, w=3, v=4):\n    return x\n\n"
+              "class K:\n    def m(self, p, q=0, r=1):\n        return p\n\n"
+              "def g(s=0):\n    return s\n"),
+    }
+    calls = "f(0, 1, v=2)\nf(0, 1, z=3, v=2)\nK().m(0, 1)\n"
+    # f.y and f.v are passed by both calls, K.m.q by its only call, and g
+    # has no call to omit s
+    assert always_passed_defaults(sources, {"c": calls}) == [
+        "a.K.m.q", "a.f.v", "a.f.y", "a.g.s"]
+    assert always_passed_defaults(sources, {"c": calls + "f(0)\nK().m(0)\ng()\n"}) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_stale_exports(path):
     assert stale_exports(path.read_text()) == []
@@ -412,6 +440,14 @@ def test_defaulted_parameters_are_passed():
     overrides is a constant: write it as one."""
     callers = {str(p.relative_to(REPO)): p.read_text() for p in CALLERS}
     assert unpassed_defaults({p.stem: p.read_text() for p in MODULES}, callers) == []
+
+
+def test_defaults_are_omitted():
+    """A default that every call in the package, the benchmark and the
+    tests overrides restates the caller's value: make the parameter
+    required, so that the config is the one owner of that value."""
+    callers = {str(p.relative_to(REPO)): p.read_text() for p in CALLERS}
+    assert always_passed_defaults({p.stem: p.read_text() for p in MODULES}, callers) == []
 
 
 def test_traced_names_resolve():

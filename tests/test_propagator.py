@@ -9,14 +9,11 @@ from nlslab.linearized import LinearizedSystem
 from nlslab.propagator import (C_MAX, _chirp_moments, _spline_adjoint,
                                build_plan, evolve_direct, pair_norm, positivity_check,
                                verify_decay, weighted_pair_norm)
-from nlslab.scattering import eigentable_build
 
 
 @pytest.fixture(scope="module")
-def free_plan(free_system):
-    ks = np.linspace(0.0, 10.0, 2001)
-    tab = eigentable_build(free_system, ks)
-    return build_plan(free_system, tab, None)
+def free_plan(free_system, free_table):
+    return build_plan(free_system, free_table, None)
 
 
 def test_p_ess_reproduction_t0(default_plan, default_projector, probe_maker):
@@ -352,6 +349,16 @@ def test_direct_oracle_free_field(free_system):
     assert np.max(np.abs(out[0] - closed)) < 1e-6
 
 
+@pytest.mark.parametrize("dt", [-1e-3, 0.0])
+def test_direct_oracle_rejects_nonpositive_step(free_system, dt):
+    """A step dt <= 0 is refused: ceil(|t| / dt) would otherwise take one
+    step of size t for dt < 0 and divide by zero for dt = 0."""
+    h = np.zeros((2, free_system.grid.N), dtype=complex)
+    h[0] = np.exp(-free_system.grid.nodes**2 / 16.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve_direct(free_system, h, 1.0, dt=dt)
+
+
 def test_direct_norm_bounded(default_system, default_projector, probe_maker):
     h = default_projector.apply_complement_H(probe_maker(2.5, seed_offset=3, kcut=1.2))
     g = default_system.grid
@@ -371,9 +378,11 @@ def test_boundary_contamination_detected(default_system, probe_maker):
 def test_oracle_equivalence(default_plan, default_system, default_projector, probe_maker):
     g = default_system.grid
     h = default_projector.apply_complement_H(probe_maker(3.0, seed_offset=30, kcut=1.4))
-    for t in (1.0, 5.0):
+    ud, t_prev = h, 0.0
+    for t in (1.0, 5.0):                 # one march, on from the previous time
         us = default_plan.evolve(h, t)
-        ud = evolve_direct(default_system, h, t, dt=5e-4)
+        ud = evolve_direct(default_system, ud, t - t_prev, dt=5e-4)
+        t_prev = t
         dev = weighted_pair_norm(g, us - ud, 4.0) / weighted_pair_norm(g, ud, 4.0)
         assert dev < 1e-3
 

@@ -423,8 +423,7 @@ def test_wronskian_matrix_properties(default_system):
     # D is symmetric, so in the gauge D12 = 0 of psi1 the entry D21 vanishes too
     d11, d21, d22 = pairing(ypsi, ypsi), pairing(yphi, ypsi), pairing(yphi, yphi)
     assert abs(d21) / max(abs(d11), abs(d22)) < 1e-8
-    d = wronskian_matrix(default_system, default_system.beta + k * k)
-    assert (d.d11, d.d22) == (d11, d22)
+    assert wronskian_matrix(default_system, default_system.beta + k * k) == (d11, d22)
     # transmission normalization identity: 2ik / s = D11
     _e, s, _r = generalized_eigenfunction(default_system, default_system.beta + k * k)
     assert abs(2j * k / s - d11) < 1e-6 * abs(d11)
@@ -438,7 +437,7 @@ def test_wronskian_matrix_matches_jost_pairings(default_system, k):
     solutions at +infinity, which the form of (r, b) relies on.  A row
     paired with itself gives zero."""
     mu = np.sqrt(k * k + 2.0 * default_system.beta)
-    d = wronskian_matrix(default_system, default_system.beta + k * k)
+    d11, d22 = wronskian_matrix(default_system, default_system.beta + k * k)
     ypsi, yphi, _samples, _d = _pair_rows(default_system, np.array([k]))
     rows = {"psi1": ypsi[0], "phi1": yphi[0]}
     idx = _sample_indices(default_system.grid, mu)
@@ -446,9 +445,9 @@ def test_wronskian_matrix_matches_jost_pairings(default_system, k):
     def pairing(x, y):
         return complex(_cmedian(_wr(x[:, idx], y)))
 
-    entries = {("psi1", "psi1"): d.d11, ("psi1", "phi1"): 0.0,
-               ("phi1", "psi1"): 0.0, ("phi1", "phi1"): d.d22}
-    scale = max(abs(d.d11), abs(d.d22))
+    entries = {("psi1", "psi1"): d11, ("psi1", "phi1"): 0.0,
+               ("phi1", "psi1"): 0.0, ("phi1", "phi1"): d22}
+    scale = max(abs(d11), abs(d22))
     for (x, y), want in entries.items():
         got = pairing(rows[x], _mirror(rows[y], idx))
         assert abs(got - want) <= 1e-13 * scale, (x, y)
@@ -461,11 +460,10 @@ def test_wronskian_matrix_matches_block_march(default_system, k):
     """The single-k D entries against those of rows marched in a four-k
     block, paired at the block's own sample nodes (set by its largest mu):
     a second roundoff realization of the rows, so the gap is not 0."""
-    d = wronskian_matrix(default_system, default_system.beta + k * k)
+    want = wronskian_matrix(default_system, default_system.beta + k * k)
     ks = np.array([0.3, 0.5, 2.0, 4.0])
     block = _pair_rows(default_system, ks)[3]
     q = int(np.flatnonzero(ks == k)[0])
-    want = (d.d11, d.d22)
     scale = max(abs(w) for w in want)
     for got, w in zip(block[:2], want):
         assert abs(got[q] - w) <= 1e-12 * scale
@@ -477,10 +475,10 @@ def test_free_field_resonant(free_system):
     assert rt["resonant"]
     assert abs(rt["detD0"]) < 1e-10
     assert abs(abs(rt["d22"]) - 2 * np.sqrt(2 * free_system.beta)) < 1e-8
-    d = wronskian_matrix(free_system, free_system.beta)
-    assert d.d11 == 0.0
+    d11, d22 = wronskian_matrix(free_system, free_system.beta)
+    assert d11 == 0.0
     mu = np.sqrt(2 * free_system.beta)
-    assert abs(d.d22 - 2.0 * mu) < 1e-13 * 2.0 * mu
+    assert abs(d22 - 2.0 * mu) < 1e-13 * 2.0 * mu
     # so its threshold mode is not a limit of the 2ik factor
     with pytest.raises(ValueError, match="resonant at k = 0"):
         generalized_eigenfunction(free_system, free_system.beta)
@@ -513,10 +511,10 @@ def test_resonance_scan_matches_single_marches(default_system):
     scan = resonance_scan(default_system, [-0.1, 0.0, 0.05, 0.5])
     assert scan["detD0"][1] == 0.0 and scan["wronskian_lemma"][1] == 0.0
     for j in (0, 2, 3):
-        d = wronskian_matrix(_scaled_system(default_system, scan["s"][j]),
-                             default_system.beta)
-        assert abs(scan["detD0"][j] - d.det) < 1e-10 * abs(d.det)
-        assert abs(scan["wronskian_lemma"][j] - d.d11) < 1e-10 * abs(d.d11)
+        d11, d22 = wronskian_matrix(_scaled_system(default_system, scan["s"][j]),
+                                    default_system.beta)
+        assert abs(scan["detD0"][j] - d11 * d22) < 1e-10 * abs(d11 * d22)
+        assert abs(scan["wronskian_lemma"][j] - d11) < 1e-10 * abs(d11)
 
 
 def test_march_start_does_not_move_threshold_data(default_system):
@@ -528,9 +526,9 @@ def test_march_start_does_not_move_threshold_data(default_system):
     scaled = _scaled_system(default_system, 0.5)
     assert _w_edge(scaled) < _w_edge(default_system) - 5 * default_system.grid.dx
     scan = resonance_scan(default_system, [0.5])
-    d = wronskian_matrix(scaled, default_system.beta)
-    assert abs(scan["detD0"][0] - d.det) <= 1e-12 * abs(d.det)
-    assert abs(scan["wronskian_lemma"][0] - d.d11) <= 1e-12 * abs(d.d11)
+    d11, d22 = wronskian_matrix(scaled, default_system.beta)
+    assert abs(scan["detD0"][0] - d11 * d22) <= 1e-12 * abs(d11 * d22)
+    assert abs(scan["wronskian_lemma"][0] - d11) <= 1e-12 * abs(d11)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0, 8.0])
@@ -662,7 +660,9 @@ def test_threshold_mode_vanishes(default_system):
 
 
 def test_free_field_mode_reference(free_system):
-    """The march reproduces the free closed form e = e^(ikx) (1, 0)."""
+    """The march reproduces the free closed form e = e^(ikx) (1, 0) at
+    k > 0.  The free system is threshold-resonant, so its table raises at
+    the k = 0 row like that of any resonant system."""
     g = free_system.grid
     for k in (0.5, 1.0, 2.0):
         e, s, r = generalized_eigenfunction(free_system, free_system.beta + k * k)
@@ -670,8 +670,8 @@ def test_free_field_mode_reference(free_system):
         x = -g.L + g.dx * np.arange(g.N + 1)            # the closed node set
         assert np.max(np.abs(e[0] - np.exp(1j * k * x))) < 1e-12
         assert np.max(np.abs(e[1])) < 1e-12
-    tab = eigentable_build(free_system, np.array([0.0, 0.5, 1.0]))
-    assert tab.resonant
+    with pytest.raises(ValueError, match="resonant at k = 0"):
+        eigentable_build(free_system, np.array([0.0, 0.5, 1.0]))
 
 
 def test_table_invariants(default_table):
@@ -820,7 +820,6 @@ def test_table_dump_roundtrip(default_table, tmp_path):
     with open(sidecar) as fh:
         side = json.load(fh)
     assert np.allclose(side["s_re"], np.real(default_table.s))
-    assert side["resonant"] is False
 
 
 def test_near_resonant_system_rejected(default_system):
@@ -828,3 +827,20 @@ def test_near_resonant_system_rejected(default_system):
     # threshold resonance, which the table build must refuse
     with pytest.raises(ValueError, match="resonant"):
         eigentable_build(_scaled_system(default_system, 1e-9), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("s", [3e-8, 1e-7, 3e-7])
+def test_one_threshold_rule(bench_system, s):
+    """Between the old table cut (1e-8) and RESONANT_MARGIN (1e-6), every
+    threshold consumer gives the verdict of resonance_test: the table
+    build, the k = 0 mode and the k = 0 row of e/k all raise.  W scaled by
+    s puts the margin |D11(0) / D22(0)| at 8.0e-8, 2.7e-7 and 8.0e-7."""
+    sys_ = _scaled_system(bench_system, s)
+    rt = resonance_test(sys_)
+    assert 1e-8 <= rt["margin"] < 1e-6
+    assert rt["resonant"]
+    for run in (lambda: eigentable_build(sys_, np.array([0.0, 0.5])),
+                lambda: generalized_eigenfunction(sys_, sys_.beta),
+                lambda: e_over_k(sys_, [0.0])):
+        with pytest.raises(ValueError, match="resonant"):
+            run()

@@ -245,6 +245,19 @@ def test_stability_scan_supercritical():
     assert scan.dmass[1] < 0
 
 
+def test_stability_scan_does_not_depend_on_its_start(trap):
+    """Every sample is solved cold, so two scans give the same mass at the
+    lambdas they share.  On f = s + 0.1 s^3, continuation from lam = 0.8
+    followed a wider profile branch than a start at 1.4 (N(1.4) = 6.99
+    against 3.02)."""
+    g = make_grid(30.0, 1024)
+    f = PolynomialNonlinearity((1.0, 0.0, 0.1))
+    early = stability_scan(np.arange(4, 16) / 5.0, trap, f, g)
+    late = stability_scan(np.arange(7, 16) / 5.0, trap, f, g)
+    assert np.array_equal(early.lam_values[3:], late.lam_values)
+    assert np.array_equal(early.masses[3:], late.masses)
+
+
 def test_bifurcation_continuation_rate():
     """Distance to the V-free profile shrinks superlinearly in h."""
     g = make_grid(40.0, 2048)
