@@ -4,7 +4,8 @@ The full equation i psi_t = -psi_xx + V_h psi - f(|psi|^2) psi is stepped
 with the conservative Crank-Nicolson scheme (the nonlinear term uses the
 difference quotient of the primitive F, which makes both invariants
 exact up to the nonlinear-solver tolerance) in the even sector: on the
-half grid x >= 0, with the FD4 Laplacian folded at x = 0.  A split-step
+half grid x >= 0, with the FD4 Laplacian folded at x = 0, which stays
+symmetric in the node weights of the fold.  A split-step
 Fourier integrator on the full grid doubles as a cross-check oracle.
 
 Solutions near the soliton family are decomposed as
@@ -48,18 +49,17 @@ __all__ = [
 # is u -> Phi(u) = M^-1 (2 psi + b(u)) - psi, and the update that would
 # follow cand = Phi(new) is exactly Phi(cand) - cand = M^-1 (b(cand) - b(new)).
 # In the sqrt(w)-scaled fold (node weights w = 1 at x = 0, 2 elsewhere)
-# M = 1 + i tau (S + K), S symmetric and K antisymmetric, nonzero only in
-# the 3-point wall rows, so ||M^-1|| <= 1/(1 - tau ||K||) (_skew_norm), and
-# that update is at most c ||sqrt(w) (b(cand) - b(new))||_2 in sup norm,
-# c = 1/(1 - tau ||K||).  A step accepts cand when this bound is below
-# FP_TOL max(1, max|cand|); below FP_FLOOR a bound that stops shrinking is
-# the roundoff floor, and cand is accepted there too.  b(cand) is the term
-# the next iteration needs, so the bound costs no solve.  The iteration
-# starts from the trajectory extrapolated through the last accepted steps
-# (quintic once six exist, _EXTRAPOLATION) in the frame that turns with the
-# phase of the last step.  Each iteration is one band solve: per step on
-# the default stability datum, 1.19 up to t = 2, 1.45 up to t = 20 and 2.3
-# up to t = 60.
+# M = 1 + i tau S with S real symmetric (to roundoff at x = 0), so
+# ||M^-1||_2 <= 1 for every real tau, and that update is at most
+# ||sqrt(w) (b(cand) - b(new))||_2 in sup norm.  A step accepts cand when
+# this bound is below FP_TOL max(1, max|cand|); below FP_FLOOR a bound that
+# stops shrinking is the roundoff floor, and cand is accepted there too.
+# b(cand) is the term the next iteration needs, so the bound costs no
+# solve.  The iteration starts from the trajectory extrapolated through the
+# last accepted steps (quintic once six exist, _EXTRAPOLATION) in the frame
+# that turns with the phase of the last step.  Each iteration is one band
+# solve: per step on the default stability datum, 1.19 up to t = 2, 1.44
+# up to t = 20 and 2.26 up to t = 60.
 FP_TOL = 1e-13
 FP_FLOOR = 1e-6
 FP_MAX = 30
@@ -104,29 +104,6 @@ def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
     return float(kin + pot - nl)
 
 
-def _skew_norm(band: np.ndarray, w: np.ndarray) -> float:
-    """||K||_2 for K the antisymmetric part of W^(1/2) B W^(-1/2).
-
-    B is a real (2, 2) band in the storage of band_solver and W = diag(w).
-    K is formed entry by entry from the off-diagonals of B, and its norm is
-    that of the dense block on the nodes it touches.
-    """
-    s = np.sqrt(w)
-    entries = []                                  # (row, column, value) above the diagonal
-    for k in (1, 2):
-        i = np.arange(band.shape[1] - k)
-        # B[i, i + k] sits in row 2 - k, column i + k; B[i + k, i] in row 2 + k, column i
-        skew = 0.5 * (band[2 - k, k:] * s[i] / s[i + k] - band[2 + k, :-k] * s[i + k] / s[i])
-        nz = np.flatnonzero(skew)
-        entries += zip(i[nz], i[nz] + k, skew[nz])
-    nodes = sorted({j for row, col, _ in entries for j in (row, col)})
-    at = {j: m for m, j in enumerate(nodes)}
-    dense = np.zeros((len(nodes), len(nodes)))
-    for row, col, v in entries:
-        dense[at[row], at[col]], dense[at[col], at[row]] = v, -v
-    return float(np.linalg.norm(dense, 2)) if nodes else 0.0
-
-
 def _step_quotient(f: PolynomialNonlinearity, s: np.ndarray):
     """s+ -> [F2(s+) - F2(s)] / (s+ - s), the difference quotient of the primitive.
 
@@ -164,8 +141,9 @@ def evolve_nls(
     """Conservative Crank-Nicolson trajectory of the nonlinear equation.
 
     Returns a list of EvolutionState samples (always including t = 0 and
-    t = T).  The datum must be even; the steps run in the even sector, on
-    the FD4 band folded by Grid.fold, and samples are unfolded.  With
+    t = T), after ceil(T / dt) equal steps of T / ceil(T / dt).  The datum
+    must be even; the steps run in the even sector, on the FD4 band
+    folded by Grid.fold, and samples are unfolded.  With dt that step and
     A = (i dt/2)(-d2 + V) the step is psi+ = (1 + A)^-1 [(1 - A) psi + b],
     b the nonlinear term, which is (1 + A)^-1 (2 psi + b) - psi: one
     band LU of 1 + A serves every solve.  The implicit step is solved by
@@ -178,14 +156,14 @@ def evolve_nls(
     iteration stops by a bound on its next update, not by a further solve
     (the FP_* block): the term b(cand) of the bound is the one the next
     iteration would solve with.  On the default stability datum a step
-    takes 1.19 band solves up to t = 2 and 2.3 up to t = 60.  b uses the
+    takes 1.19 band solves up to t = 2 and 2.26 up to t = 60.  b uses the
     difference quotient of the primitive as a polynomial in |psi+|^2 whose
     coefficients are formed once per step from |psi_n|^2 (_step_quotient),
     the |psi+|^2 of the accepted solve.  Iterating to the roundoff floor
     keeps the scheme's exact invariants at roundoff level, whatever the
     start.  Each sample counts the band solves and floor stops since the
-    last.  Raises when FP_MAX iterations do not reach that floor, when
-    tau ||K|| >= 1 (the bound has no constant), and for dt <= 0 or T < 0.
+    last.  Raises when FP_MAX iterations do not reach that floor, and for
+    dt <= 0 or T < 0.
     """
     if not dt > 0:
         raise ValueError("time step dt must be positive")
@@ -197,23 +175,16 @@ def evolve_nls(
     if grid.parity_defect(psi0) > 1e-8 * max(1.0, np.max(np.abs(psi0))):
         raise ValueError("initial datum must be even")
 
+    n_steps = int(np.ceil(T / dt))
+    dt = T / max(n_steps, 1)
     d2 = grid.fd_d2_band()
     lin = -d2
     lin[2] += V(grid.nodes)
-    folded = grid.fold(lin)
     tau = 0.5 * dt
-    node_weight = np.full(folded.shape[1], 2.0)
-    node_weight[0] = 1.0                                  # x = 0 is its own mirror
-    skew = tau * _skew_norm(folded, node_weight)
-    if skew >= 1.0:
-        raise ValueError(f"time step too large for the fixed-point bound: "
-                         f"tau ||K|| = {skew:.3g} >= 1")
-    c2 = 1.0 / (1.0 - skew) ** 2                          # the squared bound on ||M^-1||
-    lhs = 0.5j * dt * folded
+    lhs = 0.5j * dt * grid.fold(lin)
     lhs[2] += 1.0
     solve = band_solver(lhs, 2, 2)
 
-    n_steps = int(round(T / dt))
     states = []
 
     def snapshot(t, u, solves, floor_stops):
@@ -267,7 +238,7 @@ def evolve_nls(
             cand -= psi
             nonlinear_term(cand, quotient, b_cand)
             r = np.subtract(b_cand, b_new, out=b_new)     # b_new is not read again
-            bound2 = c2 * (2.0 * np.vdot(r, r).real - abs(r[0]) ** 2)   # c^2 sum w |r|^2
+            bound2 = 2.0 * np.vdot(r, r).real - abs(r[0]) ** 2   # sum w |r|^2
             bound2 /= max(1.0, np.max(mod2))
             if bound2 < tol2 or (bound2 >= prev and bound2 < floor2):
                 floor_stops += bound2 >= tol2
@@ -295,7 +266,8 @@ def evolve_nls(
 
 
 def split_step_oracle(psi0, V, f, grid: Grid, T: float, dt: float):
-    """Strang split-step Fourier integrator (cross-check oracle).
+    """Strang split-step Fourier integrator (cross-check oracle), in
+    ceil(T / dt) equal steps of T / ceil(T / dt).
 
     Raises for dt <= 0 or T < 0.
     """
@@ -303,11 +275,12 @@ def split_step_oracle(psi0, V, f, grid: Grid, T: float, dt: float):
         raise ValueError("time step dt must be positive")
     if not T >= 0:
         raise ValueError("final time T must be nonnegative")
+    n_steps = int(np.ceil(T / dt))
+    dt = T / max(n_steps, 1)
     psi = np.asarray(psi0, dtype=complex).copy()
     k2 = grid.wavenumbers**2
     half_kin = np.exp(-0.5j * dt * k2)
     vh = V(grid.nodes)
-    n_steps = int(round(T / dt))
     for _ in range(n_steps):
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
         psi = psi * np.exp(-1j * dt * (vh - f.f(np.abs(psi) ** 2)))
@@ -610,7 +583,7 @@ def stability_experiment(
 
     sample_every = max(1, int(round(sample_dt / dt)))
     states = evolve_nls(psi0, V, f, g, T=T, dt=dt, sample_every=sample_every)
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = max(1, int(np.ceil(T / dt)))
 
     times, lams, gammas, rates = [], [], [], []
     rws, orthos = [], []

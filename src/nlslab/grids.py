@@ -4,9 +4,11 @@ Everything downstream (soliton construction, linearizations, scattering,
 time propagation) works on a uniform symmetric grid on [-L, L).  Smooth
 exponentially decaying fields are resolved to near machine precision by
 the periodic spectral derivative; the banded finite-difference operator,
-in band storage with a one-factor band LU, serves the time steppers,
-Newton solves and dense eigensolves, and Grid.fold / Grid.unfold carry
-it and its fields to the even or odd sector on the half grid x >= 0.
+the symmetric negative definite 5-point FD4 matrix truncated at +-L, in
+band storage with a one-factor band LU, serves the time steppers, Newton
+solves and dense eigensolves, and Grid.fold / Grid.unfold carry it and
+its fields to the even or odd sector on the half grid x >= 0, where it
+is symmetric in the node weights of Grid.unfold.
 On that half grid Grid.even_d2 is the spectral derivative of even
 fields, a real DCT-I.
 
@@ -151,21 +153,17 @@ class Grid:
     def fd_d2_band(self) -> np.ndarray:
         """Banded second-derivative matrix, Dirichlet truncation at +-L.
 
-        4th order 5-point stencil in the interior; the two rows nearest
-        each boundary fall back to the 3-point stencil (the fields that
-        reach them are below truncation level anyway).  Row 2 - k holds
-        the diagonal of offset k, column-aligned (entry (j - k, j) in
-        column j): the storage of band_solver and scipy.linalg.solve_banded
-        with (l, u) = (2, 2); the slots outside the matrix are not read.
-        This is the one FD4 operator: Grid.fold takes it to the half grid.
+        The 4th order 5-point stencil in every row, with the values past
+        the grid taken as 0: a symmetric Toeplitz matrix whose symbol
+        -(c - 1)(c - 7) / (3 dx^2), c = cos(k dx), is negative except at
+        k = 0, so the matrix is negative definite.  Row 2 - k holds the
+        diagonal of offset k, column-aligned (entry (j - k, j) in column
+        j): the storage of band_solver and scipy.linalg.solve_banded with
+        (l, u) = (2, 2); the slots outside the matrix are not read.  This
+        is the one FD4 operator: Grid.fold takes it to the half grid.
         """
-        n = self.point_count
-        band = np.repeat(np.array([[-1.0], [16.0], [-30.0], [16.0], [-1.0]]) / 12.0, n, axis=1)
-        for j in (0, 1, n - 2, n - 1):
-            for k, c in zip(range(2, -3, -1), (0.0, 1.0, -2.0, 1.0, 0.0)):
-                if 0 <= j + k < n:
-                    band[2 - k, j + k] = c
-        return band / self.dx**2
+        stencil = np.array([[-1.0], [16.0], [-30.0], [16.0], [-1.0]]) / 12.0
+        return np.repeat(stencil, self.point_count, axis=1) / self.dx**2
 
     def weight(self, nu: float) -> np.ndarray:
         """rho_nu(x) = (1 + |x|)^(-nu)."""

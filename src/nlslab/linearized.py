@@ -301,11 +301,11 @@ def _parity_blocks(coarse: LinearizedSystem):
     """The even and odd blocks of the mirror-symmetric coarse FD4 pair.
 
     The rows x >= 0 of the Dirichlet FD4 matrix on the n coarse nodes are
-    those of a mirror-symmetric operator on the n - 1 nodes x_1 .. x_{n-1}
-    (node -L dropped, 3-point rows at the two nodes next to each wall).
-    Grid.fold folds the 5-point stencil at x = 0 into the even block on
-    n/2 nodes and the odd block on n/2 - 1 nodes, exactly; _pencil_eig
-    symmetrizes the wall rows of either.
+    those of the same 5-point matrix on the n - 1 mirror-symmetric nodes
+    x_1 .. x_{n-1} (node -L dropped).  Grid.fold folds the stencil at
+    x = 0 into the even block on n/2 nodes and the odd block on n/2 - 1
+    nodes, exactly; each is symmetric once scaled by the square roots of
+    the node weights.
     """
     cg = coarse.grid
     band = coarse.fd_band("L").real               # Lminus and -Lplus as (2, 2) bands
@@ -345,20 +345,18 @@ def _pair_spectrum(nu: np.ndarray, x: np.ndarray, y: np.ndarray):
 def _pencil_eig(blk: _ParityBlock, shift: float):
     """_pair_spectrum of one parity block, from one symmetric-definite eigh.
 
-    D A D^-1, D = diag(sqrt(weight)), of either FD4 block is symmetric but
-    at the wall, where a 3-point row sits next to a 5-point row that reads
-    it; A -> (A + A^T)/2 there moves only modes that reach the wall.  Then
-    lplus lminus y = nu y is lminus y = theta C y, C = lminus - shift P
-    with P = lplus^-1 (one band LU), nu = shift theta / (theta - 1) and
-    x = P y.  C is positive definite exactly when shift lies between the
-    zero cluster and the rest of the block's nu; on the even block that
-    needs dN/dlam > 0, i.e. <phi, Lplus^-1 phi> < 0 (Weinstein), which
-    makes C positive along phi, the near-kernel of lminus.  Otherwise a
-    ValueError names the cause.
+    D A D^-1, D = diag(sqrt(weight)), of either FD4 block is symmetric up
+    to roundoff in the fold entries at x = 0, and eigh reads only one
+    triangle of it.  Then lplus lminus y = nu y is lminus y = theta C y,
+    C = lminus - shift P with P = lplus^-1 (one band LU),
+    nu = shift theta / (theta - 1) and x = P y.  C is positive definite
+    exactly when shift lies between the zero cluster and the rest of the
+    block's nu; on the even block that needs dN/dlam > 0, i.e.
+    <phi, Lplus^-1 phi> < 0 (Weinstein), which makes C positive along phi,
+    the near-kernel of lminus.  Otherwise a ValueError names the cause.
     """
     d = np.sqrt(blk.weight)
     lminus, lplus = (d[:, None] * a / d for a in (blk.lminus, blk.lplus))
-    lminus, lplus = (0.5 * (a + a.T) for a in (lminus, lplus))
     band = np.array([np.pad(np.diagonal(lplus, k), (max(k, 0), max(-k, 0)))
                      for k in range(2, -3, -1)])
     p = band_solver(band, 2, 2)(np.eye(d.size))
@@ -384,13 +382,13 @@ def discrete_spectrum(sys: LinearizedSystem, coarse_points: int) -> DiscreteSpec
     nodes, the largest even divisor of N from 16 up to coarse_points, on
     the mirror-symmetric FD4 L of _parity_blocks: an even block of order
     n/2 and an odd block of order n/2 - 1, each through the Hamiltonian
-    reduction as one symmetric-definite pencil (_pencil_eig, wall rows
-    symmetrized).  Its shift is r^2 for the zero-cluster radius
-    r = max(1e-3, eps_pred / 4), above the zero cluster and below the
-    trapping pair and the continuum (nu >= beta^2); dN/dlam > 0 makes the
-    even pencil definite.  That operator differs from the FD4 L on all n
-    nodes (LinearizedSystem.fd_band) only next to the walls, where every
-    gap mode has decayed like e^(-sqrt(beta)|x|).
+    reduction as one symmetric-definite pencil (_pencil_eig).  Its shift
+    is r^2 for the zero-cluster radius r = max(1e-3, eps_pred / 4), above
+    the zero cluster and below the trapping pair and the continuum
+    (nu >= beta^2); dN/dlam > 0 makes the even pencil definite.  That
+    operator is the FD4 L on all n nodes (LinearizedSystem.fd_band) less
+    the node -L, which only the two rows next to that wall read, where
+    every gap mode has decayed like e^(-sqrt(beta)|x|).
     Gap eigenvalues are recognized by eigenvector localization (over 95%
     of the mass in |x| < 0.4 L) rather than by a distance margin, so
     weakly bound states just inside the thresholds are still reported

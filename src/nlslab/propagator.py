@@ -159,21 +159,17 @@ class PropagatorPlan:
     table: GeneralizedEigenTable
     projector: Optional[SpectralProjector]
 
-    def __post_init__(self):
-        # mode rows e(., k) on the closed node set, C-ordered  [nk, 2, N + 1]
-        self._e = np.ascontiguousarray(self.table.e)
-
-    def evolve(self, f: np.ndarray, t: float, stride: int = 1) -> np.ndarray:
+    def evolve(self, f: np.ndarray, t: float) -> np.ndarray:
         """e^(-itH) Pess f, both branches, from one coefficient and one
         synthesis pass over e.
 
-        stride > 1 uses every stride-th table row.  The input columns are
-        carried onto the table's closed node set, where the mirror rows are
-        R e (R: x -> -x, the index reversal): x = +L takes the value at
-        x = -L, the grid's periodic image of it, and the inner products are
-        the closed trapezoid rule, weight 1/2 at x = -L and x = +L.  So
-        for u = f (positive branch) and u = sigma1 conj f (negative
-        branch), with g = conj(sigma3 u) times those weights,
+        The input columns are carried onto the table's closed node set,
+        where the mirror rows are R e (R: x -> -x, the index reversal):
+        x = +L takes the value at x = -L, the grid's periodic image of it,
+        and the inner products are the closed trapezoid rule, weight 1/2 at
+        x = -L and x = +L.  So for u = f (positive branch) and
+        u = sigma1 conj f (negative branch), with g = conj(sigma3 u) times
+        those weights,
 
             <e%(., k), u> = dx conj(e . g),   <e%(-., k), u> = dx conj(e . R g).
 
@@ -193,7 +189,7 @@ class PropagatorPlan:
         f = np.asarray(f, dtype=complex)
         g = self.system.grid
         n = g.N + 1
-        e = self._e[::stride].reshape(-1, 2 * n)
+        e = self.table.e.reshape(-1, 2 * n)                     # [nk, 2(N + 1)]
         # g = conj(sigma3 u) of u = f, and of u = sigma1 conj f, which is (f1, -f0)
         gs = np.empty((2, 2, n), dtype=complex)
         gs[0, :, :-1] = np.conj(np.stack([f[0], -f[1]]))
@@ -203,14 +199,14 @@ class PropagatorPlan:
         x = np.stack([gs, gs[..., ::-1]], axis=1).reshape(4, 2 * n).T  # [2(N + 1), 4]
         coef = g.dx * np.conj(e @ x)                            # [nk, ncol]
 
-        w = self._weights(coef, t, stride)                      # [ncol, nk]
+        w = self._weights(coef, t)                              # [ncol, nk]
         sums = (w @ e).reshape(-1, 2, n)
         v = sums[0::2] + sums[1::2, :, ::-1]                    # A + R B, C + R D
         u = (v[0] + np.conj(v[1, ::-1])) / (2.0 * np.pi)
         u[:, 0] = 0.5 * (u[:, 0] + u[:, -1])
         return u[:, :-1]
 
-    def _weights(self, coef: np.ndarray, t: float, stride: int) -> np.ndarray:
+    def _weights(self, coef: np.ndarray, t: float) -> np.ndarray:
         """Quadrature weight rows [ncol, nk] for the coefficient columns at t.
 
         The rows are w = S^T D S coef, the exact integral of the not-a-knot
@@ -225,7 +221,7 @@ class PropagatorPlan:
         h^(p+1) times _chirp_moments at theta = 2 t k_i h and c = t h^2, and w
         is the adjoint of the spline construction applied to g (_spline_adjoint).
         """
-        k = self.table.k[::stride]
+        k = self.table.k
         beta = self.system.beta
         h = np.diff(k)
         moments = _chirp_moments(2.0 * t * k[:-1] * h, t * h**2)
@@ -238,16 +234,6 @@ class PropagatorPlan:
     def p_ess_spectral(self, f: np.ndarray) -> np.ndarray:
         """P+ + P- from the mode table (t = 0 quadrature)."""
         return self.evolve(f, 0.0)
-
-    def quadrature_converged(self, f: np.ndarray, t: float) -> float:
-        """Relative change under halving the table resolution; raises above 1e-3."""
-        full = self.evolve(f, t)
-        half = self.evolve(f, t, stride=2)
-        g = self.system.grid
-        rel = pair_norm(g, full - half) / max(pair_norm(g, full), 1e-300)
-        if rel > 1e-3:
-            raise ValueError("quadrature unconverged")
-        return rel
 
 
 def build_plan(sys: LinearizedSystem, table: GeneralizedEigenTable,

@@ -18,6 +18,7 @@ from nlslab.dynamics import (DECOMPOSE_MAX_ITER, DECOMPOSE_TOL, FP_FLOOR, FP_MAX
                              nonlinear_remainder, split_step_oracle,
                              stability_experiment)
 from nlslab.grids import PolynomialNonlinearity, PotentialSpec, band_solver, make_grid
+from nlslab.linearized import _band_dense
 from nlslab.solitons import SolitonFamily, solve_soliton
 
 THEOREM_F = PolynomialNonlinearity((1.0, 0.0, 0.0, -0.001))
@@ -207,54 +208,40 @@ def test_theorem_datum_takes_one_solve_per_step():
 
 def _scaled_fold(grid, V):
     """fold(-d2 + V) scaled to W^(1/2) fold W^(-1/2), w = 1 at x = 0 and 2
-    elsewhere, as a dense matrix, and its antisymmetric part K."""
+    elsewhere, in the band storage of band_solver."""
     lin = -grid.fd_d2_band()
     lin[2] += V(grid.nodes)
     band = grid.fold(lin)
     n = band.shape[1]
-    dense = np.zeros((n, n))
-    for k in range(-2, 3):                       # band row 2 - k holds offset k
-        j = np.arange(max(0, k), min(n, n + k))
-        dense[j - k, j] = band[2 - k, j]
     root_w = np.sqrt(np.where(np.arange(n) > 0, 2.0, 1.0))
-    scaled = dense * root_w[:, None] / root_w
-    return scaled, 0.5 * (scaled - scaled.T)
+    for k in range(-2, 3):                       # band row 2 - k holds entry (j - k, j) in column j
+        j = np.arange(max(0, k), min(n, n + k))
+        band[2 - k, j] *= root_w[j - k] / root_w[j]
+    return band
 
 
-def _norm_k(skew):
-    """||K||_2 from the block of the rows and columns K touches."""
-    nodes = np.flatnonzero(np.any(skew != 0.0, axis=1))
-    return np.linalg.norm(skew[np.ix_(nodes, nodes)], 2)
-
-
-def test_bound_constant_dominates_inverse():
-    # in the sqrt(w)-scaled fold M = 1 + i tau (S + K), S symmetric; the
-    # antisymmetric K sits in the 3-point wall rows only (up to roundoff at
-    # the fold), and 1/(1 - tau ||K||) bounds ||M^-1||, checked densely on
-    # a small grid
-    grid = make_grid(6.0, 128)
+def test_scaled_fold_is_symmetric_and_inverse_contracts():
+    # in the sqrt(w)-scaled fold M = 1 + i tau S with S symmetric up to
+    # roundoff at the x = 0 fold entries, so ||M^-1||_2 <= 1 for either
+    # sign of tau, with no constant; the inverse is checked densely on the
+    # small grid
     V = PotentialSpec("quad_gauss", 0.5, {"amp": 0.5, "offset": 1.0})
-    scaled, skew = _scaled_fold(grid, V)
-    n = scaled.shape[0]
-    rows = np.flatnonzero(np.any(np.abs(skew) > 1e-14 * np.max(np.abs(scaled)), axis=1))
-    assert rows.min() >= n - 4
-    norm_k = _norm_k(skew)
-    assert norm_k == pytest.approx(np.linalg.norm(skew, 2), rel=1e-14)
-    lin = -grid.fd_d2_band()
-    lin[2] += V(grid.nodes)
-    w = np.where(np.arange(n) > 0, 2.0, 1.0)
-    assert dynamics._skew_norm(grid.fold(lin), w) == pytest.approx(norm_k, rel=1e-12)
-    for dt in (0.002, 0.004, 0.008):
-        tau_k = 0.5 * dt * norm_k
-        assert tau_k < 1.0
-        inv = np.linalg.inv(np.eye(n) + 0.5j * dt * scaled)
-        assert np.linalg.norm(inv, 2) <= 1.0 / (1.0 - tau_k)
+    for L, N in ((200.0, 8192), (6.0, 128)):     # the small grid last, for the dense check
+        band = _scaled_fold(make_grid(L, N), V)
+        n = band.shape[1]
+        for k in (1, 2):                         # entries (i, i + k) against (i + k, i)
+            skew = band[2 - k, k:] - band[2 + k, :n - k]
+            assert np.max(np.abs(skew)) <= 1e-12 * np.max(np.abs(band)), (L, N, k)
+    dense = _band_dense(band)
+    for dt in (0.004, -0.004, 0.008):
+        inv = np.linalg.inv(np.eye(n) + 0.5j * dt * dense)
+        assert np.linalg.norm(inv, 2) <= 1.0, dt
 
 
 def test_one_more_solve_moves_less_than_the_bound(dyn_grid, monkeypatch):
     # at every accepted step, the update a further iteration would make,
     # M^-1 (2 psi + b(psi+)) - psi - psi+, is no larger in sup norm than the
-    # bound c ||sqrt(w) (b(psi+) - b(new))||_2 by which the step stopped;
+    # bound ||sqrt(w) (b(psi+) - b(new))||_2 by which the step stopped;
     # b(new) is read back from the step's last right side
     V, psi0 = _theorem_datum(dyn_grid)
     rhs_log = []
@@ -267,33 +254,34 @@ def test_one_more_solve_moves_less_than_the_bound(dyn_grid, monkeypatch):
     dt = 0.004
     states = evolve_nls(psi0, V, THEOREM_F, dyn_grid, T=0.2, dt=dt, sample_every=1)
     monkeypatch.undo()
-    _, skew = _scaled_fold(dyn_grid, V)
-    c = 1.0 / (1.0 - 0.5 * dt * _norm_k(skew))
-    root_w = np.sqrt(np.where(np.arange(skew.shape[0]) > 0, 2.0, 1.0))
+    half = dyn_grid.half()
+    root_w = np.sqrt(np.where(np.arange(half.size) > 0, 2.0, 1.0))
     lin = -dyn_grid.fd_d2_band()
     lin[2] += V(dyn_grid.nodes)
     lhs = 0.5j * dt * dyn_grid.fold(lin)
     lhs[2] += 1.0
     solve = band_solver(lhs, 2, 2)
-    half = dyn_grid.half()
     last = np.cumsum([st.solves for st in states[1:]]) - 1
     assert last[-1] + 1 == len(rhs_log)
     for n, j in enumerate(last):
         psi, new = states[n].psi[half], states[n + 1].psi[half]
         b = 0.5j * dt * _h_quotient(THEOREM_F, np.abs(new) ** 2, np.abs(psi) ** 2) * (new + psi)
-        bound = c * np.linalg.norm(root_w * (2.0 * psi + b - rhs_log[j]))
+        bound = np.linalg.norm(root_w * (2.0 * psi + b - rhs_log[j]))
         move = np.max(np.abs(solve(2.0 * psi + b) - psi - new))
         assert states[n + 1].floor_stops == 0
         assert bound < FP_TOL * max(1.0, np.max(np.abs(new)))
         assert move <= bound, n
 
 
-def test_bound_without_constant_raises(dyn_family):
-    # tau ||K|| grows like dt/dx^2: on this grid it passes 1 at dt = 0.01
+def test_large_step_passes_the_conservation_checks(dyn_family):
+    # dt/dx^2 = 26 here: the stop bound needs no constant at any step, so a
+    # step at the largest dt on a fine grid runs, and its invariants hold
     grid = make_grid(20.0, 2048)
     psi0 = np.exp(-grid.nodes**2).astype(complex)
-    with pytest.raises(ValueError, match="tau"):
-        evolve_nls(psi0, dyn_family.potential, THEOREM_F, grid, T=0.01, dt=0.01)
+    states = evolve_nls(psi0, dyn_family.potential, THEOREM_F, grid, T=0.1, dt=0.01)
+    assert states[-1].t == pytest.approx(0.1, rel=1e-15)
+    assert abs(states[-1].mass - states[0].mass) < 1e-12 * states[0].mass
+    assert abs(states[-1].energy - states[0].energy) < 1e-11 * abs(states[0].energy)
 
 
 def test_every_sample_matches_steps_started_from_psi(dyn_grid):
@@ -406,6 +394,26 @@ def test_bad_step_or_time_rejected(dyn_family, dyn_grid, run, T, dt):
     psi0 = dyn_family.profile(2.0).phi.astype(complex)
     with pytest.raises(ValueError, match="dt|T"):
         run(psi0, dyn_family.potential, dyn_family.nonlinearity, dyn_grid, T=T, dt=dt)
+
+
+@pytest.mark.parametrize("T", [0.001, 0.01, 0.03])
+def test_runs_end_at_T(dyn_family, T):
+    # ceil(T / dt) equal steps of T / ceil(T / dt), as in evolve_direct: a T
+    # that dt does not divide is reached, not rounded to a multiple of dt
+    # (T = 0.001 used to return the datum)
+    grid = make_grid(20.0, 1024)
+    V, f = dyn_family.potential, dyn_family.nonlinearity
+    psi0 = np.exp(-grid.nodes**2).astype(complex)
+    n = math.ceil(T / 0.004)
+    states = evolve_nls(psi0, V, f, grid, T=T, dt=0.004, sample_every=1)
+    assert len(states) == n + 1
+    assert states[-1].t == pytest.approx(T, rel=1e-15)
+    same = evolve_nls(psi0, V, f, grid, T=T, dt=T / n, sample_every=1)
+    assert np.array_equal(states[-1].psi, same[-1].psi)
+    oracle = split_step_oracle(psi0, V, f, grid, T, 0.004)
+    assert np.array_equal(oracle, split_step_oracle(psi0, V, f, grid, T, T / n))
+    # the two schemes agree far below the distance either moved from the datum
+    assert grid.norm(oracle - states[-1].psi) < 1e-3 * grid.norm(oracle - psi0)
 
 
 def test_fixed_point_failure_raises():

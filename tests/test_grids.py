@@ -194,16 +194,22 @@ def _dense_from_band(ab, kl, ku):
 
 def test_fd_d2_band_is_the_sparse_matrix():
     """The band holds the Dirichlet FD4 matrix, built here with scipy.sparse:
-    5-point rows, and 3-point rows at the two nodes next to each wall."""
+    5-point rows everywhere, truncated past the first and last node."""
     g = make_grid(5.0, 32)
     n = g.N
     stencil = zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0))
     d2 = sparse.diags([np.full(n - abs(k), c / 12.0) for k, c in stencil], range(-2, 3)).toarray()
-    for j in (0, 1, n - 2, n - 1):
-        d2[j] = 0.0
-        d2[j, j] = -2.0
-        d2[j, [k for k in (j - 1, j + 1) if 0 <= k < n]] = 1.0
     assert np.array_equal(_dense_from_band(g.fd_d2_band(), 2, 2), d2 / g.dx**2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.floats(0.5, 500.0), half_n=st.integers(8, 128))
+def test_fd_d2_band_is_symmetric_negative_definite(L, half_n):
+    """The truncated 5-point matrix is symmetric Toeplitz with symbol
+    -(c - 1)(c - 7) / (3 dx^2) <= 0, c = cos(k dx), so it is negative definite."""
+    d2 = _dense_from_band(make_grid(L, 2 * half_n).fd_d2_band(), 2, 2)
+    assert np.array_equal(d2, d2.T)
+    assert np.max(np.linalg.eigvalsh(d2)) < 0.0
 
 
 def _sparse_d2(g):

@@ -32,8 +32,6 @@ TEST_ONLY = {
     "linearized.contour_projector":
         "the resolvent oracle for the Riesz projector that SpectralProjector.apply forms",
     "propagator.positivity_check": "the paper's spectral-jump form, not yet in the CLI",
-    "propagator.PropagatorPlan.quadrature_converged":
-        "the table-halving check; its test checks the production evolve at two strides",
     "scattering.load_table": "reads back the CLI's eigentable.bin artifact format",
     "solitons.power_law_standing_wave":
         "the paper's printed closed form, not yet in the CLI",

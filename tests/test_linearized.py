@@ -100,17 +100,17 @@ def _block_L(lminus, lplus):
 
 def test_reduced_eigensolve_matches_dense(default_system, default_profile):
     """The pencil route's eigenpairs +-sqrt(-nu) are those of the dense
-    wall-symmetrized block L, on both parity blocks.
+    block L, on both parity blocks.
 
-    The oracle scales each block by D = diag(sqrt(weight)), symmetrizes it
-    by A -> (A + A^T)/2 and takes np.linalg.eigvals of the 2m x 2m block L;
-    the pencil's vectors, on the block's nodes, carry over by D.
+    The oracle scales each block by D = diag(sqrt(weight)) and takes
+    np.linalg.eigvals of the 2m x 2m block L of both, whole, where the
+    pencil reads one triangle of each; the pencil's vectors, on the
+    block's nodes, carry over by D.
     """
     coarse = default_system.coarsen(256)
     for blk in _parity_blocks(coarse):
         d = np.sqrt(blk.weight)
-        scaled = [d[:, None] * a / d for a in (blk.lminus, blk.lplus)]
-        lmat = _block_L(*(0.5 * (a + a.T) for a in scaled))
+        lmat = _block_L(*(d[:, None] * a / d for a in (blk.lminus, blk.lplus)))
         vals, vectors, _ = _pencil_eig(blk, _shift(default_profile))
         dense = np.linalg.eigvals(lmat)
         # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
@@ -127,14 +127,16 @@ def test_reduced_eigensolve_matches_dense(default_system, default_profile):
         assert np.all(resid <= 1e-8 * np.linalg.norm(vecs, axis=0))
 
 
-def test_wall_symmetrization_keeps_the_gap_modes(default_system, default_profile):
-    """Symmetrizing the wall rows moves only modes that reach the wall: the
-    pencil's gap pairs are those of the unsymmetrized block L (eigvals)."""
+def test_scaled_parity_blocks_are_symmetric(default_system, default_profile):
+    """Scaled by the square roots of the node weights, both FD4 blocks of
+    either parity are symmetric to roundoff, so the pencil that reads one
+    triangle of them has the gap pairs of the block L (eigvals)."""
     coarse = default_system.coarsen(256)
     for blk in _parity_blocks(coarse):
         d = np.sqrt(blk.weight)
-        scaled = d[:, None] * blk.lminus / d
-        assert np.max(np.abs(scaled - scaled.T)) > 0.1   # the wall rows
+        for a in (blk.lminus, blk.lplus):
+            scaled = d[:, None] * a / d
+            assert np.max(np.abs(scaled - scaled.T)) <= 1e-12 * np.max(np.abs(scaled))
         ref = np.linalg.eigvals(_block_L(blk.lminus, blk.lplus))
         ref_gap = ref[_gap(ref, coarse.beta)]
         vals, _, _ = _pencil_eig(blk, _shift(default_profile))
@@ -148,16 +150,11 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
     """The even and odd blocks together are the FD4 L on the n - 1 nodes x_1 .. x_{n-1}."""
     coarse = default_system.coarsen(256)
     n, beta = coarse.grid.N, coarse.beta
-    # Dirichlet FD4 on the mirror-symmetric nodes: 5-point rows, 3-point
-    # rows at the two nodes next to each wall
+    # Dirichlet FD4 on the mirror-symmetric nodes: 5-point rows, truncated
+    # past the first and last node
     m = n - 1
     d2 = sum(np.diag(np.full(m - abs(k), c / 12.0), k)
              for k, c in zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0)))
-    for j in (0, 1, m - 2, m - 1):
-        d2[j] = 0.0
-        d2[j, j] = -2.0
-        d2[j, max(j - 1, 0):j] = 1.0
-        d2[j, j + 1:j + 2] = 1.0
     d2 /= coarse.grid.dx ** 2
     lminus = -d2 + np.diag(beta + coarse.V1[1:])
     lplus = -d2 + np.diag(beta + coarse.V2[1:])

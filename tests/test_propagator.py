@@ -1,5 +1,7 @@
 """Spectral propagator, direct oracle, decay fits, positivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -16,6 +18,18 @@ def free_plan(free_system, free_table):
     return build_plan(free_system, free_table, None)
 
 
+def _halved(plan):
+    """The plan on every second table row.  Each per-k array of the table is
+    a strided view of the full one, and so is e reshaped to its rows
+    [nk / 2, 2(N + 1)]: the halved plan copies no table row."""
+    tab = plan.table
+    half = replace(tab, k=tab.k[::2], e=tab.e[::2], s=tab.s[::2], r=tab.r[::2],
+                   wronskian_spread=tab.wronskian_spread[::2])
+    rows = half.e.reshape(half.k.size, -1)
+    assert np.shares_memory(rows, tab.e) and rows.base is not None
+    return build_plan(plan.system, half, plan.projector)
+
+
 def test_p_ess_reproduction_t0(default_plan, default_projector, probe_maker):
     g = default_plan.system.grid
     for j, w in enumerate((2.0, 2.5, 3.0, 3.5, 1.8)):
@@ -28,14 +42,14 @@ def test_p_ess_reproduction_t0(default_plan, default_projector, probe_maker):
 def test_p_ess_reproduction_t0_half_table(default_plan, default_projector, probe_maker):
     """The t = 0 identity on every second table row.
 
-    The spline rule loses little on the halved table, so the stride-2
-    evolve that quadrature_converged compares against stays close to
-    1 - P_d.
+    The spline rule loses little on the halved table, so the evolve that
+    test_quadrature_convergence compares against stays close to 1 - P_d.
     """
     g = default_plan.system.grid
+    half = _halved(default_plan)
     for j, w in enumerate((2.0, 2.5, 3.0, 3.5, 1.8)):
         h = probe_maker(w, seed_offset=j)
-        rel = pair_norm(g, default_plan.evolve(h, 0.0, stride=2)
+        rel = pair_norm(g, half.evolve(h, 0.0)
                         - default_projector.apply_complement_H(h)) / pair_norm(g, h)
         assert rel < 5e-5
 
@@ -77,22 +91,24 @@ def test_one_pass_matches_mirror_rows(default_plan):
     def reference(f, t, stride):
         e = rows[::stride].reshape(-1, 2 * (g.N + 1))
         m = mirror[::stride].reshape(-1, 2 * (g.N + 1))
+        sub = plans[stride]
         inputs = [np.concatenate([u, u[:, :1]], axis=1) for u in (f, s1c(f))]
         # <sigma3 rows, u> = conj(rows . conj(sigma3 u)), by the closed trapezoid
         coef = np.stack([g.dx * np.conj(r @ np.conj(ends * u * [[1], [-1]]).ravel())
                          for u in inputs for r in (e, m)], axis=1)
-        w = plan._weights(coef, t, stride)
+        w = sub._weights(coef, t)
         outs = [(w[2 * p] @ e + w[2 * p + 1] @ m).reshape(2, g.N + 1) for p in range(len(inputs))]
         out = (outs[0] + s1c(outs[1])) / (2.0 * np.pi)
         return np.concatenate([0.5 * (out[:, :1] + out[:, -1:]), out[:, 1:-1]], axis=1)
 
+    plans = {1: plan, 2: _halved(plan)}
     rng = np.random.default_rng(11)
     f = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
     assert np.min(np.abs(f[:, 0])) > 0
     for t in (0.0, 0.3, 30.0, 120.0):
         for stride in (1, 2):
             ref = reference(f, t, stride)
-            out = plan.evolve(f, t, stride=stride)
+            out = plans[stride].evolve(f, t)
             assert pair_norm(g, out - ref) < 1e-12 * pair_norm(g, ref), (t, stride)
 
 
@@ -119,7 +135,7 @@ def test_node_zero_matches_free_region_patch(default_plan):
         gs = (np.conj(np.stack([f[0], -f[1]])), np.stack([f[1], -f[0]]))
         x = np.stack([c.reshape(-1) for gu in gs for c in (gu, gu[:, ridx])], axis=1)
         y = e @ x + 0.5 * d0 @ x[[0, g.N]]
-        w = plan._weights(g.dx * np.conj(y), t, 1)
+        w = plan._weights(g.dx * np.conj(y), t)
         sums = (w @ e).reshape(-1, 2, g.N)
         v = sums[0::2] + sums[1::2][..., ridx]
         v[:, :, 0] += 0.5 * (w[0::2] + w[1::2]) @ d0
@@ -244,7 +260,7 @@ def test_fine_k_pullback_matches_dense_resample(default_plan, free_plan):
         ncol = 4 if plan is default_plan else 1
         coef = ((rng.standard_normal((kp.size, ncol)) + 1j * rng.standard_normal((kp.size, ncol)))
                 * np.exp(-decay[:ncol] * kp[:, None]))
-        out = plan._weights(coef, t, 1)
+        out = plan._weights(coef, t)
         ref = _exact_resample_weights(plan, coef, t)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), t
 
@@ -314,16 +330,17 @@ def test_late_time_memory_bounded(free_plan, free_system):
 
 def test_late_time_raises_past_c_max(free_plan, free_system):
     """Past |t| dk^2 = C_MAX the chirp moments would lose digits, so evolve
-    raises instead, at either sign of t; the stride-2 table, with twice the
+    raises instead, at either sign of t; the halved table, with twice the
     spacing, reaches the bound at a quarter of the time."""
     x = free_system.grid.nodes
     h = np.zeros((2, x.size), dtype=complex)
     h[0] = np.exp(-x**2 / 0.24)
     t_max = C_MAX / float(np.max(np.diff(free_plan.table.k))) ** 2
+    plans = {1: free_plan, 2: _halved(free_plan)}
     for t, stride in ((1.01 * t_max, 1), (-1.01 * t_max, 1), (0.26 * t_max, 2)):
         with pytest.raises(ValueError, match="chirp moments unsupported"):
-            free_plan.evolve(h, t, stride=stride)
-    assert np.all(np.isfinite(free_plan.evolve(h, 0.24 * t_max, stride=2)))
+            plans[stride].evolve(h, t)
+    assert np.all(np.isfinite(plans[2].evolve(h, 0.24 * t_max)))
 
 
 def test_direct_oracle_richardson_order(default_system, default_projector, probe_maker):
@@ -400,8 +417,11 @@ def test_frame_consistency(default_plan, default_system, default_projector, prob
 
 
 def test_quadrature_convergence(default_plan, default_projector, probe_maker):
+    """Halving the table resolution moves an evolve at t = 5 by under 1e-3."""
     h = default_projector.apply_complement_H(probe_maker(2.5, seed_offset=50))
-    rel = default_plan.quadrature_converged(h, 5.0)
+    g = default_plan.system.grid
+    full = default_plan.evolve(h, 5.0)
+    rel = pair_norm(g, full - _halved(default_plan).evolve(h, 5.0)) / pair_norm(g, full)
     assert rel < 1e-3
 
 

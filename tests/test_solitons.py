@@ -182,6 +182,23 @@ def test_defect_correction_has_no_growing_mode(monkeypatch, cfg, trap):
     assert rel[-1] <= 2.0 * rel[4], rel
 
 
+@pytest.mark.parametrize("lam", [2.0, 2.3])
+def test_defect_correction_is_a_contraction(monkeypatch, trap, cubic, lam):
+    """Every eigenvalue of the correction matrix I - B^-1 L of _defect_solve
+    (B the banded FD4 L_plus, L the spectral one) has modulus below 1 on
+    the 30/512 half grid.  A 3-point row next to the wall used to give
+    one of -1.012 there, peaked at x = L - dx."""
+    g = make_grid(30.0, 512)
+    calls = []
+    monkeypatch.setattr(solitons, "_defect_solve", lambda *args: calls.append(args) or args[3])
+    solve_dlambda(solve_soliton(lam, trap, cubic, g))
+    grid, solve, diag, _rhs, _seed = calls[0]
+    eye = np.eye(diag.size)
+    spectral = np.stack([diag * col - grid.even_d2(col) for col in eye], axis=1)
+    radius = np.max(np.abs(np.linalg.eigvals(eye - solve(spectral))))
+    assert radius < 1.0, radius
+
+
 @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 0.0, 0.2, -0.05)],
                          ids=["cubic", "degree4"])
 def test_dlamlam_equation_and_finite_difference(coefficients):
