@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_hash, load_config
-from .grids import make_grid, validate_assumptions
+from .config import QUALITATIVE_T_MAX, ExperimentConfig, config_hash, load_config
+from .grids import validate_assumptions
 from .linearized import assemble_L, build_projector, discrete_spectrum, feshbach_predict
 from .propagator import build_plan, evolve_direct, verify_decay, weighted_pair_norm, pair_norm
 from .scattering import (default_k_grid, dump_table, eigentable_build,
@@ -240,7 +240,7 @@ class StageRunner:
             t0_errs.append(rel)
         # oracle equivalence on the enlarged box: one march through the
         # sorted times, each segment in steps of at most oracle_dt
-        gb = make_grid(pblock["oracle_L"], pblock["oracle_N"])
+        gb = cfg.oracle_grid()
         prof_b = solve_dlambda(solve_soliton(cfg.lam, cfg.potential(), cfg.nonlinearity(), gb))
         sys_b = assemble_L(prof_b)
         offset = int(round((gb.L - g.L) / gb.dx))
@@ -296,7 +296,7 @@ class StageRunner:
         for mode, f in (("theorem", cfg.nonlinearity(True)),
                         ("qualitative", cfg.nonlinearity(False))):
             fam = SolitonFamily(cfg.potential(), f, gd)
-            T = d["T"] if mode == "theorem" else min(d["T"], 30.0)
+            T = d["T"] if mode == "theorem" else min(d["T"], QUALITATIVE_T_MAX)
             rep = stability_experiment(
                 fam, lam0=cfg.lam, gamma0=d["gamma0"], delta=d["delta"], T=T,
                 dt=d["dt"], nu=d["nu"], sample_dt=d["sample_dt"],

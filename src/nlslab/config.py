@@ -8,8 +8,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .grids import PolynomialNonlinearity, PotentialSpec, make_grid
+from .scattering import SCAN_COUPLING_MAX
 
 __all__ = ["ExperimentConfig", "load_config", "default_config_dict", "config_hash"]
+
+QUALITATIVE_T_MAX = 30.0   # the evolve stage's qualitative run stops at min(T, this)
 
 
 def default_config_dict() -> dict:
@@ -37,7 +40,6 @@ def default_config_dict() -> dict:
             "estimates": ["E1", "E2", "E3", "E4"],
             "probe_widths": [2.0, 3.0],
             "oracle_L": 160.0,
-            "oracle_N": 8192,
             "oracle_dt": 5e-4,
         },
         "dynamics": {
@@ -81,6 +83,11 @@ class ExperimentConfig:
     def grid(self):
         g = self.raw["grid"]
         return make_grid(g["L"], g["N"])
+
+    def oracle_grid(self):
+        """The propagate stage's oracle box [-oracle_L, oracle_L), at grid's spacing."""
+        oracle_L = self.raw["propagator"]["oracle_L"]
+        return make_grid(oracle_L, round(2.0 * oracle_L / self.grid().dx))
 
     def dynamics_grid(self):
         d = self.raw["dynamics"]
@@ -134,18 +141,30 @@ def _validate(raw: dict):
     if not 0 < float(d["dt"]) <= 0.01:
         raise ValueError("dynamics.dt: must be positive and at most 0.01")
     _grid("dynamics", d["L"], d["N"])
-    # stage_propagate embeds the grid in the oracle box by index offset
+    T = float(d["T"])
+    if not T > 0:
+        raise ValueError("dynamics.T: must be positive")
+    if not float(d["sample_dt"]) > 0:
+        raise ValueError("dynamics.sample_dt: must be positive")
+    # stage_evolve fits both runs on (fit_lo, min(fit_hi, the run's T))
+    if not float(d["fit_lo"]) < min(float(d["fit_hi"]), T, QUALITATIVE_T_MAX):
+        raise ValueError(f"dynamics.fit_lo: must be below min(fit_hi, T, {QUALITATIVE_T_MAX:g})")
+    # stage_propagate embeds the grid in the oracle box by index offset, so
+    # the box has grid's spacing: 2 oracle_L / grid.dx points, an even count
     p = raw["propagator"]
-    oracle = _grid("propagator.oracle_L, oracle_N", p["oracle_L"], p["oracle_N"])
-    if abs(oracle.dx - grid.dx) > 1e-12 * grid.dx or oracle.L < grid.L:
-        raise ValueError("propagator.oracle_L, oracle_N: need grid's spacing and L >= grid.L")
+    if not float(p["oracle_L"]) >= grid.L:
+        raise ValueError("propagator.oracle_L: must be at least grid.L")
+    n = 2.0 * float(p["oracle_L"]) / grid.dx
+    if not (abs(n - round(n)) <= 1e-9 * n and round(n) % 2 == 0):
+        raise ValueError("propagator.oracle_L: the oracle box's point count at grid's spacing, "
+                         "2 oracle_L / grid.dx, must be an even integer")
     if not (float(p["oracle_dt"]) > 0):
         raise ValueError("propagator.oracle_dt: must be positive")
     sc = raw["scattering"]
     if not float(sc["k_max"]) > 0:
         raise ValueError("scattering.k_max: must be positive")
-    if any(abs(float(s)) > 0.5 for s in sc["scan_couplings"]):
-        raise ValueError("scattering.scan_couplings: |s| must be at most 0.5")
+    if any(abs(float(s)) > SCAN_COUPLING_MAX for s in sc["scan_couplings"]):
+        raise ValueError(f"scattering.scan_couplings: |s| must be at most {SCAN_COUPLING_MAX:g}")
     if len({float(s) for s in sc["scan_couplings"] if abs(float(s)) <= 0.1 + 1e-12}) < 2:
         raise ValueError("scattering.scan_couplings: the slope fit needs two distinct |s| <= 0.1")
     for t in p["times"]:

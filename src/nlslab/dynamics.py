@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .grids import Grid, PolynomialNonlinearity, PotentialSpec, band_matvec, band_solver
+from .grids import (Grid, PolynomialNonlinearity, PotentialSpec, band_matvec, band_plus_diagonal,
+                    band_solver)
 from .solitons import SolitonFamily
 
 __all__ = [
@@ -94,10 +95,10 @@ def hamiltonian(grid: Grid, V: PotentialSpec, f: PolynomialNonlinearity,
                 psi: np.ndarray, d2: np.ndarray) -> float:
     """H = int [ (|psi_x|^2 + V |psi|^2)/2 - F(|psi|^2) ], F = (1/2) int f.
 
-    The kinetic term is -<psi, d2 psi>/2 for d2 a (2, 2) band such as
+    The kinetic term is -<psi, d2 psi>/2 for d2 a band such as
     Grid.fd_d2_band().
     """
-    kin = -0.5 * np.real(grid.inner(psi, band_matvec(d2, 2, 2, psi)))
+    kin = -0.5 * np.real(grid.inner(psi, band_matvec(d2, psi)))
     dens = np.abs(psi) ** 2
     pot = 0.5 * np.real(grid.integrate(V(grid.nodes) * dens))
     nl = 0.5 * np.real(grid.integrate(f.antiderivative(dens)))
@@ -178,12 +179,9 @@ def evolve_nls(
     n_steps = int(np.ceil(T / dt))
     dt = T / max(n_steps, 1)
     d2 = grid.fd_d2_band()
-    lin = -d2
-    lin[2] += V(grid.nodes)
     tau = 0.5 * dt
-    lhs = 0.5j * dt * grid.fold(lin)
-    lhs[2] += 1.0
-    solve = band_solver(lhs, 2, 2)
+    lhs = 0.5j * dt * grid.fold(band_plus_diagonal(-d2, V(grid.nodes)))
+    solve = band_solver(band_plus_diagonal(lhs, 1.0))
 
     states = []
 

@@ -8,7 +8,8 @@ the symmetric negative definite 5-point FD4 matrix truncated at +-L, in
 band storage with a one-factor band LU, serves the time steppers, Newton
 solves and dense eigensolves, and Grid.fold / Grid.unfold carry it and
 its fields to the even or odd sector on the half grid x >= 0, where it
-is symmetric in the node weights of Grid.unfold.
+is symmetric in the node weights of Grid.unfold.  Every band has equal
+half-widths, which the band_* functions read off its row count.
 On that half grid Grid.even_d2 is the spectral derivative of even
 fields, a real DCT-I.
 
@@ -20,7 +21,6 @@ concurrently without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -38,6 +38,9 @@ __all__ = [
     "fit_exponential_decay",
     "band_solver",
     "band_matvec",
+    "band_dense",
+    "band_plus_diagonal",
+    "band_scaled",
 ]
 
 
@@ -118,20 +121,20 @@ class Grid:
         return full
 
     def fold(self, ab: np.ndarray, sign: float = 1.0) -> np.ndarray:
-        """The rows x >= 0 of a (2, 2) band A composed with unfold(., sign).
+        """The rows x >= 0 of a band A composed with unfold(., sign).
 
-        Returns the (2, 2) band of that operator on the half grid: column
-        x of it is column x of A plus sign times column -x.  In band
-        storage column -x sits 2x/dx rows below column x, and a 5-point
-        row reaches across x = 0 only at the 3 entries (0, dx), (0, 2 dx)
-        and (dx, dx); the odd sector has no row x = 0 and keeps the last.
-        Slots outside the half matrix hold leftovers and are not read.
+        Returns the band of that operator on the half grid, of A's width:
+        column x of it is column x of A plus sign times column -x.  In
+        band storage column -x sits 2x/dx rows below column x, and only
+        the columns -n dx, n = 1 .. m (m the half-width of A) reach a row
+        x >= 0; the odd sector has no row or column x = 0.  Slots outside
+        the half matrix hold leftovers and are not read.
         """
         c = self.point_count // 2
         lo = self.half(sign)[0]
         out = ab[:, lo:].copy()
-        for n in (1, 2):                           # column -n dx onto column n dx
-            out[:5 - 2 * n, c + n - lo] += sign * ab[2 * n:, c - n]
+        for n in range(1, len(ab) // 2 + 1):         # column -n dx onto column n dx
+            out[:len(ab) - 2 * n, c + n - lo] += sign * ab[2 * n:, c - n]
         return out
 
     # -- derivatives --------------------------------------------------------
@@ -158,9 +161,9 @@ class Grid:
         -(c - 1)(c - 7) / (3 dx^2), c = cos(k dx), is negative except at
         k = 0, so the matrix is negative definite.  Row 2 - k holds the
         diagonal of offset k, column-aligned (entry (j - k, j) in column
-        j): the storage of band_solver and scipy.linalg.solve_banded with
-        (l, u) = (2, 2); the slots outside the matrix are not read.  This
-        is the one FD4 operator: Grid.fold takes it to the half grid.
+        j): the storage of band_solver with (l, u) = (2, 2), read off the
+        5 rows; the slots outside the matrix are not read.  This is the one
+        FD4 operator: Grid.fold takes it to the half grid.
         """
         stencil = np.array([[-1.0], [16.0], [-30.0], [16.0], [-1.0]]) / 12.0
         return np.repeat(stencil, self.point_count, axis=1) / self.dx**2
@@ -170,12 +173,12 @@ class Grid:
         return (1.0 + np.abs(self.nodes)) ** (-nu)
 
 
-def band_solver(ab: np.ndarray, kl: int, ku: int):
+def band_solver(ab: np.ndarray):
     """rhs -> A^-1 rhs from one LU of the band matrix A.
 
-    ab holds A in the storage of scipy.linalg.solve_banded (row
-    ku + i - j, column j holds A[i, j]).  Unlike solve_banded, the LU
-    (LAPACK gbtrf) is formed once and serves every right-hand side.
+    ab holds A in the storage of scipy.linalg.solve_banded with
+    kl = ku = len(ab) // 2 (row ku + i - j, column j holds A[i, j]).  Unlike
+    solve_banded, the LU (LAPACK gbtrf) is formed once for all right-hand sides.
 
     When gbtrf made no row interchange, the LU is a unit-lower band with
     kl subdiagonals times an upper band with ku superdiagonals (its kl
@@ -186,6 +189,7 @@ def band_solver(ab: np.ndarray, kl: int, ku: int):
     factor of dynamics.evolve_nls it takes about half the time.  A
     pivoted LU or a 2-D right-hand side goes to gbtrs.
     """
+    kl = ku = len(ab) // 2
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     work = np.zeros((2 * kl + ku + 1, ab.shape[1]), dtype=ab.dtype)
     work[kl:] = ab
@@ -204,10 +208,29 @@ def band_solver(ab: np.ndarray, kl: int, ku: int):
     return solve
 
 
-def band_matvec(ab: np.ndarray, kl: int, ku: int, u: np.ndarray) -> np.ndarray:
+def band_matvec(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A u for the square band matrix A in the storage of band_solver (BLAS gbmv)."""
     gbmv = get_blas_funcs("gbmv", (ab, u))
-    return gbmv(ab.shape[1], ab.shape[1], kl, ku, 1.0, ab, u)
+    return gbmv(ab.shape[1], ab.shape[1], len(ab) // 2, len(ab) // 2, 1.0, ab, u)
+
+
+def band_dense(ab: np.ndarray) -> np.ndarray:
+    """The dense matrix of a band in the storage of band_solver."""
+    n, m = ab.shape[1], len(ab) // 2               # row m - k: the diagonal (i, i + k)
+    return sum(np.diag(ab[m - k, max(k, 0):n + min(k, 0)], k) for k in range(-m, m + 1))
+
+
+def band_plus_diagonal(ab: np.ndarray, diag) -> np.ndarray:
+    """The band of A + diag(diag), a new array of ab's dtype."""
+    out = ab.copy()
+    out[len(ab) // 2] += diag
+    return out
+
+
+def band_scaled(ab: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The band of D A D^-1, D = diag(d), entry (i, j) formed as d_i A_ij / d_j."""
+    m = len(ab) // 2                               # row r holds (j + r - m, j)
+    return np.lib.stride_tricks.sliding_window_view(np.pad(d, m), ab.shape[1]) * ab / d
 
 
 def make_grid(L: float, N: int) -> Grid:
@@ -371,12 +394,8 @@ def soliton_root(f: PolynomialNonlinearity, V: PotentialSpec, lam: float) -> flo
     return root
 
 
-def validate_assumptions(
-    f: PolynomialNonlinearity,
-    V: PotentialSpec,
-    lam: float,
-    grid: Optional[Grid] = None,
-) -> AssumptionReport:
+def validate_assumptions(f: PolynomialNonlinearity, V: PotentialSpec, lam: float,
+                         grid: Grid) -> AssumptionReport:
     """Check the soliton-existence and trapping assumptions numerically.
 
     Raises ValueError("no positive root") when the effective potential has
@@ -385,8 +404,8 @@ def validate_assumptions(
     the well-posedness growth condition (subquadratic f) separate from the
     polynomial-degree requirement of the stability theory; the two pull in
     opposite directions and are reported side by side rather than merged.
+    The decay rate and the admissibility of lam are read on grid.
     """
-    grid = grid or make_grid(40.0, 2048)
     root = soliton_root(f, V, lam)
     s0 = root * root
     # U_phi(root) = 2*root*(f(s0) - lam)

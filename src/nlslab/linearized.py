@@ -36,7 +36,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 
-from .grids import Grid, band_solver, make_grid
+from .grids import Grid, band_dense, band_plus_diagonal, band_scaled, band_solver, make_grid
 from .solitons import SolitonProfile
 
 __all__ = [
@@ -93,23 +93,26 @@ class LinearizedSystem:
         """The FD4 L (frame "L") or H (frame "H") on interleaved pairs.
 
         With the pair laid out as (v1_0, v2_0, v1_1, v2_1, ...), either is
-        one band with kl = ku = 5 in the storage of grids.band_solver.  L
+        one band in the storage of grids.band_solver, of 2 w + 1 rows for
+        the w rows of Grid.fd_d2_band: entry (i, j) of the component block
+        (a, b) is pair entry (2i + a, 2j + b), so row r of the block's band
+        is row 2r + 1 + a - b of the pair band, on the columns b::2.  L
         has Lminus on the odd columns of the even rows and -Lplus on the
         even columns of the odd rows; H has h11 = -d2 + beta + V3/2 and
         -h11 on the two components and -i V4/2 between them.  Both are
         complex, as every solve with them is.
         """
         d2 = self.grid.fd_d2_band()
-        band = np.zeros((11, 2 * self.grid.N), dtype=complex)
+        w = len(d2)
+        band = np.zeros((2 * w + 1, 2 * self.grid.N), dtype=complex)
+        upper, mid, lower = (slice(1 + s, 2 * w + s, 2) for s in (-1, 0, 1))   # a - b = s
         if frame == "L":
-            band[0:9:2, 1::2], band[2:11:2, 0::2] = -d2, d2
-            band[4, 1::2] += self.beta + self.V1
-            band[6, 0::2] -= self.beta + self.V2
+            band[upper, 1::2] = band_plus_diagonal(-d2, self.beta + self.V1)
+            band[lower, 0::2] = band_plus_diagonal(d2, -(self.beta + self.V2))
         elif frame == "H":
-            h11 = -d2
-            h11[2] += self.beta + 0.5 * self.V3
-            band[1:10:2, 0::2], band[1:10:2, 1::2] = h11, -h11
-            band[4, 1::2] = band[6, 0::2] = -0.5j * self.V4
+            h11 = band_plus_diagonal(-d2, self.beta + 0.5 * self.V3)
+            band[mid, 0::2], band[mid, 1::2] = h11, -h11
+            band[w - 1, 1::2] = band[w + 1, 0::2] = -0.5j * self.V4
         else:
             raise ValueError("frame must be 'L' or 'H'")
         return band
@@ -221,9 +224,7 @@ class DiscreteSpectrum:
 def _shifted_solver(sys: LinearizedSystem, z: complex):
     """v -> (L - z)^-1 v for the FD4 L on pairs v [2, ..., N], from one band LU
     of L - z on interleaved pairs (LinearizedSystem.fd_band)."""
-    band = sys.fd_band("L")
-    band[5] -= z
-    solve = band_solver(band, 5, 5)
+    solve = band_solver(band_plus_diagonal(sys.fd_band("L"), -z))
 
     def apply(v):
         # [2, ..., N] -> interleaved columns [2N, ...] and back, in C order
@@ -282,7 +283,8 @@ def _refine_odd_mode(sys: LinearizedSystem, v0: np.ndarray, mu0: complex):
 
 
 class _ParityBlock(NamedTuple):
-    """One parity block of the mirror-symmetric coarse FD4 (Lminus, Lplus), dense."""
+    """One parity block of the mirror-symmetric coarse FD4 (Lminus, Lplus),
+    each a band in the storage of grids.band_solver."""
 
     x: np.ndarray                  # the block's nodes, x >= 0
     weight: np.ndarray             # 1 at x = 0, 2 elsewhere (the node and its mirror)
@@ -291,31 +293,27 @@ class _ParityBlock(NamedTuple):
     lplus: np.ndarray
 
 
-def _band_dense(ab: np.ndarray) -> np.ndarray:
-    """The dense matrix of a (2, 2) band in the storage of grids.band_solver."""
-    n = ab.shape[1]                                # row 2 - k: the diagonal (i, i + k)
-    return sum(np.diag(ab[2 - k, max(k, 0):n + min(k, 0)], k) for k in range(-2, 3))
-
-
 def _parity_blocks(coarse: LinearizedSystem):
     """The even and odd blocks of the mirror-symmetric coarse FD4 pair.
 
-    The rows x >= 0 of the Dirichlet FD4 matrix on the n coarse nodes are
-    those of the same 5-point matrix on the n - 1 mirror-symmetric nodes
-    x_1 .. x_{n-1} (node -L dropped).  Grid.fold folds the stencil at
-    x = 0 into the even block on n/2 nodes and the odd block on n/2 - 1
-    nodes, exactly; each is symmetric once scaled by the square roots of
-    the node weights.
+    Lminus and Lplus = -d2 + beta + V1 and V2, with d2 the band
+    Grid.fd_d2_band, are the blocks of LinearizedSystem.fd_band("L").  The
+    rows x >= 0 of that Dirichlet matrix on the n coarse nodes are those
+    of the same matrix on the n - 1 mirror-symmetric nodes x_1 .. x_{n-1}
+    (node -L dropped).  Grid.fold folds the stencil at x = 0 into the even
+    block on n/2 nodes and the odd block on n/2 - 1 nodes, exactly; each
+    is symmetric once scaled by the square roots of the node weights
+    (grids.band_scaled).
     """
     cg = coarse.grid
-    band = coarse.fd_band("L").real               # Lminus and -Lplus as (2, 2) bands
-    lminus, lplus = band[0:9:2, 1::2], -band[2:11:2, 0::2]
+    neg_d2 = -cg.fd_d2_band()
+    lminus, lplus = (band_plus_diagonal(neg_d2, coarse.beta + v) for v in (coarse.V1, coarse.V2))
     blocks = []
     for sign in (1.0, -1.0):
         idx = cg.half(sign)
         blocks.append(_ParityBlock(
             x=cg.nodes[idx], weight=np.where(idx > cg.N // 2, 2.0, 1.0), sign=sign,
-            lminus=_band_dense(cg.fold(lminus, sign)), lplus=_band_dense(cg.fold(lplus, sign))))
+            lminus=cg.fold(lminus, sign), lplus=cg.fold(lplus, sign)))
     return blocks
 
 
@@ -346,8 +344,9 @@ def _pencil_eig(blk: _ParityBlock, shift: float):
     """_pair_spectrum of one parity block, from one symmetric-definite eigh.
 
     D A D^-1, D = diag(sqrt(weight)), of either FD4 block is symmetric up
-    to roundoff in the fold entries at x = 0, and eigh reads only one
-    triangle of it.  Then lplus lminus y = nu y is lminus y = theta C y,
+    to roundoff in the fold entries at x = 0 (grids.band_scaled forms it
+    in band storage), and eigh reads only one triangle of the dense
+    lminus.  Then lplus lminus y = nu y is lminus y = theta C y,
     C = lminus - shift P with P = lplus^-1 (one band LU),
     nu = shift theta / (theta - 1) and x = P y.  C is positive definite
     exactly when shift lies between the zero cluster and the rest of the
@@ -356,10 +355,8 @@ def _pencil_eig(blk: _ParityBlock, shift: float):
     the near-kernel of lminus.  Otherwise a ValueError names the cause.
     """
     d = np.sqrt(blk.weight)
-    lminus, lplus = (d[:, None] * a / d for a in (blk.lminus, blk.lplus))
-    band = np.array([np.pad(np.diagonal(lplus, k), (max(k, 0), max(-k, 0)))
-                     for k in range(2, -3, -1)])
-    p = band_solver(band, 2, 2)(np.eye(d.size))
+    lminus = band_dense(band_scaled(blk.lminus, d))
+    p = band_solver(band_scaled(blk.lplus, d))(np.eye(d.size))
     try:
         theta, y = eigh(lminus, lminus - shift * p, check_finite=False)
     except np.linalg.LinAlgError:

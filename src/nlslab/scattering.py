@@ -103,6 +103,8 @@ EXPM_THETA = 1.0 / 16.0  # 1-norm of the Taylor-8 argument after scaling
 RESONANT_MARGIN = 1e-6   # |D11 / D22| below this reads near-singular D (resonant at k = 0)
 TABLE_BLOCK = 256        # k rows per march; a block's largest mu sets its D samples
 EK_DELTA = 2e-3          # k step of the (e/k) stencils and of its k -> 0 limit
+SCAN_COUPLING_MAX = 1.0  # largest |s| of resonance_scan: every march starts at _w_edge
+                         # of the unscaled W, past which |s W| < W_FLOOR only for |s| <= 1
 
 
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
@@ -542,11 +544,13 @@ def resonance_scan(sys0: LinearizedSystem, s_values) -> dict:
     at 0 equals minus the integral of the (1,1) entry of W, i.e.
     -(1/2) int (V3), reported as half_int_v3.  The couplings are the rows
     of one k = 0 march with a per-row coupling scale; the row s = 0 is the
-    free one, with det D(0) = D11(0) = 0.
+    free one, with det D(0) = D11(0) = 0, and the row s = 1 is the
+    system's own, wronskian_matrix at the threshold to roundoff.  |s| is
+    at most SCAN_COUPLING_MAX.
     """
     svals = np.asarray(sorted(float(s) for s in s_values))
-    if np.max(np.abs(svals)) > 0.5 + 1e-12:
-        raise ValueError("scan couplings must satisfy |s| <= 0.5")
+    if np.max(np.abs(svals)) > SCAN_COUPLING_MAX:
+        raise ValueError(f"scan couplings must satisfy |s| <= {SCAN_COUPLING_MAX:g}")
     _psi, _phi, _samples, (d11, d22, _spread) = _pair_rows(sys0, np.zeros(svals.size), svals)
     dets = d11 * d22
     margins = _margin(d11, d22)

@@ -39,6 +39,7 @@ from .grids import (
     Grid,
     PolynomialNonlinearity,
     PotentialSpec,
+    band_plus_diagonal,
     band_solver,
     fit_exponential_decay,
     soliton_root,
@@ -93,9 +94,7 @@ def _lplus_diag(lam_v, f, phi):
 
 def _lplus_solver(neg_d2: np.ndarray, diag: np.ndarray):
     """rhs -> L_plus^-1 rhs for the banded FD4 L_plus: -d2 in band storage, plus diag."""
-    ab = neg_d2.copy()
-    ab[2] += diag
-    return band_solver(ab, 2, 2)
+    return band_solver(band_plus_diagonal(neg_d2, diag))
 
 
 def _positive(phi):

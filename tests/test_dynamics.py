@@ -17,8 +17,7 @@ from nlslab.dynamics import (DECOMPOSE_MAX_ITER, DECOMPOSE_TOL, FP_FLOOR, FP_MAX
                              modulation_decompose, modulation_rhs,
                              nonlinear_remainder, split_step_oracle,
                              stability_experiment)
-from nlslab.grids import PolynomialNonlinearity, PotentialSpec, band_solver, make_grid
-from nlslab.linearized import _band_dense
+from nlslab.grids import PolynomialNonlinearity, PotentialSpec, band_dense, band_solver, make_grid
 from nlslab.solitons import SolitonFamily, solve_soliton
 
 THEOREM_F = PolynomialNonlinearity((1.0, 0.0, 0.0, -0.001))
@@ -134,7 +133,7 @@ def _half_grid_cn(psi0, V, f, grid, T, dt, sample_every):
     lin[2] += V(grid.nodes)
     lhs = 0.5j * dt * grid.fold(lin)
     lhs[2] += 1.0
-    solve = band_solver(lhs, 2, 2)
+    solve = band_solver(lhs)
     psi = psi0[grid.half()]
     out = [grid.unfold(psi)]
     for step in range(1, int(round(T / dt)) + 1):
@@ -232,7 +231,7 @@ def test_scaled_fold_is_symmetric_and_inverse_contracts():
         for k in (1, 2):                         # entries (i, i + k) against (i + k, i)
             skew = band[2 - k, k:] - band[2 + k, :n - k]
             assert np.max(np.abs(skew)) <= 1e-12 * np.max(np.abs(band)), (L, N, k)
-    dense = _band_dense(band)
+    dense = band_dense(band)
     for dt in (0.004, -0.004, 0.008):
         inv = np.linalg.inv(np.eye(n) + 0.5j * dt * dense)
         assert np.linalg.norm(inv, 2) <= 1.0, dt
@@ -260,7 +259,7 @@ def test_one_more_solve_moves_less_than_the_bound(dyn_grid, monkeypatch):
     lin[2] += V(dyn_grid.nodes)
     lhs = 0.5j * dt * dyn_grid.fold(lin)
     lhs[2] += 1.0
-    solve = band_solver(lhs, 2, 2)
+    solve = band_solver(lhs)
     last = np.cumsum([st.solves for st in states[1:]]) - 1
     assert last[-1] + 1 == len(rhs_log)
     for n, j in enumerate(last):

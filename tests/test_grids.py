@@ -10,9 +10,12 @@ from scipy.linalg import get_lapack_funcs
 
 from nlslab import grids
 from nlslab.config import load_config
-from nlslab.grids import (PolynomialNonlinearity, PotentialSpec, band_matvec, band_solver,
-                          make_grid, validate_assumptions)
-from nlslab.propagator import weighted_pair_norm
+from nlslab.dynamics import evolve_nls
+from nlslab.grids import (Grid, PolynomialNonlinearity, PotentialSpec, band_dense, band_matvec,
+                          band_plus_diagonal, band_scaled, band_solver, make_grid,
+                          validate_assumptions)
+from nlslab.linearized import LinearizedSystem, _parity_blocks
+from nlslab.propagator import evolve_direct, weighted_pair_norm
 from nlslab.solitons import _lplus_diag, _lplus_solver, solve_soliton
 
 
@@ -135,7 +138,7 @@ def test_nonlinearity_matches_polyval(coeffs, s):
 
 def test_validate_assumptions_cubic_free():
     f = PolynomialNonlinearity((1.0,))
-    rep = validate_assumptions(f, PotentialSpec("zero", 0.0), 1.0)
+    rep = validate_assumptions(f, PotentialSpec("zero", 0.0), 1.0, make_grid(40.0, 2048))
     assert rep.root == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert rep.root_slope_positive
     assert rep.lambda_admissible
@@ -144,7 +147,7 @@ def test_validate_assumptions_cubic_free():
 def test_validate_assumptions_no_root():
     f = PolynomialNonlinearity((1.0,))
     with pytest.raises(ValueError, match="no positive root"):
-        validate_assumptions(f, PotentialSpec("zero", 0.0), -1.0)
+        validate_assumptions(f, PotentialSpec("zero", 0.0), -1.0, make_grid(40.0, 2048))
 
 
 def test_validate_assumptions_degenerate_minimum():
@@ -152,14 +155,14 @@ def test_validate_assumptions_degenerate_minimum():
     # negative amplitude turns the origin into a local maximum
     V = PotentialSpec("quad_gauss", 0.1, {"amp": -1.0, "offset": 1.0})
     with pytest.raises(ValueError, match="degenerate minimum"):
-        validate_assumptions(f, V, 1.0)
+        validate_assumptions(f, V, 1.0, make_grid(40.0, 2048))
 
 
 def test_quad_gauss_curvature():
     V = PotentialSpec("quad_gauss", 0.1, {"amp": 1.0, "offset": 1.0})
     assert V.second_derivative_at_zero() == pytest.approx(4.0, abs=1e-5)
     f = PolynomialNonlinearity((1.0,))
-    rep = validate_assumptions(f, V, 2.0)
+    rep = validate_assumptions(f, V, 2.0, make_grid(40.0, 2048))
     assert rep.nondegenerate_minimum
     assert rep.decay_rate > 0
 
@@ -259,6 +262,13 @@ def test_even_d2_is_spectral_d2_on_even_fields(L, N):
         assert np.max(np.abs(got - want[half])) <= 1e-12 * np.max(np.abs(want))
 
 
+def _symmetric_storage(ab, kl, ku):
+    """A band with kl sub- and ku superdiagonals in the storage of
+    band_solver: zero rows pad the shorter side to max(kl, ku)."""
+    m = max(kl, ku)
+    return np.pad(ab, ((m - ku, m - kl), (0, 0)))
+
+
 @pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 5, 5), (complex, 1, 3)])
 def test_band_matvec_matches_dense_product(dtype, kl, ku):
     rng = np.random.default_rng(5)
@@ -266,7 +276,11 @@ def test_band_matvec_matches_dense_product(dtype, kl, ku):
     ab = rng.standard_normal((kl + ku + 1, n)).astype(dtype)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     want = _dense_from_band(ab, kl, ku) @ u
-    assert np.max(np.abs(band_matvec(ab, kl, ku, u) - want)) < 1e-13 * np.max(np.abs(want))
+    sym, dense = _symmetric_storage(ab, kl, ku), _dense_from_band(ab, kl, ku)
+    assert np.max(np.abs(band_matvec(sym, u) - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(band_dense(sym), dense)
+    d = rng.uniform(1.0, 2.0, n)
+    assert np.array_equal(band_dense(band_scaled(sym, d)), d[:, None] * dense / d)
 
 
 @pytest.mark.parametrize("dtype, kl, ku", [(float, 2, 2), (complex, 1, 3)])
@@ -279,7 +293,7 @@ def test_band_solver_matches_dense_solve(dtype, kl, ku):
     ab[ku] += 8.0                                   # diagonally dominant
     rhs = rng.standard_normal((n, 3)).astype(dtype)
     want = np.linalg.solve(_dense_from_band(ab, kl, ku), rhs)
-    solve = band_solver(ab, kl, ku)
+    solve = band_solver(_symmetric_storage(ab, kl, ku))
     assert np.max(np.abs(solve(rhs) - want)) < 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(solve(rhs[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want))
 
@@ -288,7 +302,7 @@ def test_band_solver_rejects_a_singular_band():
     ab = np.ones((5, 8))
     ab[:, 3] = 0.0                                  # a zero column
     with pytest.raises(np.linalg.LinAlgError):
-        band_solver(ab, 2, 2)
+        band_solver(ab)
 
 
 def _count_gbtrs(monkeypatch):
@@ -322,7 +336,7 @@ def test_band_sweeps_equal_gbtrs_on_the_crank_nicolson_factor(monkeypatch):
     lhs = 0.5j * 0.004 * g.fold(lin)
     lhs[2] += 1.0
     calls = _count_gbtrs(monkeypatch)
-    solve = band_solver(lhs, 2, 2)
+    solve = band_solver(lhs)
     rng = np.random.default_rng(7)
     for _ in range(3):
         rhs = rng.standard_normal(lhs.shape[1]) + 1j * rng.standard_normal(lhs.shape[1])
@@ -340,7 +354,7 @@ def test_band_solver_falls_back_to_gbtrs(monkeypatch, diagonal, shape):
     ab[2] = diagonal
     rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     calls = _count_gbtrs(monkeypatch)
-    got = band_solver(ab, 2, 2)(rhs)
+    got = band_solver(ab)(rhs)
     assert calls
     want = np.linalg.solve(_dense_from_band(ab, 2, 2), rhs)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
@@ -357,3 +371,73 @@ def test_lplus_factor_falls_back_to_gbtrs(monkeypatch, trap, cubic):
     ab[2] += diag
     want = np.linalg.solve(_dense_from_band(ab, 2, 2), phi)
     assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+
+
+FD6 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+
+
+def _fd6_band(self):
+    """The 7-point FD6 stencil in every row, truncated at the wall, in the
+    storage of Grid.fd_d2_band."""
+    return np.repeat(FD6[:, None], self.point_count, axis=1) / self.dx**2
+
+
+def test_a_wider_stencil_reaches_every_consumer(monkeypatch):
+    """With Grid.fd_d2_band patched to the FD6 stencil, every consumer of
+    the band reads its width off the band: each matches a dense reference
+    built here, and a short evolve_nls run keeps its invariants."""
+    monkeypatch.setattr(Grid, "fd_d2_band", _fd6_band)
+    g = make_grid(5.0, 32)
+    n = g.N
+    d2 = sum(np.diag(np.full(n - abs(k), c), k) for k, c in zip(range(-3, 4), FD6)) / g.dx**2
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(n)
+    ab = band_plus_diagonal(-g.fd_d2_band(), v)
+    assert np.array_equal(band_dense(ab), -d2 + np.diag(v))
+    for sign in (1.0, -1.0):
+        idx, unfold = _sparse_unfold(g, sign)
+        want = (sparse.csr_matrix(-d2 + np.diag(v))[idx] @ unfold).toarray()
+        assert np.array_equal(band_dense(g.fold(ab, sign)), want)
+        # the Crank-Nicolson factor of evolve_nls on this sector
+        lhs = band_plus_diagonal(0.5j * 0.004 * g.fold(ab, sign), 1.0)
+        dense = np.eye(idx.size) + 0.5j * 0.004 * want
+        u = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        assert np.max(np.abs(band_matvec(lhs, u) - dense @ u)) < 1e-14 * np.max(np.abs(dense @ u))
+        want_solve = np.linalg.solve(dense, u)
+        assert np.max(np.abs(band_solver(lhs)(u) - want_solve)) < 1e-14 * np.max(np.abs(want_solve))
+
+    # the pair bands in both frames, against the dense blocks on stacked pairs
+    x = g.nodes
+    sys_ = LinearizedSystem(grid=g, beta=2.0, V1=-2.0 / np.cosh(x) ** 2, V2=-6.0 / np.cosh(x) ** 2)
+    stack = np.arange(2 * n).reshape(n, 2).T.ravel()    # interleaved index of each stacked entry
+    lminus, lplus = (-d2 + np.diag(2.0 + w) for w in (sys_.V1, sys_.V2))
+    h11 = -d2 + np.diag(2.0 + 0.5 * sys_.V3)
+    coupling = -0.5j * np.diag(sys_.V4)
+    zero = np.zeros((n, n))
+    for frame, want in (("L", np.block([[zero, lminus], [-lplus, zero]])),
+                        ("H", np.block([[h11, coupling], [coupling, -h11]]))):
+        got = band_dense(sys_.fd_band(frame))[np.ix_(stack, stack)]
+        assert np.array_equal(got, want), frame
+    # the parity blocks are symmetric once scaled by sqrt(weight)
+    for blk in _parity_blocks(sys_):
+        for a in (blk.lminus, blk.lplus):
+            scaled = band_dense(band_scaled(a, np.sqrt(blk.weight)))
+            assert np.max(np.abs(scaled - scaled.T)) <= 1e-12 * np.max(np.abs(scaled))
+    # the oracle step on the pair band against dense Crank-Nicolson
+    h = np.stack([np.exp(-x**2), 1j * np.exp(-(x - 0.5) ** 2)])
+    half_step = 0.5j * 0.01 * np.block([[h11, coupling], [coupling, -h11]])
+    want = np.linalg.solve(np.eye(2 * n) + half_step, (np.eye(2 * n) - half_step) @ h.ravel())
+    got = evolve_direct(sys_, h, 0.01, dt=0.01, check_boundary=False).ravel()
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    # a short nonlinear run on the patched operator
+    cfg = load_config()
+    gd = make_grid(20.0, 1024)
+    f = cfg.nonlinearity(True)
+    prof = solve_soliton(cfg.lam, cfg.potential(), f, gd)
+    psi0 = np.exp(0.3j) * (prof.phi + 0.01 * np.exp(-gd.nodes**2 / 4.0))
+    states = evolve_nls(psi0, cfg.potential(), f, gd, T=0.1, dt=0.004, sample_every=5)
+    assert np.array_equal(gd.fd_d2_band(), _fd6_band(gd))
+    for st in states[1:]:
+        assert abs(st.mass - states[0].mass) < 1e-12 * states[0].mass
+        assert abs(st.energy - states[0].energy) < 1e-11 * abs(states[0].energy)

@@ -5,7 +5,8 @@ calls a general dense eigensolver (numpy.linalg.eig, scipy.linalg.eig:
 both parity blocks of the linearization are symmetric-definite pencils),
 every exported name is bound, the public names and the dataclass fields
 that only tests read are exactly the listed ones, every defaulted
-parameter is passed by some call and omitted by another, and every
+parameter is passed by some call and omitted by another, the defaulted
+parameters that only tests pass are exactly the listed ones, and every
 function the benchmark's tracer wraps by name exists."""
 
 import ast
@@ -19,6 +20,7 @@ PACKAGE = REPO / "src" / "nlslab"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((REPO / "bench").glob("*.py"))
 CALLERS = sorted(p for d in ("src", "bench", "tests") for p in (REPO / d).rglob("*.py"))
+PRODUCTION = [p for p in CALLERS if "tests" not in p.relative_to(REPO).parts]
 
 # Public names that nothing in the package, its CLI or the benchmark reads,
 # only tests, each with why it stays.  A listed name that gains a reader
@@ -49,6 +51,24 @@ TEST_ONLY_FIELDS = {
         "of it; its test checks that the theorem nonlinearity fails it",
     "linearized.DiscreteSpectrum.eigenvalues":
         "the localized coarse-grid gap eigenvalues, for the spectral-symmetry test",
+}
+
+
+# Defaulted parameters that no call in the package, its CLI or the
+# benchmark passes, only tests, each with why it stays.  An option is
+# justified by two production callers that need different values; a
+# listed parameter that gains a production caller leaves the list, and
+# one that loses its last must be listed or go.
+TEST_ONLY_PARAMS = {
+    "cli.main.argv":
+        "the console script calls main() on sys.argv; tests pass the argument list",
+    "propagator.evolve_direct.check_boundary":
+        "test_direct_norm_bounded runs the oracle to t = 20, where the wave reaches "
+        "the wall; the guard trips there even on a box of 2L and 2N (3.8 s), so the "
+        "test turns it off",
+    "solitons.power_law_standing_wave.corrected_prefactor":
+        "the variant with the prefactor power +1/(4 - 2 eps), whose residual vanishes, "
+        "for the test that the printed form's does not",
 }
 
 
@@ -246,6 +266,13 @@ def always_passed_defaults(sources: dict, callers: dict) -> list:
                   if all(calls))
 
 
+def only_test_passed_defaults(sources: dict, production: dict, tests: dict) -> list:
+    """The defaulted parameters that a call in tests passes and no call in
+    production does."""
+    return sorted(set(unpassed_defaults(sources, production))
+                  - set(unpassed_defaults(sources, tests)))
+
+
 def sparse_imports(source: str) -> list:
     """Lines of imports of scipy.sparse or of anything under it."""
     lines = set()
@@ -385,6 +412,19 @@ def test_checker_flags_an_always_passed_default():
     assert always_passed_defaults(sources, {"c": calls + "f(0)\nK().m(0)\ng()\n"}) == []
 
 
+def test_checker_flags_a_test_only_default():
+    sources = {
+        "a": ("def f(x, y=1, z=2, w=3):\n    return x\n\n"
+              "class K:\n    def m(self, p, q=0):\n        return p\n"),
+    }
+    production = {"src": "f(0, 1)\nK().m(0)\n"}
+    tests = {"t": "f(0, z=3)\nf(0, 1)\nK().m(0, 2)\n"}
+    # y has a production caller, z and q only test callers, w none (that
+    # one is test_defaulted_parameters_are_passed's)
+    assert only_test_passed_defaults(sources, production, tests) == ["a.K.m.q", "a.f.z"]
+    assert only_test_passed_defaults(sources, {**production, **tests}, tests) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_stale_exports(path):
     assert stale_exports(path.read_text()) == []
@@ -446,6 +486,20 @@ def test_defaults_are_omitted():
     required, so that the config is the one owner of that value."""
     callers = {str(p.relative_to(REPO)): p.read_text() for p in CALLERS}
     assert always_passed_defaults({p.stem: p.read_text() for p in MODULES}, callers) == []
+
+
+def test_test_only_defaults_are_listed():
+    """The defaulted parameters that only tests pass are exactly
+    TEST_ONLY_PARAMS: a value the code can work out is no option, and an
+    option that no production caller sets is a constant."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    production = {str(p.relative_to(REPO)): p.read_text() for p in PRODUCTION}
+    tests = {str(p.relative_to(REPO)): p.read_text() for p in CALLERS if p not in PRODUCTION}
+    flagged = set(only_test_passed_defaults(sources, production, tests))
+    assert sorted(flagged - TEST_ONLY_PARAMS.keys()) == [], \
+        "passed only by tests: list them or make them constants"
+    assert sorted(TEST_ONLY_PARAMS.keys() - flagged) == [], \
+        "listed but passed in production: remove them from TEST_ONLY_PARAMS"
 
 
 def test_traced_names_resolve():

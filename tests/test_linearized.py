@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from nlslab.grids import PolynomialNonlinearity, PotentialSpec, make_grid
+from nlslab.grids import PolynomialNonlinearity, PotentialSpec, band_dense, make_grid
 from nlslab import linearized
 from nlslab.linearized import (LinearizedSystem, T_MAT, _localized, _parity_blocks, _pencil_eig,
                                assemble_L, build_projector, contour_projector,
@@ -110,7 +110,7 @@ def test_reduced_eigensolve_matches_dense(default_system, default_profile):
     coarse = default_system.coarsen(256)
     for blk in _parity_blocks(coarse):
         d = np.sqrt(blk.weight)
-        lmat = _block_L(*(d[:, None] * a / d for a in (blk.lminus, blk.lplus)))
+        lmat = _block_L(*(d[:, None] * band_dense(a) / d for a in (blk.lminus, blk.lplus)))
         vals, vectors, _ = _pencil_eig(blk, _shift(default_profile))
         dense = np.linalg.eigvals(lmat)
         # sort by the rotated values -i mu: the spectrum lies on the imaginary axis
@@ -135,9 +135,9 @@ def test_scaled_parity_blocks_are_symmetric(default_system, default_profile):
     for blk in _parity_blocks(coarse):
         d = np.sqrt(blk.weight)
         for a in (blk.lminus, blk.lplus):
-            scaled = d[:, None] * a / d
+            scaled = d[:, None] * band_dense(a) / d
             assert np.max(np.abs(scaled - scaled.T)) <= 1e-12 * np.max(np.abs(scaled))
-        ref = np.linalg.eigvals(_block_L(blk.lminus, blk.lplus))
+        ref = np.linalg.eigvals(_block_L(band_dense(blk.lminus), band_dense(blk.lplus)))
         ref_gap = ref[_gap(ref, coarse.beta)]
         vals, _, _ = _pencil_eig(blk, _shift(default_profile))
         gap = vals[_gap(vals, coarse.beta)]
@@ -163,7 +163,8 @@ def test_parity_blocks_match_symmetric_operator(default_system, default_profile)
 
     blocks = _parity_blocks(coarse)
     assert [blk.x.size for blk in blocks] == [n // 2, n // 2 - 1]
-    even, odd = (np.linalg.eigvals(_block_L(blk.lminus, blk.lplus)) for blk in blocks)
+    even, odd = (np.linalg.eigvals(_block_L(band_dense(blk.lminus), band_dense(blk.lplus)))
+                 for blk in blocks)
     vals = np.concatenate([even, odd])
     a = 1j * np.sort_complex(-1j * vals)
     b = 1j * np.sort_complex(-1j * dense)

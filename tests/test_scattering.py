@@ -22,7 +22,7 @@ import pytest
 from nlslab import scattering
 from nlslab.grids import fit_exponential_decay, make_grid
 from nlslab.linearized import LinearizedSystem, assemble_L
-from nlslab.scattering import (PURGE_SPACING, TABLE_BLOCK, _cmedian, _expm,
+from nlslab.scattering import (PURGE_SPACING, SCAN_COUPLING_MAX, TABLE_BLOCK, _cmedian, _expm,
                                _march_left, _mirror, _omega, _omega_k2,
                                _pair_rows, _s3conj, _sample_indices, _sr_coeffs,
                                _stepper, _w_edge, _wr, default_k_grid,
@@ -515,6 +515,23 @@ def test_resonance_scan_matches_single_marches(default_system):
                                     default_system.beta)
         assert abs(scan["detD0"][j] - d11 * d22) < 1e-10 * abs(d11 * d22)
         assert abs(scan["wronskian_lemma"][j] - d11) < 1e-10 * abs(d11)
+
+
+def test_unit_coupling_row_is_the_system(default_system, cfg):
+    """The s = 1 row of the default scan block is the system's own
+    threshold data: every march starts at _w_edge of the unscaled W, which
+    covers |s W| for |s| <= SCAN_COUPLING_MAX = 1, so the row equals
+    wronskian_matrix to roundoff (a row's D moves with its batch-mates at
+    roundoff, since _expm scales each batch by its largest 1-norm)."""
+    assert SCAN_COUPLING_MAX == 1.0
+    couplings = list(cfg.block("scattering")["scan_couplings"]) + [1.0]
+    scan = resonance_scan(default_system, couplings)
+    assert scan["s"][-1] == 1.0
+    d11, d22 = wronskian_matrix(default_system, default_system.beta)
+    assert abs(scan["wronskian_lemma"][-1] - d11) <= 1e-12 * abs(d11)
+    assert abs(scan["detD0"][-1] / scan["wronskian_lemma"][-1] - d22) <= 1e-12 * abs(d22)
+    with pytest.raises(ValueError, match="scan couplings"):
+        resonance_scan(default_system, [0.0, -1.01])
 
 
 def test_march_start_does_not_move_threshold_data(default_system):
